@@ -9,7 +9,7 @@ from .delay_design import (
     enumerate_alignment_sets,
     solve_compensation_delays,
 )
-from .numerics import null_space_basis, rank, svd, water_fill
+from .numerics import null_space_basis, rank, water_fill
 
 __all__ = [
     "__version__",
@@ -24,6 +24,5 @@ __all__ = [
     "null_space_basis",
     "rank",
     "solve_compensation_delays",
-    "svd",
     "water_fill",
 ]

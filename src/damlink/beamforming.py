@@ -28,6 +28,7 @@ __all__ = [
     "EffectiveChannelTensor",
     "FractionalEffectiveChannels",
     "PowerTerms",
+    "ProjectedPaths",
     "IsiZfState",
     "assemble_effective_channels",
     "eigen_beamform_doubleside",
@@ -39,6 +40,7 @@ __all__ = [
     "null_space_projection",
     "mmse_receive_update",
     "mmse_transmit_update",
+    "isi_zf_sinrs",
     "isi_zf_alternating",
 ]
 
@@ -337,106 +339,103 @@ def null_space_projection(channels: ChannelSet, k: int, l: int, tol: float = RAN
     return null_space_basis(stacked, tol)
 
 
+@dataclass(frozen=True)
+class ProjectedPaths:
+    """One UE's ISI-ZF channel in per-path form.
+
+    UE k hears its stream at lag n as Y r[n], Y = [H_kl basis_kl b_l]_l and
+    r[n] = (rho_ll[n])_l, so every lag sum reduces to r0 = r[0] and the
+    L x L Gram matrix s of the other lags.
+    """
+
+    bases: tuple[np.ndarray, ...]   # per path null-space basis, (M_t, N_l)
+    g: np.ndarray                   # [H_kl basis_kl]_l, (M_r, D) with D = sum N_l
+    e: np.ndarray                   # (D, L) indicator of the path owning each coordinate
+    r0: np.ndarray                  # (L,)
+    s: np.ndarray                   # (L, L) sum over n != 0 of r[n] r[n]^T
+
+    def outputs(self, b: np.ndarray) -> np.ndarray:
+        """Y = [G_l b_l]_l, (M_r, L)."""
+        return (self.g * b) @ self.e
+
+
 @dataclass
 class IsiZfState:
-    """State of the alternating optimization over ZF-projected beamformers."""
+    """State of the alternating optimization over ZF-projected beamformers.
 
-    bases: list[list[np.ndarray]]     # per (UE, path) null-space basis
+    ``converged`` is False only when the loop stopped at ``max_iter`` with the
+    objective still rising by at least ``tol`` relative in the last step.
+    """
+
+    paths: list[ProjectedPaths]
     b_bar: list[np.ndarray]           # per UE reduced transmit vector
     w: list[np.ndarray]               # per UE receive vector (unit norm)
     trace: list[float]                # objective value per iteration
     iterations: int
+    converged: bool
 
     def f_bar(self, channels: ChannelSet) -> list[np.ndarray]:
         """Full stacked transmit vectors f_kl = basis_kl @ b_kl."""
         out = []
-        for k, ue in enumerate(channels.ues):
-            pieces = []
-            offset = 0
-            for l in range(ue.L):
-                dim = self.bases[k][l].shape[1]
-                pieces.append(self.bases[k][l] @ self.b_bar[k][offset : offset + dim])
-                offset += dim
-            out.append(np.concatenate(pieces))
+        for p, b in zip(self.paths, self.b_bar):
+            cuts = np.cumsum([basis.shape[1] for basis in p.bases])[:-1]
+            out.append(np.concatenate([B @ b_l for B, b_l in zip(p.bases, np.split(b, cuts))]))
         return out
 
     def to_beamformer_set(self, channels: ChannelSet, P: float) -> BeamformerSet:
         return BeamformerSet(f_bar=self.f_bar(channels), w_bar=list(self.w), power=P)
 
 
-def _projected_channels(channels: ChannelSet, bases, tables) -> list[np.ndarray]:
-    """Per-UE lag-indexed matrices [H_kl basis_kl rho_ll[n]]_l, (2W+1, M_r, sum N_t)."""
-    out = []
-    for k, ue in enumerate(channels.ues):
-        tab = tables[(k, k)].values
-        effective = [ue.paths[l].gain @ bases[k][l] for l in range(ue.L)]
-        blocks = [
-            eff[None, :, :] * tab[l, l][:, None, None]
-            for l, eff in enumerate(effective)
-        ]
-        out.append(np.concatenate(blocks, axis=2))
-    return out
-
-
-def _solve_hermitian(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # the noise floor keeps these positive definite; guard anyway
+def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # the noise floor keeps these systems non-singular; guard anyway
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.pinv(a) @ rhs
 
 
-def mmse_receive_update(h_tilde, b_bar, sigma2: float) -> list[np.ndarray]:
+def _unit_or_first_axis(v: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        v = np.zeros(v.size, dtype=complex)
+        v[0] = 1.0
+        return v
+    return v / norm
+
+
+def mmse_receive_update(paths, b_bar, sigma2: float) -> list[np.ndarray]:
     """SINR-optimal receive vectors for fixed transmit vectors."""
     out = []
-    for h, b in zip(h_tilde, b_bar):
-        center = (h.shape[0] - 1) // 2
-        y = h @ b  # (2W+1, M_r)
-        yy = y.T @ y.conj()
-        y0 = y[center]
-        cov = yy - np.outer(y0, y0.conj()) + sigma2 * np.eye(h.shape[1], dtype=complex)
-        w = _solve_hermitian(cov, y0)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            w = np.zeros(h.shape[1], dtype=complex)
-            w[0] = 1.0
-        else:
-            w = w / norm
-        out.append(w)
+    for p, b in zip(paths, b_bar):
+        y = p.outputs(b)
+        cov = y @ p.s @ y.conj().T + sigma2 * np.eye(y.shape[0])
+        out.append(_unit_or_first_axis(_solve(cov, y @ p.r0)))
     return out
 
 
-def mmse_transmit_update(h_tilde, w_list, P: float, sigma2: float) -> list[np.ndarray]:
-    """SINR-optimal reduced transmit vectors at fixed per-UE power P/K."""
-    K = len(h_tilde)
+def mmse_transmit_update(paths, w_list, P: float, sigma2: float) -> list[np.ndarray]:
+    """SINR-optimal reduced transmit vectors at fixed per-UE power P/K.
+
+    With A = blkdiag(G_l^H w) the transmit covariance is A s A^H + reg I, so
+    by the push-through identity b = A c, c = (reg I + s A^H A)^{-1} r0.
+    """
+    K = len(paths)
     out = []
-    for h, w in zip(h_tilde, w_list):
-        center = (h.shape[0] - 1) // 2
-        g = np.matmul(w.conj(), h).conj()  # g[n] = h[n]^H w, shape (2W+1, D)
-        g0 = g[center]
-        # exact Nyquist zeros blank most lags for integer delays; skip them
-        active = np.any(g != 0.0, axis=1)
-        g_act = g[active]
-        gg = g_act.T @ g_act.conj()
+    for p, w in zip(paths, w_list):
+        a = p.g.conj().T @ w
         reg = sigma2 * (K / P) * float(np.linalg.norm(w) ** 2)
-        cov = gg - np.outer(g0, g0.conj()) + reg * np.eye(h.shape[2], dtype=complex)
-        b = _solve_hermitian(cov, g0)
-        norm = np.linalg.norm(b)
-        if norm == 0.0:
-            b = np.zeros(h.shape[2], dtype=complex)
-            b[0] = 1.0
-            norm = 1.0
-        out.append(np.sqrt(P / K) * b / norm)
+        c = _solve(reg * np.eye(p.s.shape[0]) + p.s * (np.abs(a) ** 2 @ p.e), p.r0)
+        out.append(np.sqrt(P / K) * _unit_or_first_axis(a * (p.e @ c)))
     return out
 
 
-def isi_zf_sinrs(h_tilde, w_list, b_bar, sigma2: float) -> np.ndarray:
-    sinrs = np.empty(len(h_tilde))
-    for k, (h, w, b) in enumerate(zip(h_tilde, w_list, b_bar)):
-        center = (h.shape[0] - 1) // 2
-        coup = (h @ b) @ w.conj()
-        desired = abs(coup[center]) ** 2
-        isi = float(np.sum(np.abs(coup) ** 2) - desired)
+def isi_zf_sinrs(paths, w_list, b_bar, sigma2: float) -> np.ndarray:
+    """Per-UE SINR; with z = Y^H w the coupling at lag n is r[n]^T z."""
+    sinrs = np.empty(len(paths))
+    for k, (p, w, b) in enumerate(zip(paths, w_list, b_bar)):
+        z = p.outputs(b).conj().T @ w
+        desired = abs(p.r0 @ z) ** 2
+        isi = float(np.vdot(z, p.s @ z).real)
         sinrs[k] = desired / (isi + sigma2 * float(np.linalg.norm(w) ** 2))
     return sinrs
 
@@ -458,50 +457,48 @@ def isi_zf_alternating(
     ``max_iter`` iterations.  The objective trace is non-decreasing.
     """
     K = channels.K
-    bases = [
-        [null_space_projection(channels, k, l) for l in range(ue.L)]
-        for k, ue in enumerate(channels.ues)
-    ]
-    tables = {
-        (k, k): build_rho_table(ue, ue, bs_side_kappa(ue), window, T, beta)
-        for k, ue in enumerate(channels.ues)
-    }
-    h_tilde = _projected_channels(channels, bases, tables)
-
-    b_bar = []
-    for h in h_tilde:
-        dim = h.shape[2]
-        b_bar.append(np.sqrt(P / K / dim) * np.ones(dim, dtype=complex))
+    paths = []
+    for k, ue in enumerate(channels.ues):
+        bases = tuple(null_space_projection(channels, k, l) for l in range(ue.L))
+        idx = np.arange(ue.L)
+        r = build_rho_table(ue, ue, bs_side_kappa(ue), window, T, beta).values[idx, idx]
+        off = np.delete(r, window, axis=1)
+        paths.append(ProjectedPaths(
+            bases=bases,
+            g=np.concatenate([path.gain @ basis for path, basis in zip(ue.paths, bases)], axis=1),
+            e=np.repeat(np.eye(ue.L), [basis.shape[1] for basis in bases], axis=0),
+            r0=r[:, window],
+            s=off @ off.T,
+        ))
+    b_bar = [np.sqrt(P / K / p.g.shape[1]) * np.ones(p.g.shape[1], dtype=complex) for p in paths]
     # matched-filter receive start keeps the initial state usable as-is
-    w_list = []
-    for h, b in zip(h_tilde, b_bar):
-        center = (h.shape[0] - 1) // 2
-        w0 = h[center] @ b
-        norm = np.linalg.norm(w0)
-        if norm == 0.0:
-            w0 = np.zeros(h.shape[1], dtype=complex)
-            w0[0] = 1.0
-            norm = 1.0
-        w_list.append(w0 / norm)
+    w_list = [_unit_or_first_axis(p.outputs(b) @ p.r0) for p, b in zip(paths, b_bar)]
 
     def objective(w, b):
-        return float(np.sum(np.log2(1.0 + isi_zf_sinrs(h_tilde, w, b, sigma2))))
+        return float(np.sum(np.log2(1.0 + isi_zf_sinrs(paths, w, b, sigma2))))
 
     trace = [objective(w_list, b_bar)]
     iterations = 0
     if math.isfinite(tol):
         for _ in range(max_iter):
-            w_list = mmse_receive_update(h_tilde, b_bar, sigma2)
-            b_bar = mmse_transmit_update(h_tilde, w_list, P, sigma2)
+            w_list = mmse_receive_update(paths, b_bar, sigma2)
+            b_bar = mmse_transmit_update(paths, w_list, P, sigma2)
             obj = objective(w_list, b_bar)
             prev = trace[-1]
             trace.append(obj)
             iterations += 1
             if obj - prev < tol * max(abs(prev), 1e-300):
                 break
+    # cut off: stopped at max_iter while the last step still rose by >= tol
+    converged = not (
+        iterations >= max_iter
+        and iterations > 0
+        and trace[-1] - trace[-2] >= tol * max(abs(trace[-2]), 1e-300)
+    )
 
     state = IsiZfState(
-        bases=bases, b_bar=b_bar, w=w_list, trace=trace, iterations=iterations
+        paths=paths, b_bar=b_bar, w=w_list, trace=trace, iterations=iterations,
+        converged=converged,
     )
-    sinrs = isi_zf_sinrs(h_tilde, w_list, b_bar, sigma2)
+    sinrs = isi_zf_sinrs(paths, w_list, b_bar, sigma2)
     return state, sinrs, float(np.sum(np.log2(1.0 + sinrs)))

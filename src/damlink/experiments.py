@@ -438,12 +438,20 @@ def write_json_sidecar(table: ResultTable, path) -> None:
         "version": __version__,
         "config": dataclasses.asdict(table.config),
         "meta": table.meta,
-        "rows": [dataclasses.asdict(r) for r in table.rows],
+        "rows": [_strict_row(r) for r in table.rows],
         "samples": {
             f"{value}|{scheme}": vals for (value, scheme), vals in table.samples.items()
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False))
+
+
+def _strict_row(row: ResultRow) -> dict:
+    """Row as a dict with non-finite values (infeasible rows) written as null."""
+    return {
+        key: None if isinstance(value, float) and not np.isfinite(value) else value
+        for key, value in dataclasses.asdict(row).items()
+    }
 
 
 def write_ccdf_csv(table: ResultTable, path) -> None:

@@ -6,13 +6,9 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SvdResult",
-    "svd",
     "rank",
     "null_space_basis",
     "water_fill",
@@ -23,34 +19,11 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Reduced SVD a = left @ diag(values) @ right^H."""
-
-    left: np.ndarray
-    values: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.values) @ self.right.conj().T
-
-
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
-
-
-def svd(a) -> SvdResult:
-    """Reduced singular value decomposition with descending singular values."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        raise ValueError("svd of an empty matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("svd input has non-finite entries")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(left=u, values=s, right=vh.conj().T)
 
 
 def rank(a, tol: float = RANK_TOL) -> int:

@@ -12,6 +12,7 @@ from damlink.beamforming import (
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
+    isi_zf_sinrs,
     mmse_receive_update,
     mmse_transmit_update,
     null_space_projection,
@@ -323,63 +324,67 @@ def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
     return cs
 
 
+def _center_channels(cs, window=40):
+    """Per-UE zero-lag projected channels [H_kl basis_kl rho_ll[0]]_l, (M_r, D)."""
+    out = []
+    for k, ue in enumerate(cs.ues):
+        tab = build_rho_table(ue, ue, bs_side_kappa(ue), window, T, BETA).values
+        out.append(np.concatenate(
+            [path.gain @ null_space_projection(cs, k, l) * tab[l, l, window]
+             for l, path in enumerate(ue.paths)],
+            axis=1,
+        ))
+    return out
+
+
+def _paths(cs, window=40):
+    state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=window, tol=np.inf)
+    return state.paths
+
+
 class TestMmseUpdates:
-    def _h_tilde(self, cs, window=40):
-        from damlink.beamforming import _projected_channels
-
-        bases = [
-            [null_space_projection(cs, k, l) for l in range(ue.L)]
-            for k, ue in enumerate(cs.ues)
-        ]
-        tables = {
-            (k, k): build_rho_table(ue, ue, bs_side_kappa(ue), window, T, BETA)
-            for k, ue in enumerate(cs.ues)
-        }
-        return _projected_channels(cs, bases, tables)
-
     def test_no_isi_reduces_to_matched_filter(self):
         rng = np.random.default_rng(20)
         cs = _zf_setup(rng, fractional=False)
-        h_tilde = self._h_tilde(cs)
+        paths = _paths(cs)
+        h0 = _center_channels(cs)
         P = 1.0
-        b = [np.sqrt(P / 2 / h.shape[2]) * np.ones(h.shape[2], dtype=complex) for h in h_tilde]
-        w = mmse_receive_update(h_tilde, b, SIGMA2)
-        for h, bk, wk in zip(h_tilde, b, w):
-            mf = h[(h.shape[0] - 1) // 2] @ bk
+        b = [np.sqrt(P / 2 / h.shape[1]) * np.ones(h.shape[1], dtype=complex) for h in h0]
+        w = mmse_receive_update(paths, b, SIGMA2)
+        for h, bk, wk in zip(h0, b, w):
+            mf = h @ bk
             mf /= np.linalg.norm(mf)
             assert abs(abs(np.vdot(mf, wk)) - 1.0) < 1e-10
             assert np.linalg.norm(wk) == pytest.approx(1.0, abs=1e-12)
 
-        b_new = mmse_transmit_update(h_tilde, w, P, SIGMA2)
-        for h, wk, bk in zip(h_tilde, w, b_new):
-            mf = h[(h.shape[0] - 1) // 2].conj().T @ wk
+        b_new = mmse_transmit_update(paths, w, P, SIGMA2)
+        for h, wk, bk in zip(h0, w, b_new):
+            mf = h.conj().T @ wk
             mf /= np.linalg.norm(mf)
             align = abs(np.vdot(mf, bk)) / np.linalg.norm(bk)
             assert align == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.norm(bk) ** 2 == pytest.approx(P / 2, rel=1e-12)
 
     def test_updates_never_decrease_sinr(self):
-        from damlink.beamforming import isi_zf_sinrs
-
         rng = np.random.default_rng(21)
         for _ in range(5):
             cs = _zf_setup(rng, fractional=True)
-            h_tilde = self._h_tilde(cs)
+            paths = _paths(cs)
             P = 1.0
             b = []
-            for h in h_tilde:
-                x = rng.standard_normal(h.shape[2]) + 1j * rng.standard_normal(h.shape[2])
+            for p in paths:
+                x = rng.standard_normal(p.g.shape[1]) + 1j * rng.standard_normal(p.g.shape[1])
                 b.append(np.sqrt(P / 2) * x / np.linalg.norm(x))
             w = []
-            for h in h_tilde:
-                x = rng.standard_normal(h.shape[1]) + 1j * rng.standard_normal(h.shape[1])
+            for p in paths:
+                x = rng.standard_normal(p.g.shape[0]) + 1j * rng.standard_normal(p.g.shape[0])
                 w.append(x / np.linalg.norm(x))
-            base = isi_zf_sinrs(h_tilde, w, b, SIGMA2)
-            w2 = mmse_receive_update(h_tilde, b, SIGMA2)
-            after_w = isi_zf_sinrs(h_tilde, w2, b, SIGMA2)
+            base = isi_zf_sinrs(paths, w, b, SIGMA2)
+            w2 = mmse_receive_update(paths, b, SIGMA2)
+            after_w = isi_zf_sinrs(paths, w2, b, SIGMA2)
             assert np.all(after_w >= base - 1e-9 * np.abs(base))
-            b2 = mmse_transmit_update(h_tilde, w2, P, SIGMA2)
-            after_b = isi_zf_sinrs(h_tilde, w2, b2, SIGMA2)
+            b2 = mmse_transmit_update(paths, w2, P, SIGMA2)
+            after_b = isi_zf_sinrs(paths, w2, b2, SIGMA2)
             assert np.all(after_b >= after_w - 1e-9 * np.abs(after_w))
 
 
@@ -388,28 +393,18 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(22)
         cs = random_delay_channel_set(rng, 2, 8, K=1, L=3, fractional=False)
         state, sinrs, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
-        h_tilde = self._h_tilde_of(cs)
-        from damlink.beamforming import isi_zf_sinrs
-
-        coup = np.einsum("r,nrc,c->n", state.w[0].conj(), h_tilde[0], state.b_bar[0])
+        ue, w, f = cs.ues[0], state.w[0], state.f_bar(cs)[0]
+        m_t = cs.M_t
+        tab = build_rho_table(ue, ue, bs_side_kappa(ue), 40, T, BETA).values
+        coup = sum(
+            tab[l, l] * (w.conj() @ path.gain @ f[l * m_t : (l + 1) * m_t])
+            for l, path in enumerate(ue.paths)
+        )
         center = 40
         desired = abs(coup[center]) ** 2
         residual = np.sum(np.abs(coup) ** 2) - desired
         assert residual <= 1e-20 * desired
         assert sinrs[0] == pytest.approx(desired / SIGMA2, rel=1e-9)
-
-    def _h_tilde_of(self, cs, window=40):
-        from damlink.beamforming import _projected_channels
-
-        bases = [
-            [null_space_projection(cs, k, l) for l in range(ue.L)]
-            for k, ue in enumerate(cs.ues)
-        ]
-        tables = {
-            (k, k): build_rho_table(ue, ue, bs_side_kappa(ue), window, T, BETA)
-            for k, ue in enumerate(cs.ues)
-        }
-        return _projected_channels(cs, bases, tables)
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(23)
@@ -427,9 +422,26 @@ class TestIsiZfAlternating:
         )
         assert state.iterations == 0
         assert len(state.trace) == 1
+        assert state.converged
         bf = state.to_beamformer_set(cs, 1.0)
         assert bf.total_transmit_power() == pytest.approx(1.0, rel=1e-9)
         assert np.all(sinrs >= 0.0)
+
+    def test_max_iter_cutoff_reports_unconverged(self):
+        rng = np.random.default_rng(23)
+        cs = _zf_setup(rng, fractional=True)
+        full, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        assert full.iterations > 1
+        state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40, max_iter=1)
+        assert state.iterations == 1
+        assert not state.converged
+
+    def test_converged_integer_delay_solve(self):
+        rng = np.random.default_rng(22)
+        cs = _zf_setup(rng, fractional=False)
+        state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        assert state.iterations < 200
+        assert state.converged
 
     def test_zero_forcing_residuals(self):
         rng = np.random.default_rng(25)

@@ -167,6 +167,26 @@ class TestCli:
         assert sidecar["config"]["M_t"] == 8
         assert sidecar["seed"] == 3
 
+    def test_infeasible_rows_are_strict_json(self, tmp_path):
+        cfg = dict(
+            system=dict(M_t=8, M_r=2, K=2, L=3, M=32, delay_span_samples=10,
+                        G_cp=10, rho_window=30, g_ls_db=0.0),
+            experiment=dict(grid=[30.0], trials=1),
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        code = main(["se_vs_power_doubleside", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        sidecar = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+        row = next(r for r in sidecar["rows"] if r["scheme"] == "dam-eigen-ue")
+        assert row["infeasible"]
+        assert row["mean"] is None and row["stderr"] is None
+
     def test_papr_emits_ccdf_csv(self, tmp_path):
         cfg = dict(
             system=dict(M_t=4, M_r=2, K=2, L=2, M=32, delay_span_samples=10,

@@ -3,77 +3,11 @@
 import numpy as np
 import pytest
 
-from damlink.numerics import null_space_basis, rank, svd, water_fill
+from damlink.numerics import null_space_basis, rank, water_fill
 
 
 def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def _char_poly_eigs_3x3(b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 3x3 Hermitian matrix via its characteristic polynomial.
-
-    Coefficients built from explicit trace / principal-minor / determinant
-    formulas, roots from the polynomial companion matrix; independent of any
-    SVD routine.
-    """
-    tr = b[0, 0] + b[1, 1] + b[2, 2]
-    minors = (
-        b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-        + b[0, 0] * b[2, 2] - b[0, 2] * b[2, 0]
-        + b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1]
-    )
-    det = (
-        b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1])
-        - b[0, 1] * (b[1, 0] * b[2, 2] - b[1, 2] * b[2, 0])
-        + b[0, 2] * (b[1, 0] * b[2, 1] - b[1, 1] * b[2, 0])
-    )
-    roots = np.roots([1.0, -tr.real, minors.real, -det.real])
-    return np.sort(roots.real)[::-1]
-
-
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(3))
-        assert np.allclose(res.values, [1.0, 1.0, 1.0])
-
-    def test_rank_one_outer_product(self):
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        u *= 2.0 / np.linalg.norm(u)
-        v *= 3.0 / np.linalg.norm(v)
-        res = svd(np.outer(u, v.conj()))
-        assert res.values[0] == pytest.approx(6.0, rel=1e-12)
-        assert np.all(res.values[1:] < 1e-12)
-
-    def test_values_match_char_poly_oracle(self):
-        rng = np.random.default_rng(7)
-        a = _random_complex(rng, 4, 3)
-        expected = np.sqrt(np.clip(_char_poly_eigs_3x3(a.conj().T @ a), 0.0, None))
-        assert np.allclose(svd(a).values, expected, atol=1e-8 * expected[0])
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            rows = rng.integers(1, 65)
-            cols = rng.integers(1, 65)
-            a = _random_complex(rng, rows, cols)
-            res = svd(a)
-            norm = np.linalg.norm(a)
-            assert np.linalg.norm(res.reconstruct() - a) <= 1e-10 * norm
-            assert np.all(np.diff(res.values) <= 1e-12)
-            r = res.values.size
-            assert np.allclose(res.left.conj().T @ res.left, np.eye(r), atol=1e-10)
-            assert np.allclose(res.right.conj().T @ res.right, np.eye(r), atol=1e-10)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            svd(np.zeros((0, 3)))
 
 
 class TestRank:
