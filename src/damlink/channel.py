@@ -232,7 +232,9 @@ def frequency_response(ch: UEChannel, M: int) -> np.ndarray:
     m = np.arange(M)
     n_l = np.asarray(ch.n_list)
     phases = np.exp(2j * np.pi * np.outer(m, n_l) / M)  # (M, L)
-    return np.einsum("ml,lrt->mrt", phases, ch.gains) / np.sqrt(M)
+    gains = ch.gains                                    # (L, M_r, M_t)
+    flat = phases @ gains.reshape(n_l.size, -1)
+    return flat.reshape(M, *gains.shape[1:]) / np.sqrt(M)
 
 
 def channel_set_to_json(cs: ChannelSet) -> str:

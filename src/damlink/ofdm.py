@@ -2,7 +2,10 @@
 
 Per-subcarrier eigen-beamforming tolerates inter-user interference; the
 zero-forcing variant projects each UE onto the null space of the others and
-water-fills power across all (UE, subcarrier) effective channels.
+water-fills power across all (UE, subcarrier) effective channels.  Neither
+builds an M_t x M_t factor: eigen-beamforming takes the reduced SVD, and
+zero-forcing works in the span of the path gains' rows, which holds every
+row of every per-subcarrier response.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from .numerics import water_fill
 
 __all__ = [
     "OfdmBeamformerSet",
-    "RateResult",
     "ofdm_eigen",
     "ofdm_zf_waterfill",
-    "effective_rates",
     "dam_overhead_factor",
     "ofdm_overhead_factor",
     "dam_effective_rate",
@@ -56,7 +57,7 @@ def ofdm_eigen(
         raise ValueError("M must be >= 1")
     h = _stacked_responses(channels, M)
     K = channels.K
-    u_all, _, vh_all = np.linalg.svd(h)
+    u_all, _, vh_all = np.linalg.svd(h, full_matrices=False)
     u = u_all[..., :, 0]                # (K, M, M_r)
     v_hat = vh_all[..., 0, :].conj()    # (K, M, M_t), unit norm
     frob = np.sqrt(np.sum(np.abs(v_hat) ** 2))  # sqrt(K*M)
@@ -64,7 +65,8 @@ def ofdm_eigen(
 
     sigma2_hat = sigma2 / M
     # coupling[k, kp, m] = u_{k,m}^H H_{k,m} v_{kp,m}
-    coupling = np.einsum("kmr,kmrt,jmt->kjm", u.conj(), h, v)
+    uh = (u.conj()[..., None, :] @ h)[..., 0, :]  # (K, M, M_t)
+    coupling = np.einsum("kmt,jmt->kjm", uh, v)
     signal = np.abs(coupling[np.arange(K), np.arange(K)]) ** 2  # (K, M)
     total = np.sum(np.abs(coupling) ** 2, axis=1)               # (K, M)
     interference = total - signal
@@ -80,6 +82,8 @@ def ofdm_zf_waterfill(
 
     Feasible when M_t >= (K-1) M_r + 1; returns per-stream SNRs and the
     subcarrier-averaged sum rate in bits/s/Hz (before overhead discounts).
+    Both SVDs run on H Q, where Q is an orthonormal basis of the span of all
+    path gains' rows; since H = H Q Q^H, v = Q v~ is exact.
     """
     K, M_r, M_t = channels.K, channels.M_r, channels.M_t
     if M_t < (K - 1) * M_r + 1:
@@ -87,12 +91,14 @@ def ofdm_zf_waterfill(
             "OFDM zero-forcing infeasible: requires M_t >= (K-1)*M_r + 1, "
             f"got M_t={M_t}, M_r={M_r}, K={K}"
         )
-    h = _stacked_responses(channels, M)
+    rows = np.concatenate([ue.gains.reshape(-1, M_t) for ue in channels.ues])
+    q, _ = np.linalg.qr(rows.conj().T)               # (M_t, min(M_t, K L M_r))
+    h = _stacked_responses(channels, M) @ q
     sigma2_hat = sigma2 / M
 
     gains = np.zeros((K, M))
     u = np.zeros((K, M, M_r), dtype=complex)
-    v_dir = np.zeros((K, M, M_t), dtype=complex)
+    v_dir = np.zeros((K, M, q.shape[1]), dtype=complex)
     for k in range(K):
         if K > 1:
             # orthogonal projection off the interferers' row space; the
@@ -110,7 +116,7 @@ def ofdm_zf_waterfill(
         v_dir[k] = vh_m[:, 0].conj()
 
     powers = water_fill(gains.ravel(), M * P).reshape(K, M)
-    v = np.sqrt(powers)[..., None] * v_dir
+    v = np.sqrt(powers)[..., None] * (v_dir @ q.T)
     snr = gains * powers
     rate = float(np.sum(np.log2(1.0 + snr))) / M
     return OfdmBeamformerSet(v=v, u=u, power=powers), snr, rate
@@ -134,34 +140,3 @@ def ofdm_effective_rate(ofdm_sinrs, cfg: SimConfig) -> float:
     """Subcarrier-averaged sum rate times the cyclic-prefix discount."""
     per = np.asarray(ofdm_sinrs)
     return ofdm_overhead_factor(cfg) * float(np.sum(np.log2(1.0 + per))) / cfg.M
-
-
-@dataclass(frozen=True)
-class RateResult:
-    """Raw and overhead-adjusted spectral efficiencies of both waveforms."""
-
-    dam_sinrs: np.ndarray
-    ofdm_sinrs: np.ndarray
-    dam_rate_raw: float
-    ofdm_rate_raw: float
-    dam_overhead: float
-    ofdm_overhead: float
-    dam_rate: float
-    ofdm_rate: float
-
-
-def effective_rates(dam_sinrs, ofdm_sinrs, cfg: SimConfig) -> RateResult:
-    dam_sinrs = np.asarray(dam_sinrs, dtype=float)
-    ofdm_sinrs = np.asarray(ofdm_sinrs, dtype=float)
-    dam_raw = float(np.sum(np.log2(1.0 + dam_sinrs)))
-    ofdm_raw = float(np.sum(np.log2(1.0 + ofdm_sinrs))) / cfg.M
-    return RateResult(
-        dam_sinrs=dam_sinrs,
-        ofdm_sinrs=ofdm_sinrs,
-        dam_rate_raw=dam_raw,
-        ofdm_rate_raw=ofdm_raw,
-        dam_overhead=dam_overhead_factor(cfg),
-        ofdm_overhead=ofdm_overhead_factor(cfg),
-        dam_rate=dam_overhead_factor(cfg) * dam_raw,
-        ofdm_rate=ofdm_overhead_factor(cfg) * ofdm_raw,
-    )
