@@ -38,11 +38,11 @@ from .ofdm import (
 )
 from .waveform import (
     ccdf_from_paprs,
-    papr_blocks,
+    dam_streams,
+    ofdm_streams,
     qam4_map,
-    synthesize_dam_waveform,
-    synthesize_ofdm_waveform,
-    synthesize_strongest_path_waveform,
+    stream_paprs,
+    strongest_path_streams,
 )
 
 __all__ = [
@@ -245,36 +245,32 @@ def _run_sweep(spec: ExperimentSpec, threads: int) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 
-def _dam_papr(channels, cfg, rng, n_blocks, block_symbols):
+# Each scheme's setup returns draw(rng, blocks) -> (StreamSet, lead symbols):
+# the streams of one chunk and the symbols to skip before its first block.
+
+
+def _qam4_streams(rng, K: int, n_sym: int) -> np.ndarray:
+    return np.stack([qam4_map(rng.integers(0, 2, 2 * n_sym)) for _ in range(K)])
+
+
+def _dam_papr_draw(channels, cfg, block_symbols):
     tables = bs_side_rho_tables(channels, cfg.rho_window, cfg.T, cfg.beta)
     F = assemble_bs_side(channels, tables)
     bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
     kappas = [bs_side_kappa(ue) for ue in channels.ues]
     pad = 32 + max(max(k) for k in kappas)
-    chunk = max(1, 5_000_000 // (block_symbols * cfg.oversample * cfg.M_t))
-    paprs = []
-    done = 0
-    while done < n_blocks:
-        blocks = min(chunk, n_blocks - done)
-        n_sym = blocks * block_symbols + 2 * pad
-        sym = np.stack(
-            [qam4_map(rng.integers(0, 2, 2 * n_sym)) for _ in range(cfg.K)]
-        )
-        wf = synthesize_dam_waveform(sym, bf, kappas, cfg)
-        start = pad * cfg.oversample
-        wf.samples = wf.samples[:, start : start + blocks * block_symbols * cfg.oversample]
-        paprs.append(papr_blocks(wf, block_symbols))
-        done += blocks
-    return np.concatenate(paprs, axis=0)
+
+    def draw(rng, blocks):
+        sym = _qam4_streams(rng, cfg.K, blocks * block_symbols + 2 * pad)
+        return dam_streams(sym, bf, kappas, cfg), pad
+
+    return draw
 
 
-def _ofdm_papr(channels, cfg, rng, n_blocks, block_symbols):
+def _ofdm_papr_draw(channels, cfg, block_symbols):
     bf, _ = ofdm_eigen(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
-    chunk = max(1, 5_000_000 // (block_symbols * cfg.oversample * cfg.M_t))
-    paprs = []
-    done = 0
-    while done < n_blocks:
-        blocks = min(chunk, n_blocks - done)
+
+    def draw(rng, blocks):
         bits = rng.integers(0, 2, (cfg.K, blocks + 2, 2 * cfg.M))
         sym = np.stack(
             [
@@ -282,29 +278,36 @@ def _ofdm_papr(channels, cfg, rng, n_blocks, block_symbols):
                 for k in range(cfg.K)
             ]
         )
-        wf = synthesize_ofdm_waveform(sym, bf, cfg)
-        start = block_symbols * cfg.oversample  # drop the edge-transient blocks
-        wf.samples = wf.samples[:, start : start + blocks * block_symbols * cfg.oversample]
-        paprs.append(papr_blocks(wf, block_symbols))
-        done += blocks
-    return np.concatenate(paprs, axis=0)
+        return ofdm_streams(sym, bf, cfg), block_symbols  # drop the edge-transient block
+
+    return draw
 
 
-def _strongest_papr(channels, cfg, rng, n_blocks, block_symbols):
+def _strongest_papr_draw(channels, cfg, block_symbols):
     pad = 32
-    chunk = max(1, 5_000_000 // (block_symbols * cfg.oversample * cfg.M_t))
+
+    def draw(rng, blocks):
+        sym = _qam4_streams(rng, cfg.K, blocks * block_symbols + 2 * pad)
+        return strongest_path_streams(sym, channels, cfg.p_watts(), cfg), pad
+
+    return draw
+
+
+def _chunk_blocks(cfg, block_symbols) -> int:
+    """Blocks drawn per chunk: about 5e6 antenna samples."""
+    return max(1, 5_000_000 // (block_symbols * cfg.oversample * cfg.M_t))
+
+
+def _chunked_paprs(draw, rng, cfg, n_blocks, block_symbols):
+    """(n_blocks, M_t) PAPRs, drawn and evaluated a bounded chunk at a time."""
+    chunk = _chunk_blocks(cfg, block_symbols)
     paprs = []
     done = 0
     while done < n_blocks:
         blocks = min(chunk, n_blocks - done)
-        n_sym = blocks * block_symbols + 2 * pad
-        sym = np.stack(
-            [qam4_map(rng.integers(0, 2, 2 * n_sym)) for _ in range(cfg.K)]
-        )
-        wf = synthesize_strongest_path_waveform(sym, channels, cfg.p_watts(), cfg)
-        start = pad * cfg.oversample
-        wf.samples = wf.samples[:, start : start + blocks * block_symbols * cfg.oversample]
-        paprs.append(papr_blocks(wf, block_symbols))
+        streams, lead = draw(rng, blocks)
+        paprs.append(stream_paprs(streams, cfg, lead, blocks, block_symbols))
+        del streams  # free this chunk's streams before the next draw
         done += blocks
     return np.concatenate(paprs, axis=0)
 
@@ -331,17 +334,18 @@ def _run_papr(spec: ExperimentSpec) -> ResultTable:
     n_blocks = spec.trials
     block_symbols = cfg.M + cfg.G_cp  # like-for-like duration across schemes
     channels = generate_channel_set(cfg, trial_seed(spec.seed, 0, 0), integer_delays=False)
-    runners = {
-        "dam": _dam_papr,
-        "ofdm": _ofdm_papr,
-        "strongest-path": _strongest_papr,
+    draws = {
+        "dam": _dam_papr_draw,
+        "ofdm": _ofdm_papr_draw,
+        "strongest-path": _strongest_papr_draw,
     }
     rows = []
     samples = {}
     ccdfs = {}
-    for idx, (scheme, runner) in enumerate(runners.items()):
+    for idx, (scheme, setup) in enumerate(draws.items()):
         rng = np.random.default_rng(trial_seed(spec.seed, 1, idx))
-        paprs = runner(channels, cfg, rng, n_blocks, block_symbols)
+        draw = setup(channels, cfg, block_symbols)
+        paprs = _chunked_paprs(draw, rng, cfg, n_blocks, block_symbols)
         result = ccdf_from_paprs(paprs, PAPR_THRESHOLDS_DB)
         ccdfs[scheme] = result.ccdf
         level_db = papr_at_exceedance(PAPR_THRESHOLDS_DB, result.ccdf, 1e-2)

@@ -4,14 +4,19 @@ Single-carrier delay-aligned transmission superposes one pulse-shaped,
 pre-delayed symbol stream per compensated path; OFDM superposes one stream
 per (UE, subcarrier).  The per-antenna peak-to-average power ratio is
 measured on the oversampled post-filter waveform.
+
+Every scheme first builds a StreamSet (symbol-rate streams, their delays and
+the antenna weights that superpose them); antennas are then shaped and
+combined a group at a time, so ``stream_paprs`` never holds the whole
+M_t-antenna waveform that ``synthesize_*_waveform`` return.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .channel import ChannelSet, SimConfig
 from .delay_design import DelayPlan
@@ -28,10 +33,21 @@ __all__ = [
     "papr_ccdf",
     "ccdf_from_paprs",
     "SYNTH_SPAN_SYMBOLS",
+    "ANTENNA_GROUP",
+    "StreamSet",
+    "dam_streams",
+    "ofdm_streams",
+    "strongest_path_streams",
+    "stream_paprs",
 ]
 
 # RRC truncation for synthesis; analysis windows are configured separately.
 SYNTH_SPAN_SYMBOLS = 16
+
+# Antennas shaped and combined together.  At the reference config groups of
+# 4-32 timed alike; all 128 antennas at once were 1.1x (OFDM) to 2x (strongest
+# path) slower per block and held the whole chunk waveform.
+ANTENNA_GROUP = 8
 
 
 @dataclass
@@ -71,34 +87,78 @@ def _stream_delays(plan_or_delays) -> list[int]:
     return [int(v) for v in plan_or_delays]
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2-3-5-smooth integer >= n (an FFT length numpy handles fast)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-n // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=8)
+def _filter_spectrum(beta: float, oversample: int, nfft: int) -> np.ndarray:
+    """DFT of the synthesis RRC taps at length oversample * nfft, as (oversample, nfft)."""
+    taps = rrc_taps(beta, oversample, SYNTH_SPAN_SYMBOLS)
+    spectrum = np.fft.fft(taps, oversample * nfft).reshape(oversample, nfft)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _shape_streams(streams: np.ndarray, delays, oversample: int, beta: float) -> np.ndarray:
     """Upsample, delay and RRC-filter unit-rate streams; trims filter edges.
 
     Returns (n_streams, (n_symbols + max_delay) * oversample) samples whose
-    first sample corresponds to symbol time 0.
+    first sample corresponds to symbol time 0.  The streams are transformed
+    at symbol rate: zero-stuffing by ``oversample`` in time repeats the
+    spectrum ``oversample`` times, so one short FFT per stream, a tiled
+    product with the filter spectrum and one long inverse FFT give the
+    linear convolution of the zero-stuffed streams with the taps.
     """
     streams = np.atleast_2d(streams)
     n_streams, n_sym = streams.shape
     delays = np.asarray(delays, dtype=int)
     max_delay = int(delays.max()) if delays.size else 0
-    total = (n_sym + max_delay) * oversample
-    up = np.zeros((n_streams, total), dtype=complex)
+    n_in = n_sym + max_delay
+    # no wrap-around: the taps span 2 * SYNTH_SPAN_SYMBOLS + 1 symbols
+    nfft = _fast_len(n_in + 2 * SYNTH_SPAN_SYMBOLS)
+    spectrum = np.zeros((n_streams, nfft), dtype=complex)
     for s in range(n_streams):
-        start = delays[s] * oversample
-        up[s, start : start + n_sym * oversample : oversample] = streams[s]
-    taps = rrc_taps(beta, oversample, SYNTH_SPAN_SYMBOLS)
-    shaped = fftconvolve(up, taps[None, :], mode="full", axes=1)
+        spectrum[s, delays[s] : delays[s] + n_sym] = streams[s]
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    shaped = np.empty((n_streams, oversample, nfft), dtype=complex)
+    np.multiply(spectrum[:, None, :], _filter_spectrum(beta, oversample, nfft), out=shaped)
+    shaped = shaped.reshape(n_streams, oversample * nfft)
+    np.fft.ifft(shaped, axis=1, out=shaped)
     lead = SYNTH_SPAN_SYMBOLS * oversample
-    return shaped[:, lead : lead + total]
+    return shaped[:, lead : lead + n_in * oversample]
 
 
-def synthesize_dam_waveform(symbols, beamformers, plans, cfg: SimConfig) -> Waveform:
-    """Superpose per-path beamformed, pre-delayed streams on every antenna.
+@dataclass(frozen=True)
+class StreamSet:
+    """Symbol-rate streams at integer delays and the antennas they feed.
 
-    ``symbols`` is (K, n_symbols); ``plans`` supplies one delay per stream of
-    each UE (a DelayPlan or a plain delay sequence); the stacked transmit
-    vectors come from ``beamformers.f_bar``.
+    Antenna ``a`` transmits ``weights[a] @ shaped`` where ``shaped`` are the
+    pulse-shaped streams; ``weights=None`` means stream ``a`` is antenna
+    ``a``'s own sample stream (OFDM's serialized IDFT output).
     """
+
+    streams: np.ndarray        # (n_streams, n_symbols)
+    delays: np.ndarray         # (n_streams,) integer symbol delays
+    weights: np.ndarray | None  # (n_antennas, n_streams)
+
+    @property
+    def n_antennas(self) -> int:
+        return self.streams.shape[0] if self.weights is None else self.weights.shape[0]
+
+
+def dam_streams(symbols, beamformers, plans, cfg: SimConfig) -> StreamSet:
+    """The streams of ``synthesize_dam_waveform``: one per (UE, delay)."""
     symbols = np.asarray(symbols, dtype=complex)
     K = symbols.shape[0]
     m_t = cfg.M_t
@@ -114,9 +174,83 @@ def synthesize_dam_waveform(symbols, beamformers, plans, cfg: SimConfig) -> Wave
             streams.append(symbols[k])
             delays.append(d)
             weights.append(f_bar[i * m_t : (i + 1) * m_t])
-    shaped = _shape_streams(np.array(streams), delays, cfg.oversample, cfg.beta)
-    samples = np.asarray(weights).T @ shaped
-    return Waveform(samples=samples, oversample=cfg.oversample)
+    return StreamSet(np.array(streams), np.array(delays, dtype=int), np.asarray(weights).T)
+
+
+def ofdm_streams(symbols, beamformers, cfg: SimConfig) -> StreamSet:
+    """The streams of ``synthesize_ofdm_waveform``: each antenna's serialized
+    samples after per-subcarrier beamforming, IDFT and cyclic prefix."""
+    symbols = np.asarray(symbols, dtype=complex)
+    K, n_ofdm, M = symbols.shape
+    if M != cfg.M:
+        raise ValueError(f"expected {cfg.M} subcarriers, got {M}")
+    m_t = beamformers.v.shape[2]
+    with_cp = np.empty((n_ofdm, cfg.G_cp + M, m_t), dtype=complex)
+    time = with_cp[:, cfg.G_cp :]                                  # (D, M, M_t)
+    np.einsum("kdm,kmt->dmt", symbols, beamformers.v, out=time)
+    np.fft.ifft(time, axis=1, norm="ortho", out=time)
+    with_cp[:, : cfg.G_cp] = time[:, M - cfg.G_cp :]
+    serial = with_cp.reshape(n_ofdm * (M + cfg.G_cp), m_t).T       # (M_t, N)
+    return StreamSet(serial, np.zeros(m_t, dtype=int), None)
+
+
+def strongest_path_streams(symbols, channels: ChannelSet, P: float, cfg: SimConfig) -> StreamSet:
+    """The streams of ``synthesize_strongest_path_waveform``: one per UE."""
+    symbols = np.asarray(symbols, dtype=complex)
+    K = symbols.shape[0]
+    weights = []
+    for k in range(K):
+        ue = channels.ues[k]
+        strongest = max(ue.paths, key=lambda p: np.linalg.norm(p.gain))
+        _, _, vh = np.linalg.svd(strongest.gain, full_matrices=False)
+        weights.append(np.sqrt(P / K) * vh[0].conj())
+    return StreamSet(symbols, np.zeros(K, dtype=int), np.asarray(weights).T)
+
+
+def _antenna_groups(streams: StreamSet, cfg: SimConfig):
+    """Shaped samples of each run of ANTENNA_GROUP antennas, in antenna order."""
+    if streams.weights is None:
+        for a in range(0, streams.n_antennas, ANTENNA_GROUP):
+            rows = slice(a, a + ANTENNA_GROUP)
+            yield _shape_streams(
+                streams.streams[rows], streams.delays[rows], cfg.oversample, cfg.beta
+            )
+        return
+    shaped = _shape_streams(streams.streams, streams.delays, cfg.oversample, cfg.beta)
+    for a in range(0, streams.n_antennas, ANTENNA_GROUP):
+        yield streams.weights[a : a + ANTENNA_GROUP] @ shaped
+
+
+def _synthesize(streams: StreamSet, cfg: SimConfig) -> Waveform:
+    return Waveform(np.concatenate(list(_antenna_groups(streams, cfg))), cfg.oversample)
+
+
+def stream_paprs(streams: StreamSet, cfg: SimConfig, lead_symbols: int, n_blocks: int,
+                 block_symbols: int) -> np.ndarray:
+    """Per-(block, antenna) PAPRs of ``n_blocks`` blocks after ``lead_symbols``.
+
+    Equals ``papr_blocks`` on the synthesized waveform cut to those blocks,
+    but holds the oversampled samples of ANTENNA_GROUP antennas at a time.
+    """
+    start = lead_symbols * cfg.oversample
+    stop = start + n_blocks * block_symbols * cfg.oversample
+    return np.concatenate(
+        [
+            papr_blocks(Waveform(x[:, start:stop], cfg.oversample), block_symbols)
+            for x in _antenna_groups(streams, cfg)
+        ],
+        axis=1,
+    )
+
+
+def synthesize_dam_waveform(symbols, beamformers, plans, cfg: SimConfig) -> Waveform:
+    """Superpose per-path beamformed, pre-delayed streams on every antenna.
+
+    ``symbols`` is (K, n_symbols); ``plans`` supplies one delay per stream of
+    each UE (a DelayPlan or a plain delay sequence); the stacked transmit
+    vectors come from ``beamformers.f_bar``.
+    """
+    return _synthesize(dam_streams(symbols, beamformers, plans, cfg), cfg)
 
 
 def synthesize_ofdm_waveform(symbols, beamformers, cfg: SimConfig) -> Waveform:
@@ -126,33 +260,14 @@ def synthesize_ofdm_waveform(symbols, beamformers, cfg: SimConfig) -> Waveform:
     at rate 1/T before oversampled pulse shaping with the same filter as the
     single-carrier waveform.
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    K, n_ofdm, M = symbols.shape
-    if M != cfg.M:
-        raise ValueError(f"expected {cfg.M} subcarriers, got {M}")
-    spectrum = np.einsum("kdm,kmt->dmt", symbols, beamformers.v)
-    time = np.fft.ifft(spectrum, axis=1, norm="ortho")            # (D, M, M_t)
-    with_cp = np.concatenate([time[:, M - cfg.G_cp :, :], time], axis=1)
-    serial = with_cp.reshape(n_ofdm * (M + cfg.G_cp), -1).T        # (M_t, N)
-    shaped = _shape_streams(serial, np.zeros(serial.shape[0], int), cfg.oversample, cfg.beta)
-    return Waveform(samples=shaped, oversample=cfg.oversample)
+    return _synthesize(ofdm_streams(symbols, beamformers, cfg), cfg)
 
 
 def synthesize_strongest_path_waveform(
     symbols, channels: ChannelSet, P: float, cfg: SimConfig
 ) -> Waveform:
     """One eigen-beamformed stream per UE on its strongest path, no delays."""
-    symbols = np.asarray(symbols, dtype=complex)
-    K = symbols.shape[0]
-    weights = []
-    for k in range(K):
-        ue = channels.ues[k]
-        strongest = max(ue.paths, key=lambda p: np.linalg.norm(p.gain))
-        _, _, vh = np.linalg.svd(strongest.gain, full_matrices=False)
-        weights.append(np.sqrt(P / K) * vh[0].conj())
-    shaped = _shape_streams(symbols, np.zeros(K, int), cfg.oversample, cfg.beta)
-    samples = np.asarray(weights).T @ shaped
-    return Waveform(samples=samples, oversample=cfg.oversample)
+    return _synthesize(strongest_path_streams(symbols, channels, P, cfg), cfg)
 
 
 def papr_blocks(waveform: Waveform, block_symbols: int) -> np.ndarray:

@@ -17,6 +17,10 @@ coordinates (D = total null-space dimension).
 baseline: per-subcarrier responses summed path by path with einsum,
 full-matrices SVDs over all M_t transmit dimensions, and the three-operand
 coupling einsum.
+
+``oracle_shape_streams`` is the literal pulse shaper: each stream is
+zero-stuffed by the oversampling factor at its delay and convolved with the
+RRC taps in the time domain.
 """
 
 import math
@@ -25,7 +29,8 @@ import numpy as np
 
 from damlink.beamforming import bs_side_kappa, null_space_projection
 from damlink.numerics import water_fill
-from damlink.pulse import build_rho_table, rrc
+from damlink.pulse import build_rho_table, rrc, rrc_taps
+from damlink.waveform import SYNTH_SPAN_SYMBOLS
 
 
 def oracle_power_terms(channels, f_list, w_list, window, T, beta, os=8, span=64):
@@ -231,3 +236,20 @@ def oracle_ofdm_zf_waterfill(channels, M, P, sigma2, tol=1e-10):
     powers = water_fill(gains.ravel(), M * P).reshape(K, M)
     snr = gains * powers
     return snr, powers, float(np.sum(np.log2(1.0 + snr))) / M
+
+
+def oracle_shape_streams(streams, delays, oversample, beta):
+    """Zero-stuff, delay and RRC-filter each stream by direct convolution."""
+    streams = np.atleast_2d(streams)
+    n_streams, n_sym = streams.shape
+    delays = np.asarray(delays, dtype=int)
+    total = (n_sym + int(delays.max())) * oversample
+    taps = rrc_taps(beta, oversample, SYNTH_SPAN_SYMBOLS)
+    lead = SYNTH_SPAN_SYMBOLS * oversample
+    out = np.empty((n_streams, total), dtype=complex)
+    for s in range(n_streams):
+        up = np.zeros(total, dtype=complex)
+        start = delays[s] * oversample
+        up[start : start + n_sym * oversample : oversample] = streams[s]
+        out[s] = np.convolve(up, taps)[lead : lead + total]
+    return out
