@@ -2,12 +2,16 @@
 
 Three pipelines share this module:
 
-* double-side eigen-beamforming on integer delays, built from per-pair
-  effective-channel tensors grouped by residual delay difference;
-* BS-side eigen-beamforming under fractional delays, built from
-  raised-cosine-weighted block matrices;
+* double-side eigen-beamforming on integer delays, built from each pair's
+  (branch, stream, path) lag indices;
+* BS-side eigen-beamforming under fractional delays, built from the
+  raised-cosine correlation tables;
 * ISI-zero-forcing transmission with alternating MMSE updates of the
   receive and transmit vectors.
+
+Each path gain is one matrix and the pulse couples paths only through a
+scalar weight per lag, so no per-lag block matrix is built: every SINR is a
+contraction of the scalar couplings w^H H_l f_i with lag indices or weights.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from .pulse import build_rho_table
 
 __all__ = [
     "BeamformerSet",
-    "PairTensor",
     "EffectiveChannelTensor",
-    "FractionalEffectiveChannels",
+    "BsSideChannels",
     "PowerTerms",
     "ProjectedPaths",
     "IsiZfState",
@@ -58,72 +61,63 @@ class BeamformerSet:
 
 
 @dataclass(frozen=True)
-class PairTensor:
-    """Blocks of one (receiving UE, transmitting UE) pair keyed by delay lag."""
-
-    delta_min: int
-    delta_max: int
-    blocks: dict  # q -> (M_r * R_k, M_t * I_kprime)
-
-    def block(self, q: int, shape) -> np.ndarray:
-        found = self.blocks.get(q)
-        return found if found is not None else np.zeros(shape, dtype=complex)
-
-
-@dataclass(frozen=True)
 class EffectiveChannelTensor:
-    pairs: dict  # (k, kprime) -> PairTensor
+    """Per-UE path gains and, per (receiving, transmitting) UE pair, the lag
+    q[r, i, l] at which branch r hears stream i through path l."""
+
+    gains: tuple[np.ndarray, ...]  # per UE (L_k, M_r, M_t)
+    lags: dict                     # (k, kprime) -> int array (R_k, I_kprime, L_k)
     plans: tuple[DelayPlan, ...]
-    M_r: int
-    M_t: int
 
     @property
     def K(self) -> int:
         return len(self.plans)
 
+    def aligned_block(self, k: int) -> np.ndarray:
+        """(M_r R_k, M_t I_k) block with H_kl at (r, i) wherever q[r, i, l] = 0."""
+        gains, plan = self.gains[k], self.plans[k]
+        _, m_r, m_t = gains.shape
+        blk = np.zeros((plan.R, m_r, plan.I, m_t), dtype=complex)
+        r, i, l = np.nonzero(self.lags[(k, k)] == 0)
+        blk[r, :, i, :] = gains[l]
+        return blk.reshape(plan.R * m_r, plan.I * m_t)
+
 
 def assemble_effective_channels(
     channels: ChannelSet, plans: list[DelayPlan] | tuple[DelayPlan, ...]
 ) -> EffectiveChannelTensor:
-    """Group every (branch, stream, path) product by its residual delay lag.
+    """Residual delay lag of every (branch, stream, path) product.
 
     For receiving UE k and transmitting UE k', path l heard on branch r from
     stream i arrives with lag q = n_kl + kappa_{k'i} + mu_{kr} - n_{k,max}
-    relative to UE k's alignment target; the block matrix at lag q holds
-    H_kl in block (r, i).
+    relative to UE k's alignment target.
     """
     if len(plans) != channels.K:
         raise ValueError("one delay plan per UE")
-    M_r, M_t = channels.M_r, channels.M_t
-    pairs = {}
+    lags = {}
     for k, ue in enumerate(channels.ues):
         plan_k = plans[k]
         if plan_k.n_max != ue.n_max:
             raise ValueError(f"plan for UE {k} does not target its latest path")
-        for kp, _ in enumerate(channels.ues):
-            plan_kp = plans[kp]
-            blocks: dict[int, np.ndarray] = {}
-            count = 0
-            for r, mu in enumerate(plan_k.mu):
-                for i, kappa in enumerate(plan_kp.kappa):
-                    for l, path in enumerate(ue.paths):
-                        q = path.n + kappa + mu - plan_k.n_max
-                        blk = blocks.get(q)
-                        if blk is None:
-                            blk = np.zeros((M_r * plan_k.R, M_t * plan_kp.I), dtype=complex)
-                            blocks[q] = blk
-                        blk[r * M_r : (r + 1) * M_r, i * M_t : (i + 1) * M_t] = path.gain
-                        count += 1
-            if count != plan_k.R * plan_kp.I * ue.L:
-                raise AssertionError("placement count mismatch")
-            qs = blocks.keys()
-            pairs[(k, kp)] = PairTensor(delta_min=min(qs), delta_max=max(qs), blocks=blocks)
-    return EffectiveChannelTensor(pairs=pairs, plans=tuple(plans), M_r=M_r, M_t=M_t)
+        for kp, plan_kp in enumerate(plans):
+            mu_kappa = np.add.outer(plan_k.mu, plan_kp.kappa)
+            lags[(k, kp)] = np.add.outer(mu_kappa, ue.n_list) - plan_k.n_max
+    return EffectiveChannelTensor(
+        gains=tuple(ue.gains for ue in channels.ues), lags=lags, plans=tuple(plans)
+    )
 
 
-def _top_singular_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, _, vh = np.linalg.svd(a, full_matrices=False)
-    return u[:, 0], vh[0].conj()
+def _eigen_beamformers(blocks, P: float, sigma2: float) -> tuple[list, list]:
+    """Top singular pair of each UE's aligned block; transmit vectors get P/K each."""
+    if P <= 0.0 or sigma2 <= 0.0:
+        raise ValueError("P and sigma2 must be positive")
+    w_list, v_list = [], []
+    for a in blocks:
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
+        w_list.append(u[:, 0])
+        v_list.append(vh[0].conj())
+    frob = math.sqrt(sum(float(np.linalg.norm(v) ** 2) for v in v_list))
+    return w_list, [np.sqrt(P) * v / frob for v in v_list]
 
 
 def eigen_beamform_doubleside(
@@ -132,37 +126,28 @@ def eigen_beamform_doubleside(
     """Top singular pair of each UE's aligned block as transmit/receive vectors.
 
     Transmit vectors share the budget equally (P/K each); the SINR counts all
-    misaligned same-UE lags and every lag of the other UEs.
+    misaligned same-UE lags and every lag of the other UEs.  The coupling at
+    lag q is the sum of the scalars w_r^H H_l f_i over the triples at lag q.
     """
-    if P <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("P and sigma2 must be positive")
     K = tensor.K
-    v_list, w_list = [], []
-    for k in range(K):
-        pair = tensor.pairs[(k, k)]
-        shape = (tensor.M_r * tensor.plans[k].R, tensor.M_t * tensor.plans[k].I)
-        u, v = _top_singular_pair(pair.block(0, shape))
-        v_list.append(v)
-        w_list.append(u)
-    frob = math.sqrt(sum(float(np.linalg.norm(v) ** 2) for v in v_list))
-    f_list = [np.sqrt(P) * v / frob for v in v_list]
+    w_list, f_list = _eigen_beamformers([tensor.aligned_block(k) for k in range(K)], P, sigma2)
 
     sinrs = np.empty(K)
     for k in range(K):
-        w = w_list[k]
-        pair_self = tensor.pairs[(k, k)]
-        shape_self = (w.size, f_list[k].size)
-        signal = abs(np.vdot(w, pair_self.block(0, shape_self) @ f_list[k])) ** 2
-        interference = 0.0
-        for q, blk in pair_self.blocks.items():
-            if q != 0:
-                interference += abs(np.vdot(w, blk @ f_list[k])) ** 2
+        gains = tensor.gains[k]
+        wh = np.einsum("rm,lmt->rlt", w_list[k].reshape(-1, gains.shape[1]).conj(), gains)
+        signal, interference = 0.0, 0.0
         for kp in range(K):
+            z = np.einsum("rlt,it->ril", wh, f_list[kp].reshape(-1, gains.shape[2]))
+            q, bins = np.unique(tensor.lags[(k, kp)], return_inverse=True)
+            per_lag = np.zeros(q.size, dtype=complex)
+            np.add.at(per_lag, bins.ravel(), z.ravel())
+            power = np.abs(per_lag) ** 2
             if kp == k:
-                continue
-            for blk in tensor.pairs[(k, kp)].blocks.values():
-                interference += abs(np.vdot(w, blk @ f_list[kp])) ** 2
-        sinrs[k] = signal / (interference + sigma2 * float(np.linalg.norm(w) ** 2))
+                signal = float(np.sum(power[q == 0]))
+                power = power[q != 0]
+            interference += float(np.sum(power))
+        sinrs[k] = signal / (interference + sigma2 * float(np.linalg.norm(w_list[k]) ** 2))
     return BeamformerSet(f_bar=f_list, w_bar=w_list, power=P), sinrs
 
 
@@ -188,54 +173,39 @@ def bs_side_rho_tables(
 
 
 @dataclass(frozen=True)
-class FractionalEffectiveChannels:
-    """Raised-cosine-weighted block matrices over a symmetric lag window.
+class BsSideChannels:
+    """Per-UE path gains, the correlation tables and each UE's aligned block.
 
-    ``h_rho[k][n]`` couples each stream through its own aligned path,
-    ``h_hat[k][n]`` through the same UE's other paths, and
-    ``h_cross[(k, kp)][n]`` couples UE kp's streams into UE k.
+    UE k hears stream i of UE kp through its path l at lag n with the scalar
+    weight ``tables[(k, kp)].values[l, i, n]``; ``aligned[k]`` is
+    [rho_ll[0] H_kl]_l, the zero-lag block of UE k's own streams.
     """
 
     window: int
-    h_rho: tuple[np.ndarray, ...]   # per UE (2W+1, M_r, M_t * L_k)
-    h_hat: tuple[np.ndarray, ...]   # per UE (2W+1, M_r, M_t * L_k)
-    h_cross: dict                   # (k, kp) -> (2W+1, M_r, M_t * L_kp)
+    gains: tuple[np.ndarray, ...]    # per UE (L_k, M_r, M_t)
+    tables: dict                     # (k, kp) -> RhoTable
+    aligned: tuple[np.ndarray, ...]  # per UE (M_r, M_t * L_k)
 
     @property
     def K(self) -> int:
-        return len(self.h_rho)
+        return len(self.gains)
 
 
-def _blockize(gains: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Combine per-path gains (L, M_r, M_t) with weights (L, I, 2W+1) into
-    lag-indexed block rows (2W+1, M_r, I * M_t)."""
-    out = np.einsum("lrt,lin->nirt", gains, weights)
-    n_lags, n_blocks, m_r, m_t = out.shape
-    return out.transpose(0, 2, 1, 3).reshape(n_lags, m_r, n_blocks * m_t)
-
-
-def assemble_bs_side(channels: ChannelSet, tables: dict) -> FractionalEffectiveChannels:
-    """Build the aligned, cross-path and cross-UE block matrices per lag."""
+def assemble_bs_side(channels: ChannelSet, tables: dict) -> BsSideChannels:
+    """Collect the gains and tables, and build each UE's zero-lag aligned block."""
     windows = {t.window for t in tables.values()}
     if len(windows) != 1:
         raise ValueError("all correlation tables must share one window")
     window = windows.pop()
-
-    h_rho, h_hat = [], []
-    h_cross = {}
+    aligned = []
     for k, ue in enumerate(channels.ues):
-        gains = ue.gains
-        tab = tables[(k, k)].values  # (L, L, 2W+1)
-        diag_only = np.zeros_like(tab)
-        idx = np.arange(ue.L)
-        diag_only[idx, idx] = tab[idx, idx]
-        h_rho.append(_blockize(gains, diag_only))
-        h_hat.append(_blockize(gains, tab - diag_only))
-        for kp, ue_p in enumerate(channels.ues):
-            if kp != k:
-                h_cross[(k, kp)] = _blockize(gains, tables[(k, kp)].values)
-    return FractionalEffectiveChannels(
-        window=window, h_rho=tuple(h_rho), h_hat=tuple(h_hat), h_cross=h_cross
+        tab = tables[(k, k)].values
+        aligned.append(np.concatenate(
+            [tab[l, l, window] * path.gain for l, path in enumerate(ue.paths)], axis=1
+        ))
+    return BsSideChannels(
+        window=window, gains=tuple(ue.gains for ue in channels.ues),
+        tables=tables, aligned=tuple(aligned),
     )
 
 
@@ -251,26 +221,30 @@ class PowerTerms:
         return self.isi_aligned + self.isi_cross + self.iui
 
 
-def _lag_couplings(w: np.ndarray, h: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return (h @ f) @ w.conj()
+def power_terms(F: BsSideChannels, w_list, f_list) -> list[PowerTerms]:
+    """Decompose each UE's received power into desired/ISI/IUI components.
 
-
-def power_terms(
-    F: FractionalEffectiveChannels, w_list, f_list
-) -> list[PowerTerms]:
-    """Decompose each UE's received power into desired/ISI/IUI components."""
+    With z[l, i] = w_k^H H_kl f_kp,i the coupling at lag n is
+    sum_{l,i} rho_li[n] z[l, i]: the diagonal (l = i) of UE k's own table
+    carries the desired and aligned-ISI power, its off-diagonal the
+    cross-path ISI, and the cross-UE tables the IUI.
+    """
     out = []
-    center = F.window
     for k in range(F.K):
-        a = _lag_couplings(w_list[k], F.h_rho[k], f_list[k])
-        b = _lag_couplings(w_list[k], F.h_hat[k], f_list[k])
-        desired = abs(a[center]) ** 2
+        gains = F.gains[k]
+        wh = w_list[k].conj() @ gains  # (L_k, M_t)
+        own = F.tables[(k, k)].values
+        z = wh @ f_list[k].reshape(-1, gains.shape[2]).T  # (L_k, L_k)
+        a = np.einsum("lln,ll->n", own, z)
+        desired = abs(a[F.window]) ** 2
         isi_aligned = float(np.sum(np.abs(a) ** 2) - desired)
-        isi_cross = float(np.sum(np.abs(b) ** 2))
+        np.fill_diagonal(z, 0.0)  # cross-path couplings only
+        isi_cross = float(np.sum(np.abs(np.einsum("lin,li->n", own, z)) ** 2))
         iui = 0.0
         for kp in range(F.K):
             if kp != k:
-                c = _lag_couplings(w_list[k], F.h_cross[(k, kp)], f_list[kp])
+                z = wh @ f_list[kp].reshape(-1, gains.shape[2]).T
+                c = np.einsum("lin,li->n", F.tables[(k, kp)].values, z)
                 iui += float(np.sum(np.abs(c) ** 2))
         out.append(
             PowerTerms(desired=float(desired), isi_aligned=isi_aligned,
@@ -280,19 +254,10 @@ def power_terms(
 
 
 def eigen_beamform_bs_side(
-    F: FractionalEffectiveChannels, P: float, sigma2: float
+    F: BsSideChannels, P: float, sigma2: float
 ) -> tuple[BeamformerSet, np.ndarray]:
     """Eigen-beamforming on the zero-lag aligned block of each UE."""
-    if P <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("P and sigma2 must be positive")
-    center = F.window
-    v_list, w_list = [], []
-    for k in range(F.K):
-        u, v = _top_singular_pair(F.h_rho[k][center])
-        v_list.append(v)
-        w_list.append(u)
-    frob = math.sqrt(sum(float(np.linalg.norm(v) ** 2) for v in v_list))
-    f_list = [np.sqrt(P) * v / frob for v in v_list]
+    w_list, f_list = _eigen_beamformers(F.aligned, P, sigma2)
 
     terms = power_terms(F, w_list, f_list)
     sinrs = np.array(

@@ -27,8 +27,6 @@ __all__ = [
     "solve_compensation_delays",
     "enumerate_alignment_sets",
     "choose_compensation_counts",
-    "plan_to_dict",
-    "plan_from_dict",
 ]
 
 
@@ -81,27 +79,6 @@ class CountChoice(NamedTuple):
     R: int
     case: int
     side: str
-
-
-def plan_to_dict(plan: DelayPlan) -> dict:
-    """JSON-ready form of a delay plan (for result sidecars and replay)."""
-    return {
-        "I": plan.I,
-        "R": plan.R,
-        "kappa": list(plan.kappa),
-        "mu": list(plan.mu),
-        "n_max": plan.n_max,
-    }
-
-
-def plan_from_dict(doc: dict) -> DelayPlan:
-    return DelayPlan(
-        I=int(doc["I"]),
-        R=int(doc["R"]),
-        kappa=tuple(int(v) for v in doc["kappa"]),
-        mu=tuple(int(v) for v in doc["mu"]),
-        n_max=int(doc["n_max"]),
-    )
 
 
 def build_compensation_matrix(I: int, R: int) -> np.ndarray:

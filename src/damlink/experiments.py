@@ -33,6 +33,7 @@ from .ofdm import (
     dam_effective_rate,
     ofdm_effective_rate,
     ofdm_eigen,
+    ofdm_eigen_sinrs,
     ofdm_overhead_factor,
     ofdm_zf_waterfill,
 )
@@ -154,7 +155,7 @@ def _eval_doubleside(channels: ChannelSet, cfg: SimConfig) -> dict:
         out["dam-eigen-auto"] = None
     out["dam-eigen-bs"] = _doubleside_plan_rates(channels, cfg, lambda L: L)
     out["dam-eigen-ue"] = _doubleside_plan_rates(channels, cfg, lambda L: 1)
-    _, sinrs = ofdm_eigen(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
+    sinrs = ofdm_eigen_sinrs(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
     out["ofdm-eigen"] = ofdm_effective_rate(sinrs, cfg)
     return out
 
@@ -173,7 +174,7 @@ def _eval_bsside(channels: ChannelSet, cfg: SimConfig) -> dict:
         out["dam-isizf"] = dam_effective_rate(zf_sinrs, cfg)
     else:
         out["dam-isizf"] = None
-    _, eig_sinrs = ofdm_eigen(channels, cfg.M, P, sigma2)
+    eig_sinrs = ofdm_eigen_sinrs(channels, cfg.M, P, sigma2)
     out["ofdm-eigen"] = ofdm_effective_rate(eig_sinrs, cfg)
     try:
         _, _, zf_rate = ofdm_zf_waterfill(channels, cfg.M, P, sigma2)

@@ -2,10 +2,11 @@
 
 Per-subcarrier eigen-beamforming tolerates inter-user interference; the
 zero-forcing variant projects each UE onto the null space of the others and
-water-fills power across all (UE, subcarrier) effective channels.  Neither
-builds an M_t x M_t factor: eigen-beamforming takes the reduced SVD, and
-zero-forcing works in the span of the path gains' rows, which holds every
-row of every per-subcarrier response.
+water-fills power across all (UE, subcarrier) effective channels.  Both work
+in the span of the path gains' rows, which holds every row of every
+per-subcarrier response: the responses are built as H Q with at most K L M_r
+columns.  Only ``ofdm_eigen``'s beamformers, which the OFDM waveform needs
+with LAPACK's phases, come from the reduced SVD of the full responses.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .numerics import water_fill
 __all__ = [
     "OfdmBeamformerSet",
     "ofdm_eigen",
+    "ofdm_eigen_sinrs",
     "ofdm_zf_waterfill",
     "dam_overhead_factor",
     "ofdm_overhead_factor",
@@ -45,34 +47,67 @@ def _stacked_responses(channels: ChannelSet, M: int) -> np.ndarray:
     return np.stack([frequency_response(ue, M) for ue in channels.ues])  # (K, M, M_r, M_t)
 
 
+def _path_span(channels: ChannelSet) -> np.ndarray:
+    """Orthonormal Q (M_t, r) spanning every path gain's rows, r <= K L M_r."""
+    rows = np.concatenate([ue.gains.reshape(-1, channels.M_t) for ue in channels.ues])
+    q, _ = np.linalg.qr(rows.conj().T)
+    return q
+
+
+def _responses_in_span(channels: ChannelSet, M: int, q: np.ndarray) -> np.ndarray:
+    """(K, M, M_r, r) stack of H_{k,m} Q = (1/sqrt(M)) sum_l (G_kl Q) exp(2j pi m n_l / M)."""
+    m = np.arange(M)
+    out = []
+    for ue in channels.ues:
+        phases = np.exp(2j * np.pi * np.outer(m, ue.n_list) / M)  # (M, L)
+        gq = ue.gains @ q                                         # (L, M_r, r)
+        out.append((phases @ gq.reshape(ue.L, -1)).reshape(M, *gq.shape[1:]))
+    return np.stack(out) / np.sqrt(M)
+
+
+def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> np.ndarray:
+    """(K, M) SINRs of per-subcarrier eigen-beamforming at P/K per stream.
+
+    SINRs do not depend on the singular vectors' phases, so the top singular
+    pair of each block comes from H Q (r <= K L M_r columns): u is the top
+    eigenvector of the M_r x M_r Gram matrix (H Q)(H Q)^H, and u^H H Q is
+    sigma_1 times the top right singular vector.  Every coupling
+    u^H H v = u^H (H Q) v~ is formed in r dimensions.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    h = _responses_in_span(channels, M, _path_span(channels))  # (K, M, M_r, r)
+    K = channels.K
+    _, vecs = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
+    u = vecs[..., -1]                                   # (K, M, M_r)
+    uh = (u.conj()[..., None, :] @ h)[..., 0, :]        # (K, M, r)
+    norm = np.linalg.norm(uh, axis=-1, keepdims=True)
+    # unit-norm v~ at power P/K; a stream whose block is zero stays silent
+    v = np.sqrt(P / K) * uh.conj() / np.maximum(norm, np.finfo(float).tiny)
+    # coupling[k, kp, m] = u_{k,m}^H H_{k,m} v_{kp,m}
+    coupling = np.einsum("kmt,jmt->kjm", uh, v)
+    signal = np.abs(coupling[np.arange(K), np.arange(K)]) ** 2  # (K, M)
+    interference = np.sum(np.abs(coupling) ** 2, axis=1) - signal
+    return signal / (interference + sigma2 / M)
+
+
 def ofdm_eigen(
     channels: ChannelSet, M: int, P: float, sigma2: float
 ) -> tuple[OfdmBeamformerSet, np.ndarray]:
     """Per-subcarrier top-singular-pair beamforming with equal power split.
 
     Every stream receives P/K so the frequency-domain budget M*P binds; the
-    per-subcarrier noise power is sigma2 / M.
+    per-subcarrier noise power is sigma2 / M.  The beamformers come from the
+    reduced SVD of the full M_r x M_t responses, whose phases the OFDM
+    waveform keeps; the SINRs are ``ofdm_eigen_sinrs``.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    h = _stacked_responses(channels, M)
-    K = channels.K
-    u_all, _, vh_all = np.linalg.svd(h, full_matrices=False)
+    u_all, _, vh_all = np.linalg.svd(_stacked_responses(channels, M), full_matrices=False)
     u = u_all[..., :, 0]                # (K, M, M_r)
     v_hat = vh_all[..., 0, :].conj()    # (K, M, M_t), unit norm
     frob = np.sqrt(np.sum(np.abs(v_hat) ** 2))  # sqrt(K*M)
     v = np.sqrt(M * P) * v_hat / frob           # each stream at power P/K
-
-    sigma2_hat = sigma2 / M
-    # coupling[k, kp, m] = u_{k,m}^H H_{k,m} v_{kp,m}
-    uh = (u.conj()[..., None, :] @ h)[..., 0, :]  # (K, M, M_t)
-    coupling = np.einsum("kmt,jmt->kjm", uh, v)
-    signal = np.abs(coupling[np.arange(K), np.arange(K)]) ** 2  # (K, M)
-    total = np.sum(np.abs(coupling) ** 2, axis=1)               # (K, M)
-    interference = total - signal
-    sinr = signal / (interference + sigma2_hat)
-    power = np.full((K, M), M * P / (K * M))
-    return OfdmBeamformerSet(v=v, u=u, power=power), sinr
+    power = np.full((channels.K, M), M * P / (channels.K * M))
+    return OfdmBeamformerSet(v=v, u=u, power=power), ofdm_eigen_sinrs(channels, M, P, sigma2)
 
 
 def ofdm_zf_waterfill(
@@ -91,9 +126,8 @@ def ofdm_zf_waterfill(
             "OFDM zero-forcing infeasible: requires M_t >= (K-1)*M_r + 1, "
             f"got M_t={M_t}, M_r={M_r}, K={K}"
         )
-    rows = np.concatenate([ue.gains.reshape(-1, M_t) for ue in channels.ues])
-    q, _ = np.linalg.qr(rows.conj().T)               # (M_t, min(M_t, K L M_r))
-    h = _stacked_responses(channels, M) @ q
+    q = _path_span(channels)
+    h = _responses_in_span(channels, M, q)
     sigma2_hat = sigma2 / M
 
     gains = np.zeros((K, M))

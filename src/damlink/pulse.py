@@ -112,13 +112,6 @@ class RhoTable:
     window: int
     values: np.ndarray  # (L_k, L_kprime, 2*window + 1)
 
-    def column(self, l: int, i: int) -> np.ndarray:
-        return self.values[l, i]
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.window, self.window + 1)
-
 
 def build_rho_table(ch_k, ch_kprime, kappa_kprime, window: int, T: float, beta: float) -> RhoTable:
     """Correlation table between UE k's paths and UE k'`s delayed streams.

@@ -1,5 +1,7 @@
 """Tests for effective channels, eigen-beamforming and ISI zero-forcing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from damlink.beamforming import (
     null_space_projection,
     power_terms,
 )
+from damlink.channel import SimConfig, generate_channel_set
 from damlink.delay_design import InfeasibleError, solve_compensation_delays
 from damlink.pulse import build_rho_table
 
@@ -78,16 +81,15 @@ class TestAssembleEffectiveChannels:
         cs = make_channel_set(rng, 2, 4, [[5]])
         plans = _plans(cs, lambda L: 1)
         tensor = assemble_effective_channels(cs, plans)
-        pair = tensor.pairs[(0, 0)]
-        assert set(pair.blocks) == {0}
-        assert np.array_equal(pair.blocks[0], cs.ues[0].paths[0].gain)
+        assert set(np.unique(tensor.lags[(0, 0)])) == {0}
+        assert np.array_equal(tensor.aligned_block(0), cs.ues[0].paths[0].gain)
 
     def test_reference_plan_has_five_zero_lag_placements(self):
         rng = np.random.default_rng(1)
         cs = make_channel_set(rng, 2, 3, [[1, 3, 4, 5]])
         plans = [solve_compensation_delays([1, 3, 4, 5], 2, 3)]
         tensor = assemble_effective_channels(cs, plans)
-        block0 = tensor.pairs[(0, 0)].blocks[0]
+        block0 = tensor.aligned_block(0)
         assert _count_placements(block0, 2, 3) == 5
 
     def test_total_placements(self):
@@ -97,11 +99,12 @@ class TestAssembleEffectiveChannels:
         tensor = assemble_effective_channels(cs, plans)
         for k, ue in enumerate(cs.ues):
             for kp in range(cs.K):
-                total = sum(
-                    _count_placements(blk, 2, 4)
-                    for blk in tensor.pairs[(k, kp)].blocks.values()
-                )
-                assert total == plans[k].R * plans[kp].I * ue.L
+                lags = tensor.lags[(k, kp)]
+                assert lags.size == plans[k].R * plans[kp].I * ue.L
+                for r, mu in enumerate(plans[k].mu):
+                    for i, kappa in enumerate(plans[kp].kappa):
+                        for l, path in enumerate(ue.paths):
+                            assert lags[r, i, l] == path.n + kappa + mu - plans[k].n_max
 
     def test_self_pair_min_lag(self):
         rng = np.random.default_rng(3)
@@ -109,7 +112,7 @@ class TestAssembleEffectiveChannels:
         plans = _plans(cs, lambda L: 2)
         tensor = assemble_effective_channels(cs, plans)
         for k, ue in enumerate(cs.ues):
-            assert tensor.pairs[(k, k)].delta_min == ue.n_list[0] - ue.n_max
+            assert tensor.lags[(k, k)].min() == ue.n_list[0] - ue.n_max
 
 
 class TestEigenBeamformDoubleside:
@@ -182,6 +185,23 @@ class TestEigenBeamformDoubleside:
         assert np.allclose(s1, s2, rtol=1e-12)
 
 
+def _lag_blocks(gains, weights):
+    """Literal per-lag block rows (2W+1, M_r, I * M_t) from gains (L, M_r, M_t)
+    and weights (L, I, 2W+1): block i at lag n is sum_l weights[l, i, n] H_l."""
+    out = np.einsum("lrt,lin->nirt", gains, weights)
+    n_lags, n_blocks, m_r, m_t = out.shape
+    return out.transpose(0, 2, 1, 3).reshape(n_lags, m_r, n_blocks * m_t)
+
+
+def _own_lag_blocks(F, k):
+    """(aligned, cross-path) per-lag blocks of UE k's own streams."""
+    tab = F.tables[(k, k)].values
+    diag_only = np.zeros_like(tab)
+    idx = np.arange(tab.shape[0])
+    diag_only[idx, idx] = tab[idx, idx]
+    return _lag_blocks(F.gains[k], diag_only), _lag_blocks(F.gains[k], tab - diag_only)
+
+
 class TestBsSideAssembly:
     def test_integer_delays_collapse_to_zero_lag(self):
         rng = np.random.default_rng(9)
@@ -191,10 +211,12 @@ class TestBsSideAssembly:
         ue = cs.ues[0]
         center = F.window
         expected = np.concatenate([p.gain for p in ue.paths], axis=1)
-        assert np.array_equal(F.h_rho[0][center], expected)
-        off = np.delete(F.h_rho[0], center, axis=0)
+        h_rho, h_hat = _own_lag_blocks(F, 0)
+        assert np.array_equal(F.aligned[0], expected)
+        assert np.array_equal(h_rho[center], expected)
+        off = np.delete(h_rho, center, axis=0)
         assert not np.any(off)
-        assert not np.any(F.h_hat[0][center])
+        assert not np.any(h_hat[center])
 
     def test_negating_fractions_time_reverses_aligned_blocks(self):
         rng = np.random.default_rng(10)
@@ -223,7 +245,10 @@ class TestBsSideAssembly:
         )
         Fp = assemble_bs_side(cs_plus, bs_side_rho_tables(cs_plus, 25, T, BETA))
         Fm = assemble_bs_side(cs_minus, bs_side_rho_tables(cs_minus, 25, T, BETA))
-        assert np.allclose(Fm.h_rho[0], Fp.h_rho[0][::-1], atol=1e-12)
+        h_rho_p, _ = _own_lag_blocks(Fp, 0)
+        h_rho_m, _ = _own_lag_blocks(Fm, 0)
+        assert np.allclose(h_rho_m, h_rho_p[::-1], atol=1e-12)
+        assert np.allclose(Fm.aligned[0], h_rho_m[Fm.window], atol=1e-12)
 
 
 class TestPowerTerms:
@@ -244,6 +269,56 @@ class TestPowerTerms:
         assert t.isi_cross == 0.0
         assert t.iui == 0.0
         assert t.desired > 0.0
+
+    @pytest.mark.parametrize(
+        "m_r,m_t,delays,full_rank",
+        [
+            (2, 6, [[2, 7, 11], [1, 5, 13]], False),
+            (1, 5, [[0, 4], [3, 6, 8], [1, 9]], False),
+            (3, 4, [[1, 2, 6, 10], [0, 7]], True),
+        ],
+    )
+    def test_matches_lag_stacked_blocks(self, m_r, m_t, delays, full_rank):
+        # the per-lag block-matrix form: every lag's coupling is w^H (B[n] f)
+        rng = np.random.default_rng(m_t)
+        fracs = [rng.uniform(-0.5, 0.5, len(d)).tolist() for d in delays]
+        cs = make_channel_set(rng, m_r, m_t, delays, fracs, full_rank=full_rank)
+        F = assemble_bs_side(cs, bs_side_rho_tables(cs, 30, T, BETA))
+        w_list = [rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r) for _ in cs.ues]
+        f_list = [
+            rng.standard_normal(m_t * ue.L) + 1j * rng.standard_normal(m_t * ue.L)
+            for ue in cs.ues
+        ]
+        for k, t in enumerate(power_terms(F, w_list, f_list)):
+            h_rho, h_hat = _own_lag_blocks(F, k)
+            a = (h_rho @ f_list[k]) @ w_list[k].conj()
+            b = (h_hat @ f_list[k]) @ w_list[k].conj()
+            iui = sum(
+                np.sum(np.abs(
+                    (_lag_blocks(F.gains[k], F.tables[(k, kp)].values) @ f_list[kp])
+                    @ w_list[k].conj()
+                ) ** 2)
+                for kp in range(cs.K) if kp != k
+            )
+            assert t.desired == pytest.approx(abs(a[F.window]) ** 2, rel=1e-12)
+            assert t.isi_aligned == pytest.approx(
+                np.sum(np.abs(np.delete(a, F.window)) ** 2), rel=1e-10
+            )
+            assert t.isi_cross == pytest.approx(np.sum(np.abs(b) ** 2), rel=1e-12)
+            assert t.iui == pytest.approx(iui, rel=1e-12)
+
+    def test_reference_config_memory_peak(self):
+        # the per-lag block stacks this replaces peaked at 34.5 MB here
+        cfg = SimConfig()
+        cs = generate_channel_set(cfg, 0)
+        tables = bs_side_rho_tables(cs, cfg.rho_window, cfg.T, cfg.beta)
+        tracemalloc.start()
+        try:
+            eigen_beamform_bs_side(assemble_bs_side(cs, tables), cfg.p_watts(), cfg.sigma2_watts())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestEigenBeamformBsSide:

@@ -11,8 +11,6 @@ from damlink.delay_design import (
     choose_compensation_counts,
     enumerate_alignment_sets,
     feasibility_check,
-    plan_from_dict,
-    plan_to_dict,
     solve_compensation_delays,
 )
 from damlink.numerics import rank
@@ -94,13 +92,6 @@ class TestSolveCompensationDelays:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             solve_compensation_delays([3, 1, 2], 2, 2)
-
-    def test_plan_dict_round_trip(self):
-        import json
-
-        plan = solve_compensation_delays([1, 3, 4, 5], 2, 3)
-        doc = json.loads(json.dumps(plan_to_dict(plan)))
-        assert plan_from_dict(doc) == plan
 
 
 class TestCompensationSystem:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import make_channel_set, random_delay_channel_set
-from damlink.channel import SimConfig, generate_channel_set
-from damlink.ofdm import ofdm_eigen, ofdm_zf_waterfill
+from damlink.channel import SimConfig, frequency_response, generate_channel_set
+from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
 from oracles import oracle_ofdm_eigen, oracle_ofdm_zf_waterfill
 
 M = 16
@@ -47,6 +47,19 @@ def test_eigen_matches_full_svd_oracle(cs):
 
 
 @pytest.mark.parametrize("cs", _channel_sets())
+def test_eigen_sinrs_follow_returned_beamformers(cs):
+    bf, sinr = ofdm_eigen(cs, M, P, SIGMA2)
+    h = np.stack([frequency_response(ue, M) for ue in cs.ues])
+    coupling = np.einsum("kmr,kmrt,jmt->kjm", bf.u.conj(), h, bf.v)
+    idx = np.arange(cs.K)
+    signal = np.abs(coupling[idx, idx]) ** 2
+    literal = signal / (np.sum(np.abs(coupling) ** 2, axis=1) - signal + SIGMA2 / M)
+    assert np.allclose(sinr, literal, rtol=1e-10, atol=0.0)
+    _, _, sinr_ref = oracle_ofdm_eigen(cs, M, P, SIGMA2)
+    assert np.allclose(ofdm_eigen_sinrs(cs, M, P, SIGMA2), sinr_ref, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("cs", _channel_sets())
 def test_zf_waterfill_matches_full_column_oracle(cs):
     bf, snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
     snr_ref, power_ref, rate_ref = oracle_ofdm_zf_waterfill(cs, M, P, SIGMA2)
@@ -55,7 +68,7 @@ def test_zf_waterfill_matches_full_column_oracle(cs):
     assert rate == pytest.approx(rate_ref, rel=1e-10)
 
 
-@pytest.mark.parametrize("solve", [ofdm_eigen, ofdm_zf_waterfill])
+@pytest.mark.parametrize("solve", [ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill])
 def test_reference_config_memory_peak(solve):
     # an M_t x M_t factor per (UE, subcarrier) alone would take 268 MB here
     cfg = SimConfig()

@@ -90,7 +90,7 @@ class TestBuildRhoTable:
         delta = np.zeros(81)
         delta[40] = 1.0
         for l in range(ue.L):
-            assert np.array_equal(table.column(l, l), delta)
+            assert np.array_equal(table.values[l, l], delta)
         assert np.all(np.abs(table.values) <= 1.0 + 1e-9)
 
     def test_off_diagonal_zero_for_integer_delays(self):
@@ -102,7 +102,7 @@ class TestBuildRhoTable:
                 if l != i:
                     # stream i peaks at lag n_l - n_i seen from path l
                     peak = ue.n_list[l] - ue.n_list[i] + 40
-                    col = table.column(l, i).copy()
+                    col = table.values[l, i].copy()
                     assert col[peak] == 1.0
                     col[peak] = 0.0
                     assert np.all(col == 0.0)
@@ -123,7 +123,7 @@ class TestBuildRhoTable:
         t_plus = build_rho_table(ue, ue, kappa, 40, cfg.T, cfg.beta)
         t_minus = build_rho_table(flipped, flipped, kappa, 40, cfg.T, cfg.beta)
         for l in range(ue.L):
-            assert np.allclose(t_minus.column(l, l), t_plus.column(l, l)[::-1], atol=1e-12)
+            assert np.allclose(t_minus.values[l, l], t_plus.values[l, l][::-1], atol=1e-12)
 
     def test_columns_match_oversampled_convolution(self):
         from damlink.channel import PathComponent, UEChannel
@@ -159,7 +159,7 @@ class TestBuildRhoTable:
                 args = (np.arange(-W, W + 1) + offset) * T_s - ue.paths[l].tau_f_s
                 idx = np.round(args / dt).astype(int) + center
                 oracle = np.array([auto[j] if 0 <= j < len(auto) else 0.0 for j in idx])
-                col = table.column(l, i)
+                col = table.values[l, i]
                 assert np.sum(col**2) == pytest.approx(
                     np.sum(oracle**2), abs=1e-4 * max(np.sum(col**2), 1e-3)
                 )
