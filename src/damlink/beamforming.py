@@ -31,7 +31,7 @@ __all__ = [
     "EffectiveChannelTensor",
     "BsSideChannels",
     "PowerTerms",
-    "ProjectedPaths",
+    "PathGrams",
     "IsiZfState",
     "assemble_effective_channels",
     "eigen_beamform_doubleside",
@@ -305,104 +305,116 @@ def null_space_projection(channels: ChannelSet, k: int, l: int, tol: float = RAN
 
 
 @dataclass(frozen=True)
-class ProjectedPaths:
-    """One UE's ISI-ZF channel in per-path form.
+class PathGrams:
+    """Every UE's ISI-ZF channel in per-path Gram form, padded to L = max L_k.
 
-    UE k hears its stream at lag n as Y r[n], Y = [H_kl basis_kl b_l]_l and
-    r[n] = (rho_ll[n])_l, so every lag sum reduces to r0 = r[0] and the
-    L x L Gram matrix s of the other lags.
+    With B_kl the null-space basis of path l and G_kl = H_kl B_kl, the stream
+    f_kl = B_kl b_kl reaches UE k's receiver as the output Y_kl = G_kl b_kl,
+    and UE k hears its stream at lag n as Y_k r_k[n] with r_k[n] =
+    (rho_ll[n])_l.  So every lag sum reduces to r0 = r[0] and the L x L Gram
+    matrix s of the other lags.  The transmit update always picks b_kl along
+    G_kl^H w_k, so the loop needs the bases only through the M_r x M_r Gram
+    matrices gram[k, l] = G_kl G_kl^H.  A padded path has zero gram, r0 and s.
     """
 
-    bases: tuple[np.ndarray, ...]   # per path null-space basis, (M_t, N_l)
-    g: np.ndarray                   # [H_kl basis_kl]_l, (M_r, D) with D = sum N_l
-    e: np.ndarray                   # (D, L) indicator of the path owning each coordinate
-    r0: np.ndarray                  # (L,)
-    s: np.ndarray                   # (L, L) sum over n != 0 of r[n] r[n]^T
-
-    def outputs(self, b: np.ndarray) -> np.ndarray:
-        """Y = [G_l b_l]_l, (M_r, L)."""
-        return (self.g * b) @ self.e
+    gram: np.ndarray   # (K, L, M_r, M_r)
+    r0: np.ndarray     # (K, L)
+    s: np.ndarray      # (K, L, L) sum over n != 0 of r[n] r[n]^T
 
 
 @dataclass
 class IsiZfState:
-    """State of the alternating optimization over ZF-projected beamformers.
+    """Result of the alternating optimization over ZF-projected beamformers.
 
     ``converged`` is False only when the loop stopped at ``max_iter`` with the
     objective still rising by at least ``tol`` relative in the last step.
+    ``fallbacks`` counts the linear solves that took the ``pinv`` fallback.
     """
 
-    paths: list[ProjectedPaths]
-    b_bar: list[np.ndarray]           # per UE reduced transmit vector
+    grams: PathGrams
     w: list[np.ndarray]               # per UE receive vector (unit norm)
+    f: list[np.ndarray]               # per UE stacked transmit vector [f_kl]_l
     trace: list[float]                # objective value per iteration
     iterations: int
     converged: bool
+    fallbacks: int
 
     def f_bar(self, channels: ChannelSet) -> list[np.ndarray]:
-        """Full stacked transmit vectors f_kl = basis_kl @ b_kl."""
-        out = []
-        for p, b in zip(self.paths, self.b_bar):
-            cuts = np.cumsum([basis.shape[1] for basis in p.bases])[:-1]
-            out.append(np.concatenate([B @ b_l for B, b_l in zip(p.bases, np.split(b, cuts))]))
-        return out
+        """Stacked transmit vectors [f_kl]_l, one per UE."""
+        return list(self.f)
 
     def to_beamformer_set(self, channels: ChannelSet, P: float) -> BeamformerSet:
         return BeamformerSet(f_bar=self.f_bar(channels), w_bar=list(self.w), power=P)
 
 
-def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """x[k] solving a[k] x[k] = rhs[k], and the number of systems solved by pinv."""
     # the noise floor keeps these systems non-singular; guard anyway
     try:
-        return np.linalg.solve(a, rhs)
+        return np.linalg.solve(a, rhs[..., None])[..., 0], 0
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(a) @ rhs
+        pass
+    x = np.empty(rhs.shape, dtype=np.result_type(a, rhs))
+    fallbacks = 0
+    for k in range(a.shape[0]):
+        try:
+            x[k] = np.linalg.solve(a[k], rhs[k])
+        except np.linalg.LinAlgError:
+            x[k] = np.linalg.pinv(a[k]) @ rhs[k]
+            fallbacks += 1
+    return x, fallbacks
 
 
-def _unit_or_first_axis(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.zeros(v.size, dtype=complex)
-        v[0] = 1.0
-        return v
-    return v / norm
-
-
-def mmse_receive_update(paths, b_bar, sigma2: float) -> list[np.ndarray]:
-    """SINR-optimal receive vectors for fixed transmit vectors."""
-    out = []
-    for p, b in zip(paths, b_bar):
-        y = p.outputs(b)
-        cov = y @ p.s @ y.conj().T + sigma2 * np.eye(y.shape[0])
-        out.append(_unit_or_first_axis(_solve(cov, y @ p.r0)))
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit norm; a zero row becomes the first axis."""
+    norm = np.sqrt((v * v.conj()).real.sum(axis=1))
+    zero = norm == 0.0
+    out = v / np.where(zero, 1.0, norm)[:, None]
+    out[zero, 0] = 1.0
     return out
 
 
-def mmse_transmit_update(paths, w_list, P: float, sigma2: float) -> list[np.ndarray]:
-    """SINR-optimal reduced transmit vectors at fixed per-UE power P/K.
+def mmse_receive_update(grams: PathGrams, y: np.ndarray, sigma2: float) -> tuple[np.ndarray, int]:
+    """SINR-optimal unit receive vectors (K, M_r) for fixed outputs y (K, M_r, L).
 
-    With A = blkdiag(G_l^H w) the transmit covariance is A s A^H + reg I, so
-    by the push-through identity b = A c, c = (reg I + s A^H A)^{-1} r0.
+    Also returns the number of solves that took the ``pinv`` fallback.
     """
-    K = len(paths)
-    out = []
-    for p, w in zip(paths, w_list):
-        a = p.g.conj().T @ w
-        reg = sigma2 * (K / P) * float(np.linalg.norm(w) ** 2)
-        c = _solve(reg * np.eye(p.s.shape[0]) + p.s * (np.abs(a) ** 2 @ p.e), p.r0)
-        out.append(np.sqrt(P / K) * _unit_or_first_axis(a * (p.e @ c)))
-    return out
+    cov = y @ grams.s @ y.conj().swapaxes(1, 2)
+    np.einsum("kii->ki", cov)[:] += sigma2
+    x, fallbacks = _solve(cov, (y @ grams.r0[..., None])[..., 0])
+    return _unit_rows(x), fallbacks
 
 
-def isi_zf_sinrs(paths, w_list, b_bar, sigma2: float) -> np.ndarray:
-    """Per-UE SINR; with z = Y^H w the coupling at lag n is r[n]^T z."""
-    sinrs = np.empty(len(paths))
-    for k, (p, w, b) in enumerate(zip(paths, w_list, b_bar)):
-        z = p.outputs(b).conj().T @ w
-        desired = abs(p.r0 @ z) ** 2
-        isi = float(np.vdot(z, p.s @ z).real)
-        sinrs[k] = desired / (isi + sigma2 * float(np.linalg.norm(w) ** 2))
-    return sinrs
+def mmse_transmit_update(
+    grams: PathGrams, w: np.ndarray, P: float, sigma2: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """SINR-optimal transmit weights (K, L) at fixed per-UE power P/K.
+
+    Path l of UE k sends b_kl = weights_kl G_kl^H w_k, that is f_kl =
+    weights_kl B_kl B_kl^H H_kl^H w_k, and so produces the output Y_kl =
+    weights_kl gram_kl w_k.  With n_l = w^H gram_l w = ||G_l^H w||^2 the
+    push-through identity gives weights proportional to c, where
+    (reg I + s diag(n)) c = r0.  Returns the weights, the outputs Y
+    (K, M_r, L) and the number of solves that took the ``pinv`` fallback.
+    """
+    K = grams.r0.shape[0]
+    gw = grams.gram @ w[:, None, :, None]  # (K, L, M_r, 1)
+    n = (w.conj()[:, None, None, :] @ gw)[..., 0, 0].real
+    a = grams.s * n[:, None, :]
+    np.einsum("kii->ki", a)[:] += sigma2 * (K / P) * (w * w.conj()).real.sum(axis=1)[:, None]
+    c, fallbacks = _solve(a, grams.r0)
+    norm = np.sqrt((c * c * n).sum(axis=1))  # ||b_k||
+    # a UE whose receive vector sees none of its paths transmits nothing
+    weights = np.sqrt(P / K) * c / np.where(norm > 0.0, norm, np.inf)[:, None]
+    return weights, (gw[..., 0] * weights[..., None]).swapaxes(1, 2), fallbacks
+
+
+def isi_zf_sinrs(grams: PathGrams, w: np.ndarray, y: np.ndarray, sigma2: float) -> np.ndarray:
+    """Per-UE SINR; with x = w^H Y the coupling at lag n is x r[n]."""
+    x = w.conj()[:, None, :] @ y  # (K, 1, L)
+    desired = np.abs(x @ grams.r0[..., None])[:, 0, 0] ** 2
+    isi = (x @ grams.s @ x.conj().swapaxes(1, 2))[:, 0, 0].real
+    return desired / (isi + sigma2 * (w * w.conj()).real.sum(axis=1))
 
 
 def isi_zf_alternating(
@@ -417,38 +429,50 @@ def isi_zf_alternating(
 ) -> tuple[IsiZfState, np.ndarray, float]:
     """Alternate MMSE receive/transmit updates on the ZF-projected channels.
 
-    Starts from equal power split across each UE's reduced dimensions; stops
-    when the relative sum-rate increase drops below ``tol`` or after
-    ``max_iter`` iterations.  The objective trace is non-decreasing.
+    Starts from equal power split across each UE's null-space coordinates;
+    stops when the relative sum-rate increase drops below ``tol`` or after
+    ``max_iter`` iterations.  The objective trace is non-decreasing.  The
+    bases enter only the start and the final transmit vectors; the loop runs
+    on the path Grams of all UEs at once.
     """
-    K = channels.K
-    paths = []
+    K, M_r = channels.K, channels.M_r
+    L = max(ue.L for ue in channels.ues)
+    gram = np.zeros((K, L, M_r, M_r), dtype=complex)
+    r0 = np.zeros((K, L))
+    s = np.zeros((K, L, L))
+    y = np.zeros((K, M_r, L), dtype=complex)
+    f, projected = [], []  # per UE: start transmit vector and (B_kl, G_kl) pairs
     for k, ue in enumerate(channels.ues):
-        bases = tuple(null_space_projection(channels, k, l) for l in range(ue.L))
         idx = np.arange(ue.L)
         r = build_rho_table(ue, ue, bs_side_kappa(ue), window, T, beta).values[idx, idx]
         off = np.delete(r, window, axis=1)
-        paths.append(ProjectedPaths(
-            bases=bases,
-            g=np.concatenate([path.gain @ basis for path, basis in zip(ue.paths, bases)], axis=1),
-            e=np.repeat(np.eye(ue.L), [basis.shape[1] for basis in bases], axis=0),
-            r0=r[:, window],
-            s=off @ off.T,
-        ))
-    b_bar = [np.sqrt(P / K / p.g.shape[1]) * np.ones(p.g.shape[1], dtype=complex) for p in paths]
+        r0[k, : ue.L] = r[:, window]
+        s[k, : ue.L, : ue.L] = off @ off.T
+        pairs = []
+        for l, path in enumerate(ue.paths):
+            basis = null_space_projection(channels, k, l)
+            g = path.gain @ basis
+            gram[k, l] = g @ g.conj().T
+            pairs.append((basis, g))
+        # equal split: every null-space coordinate of the UE gets amp
+        amp = np.sqrt(P / K / sum(basis.shape[1] for basis, _ in pairs))
+        y[k, :, : ue.L] = amp * np.stack([g.sum(axis=1) for _, g in pairs], axis=1)
+        f.append(amp * np.concatenate([basis.sum(axis=1) for basis, _ in pairs]))
+        projected.append(pairs)
+    grams = PathGrams(gram=gram, r0=r0, s=s)
+
     # matched-filter receive start keeps the initial state usable as-is
-    w_list = [_unit_or_first_axis(p.outputs(b) @ p.r0) for p, b in zip(paths, b_bar)]
-
-    def objective(w, b):
-        return float(np.sum(np.log2(1.0 + isi_zf_sinrs(paths, w, b, sigma2))))
-
-    trace = [objective(w_list, b_bar)]
-    iterations = 0
+    w = _unit_rows((y @ r0[..., None])[..., 0])
+    sinrs = isi_zf_sinrs(grams, w, y, sigma2)
+    trace = [float(np.sum(np.log2(1.0 + sinrs)))]
+    iterations, fallbacks, weights = 0, 0, None
     if math.isfinite(tol):
         for _ in range(max_iter):
-            w_list = mmse_receive_update(paths, b_bar, sigma2)
-            b_bar = mmse_transmit_update(paths, w_list, P, sigma2)
-            obj = objective(w_list, b_bar)
+            w, rx_fallbacks = mmse_receive_update(grams, y, sigma2)
+            weights, y, tx_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
+            fallbacks += rx_fallbacks + tx_fallbacks
+            sinrs = isi_zf_sinrs(grams, w, y, sigma2)
+            obj = float(np.sum(np.log2(1.0 + sinrs)))
             prev = trace[-1]
             trace.append(obj)
             iterations += 1
@@ -460,10 +484,14 @@ def isi_zf_alternating(
         and iterations > 0
         and trace[-1] - trace[-2] >= tol * max(abs(trace[-2]), 1e-300)
     )
+    if weights is not None:
+        f = [
+            np.concatenate([c * (basis @ (g.conj().T @ w_k)) for (basis, g), c in zip(pairs, c_k)])
+            for pairs, c_k, w_k in zip(projected, weights, w)
+        ]
 
     state = IsiZfState(
-        paths=paths, b_bar=b_bar, w=w_list, trace=trace, iterations=iterations,
-        converged=converged,
+        grams=grams, w=list(w), f=f, trace=trace, iterations=iterations,
+        converged=converged, fallbacks=fallbacks,
     )
-    sinrs = isi_zf_sinrs(paths, w_list, b_bar, sigma2)
-    return state, sinrs, float(np.sum(np.log2(1.0 + sinrs)))
+    return state, sinrs, trace[-1]

@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "for papr_ccdf (default 100)")
         p.add_argument("--out", type=Path, default=None,
                        help="output path prefix (default results/<kind>)")
-        p.add_argument("--threads", type=int, default=1, help="trial worker threads")
     return parser
 
 
@@ -62,7 +61,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             spec = dataclasses.replace(spec, out=str(args.out))
 
-        table = run_experiment(spec, threads=max(1, args.threads))
+        table = run_experiment(spec)
 
         prefix = Path(spec.out) if spec.out else Path("results") / spec.kind
         prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,7 @@
 
 Every experiment kind evaluates all of its schemes on the identical channel
 draw per trial (paired comparison); per-trial seeds come from a splittable
-counter scheme so parallel execution reproduces sequential results exactly.
+counter scheme, so every trial's draw is fixed by the base seed alone.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -191,25 +190,16 @@ _KIND_EVAL = {
 }
 
 
-def _run_sweep(spec: ExperimentSpec, threads: int) -> ResultTable:
+def _run_sweep(spec: ExperimentSpec) -> ResultTable:
     evaluate, integer_delays = _KIND_EVAL[spec.kind]
 
-    def one_trial(j: int, t: int):
-        cfg_j = dataclasses.replace(spec.config, P_dbm=spec.grid[j])
-        channels = generate_channel_set(cfg_j, trial_seed(spec.seed, j, t), integer_delays)
-        return j, t, evaluate(channels, cfg_j)
-
-    tasks = [(j, t) for j in range(len(spec.grid)) for t in range(spec.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda jt: one_trial(*jt), tasks))
-    else:
-        outcomes = [one_trial(j, t) for j, t in tasks]
-
     per_cell: dict = {}
-    for j, t, metrics in sorted(outcomes, key=lambda r: (r[0], r[1])):
-        for scheme, value in metrics.items():
-            per_cell.setdefault((j, scheme), []).append(value)
+    for j, value in enumerate(spec.grid):
+        cfg_j = dataclasses.replace(spec.config, P_dbm=value)
+        for t in range(spec.trials):
+            channels = generate_channel_set(cfg_j, trial_seed(spec.seed, j, t), integer_delays)
+            for scheme, metric in evaluate(channels, cfg_j).items():
+                per_cell.setdefault((j, scheme), []).append(metric)
 
     rows = []
     samples = {}
@@ -362,11 +352,11 @@ def _run_papr(spec: ExperimentSpec) -> ResultTable:
     )
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
+def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute one experiment kind; deterministic for a fixed spec."""
     if spec.kind == "papr_ccdf":
         return _run_papr(spec)
-    return _run_sweep(spec, threads)
+    return _run_sweep(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Dense complex linear algebra and power-allocation primitives.
 
-Everything here is pure and reentrant; Monte Carlo workers may call these
-concurrently.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations

@@ -65,6 +65,17 @@ def _responses_in_span(channels: ChannelSet, M: int, q: np.ndarray) -> np.ndarra
     return np.stack(out) / np.sqrt(M)
 
 
+def _top_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top left singular vector u of every M_r x r block of h, and u^H h.
+
+    u is the top eigenvector of the M_r x M_r Gram matrix h h^H, and u^H h is
+    sigma_1 times the conjugated top right singular vector.
+    """
+    _, vecs = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
+    u = vecs[..., -1]
+    return u, (u.conj()[..., None, :] @ h)[..., 0, :]
+
+
 def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> np.ndarray:
     """(K, M) SINRs of per-subcarrier eigen-beamforming at P/K per stream.
 
@@ -78,9 +89,7 @@ def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> n
         raise ValueError("M must be >= 1")
     h = _responses_in_span(channels, M, _path_span(channels))  # (K, M, M_r, r)
     K = channels.K
-    _, vecs = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
-    u = vecs[..., -1]                                   # (K, M, M_r)
-    uh = (u.conj()[..., None, :] @ h)[..., 0, :]        # (K, M, r)
+    _, uh = _top_pairs(h)                               # uh: (K, M, r)
     norm = np.linalg.norm(uh, axis=-1, keepdims=True)
     # unit-norm v~ at power P/K; a stream whose block is zero stays silent
     v = np.sqrt(P / K) * uh.conj() / np.maximum(norm, np.finfo(float).tiny)
@@ -110,6 +119,33 @@ def ofdm_eigen(
     return OfdmBeamformerSet(v=v, u=u, power=power), ofdm_eigen_sinrs(channels, M, P, sigma2)
 
 
+# Interferer blocks whose Gram eigenvalues span a wider ratio than this take
+# the SVD.  Gram eigenvalues are accurate only to about eps * lambda_max, too
+# coarse for the rank rule s_i > tol * s_0; above the ratio every s_i is kept.
+GRAM_MIN_RATIO = 1e-8
+
+
+def _project_off(h: np.ndarray, others: np.ndarray, tol: float) -> np.ndarray:
+    """h minus its orthogonal projection on the row space of others, per block.
+
+    The row space keeps the right singular vectors with s_i > tol * s_0.
+    Where the eigenvalues of others others^H span at most GRAM_MIN_RATIO every
+    one is kept, and the columns of others^H U, normalized, are those vectors.
+    """
+    oh = others.conj().swapaxes(1, 2)               # (M, r, R)
+    lam, vecs = np.linalg.eigh(others @ oh)         # ascending
+    rest = lam[:, 0] <= GRAM_MIN_RATIO * lam[:, -1]
+    basis = oh @ vecs                               # columns s_i v_i
+    norm = np.linalg.norm(basis, axis=1, keepdims=True)
+    norm[rest] = 1.0                                # replaced below
+    basis /= norm
+    if rest.any():
+        _, s_all, vh_all = np.linalg.svd(others[rest], full_matrices=False)
+        keep = s_all > tol * s_all[:, :1]
+        basis[rest] = np.where(keep[:, :, None], vh_all, 0.0).conj().swapaxes(1, 2)
+    return h - (h @ basis) @ basis.conj().swapaxes(1, 2)
+
+
 def ofdm_zf_waterfill(
     channels: ChannelSet, M: int, P: float, sigma2: float, tol: float = 1e-10
 ) -> tuple[OfdmBeamformerSet, np.ndarray, float]:
@@ -117,8 +153,10 @@ def ofdm_zf_waterfill(
 
     Feasible when M_t >= (K-1) M_r + 1; returns per-stream SNRs and the
     subcarrier-averaged sum rate in bits/s/Hz (before overhead discounts).
-    Both SVDs run on H Q, where Q is an orthonormal basis of the span of all
-    path gains' rows; since H = H Q Q^H, v = Q v~ is exact.
+    Everything runs on H Q, where Q is an orthonormal basis of the span of
+    all path gains' rows; since H = H Q Q^H, v = Q v~ is exact.  The
+    interferers' row spaces and each projected block's top singular pair
+    come from M_r-sized Gram matrices, as in ``ofdm_eigen_sinrs``.
     """
     K, M_r, M_t = channels.K, channels.M_r, channels.M_t
     if M_t < (K - 1) * M_r + 1:
@@ -134,23 +172,18 @@ def ofdm_zf_waterfill(
     u = np.zeros((K, M, M_r), dtype=complex)
     v_dir = np.zeros((K, M, q.shape[1]), dtype=complex)
     for k in range(K):
+        eff = h[k]
         if K > 1:
-            # orthogonal projection off the interferers' row space; the
-            # explicit kernel basis is never needed
             others = np.concatenate([h[kp] for kp in range(K) if kp != k], axis=1)
-            _, s_all, vh_all = np.linalg.svd(others, full_matrices=False)
-            keep = s_all > tol * s_all[:, :1]          # (M, rows) row-space mask
-            vh_all = np.where(keep[:, :, None], vh_all, 0.0)
-            eff = h[k] - (h[k] @ vh_all.conj().transpose(0, 2, 1)) @ vh_all
-        else:
-            eff = h[k]
-        u_m, s_m, vh_m = np.linalg.svd(eff, full_matrices=False)
-        gains[k] = s_m[:, 0] ** 2 / sigma2_hat
-        u[k] = u_m[:, :, 0]
-        v_dir[k] = vh_m[:, 0].conj()
+            eff = _project_off(eff, others, tol)
+        u[k], uh = _top_pairs(eff)
+        norm = np.linalg.norm(uh, axis=-1)
+        gains[k] = norm**2 / sigma2_hat
+        # a block projected to zero gets gain 0 and a zero direction
+        v_dir[k] = uh.conj() / np.maximum(norm, np.finfo(float).tiny)[:, None]
 
     powers = water_fill(gains.ravel(), M * P).reshape(K, M)
-    v = np.sqrt(powers)[..., None] * (v_dir @ q.T)
+    v = (np.sqrt(powers)[..., None] * v_dir) @ q.T
     snr = gains * powers
     rate = float(np.sum(np.log2(1.0 + snr))) / M
     return OfdmBeamformerSet(v=v, u=u, power=powers), snr, rate

@@ -412,28 +412,55 @@ def _center_channels(cs, window=40):
     return out
 
 
-def _paths(cs, window=40):
+def _grams(cs, window=40):
     state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=window, tol=np.inf)
-    return state.paths
+    return state.grams
+
+
+def _projected(cs):
+    """Per UE, the per-path projected channels G_kl = H_kl B_kl."""
+    return [
+        [path.gain @ null_space_projection(cs, k, l) for l, path in enumerate(ue.paths)]
+        for k, ue in enumerate(cs.ues)
+    ]
+
+
+def _outputs(projected, b):
+    """Y (K, M_r, L) = [G_kl b_kl]_l of the reduced transmit vectors b_k = [b_kl]_l."""
+    out = []
+    for gs, bk in zip(projected, b):
+        cuts = np.cumsum([g.shape[1] for g in gs])[:-1]
+        out.append(np.stack([g @ bl for g, bl in zip(gs, np.split(bk, cuts))], axis=1))
+    return np.stack(out)
+
+
+def _reduced(projected, w, weights):
+    """Reduced transmit vectors b_k = [weights_kl G_kl^H w_k]_l."""
+    return [
+        np.concatenate([c * (g.conj().T @ wk) for g, c in zip(gs, ck)])
+        for gs, wk, ck in zip(projected, w, weights)
+    ]
 
 
 class TestMmseUpdates:
     def test_no_isi_reduces_to_matched_filter(self):
         rng = np.random.default_rng(20)
         cs = _zf_setup(rng, fractional=False)
-        paths = _paths(cs)
+        grams, gs = _grams(cs), _projected(cs)
         h0 = _center_channels(cs)
         P = 1.0
         b = [np.sqrt(P / 2 / h.shape[1]) * np.ones(h.shape[1], dtype=complex) for h in h0]
-        w = mmse_receive_update(paths, b, SIGMA2)
+        w, fallbacks = mmse_receive_update(grams, _outputs(gs, b), SIGMA2)
+        assert fallbacks == 0
         for h, bk, wk in zip(h0, b, w):
             mf = h @ bk
             mf /= np.linalg.norm(mf)
             assert abs(abs(np.vdot(mf, wk)) - 1.0) < 1e-10
             assert np.linalg.norm(wk) == pytest.approx(1.0, abs=1e-12)
 
-        b_new = mmse_transmit_update(paths, w, P, SIGMA2)
-        for h, wk, bk in zip(h0, w, b_new):
+        weights, _, fallbacks = mmse_transmit_update(grams, w, P, SIGMA2)
+        assert fallbacks == 0
+        for h, wk, bk in zip(h0, w, _reduced(gs, w, weights)):
             mf = h.conj().T @ wk
             mf /= np.linalg.norm(mf)
             align = abs(np.vdot(mf, bk)) / np.linalg.norm(bk)
@@ -444,22 +471,28 @@ class TestMmseUpdates:
         rng = np.random.default_rng(21)
         for _ in range(5):
             cs = _zf_setup(rng, fractional=True)
-            paths = _paths(cs)
+            grams, gs = _grams(cs), _projected(cs)
             P = 1.0
             b = []
-            for p in paths:
-                x = rng.standard_normal(p.g.shape[1]) + 1j * rng.standard_normal(p.g.shape[1])
+            for g in gs:
+                dim = sum(gl.shape[1] for gl in g)
+                x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                 b.append(np.sqrt(P / 2) * x / np.linalg.norm(x))
             w = []
-            for p in paths:
-                x = rng.standard_normal(p.g.shape[0]) + 1j * rng.standard_normal(p.g.shape[0])
+            for _ in gs:
+                x = rng.standard_normal(cs.M_r) + 1j * rng.standard_normal(cs.M_r)
                 w.append(x / np.linalg.norm(x))
-            base = isi_zf_sinrs(paths, w, b, SIGMA2)
-            w2 = mmse_receive_update(paths, b, SIGMA2)
-            after_w = isi_zf_sinrs(paths, w2, b, SIGMA2)
+            w = np.array(w)
+            y = _outputs(gs, b)
+            base = isi_zf_sinrs(grams, w, y, SIGMA2)
+            w2, _ = mmse_receive_update(grams, y, SIGMA2)
+            after_w = isi_zf_sinrs(grams, w2, y, SIGMA2)
             assert np.all(after_w >= base - 1e-9 * np.abs(base))
-            b2 = mmse_transmit_update(paths, w2, P, SIGMA2)
-            after_b = isi_zf_sinrs(paths, w2, b2, SIGMA2)
+            weights, y2, _ = mmse_transmit_update(grams, w2, P, SIGMA2)
+            # the returned outputs are those of the returned weights
+            y2_ref = _outputs(gs, _reduced(gs, w2, weights))
+            assert np.allclose(y2, y2_ref, rtol=0.0, atol=1e-12 * np.max(np.abs(y2_ref)))
+            after_b = isi_zf_sinrs(grams, w2, y2, SIGMA2)
             assert np.all(after_b >= after_w - 1e-9 * np.abs(after_w))
 
 
@@ -510,6 +543,22 @@ class TestIsiZfAlternating:
         state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40, max_iter=1)
         assert state.iterations == 1
         assert not state.converged
+
+    def test_pinv_fallbacks_are_counted(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        cs = _zf_setup(rng, fractional=True)
+        ref, ref_sinrs, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        assert ref.fallbacks == 0
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        state, sinrs, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        assert state.iterations == ref.iterations > 0
+        # every receive and every transmit solve of every UE took pinv
+        assert state.fallbacks == 2 * cs.K * state.iterations
+        assert np.allclose(sinrs, ref_sinrs, rtol=1e-9, atol=0.0)
 
     def test_converged_integer_delay_solve(self):
         rng = np.random.default_rng(22)

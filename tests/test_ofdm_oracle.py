@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import make_channel_set, random_delay_channel_set
-from damlink.channel import SimConfig, frequency_response, generate_channel_set
-from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
+from damlink.channel import (
+    ChannelSet,
+    PathComponent,
+    SimConfig,
+    UEChannel,
+    frequency_response,
+    generate_channel_set,
+)
+from damlink.ofdm import GRAM_MIN_RATIO, ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
 from oracles import oracle_ofdm_eigen, oracle_ofdm_zf_waterfill
 
 M = 16
@@ -66,6 +73,60 @@ def test_zf_waterfill_matches_full_column_oracle(cs):
     assert np.allclose(snr, snr_ref, rtol=1e-10, atol=0.0)
     assert np.allclose(bf.power, power_ref, rtol=1e-10, atol=0.0)
     assert rate == pytest.approx(rate_ref, rel=1e-10)
+
+
+def _weak_direction_channel_set(rng, ratio):
+    """UE 0 on three rank-1 paths; UE 1 on one path with singular values 1 and ratio."""
+    m_r, m_t = 2, 16
+    ue0 = make_channel_set(rng, m_r, m_t, [[0, 3, 7]]).ues[0]
+    left, _ = np.linalg.qr(rng.standard_normal((m_r, m_r)) + 1j * rng.standard_normal((m_r, m_r)))
+    right, _ = np.linalg.qr(rng.standard_normal((m_t, m_r)) + 1j * rng.standard_normal((m_t, m_r)))
+    gain = left @ np.diag([1.0, ratio]) @ right.conj().T
+    ue1 = UEChannel(paths=(PathComponent(gain=gain, tau_s=5 * 5e-9, n=5, tau_f_s=0.0),), ue_index=1)
+    return ChannelSet(ues=(ue0, ue1))
+
+
+def _rank_cases():
+    return [
+        # every interferer block has rank 1 in M_r = 2 rows
+        pytest.param(
+            random_delay_channel_set(np.random.default_rng(31), 2, 16, K=2, L=1, span=12),
+            False,
+            id="L1-rank1-interferers",
+        ),
+        pytest.param(
+            random_delay_channel_set(np.random.default_rng(32), 2, 24, K=3, L=3, span=12),
+            False,
+            id="K3",
+        ),
+        # the rank rule keeps a 5e-6 direction, whose squared ratio sends the
+        # block to the SVD; both sides err by about eps / ratio, so the ratio
+        # stays near 1e-5 to keep that error under the 1e-10 tolerance
+        pytest.param(
+            _weak_direction_channel_set(np.random.default_rng(33), 5e-6), True, id="weak-5e-6"
+        ),
+    ]
+
+
+@pytest.mark.parametrize("cs,weak", _rank_cases())
+def test_zf_waterfill_rank_cases(cs, weak):
+    h = np.stack([frequency_response(ue, M) for ue in cs.ues])
+    if weak:
+        s = np.linalg.svd(h[1], compute_uv=False)
+        ratio = s[:, 1] / s[:, 0]
+        assert np.all((ratio > 1e-10) & (ratio ** 2 < GRAM_MIN_RATIO))
+    bf, snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    snr_ref, power_ref, rate_ref = oracle_ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    assert np.allclose(snr, snr_ref, rtol=1e-10, atol=0.0)
+    assert np.allclose(bf.power, power_ref, rtol=1e-10, atol=0.0)
+    assert rate == pytest.approx(rate_ref, rel=1e-10)
+    for k in range(cs.K):
+        for kp in range(cs.K):
+            if kp == k:
+                continue
+            for m in range(M):
+                leak = abs(bf.u[k, m].conj() @ h[k, m] @ bf.v[kp, m])
+                assert leak <= 1e-10 * np.linalg.norm(h[k, m])
 
 
 @pytest.mark.parametrize("solve", [ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill])

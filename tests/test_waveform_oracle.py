@@ -8,6 +8,7 @@ from damlink.beamforming import (
     assemble_bs_side,
     bs_side_rho_tables,
     eigen_beamform_bs_side,
+    isi_zf_alternating,
     power_terms,
 )
 from oracles import oracle_power_terms
@@ -66,3 +67,27 @@ def test_sinr_matches_oracle_end_to_end():
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
         oracle_sinr = o_ds / (o_isi1 + o_isi2 + o_iui + sigma2)
         assert sinrs[k] == pytest.approx(oracle_sinr, rel=2e-3)
+
+
+@pytest.mark.parametrize(
+    "m_t,m_r,delays",
+    [
+        (12, 2, [[2, 7, 11], [1, 5, 13]]),
+        (6, 1, [[2, 6], [3, 10]]),
+    ],
+)
+def test_isi_zf_sinrs_match_convolution_oracle(m_t, m_r, delays):
+    rng = np.random.default_rng(m_t * 100 + m_r + 7)
+    cs = _grid_fraction_channels(rng, m_r, m_t, delays)
+    window = 48
+    sigma2 = 1e-3
+    state, sinrs, _ = isi_zf_alternating(cs, 1.0, sigma2, T, BETA, window)
+    assert state.iterations > 0
+    oracle = oracle_power_terms(cs, state.f_bar(cs), state.w, window, T, BETA, os=OS)
+    for k in range(cs.K):
+        o_ds, o_isi1, o_isi2, o_iui = oracle[k]
+        # zero forcing: no path carries another path's or another UE's stream
+        assert o_isi2 <= 1e-12 * o_ds
+        assert o_iui <= 1e-12 * o_ds
+        noise = sigma2 * np.linalg.norm(state.w[k]) ** 2
+        assert sinrs[k] == pytest.approx(o_ds / (o_isi1 + o_isi2 + o_iui + noise), rel=1e-3)
