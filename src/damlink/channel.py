@@ -7,7 +7,6 @@ part and a fractional remainder in [-T/2, T/2].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ __all__ = [
     "steering_vector",
     "generate_channel_set",
     "frequency_response",
-    "channel_set_to_json",
-    "channel_set_from_json",
     "dbm_to_watts",
 ]
 
@@ -235,46 +232,3 @@ def frequency_response(ch: UEChannel, M: int) -> np.ndarray:
     gains = ch.gains                                    # (L, M_r, M_t)
     flat = phases @ gains.reshape(n_l.size, -1)
     return flat.reshape(M, *gains.shape[1:]) / np.sqrt(M)
-
-
-def channel_set_to_json(cs: ChannelSet) -> str:
-    """Serialize a channel set (complex entries as [re, im] pairs)."""
-    doc = {
-        "M_r": cs.M_r,
-        "M_t": cs.M_t,
-        "ues": [
-            {
-                "ue_index": ue.ue_index,
-                "paths": [
-                    {
-                        "tau_s": p.tau_s,
-                        "n": p.n,
-                        "tau_f_s": p.tau_f_s,
-                        "gain": np.stack([p.gain.real, p.gain.imag], axis=-1).tolist(),
-                    }
-                    for p in ue.paths
-                ],
-            }
-            for ue in cs.ues
-        ],
-    }
-    return json.dumps(doc)
-
-
-def channel_set_from_json(text: str) -> ChannelSet:
-    doc = json.loads(text)
-    ues = []
-    for ue_doc in doc["ues"]:
-        paths = []
-        for p in ue_doc["paths"]:
-            pair = np.asarray(p["gain"], dtype=float)
-            paths.append(
-                PathComponent(
-                    gain=pair[..., 0] + 1j * pair[..., 1],
-                    tau_s=p["tau_s"],
-                    n=int(p["n"]),
-                    tau_f_s=p["tau_f_s"],
-                )
-            )
-        ues.append(UEChannel(paths=tuple(paths), ue_index=int(ue_doc["ue_index"])))
-    return ChannelSet(ues=tuple(ues))

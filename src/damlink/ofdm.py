@@ -6,7 +6,8 @@ water-fills power across all (UE, subcarrier) effective channels.  Both work
 in the span of the path gains' rows, which holds every row of every
 per-subcarrier response: the responses are built as H Q with at most K L M_r
 columns.  Only ``ofdm_eigen``'s beamformers, which the OFDM waveform needs
-with LAPACK's phases, come from the reduced SVD of the full responses.
+with LAPACK's phases, come from the reduced SVD of the full responses; both
+functions return that span's basis Q with their beamformers.
 """
 
 from __future__ import annotations
@@ -33,11 +34,16 @@ __all__ = [
 
 @dataclass
 class OfdmBeamformerSet:
-    """Per-(UE, subcarrier) transmit/receive vectors and allocated powers."""
+    """Per-(UE, subcarrier) transmit/receive vectors and allocated powers.
+
+    Every transmit vector lies in the span of ``basis``'s orthonormal
+    columns, so the OFDM waveform is shaped in r dimensions instead of M_t.
+    """
 
     v: np.ndarray       # (K, M, M_t)
     u: np.ndarray       # (K, M, M_r)
     power: np.ndarray   # (K, M) allocated transmit power per stream
+    basis: np.ndarray   # (M_t, r) orthonormal, the rows of v lie in its span
 
     def total_transmit_power(self) -> float:
         return float(np.sum(np.abs(self.v) ** 2))
@@ -116,7 +122,8 @@ def ofdm_eigen(
     frob = np.sqrt(np.sum(np.abs(v_hat) ** 2))  # sqrt(K*M)
     v = np.sqrt(M * P) * v_hat / frob           # each stream at power P/K
     power = np.full((channels.K, M), M * P / (channels.K * M))
-    return OfdmBeamformerSet(v=v, u=u, power=power), ofdm_eigen_sinrs(channels, M, P, sigma2)
+    sinrs = ofdm_eigen_sinrs(channels, M, P, sigma2)
+    return OfdmBeamformerSet(v=v, u=u, power=power, basis=_path_span(channels)), sinrs
 
 
 # Interferer blocks whose Gram eigenvalues span a wider ratio than this take
@@ -186,7 +193,7 @@ def ofdm_zf_waterfill(
     v = (np.sqrt(powers)[..., None] * v_dir) @ q.T
     snr = gains * powers
     rate = float(np.sum(np.log2(1.0 + snr))) / M
-    return OfdmBeamformerSet(v=v, u=u, power=powers), snr, rate
+    return OfdmBeamformerSet(v=v, u=u, power=powers, basis=q), snr, rate
 
 
 def dam_overhead_factor(cfg: SimConfig) -> float:

@@ -1,9 +1,10 @@
 """Baseband waveform synthesis and PAPR statistics.
 
 Single-carrier delay-aligned transmission superposes one pulse-shaped,
-pre-delayed symbol stream per compensated path; OFDM superposes one stream
-per (UE, subcarrier).  The per-antenna peak-to-average power ratio is
-measured on the oversampled post-filter waveform.
+pre-delayed symbol stream per compensated path; OFDM superposes one
+serialized stream per column of its beamformers' basis.  The per-antenna
+peak-to-average power ratio is measured on the oversampled post-filter
+waveform.
 
 Every scheme first builds a StreamSet (symbol-rate streams, their delays and
 the antenna weights that superpose them); antennas are then shaped and
@@ -144,17 +145,16 @@ class StreamSet:
     """Symbol-rate streams at integer delays and the antennas they feed.
 
     Antenna ``a`` transmits ``weights[a] @ shaped`` where ``shaped`` are the
-    pulse-shaped streams; ``weights=None`` means stream ``a`` is antenna
-    ``a``'s own sample stream (OFDM's serialized IDFT output).
+    pulse-shaped streams.
     """
 
-    streams: np.ndarray        # (n_streams, n_symbols)
-    delays: np.ndarray         # (n_streams,) integer symbol delays
-    weights: np.ndarray | None  # (n_antennas, n_streams)
+    streams: np.ndarray  # (n_streams, n_symbols)
+    delays: np.ndarray   # (n_streams,) integer symbol delays
+    weights: np.ndarray  # (n_antennas, n_streams)
 
     @property
     def n_antennas(self) -> int:
-        return self.streams.shape[0] if self.weights is None else self.weights.shape[0]
+        return self.weights.shape[0]
 
 
 def dam_streams(symbols, beamformers, plans, cfg: SimConfig) -> StreamSet:
@@ -177,21 +177,40 @@ def dam_streams(symbols, beamformers, plans, cfg: SimConfig) -> StreamSet:
     return StreamSet(np.array(streams), np.array(delays, dtype=int), np.asarray(weights).T)
 
 
+# Largest relative distance ||v - Q Q^H v|| / ||v|| of the OFDM beamformers
+# from their basis span; LAPACK's vectors sit about 1e-15 from it.
+SPAN_TOL = 1e-10
+
+
 def ofdm_streams(symbols, beamformers, cfg: SimConfig) -> StreamSet:
-    """The streams of ``synthesize_ofdm_waveform``: each antenna's serialized
-    samples after per-subcarrier beamforming, IDFT and cyclic prefix."""
+    """The streams of ``synthesize_ofdm_waveform`` in the beamformers' span.
+
+    Every transmit vector is v = Q v~ with Q = ``beamformers.basis``, so the
+    per-subcarrier beamforming, IDFT and cyclic prefix run on the r columns
+    of v~ = Q^H v, and antenna a transmits Q[a] times the r shaped streams.
+    Raises ValueError if v leaves the span of Q.
+    """
     symbols = np.asarray(symbols, dtype=complex)
     K, n_ofdm, M = symbols.shape
     if M != cfg.M:
         raise ValueError(f"expected {cfg.M} subcarriers, got {M}")
-    m_t = beamformers.v.shape[2]
-    with_cp = np.empty((n_ofdm, cfg.G_cp + M, m_t), dtype=complex)
-    time = with_cp[:, cfg.G_cp :]                                  # (D, M, M_t)
-    np.einsum("kdm,kmt->dmt", symbols, beamformers.v, out=time)
+    q = beamformers.basis
+    v = beamformers.v
+    v_span = v @ q.conj()                                          # (K, M, r)
+    outside = np.linalg.norm(v - v_span @ q.T)
+    if outside > SPAN_TOL * np.linalg.norm(v):
+        raise ValueError(
+            f"OFDM beamformers leave the basis span: relative residual "
+            f"{outside / np.linalg.norm(v):.3g} > {SPAN_TOL:g}"
+        )
+    r = q.shape[1]
+    with_cp = np.empty((n_ofdm, cfg.G_cp + M, r), dtype=complex)
+    time = with_cp[:, cfg.G_cp :]                                  # (D, M, r)
+    np.einsum("kdm,kmr->dmr", symbols, v_span, out=time)
     np.fft.ifft(time, axis=1, norm="ortho", out=time)
     with_cp[:, : cfg.G_cp] = time[:, M - cfg.G_cp :]
-    serial = with_cp.reshape(n_ofdm * (M + cfg.G_cp), m_t).T       # (M_t, N)
-    return StreamSet(serial, np.zeros(m_t, dtype=int), None)
+    serial = with_cp.reshape(n_ofdm * (M + cfg.G_cp), r).T         # (r, N)
+    return StreamSet(serial, np.zeros(r, dtype=int), q)
 
 
 def strongest_path_streams(symbols, channels: ChannelSet, P: float, cfg: SimConfig) -> StreamSet:
@@ -209,13 +228,6 @@ def strongest_path_streams(symbols, channels: ChannelSet, P: float, cfg: SimConf
 
 def _antenna_groups(streams: StreamSet, cfg: SimConfig):
     """Shaped samples of each run of ANTENNA_GROUP antennas, in antenna order."""
-    if streams.weights is None:
-        for a in range(0, streams.n_antennas, ANTENNA_GROUP):
-            rows = slice(a, a + ANTENNA_GROUP)
-            yield _shape_streams(
-                streams.streams[rows], streams.delays[rows], cfg.oversample, cfg.beta
-            )
-        return
     shaped = _shape_streams(streams.streams, streams.delays, cfg.oversample, cfg.beta)
     for a in range(0, streams.n_antennas, ANTENNA_GROUP):
         yield streams.weights[a : a + ANTENNA_GROUP] @ shaped
@@ -256,9 +268,10 @@ def synthesize_dam_waveform(symbols, beamformers, plans, cfg: SimConfig) -> Wave
 def synthesize_ofdm_waveform(symbols, beamformers, cfg: SimConfig) -> Waveform:
     """Beamform per subcarrier, IDFT, prepend cyclic prefixes, shape with RRC.
 
-    ``symbols`` is (K, n_ofdm_symbols, M); the serialized sample stream runs
+    ``symbols`` is (K, n_ofdm_symbols, M); the serialized sample streams run
     at rate 1/T before oversampled pulse shaping with the same filter as the
-    single-carrier waveform.
+    single-carrier waveform.  Shaping runs on the r streams of
+    ``ofdm_streams``, one per column of ``beamformers.basis``.
     """
     return _synthesize(ofdm_streams(symbols, beamformers, cfg), cfg)
 

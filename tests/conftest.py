@@ -44,6 +44,15 @@ def make_channel_set(
     return ChannelSet(ues=tuple(ues))
 
 
+def assert_same_channels(a, b):
+    """Equal UE count, path count, delays and gains, path by path."""
+    assert [ue.L for ue in a.ues] == [ue.L for ue in b.ues]
+    for ue_a, ue_b in zip(a.ues, b.ues):
+        for pa, pb in zip(ue_a.paths, ue_b.paths):
+            assert (pa.n, pa.tau_s, pa.tau_f_s) == (pb.n, pb.tau_s, pb.tau_f_s)
+            assert np.array_equal(pa.gain, pb.gain)
+
+
 def random_delay_channel_set(
     rng, m_r, m_t, K, L, span=30, fractional=True, T=5e-9, scale=1.0, full_rank=False
 ):

@@ -21,6 +21,10 @@ coupling einsum.
 ``oracle_shape_streams`` is the literal pulse shaper: each stream is
 zero-stuffed by the oversampling factor at its delay and convolved with the
 RRC taps in the time domain.
+
+``oracle_ofdm_waveform`` is the per-antenna OFDM transmitter: every antenna
+gets its own beamformed spectrum, IDFT and cyclic prefix, and its serialized
+samples go through ``oracle_shape_streams``.
 """
 
 import math
@@ -253,3 +257,13 @@ def oracle_shape_streams(streams, delays, oversample, beta):
         up[start : start + n_sym * oversample : oversample] = streams[s]
         out[s] = np.convolve(up, taps)[lead : lead + total]
     return out
+
+
+def oracle_ofdm_waveform(symbols, v, cfg):
+    """(M_t, n_samples) OFDM waveform of (K, n_ofdm, M) symbols and (K, M, M_t) v."""
+    m = symbols.shape[2]
+    spectrum = np.einsum("kdm,kmt->tdm", symbols, v)       # (M_t, n_ofdm, M)
+    time = np.fft.ifft(spectrum, axis=2, norm="ortho")
+    with_cp = np.concatenate([time[:, :, m - cfg.G_cp :], time], axis=2)
+    serial = with_cp.reshape(v.shape[2], -1)
+    return oracle_shape_streams(serial, np.zeros(serial.shape[0], dtype=int), cfg.oversample, cfg.beta)

@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_channels
 from damlink.channel import (
-    ChannelSet,
     ConfigError,
     SimConfig,
-    channel_set_from_json,
-    channel_set_to_json,
     frequency_response,
     generate_channel_set,
     split_delay,
@@ -64,9 +62,7 @@ class TestSteeringVector:
 class TestGenerateChannelSet:
     def test_deterministic_per_seed(self):
         cfg = small_cfg()
-        cs1 = generate_channel_set(cfg, 123)
-        cs2 = generate_channel_set(cfg, 123)
-        assert channel_set_to_json(cs1) == channel_set_to_json(cs2)
+        assert_same_channels(generate_channel_set(cfg, 123), generate_channel_set(cfg, 123))
 
     def test_distinct_sorted_integer_delays(self):
         cfg = small_cfg(L=8)
@@ -145,20 +141,6 @@ class TestNoisePower:
         # -174 dBm/Hz over 200 MHz
         assert cfg.noise_power_dbm() == pytest.approx(-90.99, abs=0.01)
         assert abs(cfg.noise_power_dbm() - (-91.0)) < 0.1
-
-
-class TestJsonRoundTrip:
-    def test_round_trip(self):
-        cs = generate_channel_set(small_cfg(), 42)
-        restored = channel_set_from_json(channel_set_to_json(cs))
-        assert isinstance(restored, ChannelSet)
-        assert restored.K == cs.K
-        for ue_a, ue_b in zip(cs.ues, restored.ues):
-            assert ue_a.n_list == ue_b.n_list
-            for pa, pb in zip(ue_a.paths, ue_b.paths):
-                assert pa.tau_s == pb.tau_s
-                assert pa.tau_f_s == pb.tau_f_s
-                assert np.array_equal(pa.gain, pb.gain)
 
 
 class TestConfigValidation:

@@ -1,11 +1,16 @@
 """Tests for experiment orchestration, config parsing and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from damlink.channel import SimConfig
+from conftest import assert_same_channels
+from damlink.channel import SimConfig, generate_channel_set
 from damlink.cli import main
 from damlink.experiments import (
     ExperimentSpec,
@@ -16,6 +21,9 @@ from damlink.experiments import (
     write_json_sidecar,
     write_table_csv,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_cfg(**overrides):
@@ -57,12 +65,8 @@ class TestRunExperiment:
         # same trial seed feeds every scheme: identical draw by construction
         s1 = trial_seed(3, 0, 5)
         s2 = trial_seed(3, 0, 5)
-        from damlink.channel import channel_set_to_json, generate_channel_set
-
         cfg = small_cfg()
-        assert channel_set_to_json(generate_channel_set(cfg, s1)) == channel_set_to_json(
-            generate_channel_set(cfg, s2)
-        )
+        assert_same_channels(generate_channel_set(cfg, s1), generate_channel_set(cfg, s2))
 
     def test_infeasible_scheme_marked_not_fatal(self):
         # M_t too small for ISI zero-forcing, everything else still runs
@@ -198,3 +202,41 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"system": {"beta": 2.0}}))
         assert main(["se_vs_power_bsside", "--config", str(cfg_path)]) == 1
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # reference antenna counts, so the BLAS calls are large enough to thread
+    runs = {
+        "papr_ccdf": dict(trials=8),
+        "se_vs_power_doubleside": dict(grid=[10.0, 30.0], trials=3),
+    }
+    for kind, experiment in runs.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps({"experiment": experiment}))
+    script = "import sys; from damlink.cli import main\n" + "".join(
+        f"assert main(['{kind}', '--config', sys.argv[1] + '/{kind}.json', "
+        f"'--seed', '2', '--out', sys.argv[2] + '/{kind}']) == 0\n"
+        for kind in runs
+    )
+    samples = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        samples[threads] = {
+            kind: json.loads((out / f"{kind}.json").read_text())["samples"] for kind in runs
+        }
+    for kind in runs:
+        one, two = samples["1"][kind], samples["2"][kind]
+        assert one.keys() == two.keys() and one
+        for key in one:
+            # infeasible trials are null, read as NaN
+            a, b = (np.array(x[key], dtype=float) for x in (one, two))
+            assert np.allclose(b, a, rtol=1e-9, atol=0.0, equal_nan=True), (kind, key)

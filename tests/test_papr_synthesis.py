@@ -1,9 +1,11 @@
 """Symbol-rate pulse shaping and antenna-group PAPR reduction.
 
 The shaper is checked against the literal zero-stuffed convolution, the
-group reduction against ``papr_blocks`` on the whole synthesized waveform.
+group reduction against ``papr_blocks`` on the whole synthesized waveform,
+and the span-coordinate OFDM waveform against the per-antenna transmitter.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -31,9 +33,12 @@ from damlink.experiments import (
     papr_at_exceedance,
     run_experiment,
 )
-from damlink.ofdm import ofdm_eigen
+from damlink.ofdm import ofdm_eigen, ofdm_zf_waterfill
 from damlink.waveform import (
+    ANTENNA_GROUP,
+    SPAN_TOL,
     Waveform,
+    _antenna_groups,
     _fast_len,
     _shape_streams,
     dam_streams,
@@ -46,7 +51,7 @@ from damlink.waveform import (
     synthesize_ofdm_waveform,
     synthesize_strongest_path_waveform,
 )
-from oracles import oracle_shape_streams
+from oracles import oracle_ofdm_waveform, oracle_shape_streams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -99,9 +104,21 @@ def _dam_case(cfg, channels, rng, blocks, block_symbols):
     )
 
 
+def _ofdm_eigen_bf(cfg, channels):
+    return ofdm_eigen(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())[0]
+
+
+def _ofdm_zf_bf(cfg, channels):
+    return ofdm_zf_waterfill(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())[0]
+
+
+def _ofdm_symbols(cfg, rng, n_ofdm):
+    return _qam(rng, cfg.K, n_ofdm * cfg.M).reshape(cfg.K, n_ofdm, cfg.M)
+
+
 def _ofdm_case(cfg, channels, rng, blocks, block_symbols):
-    bf, _ = ofdm_eigen(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
-    sym = _qam(rng, cfg.K, (blocks + 2) * cfg.M).reshape(cfg.K, blocks + 2, cfg.M)
+    bf = _ofdm_eigen_bf(cfg, channels)
+    sym = _ofdm_symbols(cfg, rng, blocks + 2)
     return ofdm_streams(sym, bf, cfg), synthesize_ofdm_waveform(sym, bf, cfg), block_symbols
 
 
@@ -142,6 +159,62 @@ def test_group_paprs_match_synthesized_waveform(case, cfg, blocks):
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(SimConfig(M_t=5, **SMALL), id="M_t=5"),
+        pytest.param(SimConfig(M_t=13, **SMALL), id="M_t=13"),
+        pytest.param(SimConfig(M_t=13, M_r=1, **SMALL), id="M_r=1"),
+    ],
+)
+@pytest.mark.parametrize("beamform", [_ofdm_eigen_bf, _ofdm_zf_bf], ids=["eigen", "zf"])
+def test_ofdm_waveform_matches_per_antenna_oracle(cfg, beamform):
+    channels = generate_channel_set(cfg, 3, integer_delays=False)
+    bf = beamform(cfg, channels)
+    assert bf.basis.shape[1] <= cfg.K * cfg.L * cfg.M_r
+    sym = _ofdm_symbols(cfg, np.random.default_rng(5), 6)
+    got = synthesize_ofdm_waveform(sym, bf, cfg).samples
+    ref = oracle_ofdm_waveform(sym, bf.v, cfg)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_ofdm_reference_chunk_matches_per_antenna_oracle():
+    cfg = REF
+    block_symbols = cfg.M + cfg.G_cp
+    blocks = _chunk_blocks(cfg, block_symbols)
+    bf = _ofdm_eigen_bf(cfg, generate_channel_set(cfg, 3, integer_delays=False))
+    sym = _ofdm_symbols(cfg, np.random.default_rng(4), blocks + 2)
+    streams = ofdm_streams(sym, bf, cfg)
+    paprs = stream_paprs(streams, cfg, block_symbols, blocks, block_symbols)
+    start = block_symbols * cfg.oversample
+    stop = start + blocks * block_symbols * cfg.oversample
+    # the per-antenna transmitter is separable, so it runs a group at a time
+    for a, got in zip(range(0, cfg.M_t, ANTENNA_GROUP), _antenna_groups(streams, cfg)):
+        ref = oracle_ofdm_waveform(sym, bf.v[:, :, a : a + ANTENNA_GROUP], cfg)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref_paprs = papr_blocks(Waveform(ref[:, start:stop], cfg.oversample), block_symbols)
+        assert np.allclose(paprs[:, a : a + ANTENNA_GROUP], ref_paprs, rtol=1e-12, atol=0.0)
+
+
+def test_ofdm_streams_reject_beamformers_outside_basis():
+    cfg = SimConfig(M_t=13, **SMALL)
+    bf = _ofdm_eigen_bf(cfg, generate_channel_set(cfg, 3, integer_delays=False))
+    assert bf.basis.shape[1] < cfg.M_t
+    # a unit direction orthogonal to the basis
+    off = np.linalg.svd(bf.basis.conj().T)[2][-1].conj()
+    sym = _ofdm_symbols(cfg, np.random.default_rng(6), 2)
+
+    def shifted(rel):
+        v = bf.v.copy()
+        v[0, 0] += rel * np.linalg.norm(bf.v) * off
+        return dataclasses.replace(bf, v=v)
+
+    ofdm_streams(sym, shifted(1e-2 * SPAN_TOL), cfg)
+    with pytest.raises(ValueError, match="basis span"):
+        ofdm_streams(sym, shifted(1e2 * SPAN_TOL), cfg)
+
+
 def _traced_peak(func, *args):
     tracemalloc.start()
     try:
@@ -150,6 +223,10 @@ def _traced_peak(func, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+# OFDM shapes r <= K L M_r = 12 streams instead of M_t = 128 (20.7 MB measured)
+CHUNK_PEAK_MB = {_ofdm_papr_draw: 24}
 
 
 @pytest.mark.parametrize("setup", [_dam_papr_draw, _ofdm_papr_draw, _strongest_papr_draw])
@@ -163,7 +240,7 @@ def test_reference_chunk_memory_peak(setup):
         _chunked_paprs, draw, np.random.default_rng(0), cfg, chunk, block_symbols
     )
     assert paprs.shape == (chunk, cfg.M_t)
-    assert peak < 64 * 2**20
+    assert peak < CHUNK_PEAK_MB.get(setup, 64) * 2**20
     # nothing of one chunk may stay alive while the next is drawn
     _, peak_two = _traced_peak(
         _chunked_paprs, draw, np.random.default_rng(0), cfg, 2 * chunk, block_symbols

@@ -105,7 +105,9 @@ class TestOfdmWaveform:
         m0 = 4  # m0 * G_cp divisible by M keeps the tone phase-continuous at CP joins
         v = np.zeros((1, 64, 1), dtype=complex)
         v[0, m0, 0] = 1.0
-        bf = OfdmBeamformerSet(v=v, u=np.ones((1, 64, 1)), power=np.ones((1, 64)))
+        bf = OfdmBeamformerSet(
+            v=v, u=np.ones((1, 64, 1)), power=np.ones((1, 64)), basis=np.eye(1)
+        )
         sym = np.zeros((1, 6, 64), dtype=complex)
         sym[0, :, m0] = 1.0
         wf = synthesize_ofdm_waveform(sym, bf, cfg)
