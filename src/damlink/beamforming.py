@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSet, UEChannel
 from .delay_design import DelayPlan, InfeasibleError
-from .numerics import RANK_TOL, null_space_basis
+from .numerics import null_space_basis
 from .pulse import build_rho_table
 
 __all__ = [
@@ -274,34 +274,33 @@ def eigen_beamform_bs_side(
 # ---------------------------------------------------------------------------
 
 
-def _total_paths(channels: ChannelSet) -> int:
-    return sum(ue.L for ue in channels.ues)
+def zf_feasible(gains) -> bool:
+    """Whether M_t >= M_r (L_tot - 1) + 1 for the per-UE gain stacks (L_k, M_r, M_t)."""
+    _, M_r, M_t = gains[0].shape
+    return M_t >= M_r * (sum(g.shape[0] for g in gains) - 1) + 1
 
 
-def zf_feasible(channels: ChannelSet) -> bool:
-    return channels.M_t >= channels.M_r * (_total_paths(channels) - 1) + 1
-
-
-def null_space_projection(channels: ChannelSet, k: int, l: int, tol: float = RANK_TOL) -> np.ndarray:
+def null_space_projection(gains, k: int, l: int) -> np.ndarray:
     """Orthonormal basis orthogonal to every path matrix except UE k's path l.
 
-    A transmit vector drawn from this span is invisible to all other paths of
-    all UEs, enforcing the zero-forcing conditions by construction.
+    ``gains`` holds each UE's stacked path gains (L_k, M_r, M_t).  A transmit
+    vector drawn from this span is invisible to all other paths of all UEs,
+    enforcing the zero-forcing conditions by construction.
     """
-    L_tot = _total_paths(channels)
-    if not zf_feasible(channels):
+    _, M_r, M_t = gains[0].shape
+    if not zf_feasible(gains):
         raise InfeasibleError(
             "zero-forcing infeasible: requires M_t >= M_r * (L_tot - 1) + 1, "
-            f"got M_t={channels.M_t}, M_r={channels.M_r}, L_tot={L_tot}"
+            f"got M_t={M_t}, M_r={M_r}, L_tot={sum(g.shape[0] for g in gains)}"
         )
     rows = [
-        path.gain
-        for kp, ue in enumerate(channels.ues)
-        for lp, path in enumerate(ue.paths)
+        g[lp]
+        for kp, g in enumerate(gains)
+        for lp in range(g.shape[0])
         if (kp, lp) != (k, l)
     ]
-    stacked = np.concatenate(rows, axis=0) if rows else np.zeros((0, channels.M_t))
-    return null_space_basis(stacked, tol)
+    stacked = np.concatenate(rows, axis=0) if rows else np.zeros((0, M_t))
+    return null_space_basis(stacked)
 
 
 @dataclass(frozen=True)
@@ -338,13 +337,6 @@ class IsiZfState:
     iterations: int
     converged: bool
     fallbacks: int
-
-    def f_bar(self, channels: ChannelSet) -> list[np.ndarray]:
-        """Stacked transmit vectors [f_kl]_l, one per UE."""
-        return list(self.f)
-
-    def to_beamformer_set(self, channels: ChannelSet, P: float) -> BeamformerSet:
-        return BeamformerSet(f_bar=self.f_bar(channels), w_bar=list(self.w), power=P)
 
 
 def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -418,45 +410,46 @@ def isi_zf_sinrs(grams: PathGrams, w: np.ndarray, y: np.ndarray, sigma2: float) 
 
 
 def isi_zf_alternating(
-    channels: ChannelSet,
+    F: BsSideChannels,
     P: float,
     sigma2: float,
-    T: float,
-    beta: float,
-    window: int,
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> tuple[IsiZfState, np.ndarray, float]:
     """Alternate MMSE receive/transmit updates on the ZF-projected channels.
 
-    Starts from equal power split across each UE's null-space coordinates;
-    stops when the relative sum-rate increase drops below ``tol`` or after
-    ``max_iter`` iterations.  The objective trace is non-decreasing.  The
-    bases enter only the start and the final transmit vectors; the loop runs
-    on the path Grams of all UEs at once.
+    Reads the path gains and each UE's own correlation table from the same
+    BS-side assembly that eigen-beamforming uses.  Starts from equal power
+    split across each UE's null-space coordinates; stops when the relative
+    sum-rate increase drops below ``tol`` or after ``max_iter`` iterations.
+    The objective trace is non-decreasing.  The bases enter only the start
+    and the final transmit vectors; the loop runs on the path Grams of all
+    UEs at once.
     """
-    K, M_r = channels.K, channels.M_r
-    L = max(ue.L for ue in channels.ues)
+    K, window = F.K, F.window
+    M_r = F.gains[0].shape[1]
+    L = max(g.shape[0] for g in F.gains)
     gram = np.zeros((K, L, M_r, M_r), dtype=complex)
     r0 = np.zeros((K, L))
     s = np.zeros((K, L, L))
     y = np.zeros((K, M_r, L), dtype=complex)
     f, projected = [], []  # per UE: start transmit vector and (B_kl, G_kl) pairs
-    for k, ue in enumerate(channels.ues):
-        idx = np.arange(ue.L)
-        r = build_rho_table(ue, ue, bs_side_kappa(ue), window, T, beta).values[idx, idx]
+    for k, gains in enumerate(F.gains):
+        L_k = gains.shape[0]
+        idx = np.arange(L_k)
+        r = F.tables[(k, k)].values[idx, idx]
         off = np.delete(r, window, axis=1)
-        r0[k, : ue.L] = r[:, window]
-        s[k, : ue.L, : ue.L] = off @ off.T
+        r0[k, :L_k] = r[:, window]
+        s[k, :L_k, :L_k] = off @ off.T
         pairs = []
-        for l, path in enumerate(ue.paths):
-            basis = null_space_projection(channels, k, l)
-            g = path.gain @ basis
+        for l in range(L_k):
+            basis = null_space_projection(F.gains, k, l)
+            g = gains[l] @ basis
             gram[k, l] = g @ g.conj().T
             pairs.append((basis, g))
         # equal split: every null-space coordinate of the UE gets amp
         amp = np.sqrt(P / K / sum(basis.shape[1] for basis, _ in pairs))
-        y[k, :, : ue.L] = amp * np.stack([g.sum(axis=1) for _, g in pairs], axis=1)
+        y[k, :, :L_k] = amp * np.stack([g.sum(axis=1) for _, g in pairs], axis=1)
         f.append(amp * np.concatenate([basis.sum(axis=1) for basis, _ in pairs]))
         projected.append(pairs)
     grams = PathGrams(gram=gram, r0=r0, s=s)

@@ -7,6 +7,7 @@ part and a fractional remainder in [-T/2, T/2].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,6 @@ class SimConfig:
     noise_psd_dbm_hz: float = -174.0
     T_ns: float = 5.0                  # sample interval
     beta: float = 0.01                 # roll-off
-    f_c_GHz: float = 28.0
     M: int = 512                       # OFDM subcarriers
     G_c: int = 200_000                 # samples per coherence block
     G_cp: int = 100                    # OFDM cyclic prefix length
@@ -58,16 +58,14 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        counts = {
-            "M_t": self.M_t, "M_r": self.M_r, "K": self.K, "L": self.L,
-            "M": self.M, "G_c": self.G_c, "delay_span_samples": self.delay_span_samples,
-            "rho_window": self.rho_window, "oversample": self.oversample,
+        least_counts = {
+            "M_t": 1, "M_r": 1, "K": 1, "L": 1, "M": 1, "G_c": 1,
+            "delay_span_samples": 1, "rho_window": 1, "oversample": 1, "G_cp": 0, "G_gi": 0,
         }
-        for name, value in counts.items():
-            if int(value) != value or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value}")
-        if self.G_cp < 0 or self.G_gi < 0:
-            raise ConfigError("guard lengths must be non-negative")
+        for name, least in least_counts.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
         if self.T_ns <= 0.0:
@@ -110,7 +108,6 @@ class PathComponent:
 @dataclass(frozen=True)
 class UEChannel:
     paths: tuple[PathComponent, ...]
-    ue_index: int = 0
 
     def __post_init__(self) -> None:
         n_list = [p.n for p in self.paths]
@@ -214,7 +211,7 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
                 * np.outer(steering_vector(cfg.M_r, aoa), steering_vector(cfg.M_t, aod).conj())
             )
             paths.append(PathComponent(gain=gain, tau_s=tau, n=n, tau_f_s=tau_f))
-        ues.append(UEChannel(paths=tuple(paths), ue_index=k))
+        ues.append(UEChannel(paths=tuple(paths)))
     return ChannelSet(ues=tuple(ues))
 
 

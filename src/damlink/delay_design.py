@@ -163,14 +163,7 @@ def enumerate_alignment_sets(plan: DelayPlan, n_list: Sequence[int]) -> Alignmen
     )
 
 
-def _isi_objective(I: int, L: int) -> int:
-    # number of same-UE interference terms when R = L + 1 - I
-    return L * (L + 1 - I) * I - L
-
-
-def choose_compensation_counts(
-    M_t: int, M_r: int, L: int, prefer_bs_side: bool = True
-) -> CountChoice:
+def choose_compensation_counts(M_t: int, M_r: int, L: int) -> CountChoice:
     """Pick stream/branch counts minimizing the same-UE interference count.
 
     The objective L(L+1-I)I - L over the feasible stream-count interval is
@@ -192,7 +185,7 @@ def choose_compensation_counts(
         case, side, I = 2, "ue-side", 1
     elif M_r >= L and M_t >= L:
         # both endpoints tie; transmit-side compensation suits the downlink
-        case, side, I = 3, "single-side", L if prefer_bs_side else 1
+        case, side, I = 3, "single-side", L
     else:
         case, side = 4, "double-side"
         # endpoint comparison; ties go to the transmit-heavy choice

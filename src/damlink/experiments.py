@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +83,6 @@ class ExperimentSpec:
     kind: str
     config: SimConfig = field(default_factory=SimConfig)
     grid: tuple[float, ...] = DEFAULT_POWER_GRID
-    sweep: str = "P_dbm"
     trials: int = 100
     seed: int = 0
     out: str | None = None
@@ -94,8 +94,8 @@ class ExperimentSpec:
             raise ParseError("experiment.grid: must be non-empty")
         if self.trials < 1:
             raise ParseError("experiment.trials: must be >= 1")
-        if self.sweep != "P_dbm":
-            raise ParseError(f"experiment.sweep: unsupported sweep {self.sweep!r}")
+        if self.seed < 0:
+            raise ParseError("experiment.seed: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ class ResultTable:
     samples: dict            # (sweep_value, scheme) -> list of per-trial metrics
     config: SimConfig
     seed: int
-    sweep: str = "P_dbm"
     ccdf: dict | None = None  # papr kind: scheme -> ccdf array over PAPR_THRESHOLDS_DB
     meta: dict = field(default_factory=dict)
 
@@ -129,11 +128,10 @@ def trial_seed(base_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSequ
 # ---------------------------------------------------------------------------
 
 
-def _doubleside_plan_rates(channels: ChannelSet, cfg: SimConfig, I_rule) -> float | None:
-    """Effective rate of double-side eigen-beamforming with per-UE counts from I_rule."""
+def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float | None:
+    """Effective rate of double-side eigen-beamforming with I streams per UE."""
     plans = []
     for ue in channels.ues:
-        I = I_rule(ue.L)
         R = ue.L + 1 - I
         if not (1 <= I <= cfg.M_t and 1 <= R <= cfg.M_r):
             return None
@@ -144,16 +142,14 @@ def _doubleside_plan_rates(channels: ChannelSet, cfg: SimConfig, I_rule) -> floa
 
 
 def _eval_doubleside(channels: ChannelSet, cfg: SimConfig) -> dict:
-    def auto_rule(L):
-        return choose_compensation_counts(cfg.M_t, cfg.M_r, L).I
-
-    out = {}
+    counts = {"dam-eigen-bs": cfg.L, "dam-eigen-ue": 1}
     try:
-        out["dam-eigen-auto"] = _doubleside_plan_rates(channels, cfg, auto_rule)
+        counts["dam-eigen-auto"] = choose_compensation_counts(cfg.M_t, cfg.M_r, cfg.L).I
     except InfeasibleError:
-        out["dam-eigen-auto"] = None
-    out["dam-eigen-bs"] = _doubleside_plan_rates(channels, cfg, lambda L: L)
-    out["dam-eigen-ue"] = _doubleside_plan_rates(channels, cfg, lambda L: 1)
+        counts["dam-eigen-auto"] = None
+    # schemes that pick the same stream count share one plan and one solve
+    rates = {I: _doubleside_rate(channels, cfg, I) for I in set(counts.values()) - {None}}
+    out = {scheme: rates.get(I) for scheme, I in counts.items()}
     sinrs = ofdm_eigen_sinrs(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
     out["ofdm-eigen"] = ofdm_effective_rate(sinrs, cfg)
     return out
@@ -166,10 +162,8 @@ def _eval_bsside(channels: ChannelSet, cfg: SimConfig) -> dict:
     F = assemble_bs_side(channels, tables)
     _, sinrs = eigen_beamform_bs_side(F, P, sigma2)
     out["dam-eigen"] = dam_effective_rate(sinrs, cfg)
-    if zf_feasible(channels):
-        _, zf_sinrs, _ = isi_zf_alternating(
-            channels, P, sigma2, cfg.T, cfg.beta, cfg.rho_window
-        )
+    if zf_feasible(F.gains):
+        _, zf_sinrs, _ = isi_zf_alternating(F, P, sigma2)
         out["dam-isizf"] = dam_effective_rate(zf_sinrs, cfg)
     else:
         out["dam-isizf"] = None
@@ -363,7 +357,28 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 # Config parsing and serialization
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {"kind", "grid", "sweep", "trials", "seed", "out"}
+_EXPERIMENT_KEYS = {"kind", "grid", "trials", "seed", "out"}
+
+
+def _is_number(value) -> bool:
+    """A JSON number other than a boolean, NaN or an infinity."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"{name}: must be an object, got {section!r}")
+    return section
+
+
+def _integer(experiment: dict, key: str, default: int) -> int:
+    value = experiment.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"experiment.{key}: must be an integer, got {value!r}")
+    return value
 
 
 def parse_config(path, kind: str | None = None) -> ExperimentSpec:
@@ -383,32 +398,40 @@ def parse_config(path, kind: str | None = None) -> ExperimentSpec:
     if unknown:
         raise ParseError(f"{sorted(unknown)[0]}: unknown section")
 
-    system = doc.get("system", {})
+    system = _section(doc, "system")
     known_fields = {f.name for f in dataclasses.fields(SimConfig)}
-    for key in system:
+    for key, value in system.items():
         if key not in known_fields:
             raise ParseError(f"system.{key}: unknown key")
+        if not _is_number(value):
+            raise ParseError(f"system.{key}: must be a finite number, got {value!r}")
     try:
         cfg = SimConfig(**system)
     except ConfigError as err:
         raise ParseError(f"system: {err}") from err
 
-    experiment = doc.get("experiment", {})
+    experiment = _section(doc, "experiment")
     for key in experiment:
         if key not in _EXPERIMENT_KEYS:
             raise ParseError(f"experiment.{key}: unknown key")
     resolved_kind = kind or experiment.get("kind")
     if resolved_kind is None:
         raise ParseError("experiment.kind: missing (give a kind or a CLI subcommand)")
-    grid = tuple(float(v) for v in experiment.get("grid", DEFAULT_POWER_GRID))
+    grid = experiment.get("grid", DEFAULT_POWER_GRID)
+    if not isinstance(grid, (list, tuple)) or not grid or not all(map(_is_number, grid)):
+        raise ParseError(
+            f"experiment.grid: must be a non-empty list of finite numbers, got {grid!r}"
+        )
+    out = experiment.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ParseError(f"experiment.out: must be a string, got {out!r}")
     return ExperimentSpec(
         kind=resolved_kind,
         config=cfg,
-        grid=grid,
-        sweep=experiment.get("sweep", "P_dbm"),
-        trials=int(experiment.get("trials", 100)),
-        seed=int(experiment.get("seed", 0)),
-        out=experiment.get("out"),
+        grid=tuple(float(v) for v in grid),
+        trials=_integer(experiment, "trials", 100),
+        seed=_integer(experiment, "seed", 0),
+        out=out,
     )
 
 
@@ -429,7 +452,7 @@ def write_json_sidecar(table: ResultTable, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": table.kind,
         "seed": table.seed,
-        "sweep": table.sweep,
+        "sweep": "P_dbm",  # every SE kind sweeps the power budget
         "version": __version__,
         "config": dataclasses.asdict(table.config),
         "meta": table.meta,

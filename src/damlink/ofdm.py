@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelSet, SimConfig, frequency_response
 from .delay_design import InfeasibleError
-from .numerics import water_fill
+from .numerics import RANK_TOL, water_fill
 
 __all__ = [
     "OfdmBeamformerSet",
@@ -128,14 +128,14 @@ def ofdm_eigen(
 
 # Interferer blocks whose Gram eigenvalues span a wider ratio than this take
 # the SVD.  Gram eigenvalues are accurate only to about eps * lambda_max, too
-# coarse for the rank rule s_i > tol * s_0; above the ratio every s_i is kept.
+# coarse for the rank rule s_i > RANK_TOL * s_0; above the ratio every s_i is kept.
 GRAM_MIN_RATIO = 1e-8
 
 
-def _project_off(h: np.ndarray, others: np.ndarray, tol: float) -> np.ndarray:
+def _project_off(h: np.ndarray, others: np.ndarray) -> np.ndarray:
     """h minus its orthogonal projection on the row space of others, per block.
 
-    The row space keeps the right singular vectors with s_i > tol * s_0.
+    The row space keeps the right singular vectors with s_i > RANK_TOL * s_0.
     Where the eigenvalues of others others^H span at most GRAM_MIN_RATIO every
     one is kept, and the columns of others^H U, normalized, are those vectors.
     """
@@ -148,13 +148,13 @@ def _project_off(h: np.ndarray, others: np.ndarray, tol: float) -> np.ndarray:
     basis /= norm
     if rest.any():
         _, s_all, vh_all = np.linalg.svd(others[rest], full_matrices=False)
-        keep = s_all > tol * s_all[:, :1]
+        keep = s_all > RANK_TOL * s_all[:, :1]
         basis[rest] = np.where(keep[:, :, None], vh_all, 0.0).conj().swapaxes(1, 2)
     return h - (h @ basis) @ basis.conj().swapaxes(1, 2)
 
 
 def ofdm_zf_waterfill(
-    channels: ChannelSet, M: int, P: float, sigma2: float, tol: float = 1e-10
+    channels: ChannelSet, M: int, P: float, sigma2: float
 ) -> tuple[OfdmBeamformerSet, np.ndarray, float]:
     """Null-space projection per UE plus water-filling across all streams.
 
@@ -182,7 +182,7 @@ def ofdm_zf_waterfill(
         eff = h[k]
         if K > 1:
             others = np.concatenate([h[kp] for kp in range(K) if kp != k], axis=1)
-            eff = _project_off(eff, others, tol)
+            eff = _project_off(eff, others)
         u[k], uh = _top_pairs(eff)
         norm = np.linalg.norm(uh, axis=-1)
         gains[k] = norm**2 / sigma2_hat

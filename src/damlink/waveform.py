@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, SimConfig
-from .delay_design import DelayPlan
 from .pulse import rrc_taps
 
 __all__ = [
@@ -80,12 +79,6 @@ def qam4_map(bits) -> np.ndarray:
     b1 = bits[0::2].astype(float)
     b0 = bits[1::2].astype(float)
     return ((1.0 - 2.0 * b1) + 1j * (1.0 - 2.0 * b0)) / np.sqrt(2.0)
-
-
-def _stream_delays(plan_or_delays) -> list[int]:
-    if isinstance(plan_or_delays, DelayPlan):
-        return list(plan_or_delays.kappa)
-    return [int(v) for v in plan_or_delays]
 
 
 def _fast_len(n: int) -> int:
@@ -157,7 +150,7 @@ class StreamSet:
         return self.weights.shape[0]
 
 
-def dam_streams(symbols, beamformers, plans, cfg: SimConfig) -> StreamSet:
+def dam_streams(symbols, beamformers, kappas, cfg: SimConfig) -> StreamSet:
     """The streams of ``synthesize_dam_waveform``: one per (UE, delay)."""
     symbols = np.asarray(symbols, dtype=complex)
     K = symbols.shape[0]
@@ -166,7 +159,7 @@ def dam_streams(symbols, beamformers, plans, cfg: SimConfig) -> StreamSet:
     delays = []
     weights = []
     for k in range(K):
-        kappa = _stream_delays(plans[k])
+        kappa = [int(v) for v in kappas[k]]
         f_bar = beamformers.f_bar[k]
         if f_bar.size != m_t * len(kappa):
             raise ValueError("beamformer length does not match stream count")
@@ -255,14 +248,14 @@ def stream_paprs(streams: StreamSet, cfg: SimConfig, lead_symbols: int, n_blocks
     )
 
 
-def synthesize_dam_waveform(symbols, beamformers, plans, cfg: SimConfig) -> Waveform:
+def synthesize_dam_waveform(symbols, beamformers, kappas, cfg: SimConfig) -> Waveform:
     """Superpose per-path beamformed, pre-delayed streams on every antenna.
 
-    ``symbols`` is (K, n_symbols); ``plans`` supplies one delay per stream of
-    each UE (a DelayPlan or a plain delay sequence); the stacked transmit
-    vectors come from ``beamformers.f_bar``.
+    ``symbols`` is (K, n_symbols); ``kappas`` holds one delay sequence per
+    UE, one delay per stream; the stacked transmit vectors come from
+    ``beamformers.f_bar``.
     """
-    return _synthesize(dam_streams(symbols, beamformers, plans, cfg), cfg)
+    return _synthesize(dam_streams(symbols, beamformers, kappas, cfg), cfg)
 
 
 def synthesize_ofdm_waveform(symbols, beamformers, cfg: SimConfig) -> Waveform:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from damlink.beamforming import assemble_bs_side, bs_side_rho_tables
 from damlink.channel import ChannelSet, PathComponent, UEChannel
 
 
@@ -40,8 +41,14 @@ def make_channel_set(
                     tau_f_s=tau_f,
                 )
             )
-        ues.append(UEChannel(paths=tuple(paths), ue_index=k))
+        ues.append(UEChannel(paths=tuple(paths)))
     return ChannelSet(ues=tuple(ues))
+
+
+def bs_side_channels(channels, T, beta, window):
+    """The BS-side assembly (path gains, rho tables) that ISI-ZF and eigen
+    beamforming read, built as an experiment trial builds it."""
+    return assemble_bs_side(channels, bs_side_rho_tables(channels, window, T, beta))
 
 
 def assert_same_channels(a, b):

@@ -161,8 +161,9 @@ def oracle_isi_zf(channels, P, sigma2, T, beta, window, tol=1e-6, max_iter=200):
     receive filter) and stopping rule as ``isi_zf_alternating``.
     """
     K = channels.K
+    gains = [ue.gains for ue in channels.ues]
     bases = [
-        [null_space_projection(channels, k, l) for l in range(ue.L)]
+        [null_space_projection(gains, k, l) for l in range(ue.L)]
         for k, ue in enumerate(channels.ues)
     ]
     tables = {

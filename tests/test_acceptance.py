@@ -7,7 +7,7 @@ criterion.
 import numpy as np
 import pytest
 
-from conftest import make_channel_set, random_delay_channel_set
+from conftest import bs_side_channels, make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     bs_side_rho_tables,
@@ -106,7 +106,7 @@ def test_criterion_06_zero_forcing_structure():
     T, beta, sigma2, P = 5e-9, 0.25, 1e-3, 2.0
 
     def cross_term_check(cs, state):
-        f_bar = state.f_bar(cs)
+        f_bar = state.f
         m_t = cs.M_t
         desired_scale = max(
             abs(state.w[k].conj() @ ue.paths[l].gain @ f_bar[k][l * m_t : (l + 1) * m_t])
@@ -128,16 +128,15 @@ def test_criterion_06_zero_forcing_structure():
     # fractional-delay instance: cross terms vanish relative to the desired terms
     rng = np.random.default_rng(42)
     cs = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=True)
-    state, _, _ = isi_zf_alternating(cs, P, sigma2, T, beta, window=60)
+    state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, beta, 60), P, sigma2)
     rel = cross_term_check(cs, state)
 
     # integer delays: interference exactly zero, SINR = P_DS / sigma^2
     cs_int = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=False)
-    state_i, sinrs_i, _ = isi_zf_alternating(cs_int, P, sigma2, T, beta, window=60)
+    F = bs_side_channels(cs_int, T, beta, 60)
+    state_i, sinrs_i, _ = isi_zf_alternating(F, P, sigma2)
     cross_term_check(cs_int, state_i)
-    tables = bs_side_rho_tables(cs_int, 60, T, beta)
-    F = assemble_bs_side(cs_int, tables)
-    terms = power_terms(F, state_i.w, state_i.f_bar(cs_int))
+    terms = power_terms(F, state_i.w, state_i.f)
     for k, t in enumerate(terms):
         assert t.interference <= 1e-12 * t.desired
         assert sinrs_i[k] == pytest.approx(t.desired / sigma2, rel=1e-9)
@@ -150,7 +149,7 @@ def test_criterion_07_alternating_optimization_monotone():
     for trial in range(50):
         cs = random_delay_channel_set(rng, 1, 8, K=2, L=2, span=15, fractional=True)
         state, _, _ = isi_zf_alternating(
-            cs, 1.0, sigma2, T, beta, window=40, tol=1e-6, max_iter=200
+            bs_side_channels(cs, T, beta, 40), 1.0, sigma2, tol=1e-6, max_iter=200
         )
         trace = np.asarray(state.trace)
         assert np.all(np.diff(trace) >= -1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))

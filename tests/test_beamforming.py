@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_channel_set, random_delay_channel_set
+from conftest import bs_side_channels, make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     assemble_effective_channels,
@@ -173,7 +173,6 @@ class TestEigenBeamformDoubleside:
                         PathComponent(gain=c * p.gain, tau_s=p.tau_s, n=p.n, tau_f_s=p.tau_f_s)
                         for p in ue.paths
                     ),
-                    ue_index=ue.ue_index,
                 )
                 for ue in cs.ues
             )
@@ -238,7 +237,6 @@ class TestBsSideAssembly:
                         )
                         for p in ue.paths
                     ),
-                    ue_index=ue.ue_index,
                 )
                 for ue in cs_plus.ues
             )
@@ -367,7 +365,7 @@ class TestNullSpaceProjection:
     def test_generic_dimension(self):
         rng = np.random.default_rng(16)
         cs = random_delay_channel_set(rng, 1, 8, K=2, L=2, fractional=False)
-        basis = null_space_projection(cs, 0, 0)
+        basis = null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 0, 0)
         assert basis.shape == (8, 5)
 
     def test_boundary_dimension(self):
@@ -375,13 +373,13 @@ class TestNullSpaceProjection:
         # M_t = M_r * (L_tot - 1) + 1 exactly; full-rank paths make the
         # stacked interference matrix generically full row rank
         cs = random_delay_channel_set(rng, 2, 11, K=2, L=3, fractional=False, full_rank=True)
-        basis = null_space_projection(cs, 1, 2)
+        basis = null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 1, 2)
         assert basis.shape == (11, 1)
 
     def test_kernel_membership(self):
         rng = np.random.default_rng(18)
         cs = random_delay_channel_set(rng, 2, 16, K=2, L=3, fractional=False)
-        basis = null_space_projection(cs, 0, 1)
+        basis = null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 0, 1)
         for kp, ue in enumerate(cs.ues):
             for lp, path in enumerate(ue.paths):
                 if (kp, lp) != (0, 1):
@@ -391,7 +389,7 @@ class TestNullSpaceProjection:
         rng = np.random.default_rng(19)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False)
         with pytest.raises(InfeasibleError, match=r"M_t >= M_r \* \(L_tot - 1\) \+ 1"):
-            null_space_projection(cs, 0, 0)
+            null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 0, 0)
 
 
 def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
@@ -401,11 +399,12 @@ def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
 
 def _center_channels(cs, window=40):
     """Per-UE zero-lag projected channels [H_kl basis_kl rho_ll[0]]_l, (M_r, D)."""
+    gains = bs_side_channels(cs, T, BETA, window).gains
     out = []
     for k, ue in enumerate(cs.ues):
         tab = build_rho_table(ue, ue, bs_side_kappa(ue), window, T, BETA).values
         out.append(np.concatenate(
-            [path.gain @ null_space_projection(cs, k, l) * tab[l, l, window]
+            [path.gain @ null_space_projection(gains, k, l) * tab[l, l, window]
              for l, path in enumerate(ue.paths)],
             axis=1,
         ))
@@ -413,14 +412,16 @@ def _center_channels(cs, window=40):
 
 
 def _grams(cs, window=40):
-    state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=window, tol=np.inf)
+    F = bs_side_channels(cs, T, BETA, window)
+    state, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=np.inf)
     return state.grams
 
 
 def _projected(cs):
     """Per UE, the per-path projected channels G_kl = H_kl B_kl."""
+    gains = bs_side_channels(cs, T, BETA, 40).gains
     return [
-        [path.gain @ null_space_projection(cs, k, l) for l, path in enumerate(ue.paths)]
+        [path.gain @ null_space_projection(gains, k, l) for l, path in enumerate(ue.paths)]
         for k, ue in enumerate(cs.ues)
     ]
 
@@ -500,8 +501,8 @@ class TestIsiZfAlternating:
     def test_integer_delays_single_ue_interference_free(self):
         rng = np.random.default_rng(22)
         cs = random_delay_channel_set(rng, 2, 8, K=1, L=3, fractional=False)
-        state, sinrs, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
-        ue, w, f = cs.ues[0], state.w[0], state.f_bar(cs)[0]
+        state, sinrs, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+        ue, w, f = cs.ues[0], state.w[0], state.f[0]
         m_t = cs.M_t
         tab = build_rho_table(ue, ue, bs_side_kappa(ue), 40, T, BETA).values
         coup = sum(
@@ -518,7 +519,7 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(23)
         for _ in range(5):
             cs = _zf_setup(rng, fractional=True)
-            state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+            state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
             diffs = np.diff(state.trace)
             assert np.all(diffs >= -1e-9 * np.maximum(np.abs(state.trace[:-1]), 1.0))
 
@@ -526,35 +527,36 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(24)
         cs = _zf_setup(rng, fractional=True)
         state, sinrs, _ = isi_zf_alternating(
-            cs, 1.0, SIGMA2, T, BETA, window=40, tol=np.inf
+            bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2, tol=np.inf
         )
         assert state.iterations == 0
         assert len(state.trace) == 1
         assert state.converged
-        bf = state.to_beamformer_set(cs, 1.0)
-        assert bf.total_transmit_power() == pytest.approx(1.0, rel=1e-9)
+        assert sum(np.linalg.norm(f) ** 2 for f in state.f) == pytest.approx(1.0, rel=1e-9)
         assert np.all(sinrs >= 0.0)
 
     def test_max_iter_cutoff_reports_unconverged(self):
         rng = np.random.default_rng(23)
         cs = _zf_setup(rng, fractional=True)
-        full, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        F = bs_side_channels(cs, T, BETA, 40)
+        full, _, _ = isi_zf_alternating(F, 1.0, SIGMA2)
         assert full.iterations > 1
-        state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40, max_iter=1)
+        state, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, max_iter=1)
         assert state.iterations == 1
         assert not state.converged
 
     def test_pinv_fallbacks_are_counted(self, monkeypatch):
         rng = np.random.default_rng(27)
         cs = _zf_setup(rng, fractional=True)
-        ref, ref_sinrs, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        F = bs_side_channels(cs, T, BETA, 40)
+        ref, ref_sinrs, _ = isi_zf_alternating(F, 1.0, SIGMA2)
         assert ref.fallbacks == 0
 
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        state, sinrs, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        state, sinrs, _ = isi_zf_alternating(F, 1.0, SIGMA2)
         assert state.iterations == ref.iterations > 0
         # every receive and every transmit solve of every UE took pinv
         assert state.fallbacks == 2 * cs.K * state.iterations
@@ -563,7 +565,7 @@ class TestIsiZfAlternating:
     def test_converged_integer_delay_solve(self):
         rng = np.random.default_rng(22)
         cs = _zf_setup(rng, fractional=False)
-        state, _, _ = isi_zf_alternating(cs, 1.0, SIGMA2, T, BETA, window=40)
+        state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
         assert state.iterations < 200
         assert state.converged
 
@@ -571,8 +573,8 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(25)
         cs = _zf_setup(rng, fractional=True, m_t=16)
         P = 2.0
-        state, _, _ = isi_zf_alternating(cs, P, SIGMA2, T, BETA, window=40)
-        f_bar = state.f_bar(cs)
+        state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
+        f_bar = state.f
         m_t = cs.M_t
         scale = np.sqrt(P) * max(np.linalg.norm(p.gain) for ue in cs.ues for p in ue.paths)
         for k, ue in enumerate(cs.ues):
@@ -589,6 +591,5 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(26)
         cs = _zf_setup(rng, fractional=True)
         P = 3.0
-        state, _, _ = isi_zf_alternating(cs, P, SIGMA2, T, BETA, window=40)
-        bf = state.to_beamformer_set(cs, P)
-        assert bf.total_transmit_power() <= P * (1 + 1e-9)
+        state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
+        assert sum(np.linalg.norm(f) ** 2 for f in state.f) <= P * (1 + 1e-9)

@@ -1,5 +1,9 @@
 """Tests for channel generation and derived representations."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,3 +155,21 @@ class TestConfigValidation:
     def test_cp_covers_delay_span(self):
         with pytest.raises(ConfigError):
             SimConfig(G_cp=10, delay_span_samples=100)
+
+    @pytest.mark.parametrize(
+        "name,value", [("K", 2.0), ("M_t", True), ("G_cp", 100.5), ("G_gi", -1), ("L", 0)]
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            SimConfig(**{name: value})
+
+
+def test_every_config_field_is_read_by_the_library():
+    # a field no library code reads as .<field> is a setting without effect
+    package = Path(__file__).resolve().parent.parent / "src" / "damlink"
+    source = "\n".join(path.read_text() for path in sorted(package.glob("*.py")))
+    unread = [
+        f.name for f in dataclasses.fields(SimConfig)
+        if not re.search(rf"\.{re.escape(f.name)}\b", source)
+    ]
+    assert unread == []

@@ -153,15 +153,14 @@ class TestChooseCompensationCounts:
         assert (choice.I, choice.R, choice.case) == (1, 5, 2)
         assert choice.side == "ue-side"
 
+    def test_single_side_case(self):
+        choice = choose_compensation_counts(8, 8, 4)
+        assert (choice.I, choice.R, choice.case) == (4, 1, 3)
+        assert choice.side == "single-side"
+
     def test_double_side_singleton_interval(self):
         choice = choose_compensation_counts(4, 2, 5)
         assert (choice.I, choice.R, choice.case) == (4, 2, 4)
-
-    def test_single_side_preference_flag(self):
-        forward = choose_compensation_counts(8, 8, 4)
-        assert (forward.I, forward.case, forward.side) == (4, 3, "single-side")
-        reverse = choose_compensation_counts(8, 8, 4, prefer_bs_side=False)
-        assert reverse.I == 1
 
     def test_matches_brute_force_everywhere(self):
         def f(I, L):

@@ -121,8 +121,42 @@ class TestParseConfig:
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"system": {"M_x": 4}}))
-        with pytest.raises(ParseError, match="system.M_x"):
+        docs = {
+            "system.M_x": {"system": {"M_x": 4}},
+            "system.f_c_GHz": {"system": {"f_c_GHz": 28.0}},
+            "experiment.sweep": {"experiment": {"sweep": "P_dbm"}},
+        }
+        for key_path, doc in docs.items():
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ParseError, match=f"^{key_path}: unknown key"):
+                parse_config(path, kind="se_vs_power_bsside")
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("experiment", "trials", "many"),
+            ("experiment", "trials", 2.7),
+            ("experiment", "trials", True),
+            ("experiment", "seed", "7"),
+            ("experiment", "seed", -1),
+            ("experiment", "grid", 20),
+            ("experiment", "grid", []),
+            ("experiment", "grid", [10, "20"]),
+            ("experiment", "out", 5),
+            ("system", "M_t", "many"),
+            ("system", "beta", None),
+        ],
+    )
+    def test_mistyped_value_rejected_with_path(self, tmp_path, section, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ParseError, match=f"^{section}.{key}: "):
+            parse_config(path, kind="se_vs_power_bsside")
+
+    def test_section_must_be_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": [1]}))
+        with pytest.raises(ParseError, match="^experiment: must be an object"):
             parse_config(path, kind="se_vs_power_bsside")
 
     def test_antenna_override_propagates_to_case_selection(self, tmp_path):
@@ -202,6 +236,12 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"system": {"beta": 2.0}}))
         assert main(["se_vs_power_bsside", "--config", str(cfg_path)]) == 1
+
+    def test_mistyped_config_value_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": {"trials": "many"}}))
+        assert main(["se_vs_power_bsside", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: experiment.trials: ")
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):

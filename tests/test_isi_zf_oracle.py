@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_delay_channel_set
+from conftest import bs_side_channels, random_delay_channel_set
 from damlink.beamforming import isi_zf_alternating
 from oracles import oracle_isi_zf
 
@@ -31,10 +31,11 @@ WINDOW = 40
 def test_matches_lag_stacked_oracle(seed, m_r, m_t, K, L, span, fractional, P, max_iter):
     rng = np.random.default_rng(seed)
     cs = random_delay_channel_set(rng, m_r, m_t, K=K, L=L, span=span, fractional=fractional)
-    state, _, _ = isi_zf_alternating(cs, P, SIGMA2, T, BETA, WINDOW, max_iter=max_iter)
+    F = bs_side_channels(cs, T, BETA, WINDOW)
+    state, _, _ = isi_zf_alternating(F, P, SIGMA2, max_iter=max_iter)
     iterations, trace, f_bar = oracle_isi_zf(cs, P, SIGMA2, T, BETA, WINDOW, max_iter=max_iter)
 
     assert state.iterations == iterations
     assert np.allclose(state.trace, trace, rtol=1e-9, atol=0.0)
-    for f, f_ref in zip(state.f_bar(cs), f_bar):
+    for f, f_ref in zip(state.f, f_bar):
         assert np.linalg.norm(f - f_ref) <= 1e-8 * np.linalg.norm(f_ref)

@@ -82,7 +82,7 @@ def _weak_direction_channel_set(rng, ratio):
     left, _ = np.linalg.qr(rng.standard_normal((m_r, m_r)) + 1j * rng.standard_normal((m_r, m_r)))
     right, _ = np.linalg.qr(rng.standard_normal((m_t, m_r)) + 1j * rng.standard_normal((m_t, m_r)))
     gain = left @ np.diag([1.0, ratio]) @ right.conj().T
-    ue1 = UEChannel(paths=(PathComponent(gain=gain, tau_s=5 * 5e-9, n=5, tau_f_s=0.0),), ue_index=1)
+    ue1 = UEChannel(paths=(PathComponent(gain=gain, tau_s=5 * 5e-9, n=5, tau_f_s=0.0),))
     return ChannelSet(ues=(ue0, ue1))
 
 

@@ -117,7 +117,6 @@ class TestBuildRhoTable:
                 PathComponent(gain=p.gain, tau_s=p.n * cfg.T - p.tau_f_s, n=p.n, tau_f_s=-p.tau_f_s)
                 for p in ue.paths
             ),
-            ue_index=ue.ue_index,
         )
         kappa = _bs_side_kappa(ue)
         t_plus = build_rho_table(ue, ue, kappa, 40, cfg.T, cfg.beta)

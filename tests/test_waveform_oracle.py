@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_channel_set
+from conftest import bs_side_channels, make_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     bs_side_rho_tables,
@@ -81,9 +81,10 @@ def test_isi_zf_sinrs_match_convolution_oracle(m_t, m_r, delays):
     cs = _grid_fraction_channels(rng, m_r, m_t, delays)
     window = 48
     sigma2 = 1e-3
-    state, sinrs, _ = isi_zf_alternating(cs, 1.0, sigma2, T, BETA, window)
+    F = bs_side_channels(cs, T, BETA, window)
+    state, sinrs, _ = isi_zf_alternating(F, 1.0, sigma2)
     assert state.iterations > 0
-    oracle = oracle_power_terms(cs, state.f_bar(cs), state.w, window, T, BETA, os=OS)
+    oracle = oracle_power_terms(cs, state.f, state.w, window, T, BETA, os=OS)
     for k in range(cs.K):
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
         # zero forcing: no path carries another path's or another UE's stream
