@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .channel import ChannelSet, PathComponent, SimConfig, UEChannel, generate_channel_set
+from .channel import ChannelSet, SimConfig, generate_channel_set
 from .delay_design import (
     DelayPlan,
     choose_compensation_counts,
@@ -15,9 +15,7 @@ __all__ = [
     "__version__",
     "ChannelSet",
     "DelayPlan",
-    "PathComponent",
     "SimConfig",
-    "UEChannel",
     "choose_compensation_counts",
     "enumerate_alignment_sets",
     "generate_channel_set",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, UEChannel
+from .channel import ChannelSet
 from .delay_design import DelayPlan, InfeasibleError
 from .numerics import null_space_basis
 from .pulse import build_rho_table
@@ -50,37 +50,34 @@ __all__ = [
 
 @dataclass
 class BeamformerSet:
-    """Stacked per-UE transmit and receive vectors under a shared power budget."""
+    """Stacked transmit and receive vectors of every UE under a shared power budget.
 
-    f_bar: list[np.ndarray]
-    w_bar: list[np.ndarray]
+    Row k of ``f_bar`` is UE k's stacked per-stream transmit vector [f_ki]_i,
+    and row k of ``w_bar`` its stacked per-branch receive vector.
+    """
+
+    f_bar: np.ndarray  # (K, I M_t)
+    w_bar: np.ndarray  # (K, R M_r)
     power: float
-
-    def total_transmit_power(self) -> float:
-        return float(sum(np.linalg.norm(f) ** 2 for f in self.f_bar))
 
 
 @dataclass(frozen=True)
 class EffectiveChannelTensor:
-    """Per-UE path gains and, per (receiving, transmitting) UE pair, the lag
-    q[r, i, l] at which branch r hears stream i through path l."""
+    """Path gains and the lag q[k, k', r, i, l] at which branch r of UE k
+    hears stream i of UE k' through its path l."""
 
-    gains: tuple[np.ndarray, ...]  # per UE (L_k, M_r, M_t)
-    lags: dict                     # (k, kprime) -> int array (R_k, I_kprime, L_k)
-    plans: tuple[DelayPlan, ...]
+    gains: np.ndarray  # (K, L, M_r, M_t)
+    lags: np.ndarray   # (K, K, R, I, L) integer
 
-    @property
-    def K(self) -> int:
-        return len(self.plans)
-
-    def aligned_block(self, k: int) -> np.ndarray:
-        """(M_r R_k, M_t I_k) block with H_kl at (r, i) wherever q[r, i, l] = 0."""
-        gains, plan = self.gains[k], self.plans[k]
-        _, m_r, m_t = gains.shape
-        blk = np.zeros((plan.R, m_r, plan.I, m_t), dtype=complex)
-        r, i, l = np.nonzero(self.lags[(k, k)] == 0)
-        blk[r, :, i, :] = gains[l]
-        return blk.reshape(plan.R * m_r, plan.I * m_t)
+    def aligned_blocks(self) -> np.ndarray:
+        """(K, M_r R, M_t I) blocks with H_kl at (r, i) wherever q[k, k, r, i, l] = 0."""
+        K, _, m_r, m_t = self.gains.shape
+        _, _, R, I, _ = self.lags.shape
+        blk = np.zeros((K, R, m_r, I, m_t), dtype=complex)
+        own = self.lags[np.arange(K), np.arange(K)]
+        k, r, i, l = np.nonzero(own == 0)
+        blk[k, r, :, i, :] = self.gains[k, l]
+        return blk.reshape(K, R * m_r, I * m_t)
 
 
 def assemble_effective_channels(
@@ -90,34 +87,31 @@ def assemble_effective_channels(
 
     For receiving UE k and transmitting UE k', path l heard on branch r from
     stream i arrives with lag q = n_kl + kappa_{k'i} + mu_{kr} - n_{k,max}
-    relative to UE k's alignment target.
+    relative to UE k's alignment target.  Every plan has the same I and R.
     """
     if len(plans) != channels.K:
         raise ValueError("one delay plan per UE")
-    lags = {}
-    for k, ue in enumerate(channels.ues):
-        plan_k = plans[k]
-        if plan_k.n_max != ue.n_max:
-            raise ValueError(f"plan for UE {k} does not target its latest path")
-        for kp, plan_kp in enumerate(plans):
-            mu_kappa = np.add.outer(plan_k.mu, plan_kp.kappa)
-            lags[(k, kp)] = np.add.outer(mu_kappa, ue.n_list) - plan_k.n_max
-    return EffectiveChannelTensor(
-        gains=tuple(ue.gains for ue in channels.ues), lags=lags, plans=tuple(plans)
+    if len({(plan.I, plan.R) for plan in plans}) != 1:
+        raise ValueError("every UE's plan must have the same I and R")
+    if any(plan.n_max != n_max for plan, n_max in zip(plans, channels.n_max)):
+        raise ValueError("every plan must target its UE's latest path")
+    mu = np.array([plan.mu for plan in plans])        # (K, R)
+    kappa = np.array([plan.kappa for plan in plans])  # (K, I)
+    lags = (
+        mu[:, None, :, None, None]
+        + kappa[None, :, None, :, None]
+        + (channels.n - channels.n_max[:, None])[:, None, None, None, :]
     )
+    return EffectiveChannelTensor(gains=channels.gains, lags=lags)
 
 
-def _eigen_beamformers(blocks, P: float, sigma2: float) -> tuple[list, list]:
+def _eigen_beamformers(blocks: np.ndarray, P: float, sigma2: float):
     """Top singular pair of each UE's aligned block; transmit vectors get P/K each."""
     if P <= 0.0 or sigma2 <= 0.0:
         raise ValueError("P and sigma2 must be positive")
-    w_list, v_list = [], []
-    for a in blocks:
-        u, _, vh = np.linalg.svd(a, full_matrices=False)
-        w_list.append(u[:, 0])
-        v_list.append(vh[0].conj())
-    frob = math.sqrt(sum(float(np.linalg.norm(v) ** 2) for v in v_list))
-    return w_list, [np.sqrt(P) * v / frob for v in v_list]
+    u, _, vh = np.linalg.svd(blocks, full_matrices=False)
+    v = vh[:, 0].conj()
+    return u[:, :, 0], np.sqrt(P) * v / np.linalg.norm(v)
 
 
 def eigen_beamform_doubleside(
@@ -129,26 +123,26 @@ def eigen_beamform_doubleside(
     misaligned same-UE lags and every lag of the other UEs.  The coupling at
     lag q is the sum of the scalars w_r^H H_l f_i over the triples at lag q.
     """
-    K = tensor.K
-    w_list, f_list = _eigen_beamformers([tensor.aligned_block(k) for k in range(K)], P, sigma2)
+    gains, lags = tensor.gains, tensor.lags
+    K, _, m_r, m_t = gains.shape
+    _, _, R, I, _ = lags.shape
+    w, f = _eigen_beamformers(tensor.aligned_blocks(), P, sigma2)
 
-    sinrs = np.empty(K)
-    for k in range(K):
-        gains = tensor.gains[k]
-        wh = np.einsum("rm,lmt->rlt", w_list[k].reshape(-1, gains.shape[1]).conj(), gains)
-        signal, interference = 0.0, 0.0
-        for kp in range(K):
-            z = np.einsum("rlt,it->ril", wh, f_list[kp].reshape(-1, gains.shape[2]))
-            q, bins = np.unique(tensor.lags[(k, kp)], return_inverse=True)
-            per_lag = np.zeros(q.size, dtype=complex)
-            np.add.at(per_lag, bins.ravel(), z.ravel())
-            power = np.abs(per_lag) ** 2
-            if kp == k:
-                signal = float(np.sum(power[q == 0]))
-                power = power[q != 0]
-            interference += float(np.sum(power))
-        sinrs[k] = signal / (interference + sigma2 * float(np.linalg.norm(w_list[k]) ** 2))
-    return BeamformerSet(f_bar=f_list, w_bar=w_list, power=P), sinrs
+    wh = np.einsum("krm,klmt->krlt", w.reshape(K, R, m_r).conj(), gains)
+    z = np.einsum("krlt,jit->kjril", wh, f.reshape(K, I, m_t))  # (K, K, R, I, L)
+    # one bin per (k, k', lag); lag 0 is bin -q_min of each pair
+    q_min = min(int(lags.min()), 0)
+    width = max(int(lags.max()), 0) - q_min + 1
+    bins = np.arange(K * K).reshape(K, K, 1, 1, 1) * width + lags - q_min
+    per_lag = np.zeros(K * K * width, dtype=complex)
+    np.add.at(per_lag, bins.ravel(), z.ravel())
+    power = np.abs(per_lag.reshape(K, K, width)) ** 2
+    own = np.arange(K)
+    signal = power[own, own, -q_min].copy()
+    power[own, own, -q_min] = 0.0
+    noise = sigma2 * np.sum((w * w.conj()).real, axis=1)
+    sinrs = signal / (np.sum(power, axis=(1, 2)) + noise)
+    return BeamformerSet(f_bar=f, w_bar=w, power=P), sinrs
 
 
 # ---------------------------------------------------------------------------
@@ -156,117 +150,93 @@ def eigen_beamform_doubleside(
 # ---------------------------------------------------------------------------
 
 
-def bs_side_kappa(ue: UEChannel) -> list[int]:
-    """Transmit-side delays aligning each path to the UE's latest path."""
-    return [ue.n_max - n for n in ue.n_list]
+def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
+    """(K, L) transmit-side delays aligning each path to its UE's latest path."""
+    return channels.n_max[:, None] - channels.n
 
 
-def bs_side_rho_tables(
-    channels: ChannelSet, window: int, T: float, beta: float
-) -> dict:
-    """Correlation tables for every (receiving, transmitting) UE pair."""
-    tables = {}
-    for k, ue in enumerate(channels.ues):
-        for kp, ue_p in enumerate(channels.ues):
-            tables[(k, kp)] = build_rho_table(ue, ue_p, bs_side_kappa(ue_p), window, T, beta)
-    return tables
+def bs_side_rho_tables(channels: ChannelSet, window: int, T: float, beta: float) -> np.ndarray:
+    """(K, K, L, L, 2W+1) correlation tables under BS-side pre-delays."""
+    return build_rho_table(channels, bs_side_kappa(channels), window, T, beta)
 
 
 @dataclass(frozen=True)
 class BsSideChannels:
-    """Per-UE path gains, the correlation tables and each UE's aligned block.
+    """Path gains, the correlation tables and each UE's aligned block.
 
-    UE k hears stream i of UE kp through its path l at lag n with the scalar
-    weight ``tables[(k, kp)].values[l, i, n]``; ``aligned[k]`` is
+    UE k hears stream i of UE k' through its path l at lag n - W with the
+    scalar weight ``tables[k, k', l, i, n]``; ``aligned[k]`` is
     [rho_ll[0] H_kl]_l, the zero-lag block of UE k's own streams.
     """
 
-    window: int
-    gains: tuple[np.ndarray, ...]    # per UE (L_k, M_r, M_t)
-    tables: dict                     # (k, kp) -> RhoTable
-    aligned: tuple[np.ndarray, ...]  # per UE (M_r, M_t * L_k)
+    gains: np.ndarray    # (K, L, M_r, M_t)
+    tables: np.ndarray   # (K, K, L, L, 2W+1)
+    aligned: np.ndarray  # (K, M_r, L M_t)
 
     @property
-    def K(self) -> int:
-        return len(self.gains)
+    def window(self) -> int:
+        return (self.tables.shape[-1] - 1) // 2
 
 
-def assemble_bs_side(channels: ChannelSet, tables: dict) -> BsSideChannels:
+def _own_diagonals(tables: np.ndarray) -> np.ndarray:
+    """(K, L, 2W+1) couplings rho_ll of every UE's streams through their own paths."""
+    K, _, L = tables.shape[:3]
+    return tables[np.arange(K), np.arange(K)][:, np.arange(L), np.arange(L)]
+
+
+def assemble_bs_side(channels: ChannelSet, tables: np.ndarray) -> BsSideChannels:
     """Collect the gains and tables, and build each UE's zero-lag aligned block."""
-    windows = {t.window for t in tables.values()}
-    if len(windows) != 1:
-        raise ValueError("all correlation tables must share one window")
-    window = windows.pop()
-    aligned = []
-    for k, ue in enumerate(channels.ues):
-        tab = tables[(k, k)].values
-        aligned.append(np.concatenate(
-            [tab[l, l, window] * path.gain for l, path in enumerate(ue.paths)], axis=1
-        ))
-    return BsSideChannels(
-        window=window, gains=tuple(ue.gains for ue in channels.ues),
-        tables=tables, aligned=tuple(aligned),
-    )
+    K, L, m_r, m_t = channels.gains.shape
+    r0 = _own_diagonals(tables)[..., (tables.shape[-1] - 1) // 2]  # (K, L)
+    aligned = (r0[:, :, None, None] * channels.gains).swapaxes(1, 2).reshape(K, m_r, L * m_t)
+    return BsSideChannels(gains=channels.gains, tables=tables, aligned=aligned)
 
 
 @dataclass(frozen=True)
 class PowerTerms:
-    desired: float
-    isi_aligned: float   # own streams through their own paths, off-sample lags
-    isi_cross: float     # own streams through the UE's other paths
-    iui: float
+    """Each UE's received power split, as (K,) arrays."""
+
+    desired: np.ndarray
+    isi_aligned: np.ndarray  # own streams through their own paths, off-sample lags
+    isi_cross: np.ndarray    # own streams through the UE's other paths
+    iui: np.ndarray
 
     @property
-    def interference(self) -> float:
+    def interference(self) -> np.ndarray:
         return self.isi_aligned + self.isi_cross + self.iui
 
 
-def power_terms(F: BsSideChannels, w_list, f_list) -> list[PowerTerms]:
+def power_terms(F: BsSideChannels, w: np.ndarray, f: np.ndarray) -> PowerTerms:
     """Decompose each UE's received power into desired/ISI/IUI components.
 
-    With z[l, i] = w_k^H H_kl f_kp,i the coupling at lag n is
+    With z[k, k', l, i] = w_k^H H_kl f_k'i the coupling at lag n is
     sum_{l,i} rho_li[n] z[l, i]: the diagonal (l = i) of UE k's own table
     carries the desired and aligned-ISI power, its off-diagonal the
     cross-path ISI, and the cross-UE tables the IUI.
     """
-    out = []
-    for k in range(F.K):
-        gains = F.gains[k]
-        wh = w_list[k].conj() @ gains  # (L_k, M_t)
-        own = F.tables[(k, k)].values
-        z = wh @ f_list[k].reshape(-1, gains.shape[2]).T  # (L_k, L_k)
-        a = np.einsum("lln,ll->n", own, z)
-        desired = abs(a[F.window]) ** 2
-        isi_aligned = float(np.sum(np.abs(a) ** 2) - desired)
-        np.fill_diagonal(z, 0.0)  # cross-path couplings only
-        isi_cross = float(np.sum(np.abs(np.einsum("lin,li->n", own, z)) ** 2))
-        iui = 0.0
-        for kp in range(F.K):
-            if kp != k:
-                z = wh @ f_list[kp].reshape(-1, gains.shape[2]).T
-                c = np.einsum("lin,li->n", F.tables[(k, kp)].values, z)
-                iui += float(np.sum(np.abs(c) ** 2))
-        out.append(
-            PowerTerms(desired=float(desired), isi_aligned=isi_aligned,
-                       isi_cross=isi_cross, iui=iui)
-        )
-    return out
+    K, L, _, m_t = F.gains.shape
+    wh = np.einsum("km,klmt->klt", w.conj(), F.gains)
+    z = np.einsum("klt,jit->kjli", wh, f.reshape(K, L, m_t))  # (K, K, L, L)
+    own = np.arange(K)
+    z_own = z[own, own]  # (K, L, L) own streams
+    a = np.einsum("kln,kl->kn", _own_diagonals(F.tables), np.diagonal(z_own, axis1=1, axis2=2))
+    desired = np.abs(a[:, F.window]) ** 2
+    isi_aligned = np.sum(np.abs(a) ** 2, axis=1) - desired
+    cross = z_own * ~np.eye(L, dtype=bool)  # cross-path couplings only
+    isi_cross = np.sum(np.abs(np.einsum("klin,kli->kn", F.tables[own, own], cross)) ** 2, axis=1)
+    z[own, own] = 0.0  # other UEs' streams only
+    iui = np.sum(np.abs(np.einsum("kjlin,kjli->kjn", F.tables, z)) ** 2, axis=(1, 2))
+    return PowerTerms(desired=desired, isi_aligned=isi_aligned, isi_cross=isi_cross, iui=iui)
 
 
 def eigen_beamform_bs_side(
     F: BsSideChannels, P: float, sigma2: float
 ) -> tuple[BeamformerSet, np.ndarray]:
     """Eigen-beamforming on the zero-lag aligned block of each UE."""
-    w_list, f_list = _eigen_beamformers(F.aligned, P, sigma2)
-
-    terms = power_terms(F, w_list, f_list)
-    sinrs = np.array(
-        [
-            t.desired / (t.interference + sigma2 * float(np.linalg.norm(w_list[k]) ** 2))
-            for k, t in enumerate(terms)
-        ]
-    )
-    return BeamformerSet(f_bar=f_list, w_bar=w_list, power=P), sinrs
+    w, f = _eigen_beamformers(F.aligned, P, sigma2)
+    terms = power_terms(F, w, f)
+    sinrs = terms.desired / (terms.interference + sigma2 * np.sum((w * w.conj()).real, axis=1))
+    return BeamformerSet(f_bar=f, w_bar=w, power=P), sinrs
 
 
 # ---------------------------------------------------------------------------
@@ -274,38 +244,32 @@ def eigen_beamform_bs_side(
 # ---------------------------------------------------------------------------
 
 
-def zf_feasible(gains) -> bool:
-    """Whether M_t >= M_r (L_tot - 1) + 1 for the per-UE gain stacks (L_k, M_r, M_t)."""
-    _, M_r, M_t = gains[0].shape
-    return M_t >= M_r * (sum(g.shape[0] for g in gains) - 1) + 1
+def zf_feasible(gains: np.ndarray) -> bool:
+    """Whether M_t >= M_r (K L - 1) + 1 for the path gains (K, L, M_r, M_t)."""
+    K, L, M_r, M_t = gains.shape
+    return M_t >= M_r * (K * L - 1) + 1
 
 
-def null_space_projection(gains, k: int, l: int) -> np.ndarray:
+def null_space_projection(gains: np.ndarray, k: int, l: int) -> np.ndarray:
     """Orthonormal basis orthogonal to every path matrix except UE k's path l.
 
-    ``gains`` holds each UE's stacked path gains (L_k, M_r, M_t).  A transmit
+    ``gains`` holds every UE's path gains (K, L, M_r, M_t).  A transmit
     vector drawn from this span is invisible to all other paths of all UEs,
     enforcing the zero-forcing conditions by construction.
     """
-    _, M_r, M_t = gains[0].shape
+    K, L, M_r, M_t = gains.shape
     if not zf_feasible(gains):
         raise InfeasibleError(
             "zero-forcing infeasible: requires M_t >= M_r * (L_tot - 1) + 1, "
-            f"got M_t={M_t}, M_r={M_r}, L_tot={sum(g.shape[0] for g in gains)}"
+            f"got M_t={M_t}, M_r={M_r}, L_tot={K * L}"
         )
-    rows = [
-        g[lp]
-        for kp, g in enumerate(gains)
-        for lp in range(g.shape[0])
-        if (kp, lp) != (k, l)
-    ]
-    stacked = np.concatenate(rows, axis=0) if rows else np.zeros((0, M_t))
-    return null_space_basis(stacked)
+    others = np.delete(gains.reshape(K * L, M_r, M_t), k * L + l, axis=0)
+    return null_space_basis(others.reshape(-1, M_t))
 
 
 @dataclass(frozen=True)
 class PathGrams:
-    """Every UE's ISI-ZF channel in per-path Gram form, padded to L = max L_k.
+    """Every UE's ISI-ZF channel in per-path Gram form.
 
     With B_kl the null-space basis of path l and G_kl = H_kl B_kl, the stream
     f_kl = B_kl b_kl reaches UE k's receiver as the output Y_kl = G_kl b_kl,
@@ -313,7 +277,7 @@ class PathGrams:
     (rho_ll[n])_l.  So every lag sum reduces to r0 = r[0] and the L x L Gram
     matrix s of the other lags.  The transmit update always picks b_kl along
     G_kl^H w_k, so the loop needs the bases only through the M_r x M_r Gram
-    matrices gram[k, l] = G_kl G_kl^H.  A padded path has zero gram, r0 and s.
+    matrices gram[k, l] = G_kl G_kl^H.
     """
 
     gram: np.ndarray   # (K, L, M_r, M_r)
@@ -331,8 +295,8 @@ class IsiZfState:
     """
 
     grams: PathGrams
-    w: list[np.ndarray]               # per UE receive vector (unit norm)
-    f: list[np.ndarray]               # per UE stacked transmit vector [f_kl]_l
+    w: np.ndarray                     # (K, M_r) unit receive vectors
+    f: np.ndarray                     # (K, L M_t) stacked transmit vectors [f_kl]_l
     trace: list[float]                # objective value per iteration
     iterations: int
     converged: bool
@@ -426,33 +390,23 @@ def isi_zf_alternating(
     and the final transmit vectors; the loop runs on the path Grams of all
     UEs at once.
     """
-    K, window = F.K, F.window
-    M_r = F.gains[0].shape[1]
-    L = max(g.shape[0] for g in F.gains)
-    gram = np.zeros((K, L, M_r, M_r), dtype=complex)
-    r0 = np.zeros((K, L))
-    s = np.zeros((K, L, L))
-    y = np.zeros((K, M_r, L), dtype=complex)
-    f, projected = [], []  # per UE: start transmit vector and (B_kl, G_kl) pairs
-    for k, gains in enumerate(F.gains):
-        L_k = gains.shape[0]
-        idx = np.arange(L_k)
-        r = F.tables[(k, k)].values[idx, idx]
-        off = np.delete(r, window, axis=1)
-        r0[k, :L_k] = r[:, window]
-        s[k, :L_k, :L_k] = off @ off.T
-        pairs = []
-        for l in range(L_k):
-            basis = null_space_projection(F.gains, k, l)
-            g = gains[l] @ basis
-            gram[k, l] = g @ g.conj().T
-            pairs.append((basis, g))
-        # equal split: every null-space coordinate of the UE gets amp
-        amp = np.sqrt(P / K / sum(basis.shape[1] for basis, _ in pairs))
-        y[k, :, :L_k] = amp * np.stack([g.sum(axis=1) for _, g in pairs], axis=1)
-        f.append(amp * np.concatenate([basis.sum(axis=1) for basis, _ in pairs]))
-        projected.append(pairs)
-    grams = PathGrams(gram=gram, r0=r0, s=s)
+    K, L, M_r, M_t = F.gains.shape
+    r = _own_diagonals(F.tables)                  # (K, L, 2W+1)
+    off = np.delete(r, F.window, axis=2)
+    r0 = r[..., F.window]
+    paths = list(np.ndindex(K, L))
+    bases = [null_space_projection(F.gains, k, l) for k, l in paths]
+    g = [F.gains[k, l] @ basis for (k, l), basis in zip(paths, bases)]
+    grams = PathGrams(
+        gram=np.stack([x @ x.conj().T for x in g]).reshape(K, L, M_r, M_r),
+        r0=r0,
+        s=off @ off.swapaxes(1, 2),
+    )
+    # equal split: every null-space coordinate of UE k gets amp[k]
+    dims = np.array([basis.shape[1] for basis in bases]).reshape(K, L)
+    amp = np.sqrt(P / K / dims.sum(axis=1))
+    y = amp[:, None, None] * np.stack([x.sum(axis=1) for x in g]).reshape(K, L, M_r).swapaxes(1, 2)
+    f = amp[:, None] * np.stack([basis.sum(axis=1) for basis in bases]).reshape(K, L * M_t)
 
     # matched-filter receive start keeps the initial state usable as-is
     w = _unit_rows((y @ r0[..., None])[..., 0])
@@ -478,13 +432,13 @@ def isi_zf_alternating(
         and trace[-1] - trace[-2] >= tol * max(abs(trace[-2]), 1e-300)
     )
     if weights is not None:
-        f = [
-            np.concatenate([c * (basis @ (g.conj().T @ w_k)) for (basis, g), c in zip(pairs, c_k)])
-            for pairs, c_k, w_k in zip(projected, weights, w)
-        ]
+        f = np.stack([
+            c * (basis @ (x.conj().T @ w[k]))
+            for (k, _), basis, x, c in zip(paths, bases, g, weights.ravel())
+        ]).reshape(K, L * M_t)
 
     state = IsiZfState(
-        grams=grams, w=list(w), f=f, trace=trace, iterations=iterations,
+        grams=grams, w=w, f=f, trace=trace, iterations=iterations,
         converged=converged, fallbacks=fallbacks,
     )
     return state, sinrs, trace[-1]

@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "SimConfig",
-    "PathComponent",
-    "UEChannel",
     "ChannelSet",
     "split_delay",
     "steering_vector",
@@ -74,6 +72,12 @@ class SimConfig:
             raise ConfigError("G_cp must cover the delay span")
         if self.rho_window < self.delay_span_samples:
             raise ConfigError("rho_window must cover the delay span")
+        if self.G_cp > self.M:
+            raise ConfigError(f"G_cp must not exceed M, got G_cp={self.G_cp}, M={self.M}")
+        if self.G_gi >= self.G_c:
+            raise ConfigError(
+                f"G_gi must be shorter than G_c, got G_gi={self.G_gi}, G_c={self.G_c}"
+            )
 
     @property
     def T(self) -> float:
@@ -96,57 +100,48 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class PathComponent:
-    """One resolvable path: rank-1 gain matrix plus split delay."""
+class ChannelSet:
+    """K UEs with L resolvable paths each.
 
-    gain: np.ndarray       # (M_r, M_t)
-    tau_s: float
-    n: int
-    tau_f_s: float
+    Path l of UE k has the gain matrix ``gains[k, l]`` and the delay
+    ``n[k, l] * T + tau_f[k, l]``; each UE's integer delays increase strictly.
+    """
 
-
-@dataclass(frozen=True)
-class UEChannel:
-    paths: tuple[PathComponent, ...]
+    gains: np.ndarray  # (K, L, M_r, M_t)
+    n: np.ndarray      # (K, L) integer sample delays
+    tau_f: np.ndarray  # (K, L) fractional remainders in seconds
 
     def __post_init__(self) -> None:
-        n_list = [p.n for p in self.paths]
-        if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        # private read-only delays, so the ordering checked here stays true
+        for name in ("n", "tau_f"):
+            value = np.array(getattr(self, name))
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if self.gains.ndim != 4 or not self.n.shape == self.tau_f.shape == self.gains.shape[:2]:
+            raise ValueError("gains must be (K, L, M_r, M_t) with (K, L) delays")
+        if np.any(np.diff(self.n, axis=1) <= 0):
             raise ConfigError("integer path delays must be strictly increasing")
 
     @property
-    def L(self) -> int:
-        return len(self.paths)
-
-    @property
-    def n_list(self) -> list[int]:
-        return [p.n for p in self.paths]
-
-    @property
-    def n_max(self) -> int:
-        return self.paths[-1].n
-
-    @property
-    def gains(self) -> np.ndarray:
-        """Stacked gain matrices, shape (L, M_r, M_t)."""
-        return np.stack([p.gain for p in self.paths])
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    ues: tuple[UEChannel, ...]
-
-    @property
     def K(self) -> int:
-        return len(self.ues)
+        return self.gains.shape[0]
+
+    @property
+    def L(self) -> int:
+        return self.gains.shape[1]
 
     @property
     def M_r(self) -> int:
-        return self.ues[0].paths[0].gain.shape[0]
+        return self.gains.shape[2]
 
     @property
     def M_t(self) -> int:
-        return self.ues[0].paths[0].gain.shape[1]
+        return self.gains.shape[3]
+
+    @property
+    def n_max(self) -> np.ndarray:
+        """(K,) latest integer path delay of each UE, its alignment target."""
+        return self.n[:, -1]
 
 
 def split_delay(tau_s: float, T: float) -> tuple[int, float]:
@@ -184,48 +179,42 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
         )
     rng = np.random.default_rng(seed)
     T = cfg.T
-    ues = []
+    gains = np.empty((cfg.K, cfg.L, cfg.M_r, cfg.M_t), dtype=complex)
+    n = np.empty((cfg.K, cfg.L), dtype=int)
+    tau_f = np.empty((cfg.K, cfg.L))
     for k in range(cfg.K):
         while True:
             taus = rng.uniform(0.0, cfg.delay_span_samples * T, cfg.L)
             split = [split_delay(t, T) for t in taus]
-            if len({n for n, _ in split}) == cfg.L:
+            if len({d for d, _ in split}) == cfg.L:
                 break
-        order = np.argsort([n for n, _ in split])
-        paths = []
-        for idx in order:
-            tau = taus[idx]
-            if integer_delays:
-                n = split[idx][0]
-                tau, tau_f = n * T, 0.0
-            else:
-                n, tau_f = split[idx]
+        for l, idx in enumerate(np.argsort([d for d, _ in split])):
+            n[k, l], tau_f[k, l] = split[idx]
             aod = rng.uniform(-np.pi / 2, np.pi / 2)
             aoa = rng.uniform(-np.pi / 2, np.pi / 2)
             alpha = np.sqrt(cfg.g_ls / (2.0 * cfg.L)) * (
                 rng.standard_normal() + 1j * rng.standard_normal()
             )
-            gain = (
+            gains[k, l] = (
                 np.sqrt(cfg.M_t * cfg.M_r)
                 * alpha
                 * np.outer(steering_vector(cfg.M_r, aoa), steering_vector(cfg.M_t, aod).conj())
             )
-            paths.append(PathComponent(gain=gain, tau_s=tau, n=n, tau_f_s=tau_f))
-        ues.append(UEChannel(paths=tuple(paths)))
-    return ChannelSet(ues=tuple(ues))
+    if integer_delays:
+        tau_f[:] = 0.0
+    return ChannelSet(gains=gains, n=n, tau_f=tau_f)
 
 
-def frequency_response(ch: UEChannel, M: int) -> np.ndarray:
-    """Per-subcarrier response H_m = (1/sqrt(M)) sum_l H_l exp(2j pi m n_l / M).
+def frequency_response(channels: ChannelSet, M: int) -> np.ndarray:
+    """Per-subcarrier responses H_km = (1/sqrt(M)) sum_l H_kl exp(2j pi m n_kl / M).
 
     Only integer delay parts enter, matching the discrete transform of the
-    sampled channel; shape (M, M_r, M_t).
+    sampled channel; shape (K, M, M_r, M_t).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     m = np.arange(M)
-    n_l = np.asarray(ch.n_list)
-    phases = np.exp(2j * np.pi * np.outer(m, n_l) / M)  # (M, L)
-    gains = ch.gains                                    # (L, M_r, M_t)
-    flat = phases @ gains.reshape(n_l.size, -1)
-    return flat.reshape(M, *gains.shape[1:]) / np.sqrt(M)
+    phases = np.exp(2j * np.pi * (m[:, None] * channels.n[:, None, :]) / M)  # (K, M, L)
+    gains = channels.gains
+    flat = phases @ gains.reshape(*gains.shape[:2], -1)
+    return flat.reshape(gains.shape[0], M, *gains.shape[2:]) / np.sqrt(M)

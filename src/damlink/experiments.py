@@ -130,12 +130,10 @@ def trial_seed(base_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSequ
 
 def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float | None:
     """Effective rate of double-side eigen-beamforming with I streams per UE."""
-    plans = []
-    for ue in channels.ues:
-        R = ue.L + 1 - I
-        if not (1 <= I <= cfg.M_t and 1 <= R <= cfg.M_r):
-            return None
-        plans.append(solve_compensation_delays(ue.n_list, I, R))
+    R = channels.L + 1 - I
+    if not (1 <= I <= cfg.M_t and 1 <= R <= cfg.M_r):
+        return None
+    plans = [solve_compensation_delays(n, I, R) for n in channels.n]
     tensor = assemble_effective_channels(channels, plans)
     _, sinrs = eigen_beamform_doubleside(tensor, cfg.p_watts(), cfg.sigma2_watts())
     return dam_effective_rate(sinrs, cfg)
@@ -242,8 +240,8 @@ def _dam_papr_draw(channels, cfg, block_symbols):
     tables = bs_side_rho_tables(channels, cfg.rho_window, cfg.T, cfg.beta)
     F = assemble_bs_side(channels, tables)
     bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
-    kappas = [bs_side_kappa(ue) for ue in channels.ues]
-    pad = 32 + max(max(k) for k in kappas)
+    kappas = bs_side_kappa(channels)
+    pad = 32 + int(kappas.max())
 
     def draw(rng, blocks):
         sym = _qam4_streams(rng, cfg.K, blocks * block_symbols + 2 * pad)
@@ -253,7 +251,7 @@ def _dam_papr_draw(channels, cfg, block_symbols):
 
 
 def _ofdm_papr_draw(channels, cfg, block_symbols):
-    bf, _ = ofdm_eigen(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
+    bf = ofdm_eigen(channels, cfg.M, cfg.p_watts())
 
     def draw(rng, blocks):
         bits = rng.integers(0, 2, (cfg.K, blocks + 2, 2 * cfg.M))
@@ -331,9 +329,8 @@ def _run_papr(spec: ExperimentSpec) -> ResultTable:
         rng = np.random.default_rng(trial_seed(spec.seed, 1, idx))
         draw = setup(channels, cfg, block_symbols)
         paprs = _chunked_paprs(draw, rng, cfg, n_blocks, block_symbols)
-        result = ccdf_from_paprs(paprs, PAPR_THRESHOLDS_DB)
-        ccdfs[scheme] = result.ccdf
-        level_db = papr_at_exceedance(PAPR_THRESHOLDS_DB, result.ccdf, 1e-2)
+        ccdfs[scheme] = ccdf_from_paprs(paprs, PAPR_THRESHOLDS_DB)
+        level_db = papr_at_exceedance(PAPR_THRESHOLDS_DB, ccdfs[scheme], 1e-2)
         rows.append(ResultRow(cfg.P_dbm, scheme, level_db, 0.0, int(paprs.shape[0])))
         samples[(cfg.P_dbm, scheme)] = (10.0 * np.log10(paprs.ravel())).tolist()
     return ResultTable(
@@ -387,9 +384,10 @@ def parse_config(path, kind: str | None = None) -> ExperimentSpec:
     Unknown keys are rejected with their full key path; system values run
     through the same validation as directly constructed configurations.
     """
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON in {path}: {err}") from err
     if not isinstance(doc, dict):

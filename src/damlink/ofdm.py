@@ -12,6 +12,7 @@ functions return that span's basis Q with their beamformers.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,30 +46,16 @@ class OfdmBeamformerSet:
     power: np.ndarray   # (K, M) allocated transmit power per stream
     basis: np.ndarray   # (M_t, r) orthonormal, the rows of v lie in its span
 
-    def total_transmit_power(self) -> float:
-        return float(np.sum(np.abs(self.v) ** 2))
-
-
-def _stacked_responses(channels: ChannelSet, M: int) -> np.ndarray:
-    return np.stack([frequency_response(ue, M) for ue in channels.ues])  # (K, M, M_r, M_t)
-
 
 def _path_span(channels: ChannelSet) -> np.ndarray:
     """Orthonormal Q (M_t, r) spanning every path gain's rows, r <= K L M_r."""
-    rows = np.concatenate([ue.gains.reshape(-1, channels.M_t) for ue in channels.ues])
-    q, _ = np.linalg.qr(rows.conj().T)
+    q, _ = np.linalg.qr(channels.gains.reshape(-1, channels.M_t).conj().T)
     return q
 
 
 def _responses_in_span(channels: ChannelSet, M: int, q: np.ndarray) -> np.ndarray:
-    """(K, M, M_r, r) stack of H_{k,m} Q = (1/sqrt(M)) sum_l (G_kl Q) exp(2j pi m n_l / M)."""
-    m = np.arange(M)
-    out = []
-    for ue in channels.ues:
-        phases = np.exp(2j * np.pi * np.outer(m, ue.n_list) / M)  # (M, L)
-        gq = ue.gains @ q                                         # (L, M_r, r)
-        out.append((phases @ gq.reshape(ue.L, -1)).reshape(M, *gq.shape[1:]))
-    return np.stack(out) / np.sqrt(M)
+    """(K, M, M_r, r) stack of H_km Q = (1/sqrt(M)) sum_l (H_kl Q) exp(2j pi m n_kl / M)."""
+    return frequency_response(dataclasses.replace(channels, gains=channels.gains @ q), M)
 
 
 def _top_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,24 +93,21 @@ def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> n
     return signal / (interference + sigma2 / M)
 
 
-def ofdm_eigen(
-    channels: ChannelSet, M: int, P: float, sigma2: float
-) -> tuple[OfdmBeamformerSet, np.ndarray]:
+def ofdm_eigen(channels: ChannelSet, M: int, P: float) -> OfdmBeamformerSet:
     """Per-subcarrier top-singular-pair beamforming with equal power split.
 
-    Every stream receives P/K so the frequency-domain budget M*P binds; the
-    per-subcarrier noise power is sigma2 / M.  The beamformers come from the
-    reduced SVD of the full M_r x M_t responses, whose phases the OFDM
-    waveform keeps; the SINRs are ``ofdm_eigen_sinrs``.
+    Every stream receives P/K so the frequency-domain budget M*P binds.  The
+    beamformers come from the reduced SVD of the full M_r x M_t responses,
+    whose phases the OFDM waveform keeps; ``ofdm_eigen_sinrs`` gives their
+    SINRs.
     """
-    u_all, _, vh_all = np.linalg.svd(_stacked_responses(channels, M), full_matrices=False)
+    u_all, _, vh_all = np.linalg.svd(frequency_response(channels, M), full_matrices=False)
     u = u_all[..., :, 0]                # (K, M, M_r)
     v_hat = vh_all[..., 0, :].conj()    # (K, M, M_t), unit norm
     frob = np.sqrt(np.sum(np.abs(v_hat) ** 2))  # sqrt(K*M)
     v = np.sqrt(M * P) * v_hat / frob           # each stream at power P/K
     power = np.full((channels.K, M), M * P / (channels.K * M))
-    sinrs = ofdm_eigen_sinrs(channels, M, P, sigma2)
-    return OfdmBeamformerSet(v=v, u=u, power=power, basis=_path_span(channels)), sinrs
+    return OfdmBeamformerSet(v=v, u=u, power=power, basis=_path_span(channels))
 
 
 # Interferer blocks whose Gram eigenvalues span a wider ratio than this take
@@ -175,25 +159,22 @@ def ofdm_zf_waterfill(
     h = _responses_in_span(channels, M, q)
     sigma2_hat = sigma2 / M
 
-    gains = np.zeros((K, M))
-    u = np.zeros((K, M, M_r), dtype=complex)
-    v_dir = np.zeros((K, M, q.shape[1]), dtype=complex)
-    for k in range(K):
-        eff = h[k]
-        if K > 1:
-            others = np.concatenate([h[kp] for kp in range(K) if kp != k], axis=1)
-            eff = _project_off(eff, others)
-        u[k], uh = _top_pairs(eff)
-        norm = np.linalg.norm(uh, axis=-1)
-        gains[k] = norm**2 / sigma2_hat
-        # a block projected to zero gets gain 0 and a zero direction
-        v_dir[k] = uh.conj() / np.maximum(norm, np.finfo(float).tiny)[:, None]
+    eff = h.reshape(K * M, M_r, -1)
+    if K > 1:
+        # every UE's blocks against the stacked blocks of the other UEs
+        others = h[np.nonzero(~np.eye(K, dtype=bool))[1].reshape(K, K - 1)]
+        eff = _project_off(eff, others.swapaxes(1, 2).reshape(K * M, (K - 1) * M_r, -1))
+    u, uh = _top_pairs(eff)
+    norm = np.linalg.norm(uh, axis=-1)
+    gains = (norm**2 / sigma2_hat).reshape(K, M)
+    # a block projected to zero gets gain 0 and a zero direction
+    v_dir = (uh.conj() / np.maximum(norm, np.finfo(float).tiny)[:, None]).reshape(K, M, -1)
 
     powers = water_fill(gains.ravel(), M * P).reshape(K, M)
     v = (np.sqrt(powers)[..., None] * v_dir) @ q.T
     snr = gains * powers
     rate = float(np.sum(np.log2(1.0 + snr))) / M
-    return OfdmBeamformerSet(v=v, u=u, power=powers, basis=q), snr, rate
+    return OfdmBeamformerSet(v=v, u=u.reshape(K, M, M_r), power=powers, basis=q), snr, rate
 
 
 def dam_overhead_factor(cfg: SimConfig) -> float:

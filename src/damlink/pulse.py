@@ -9,11 +9,9 @@ offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["rho", "rrc", "rrc_taps", "RhoTable", "build_rho_table"]
+__all__ = ["rho", "rrc", "rrc_taps", "build_rho_table"]
 
 
 def _rho_normalized(x, beta: float):
@@ -99,35 +97,25 @@ def rrc_taps(beta: float, oversample: int, span_symbols: int = 16) -> np.ndarray
     return rrc(n / oversample, 1.0, beta)
 
 
-@dataclass(frozen=True)
-class RhoTable:
-    """Raised-cosine samples rho[l, i, n] over a symmetric sample window.
+def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.ndarray:
+    """Raised-cosine couplings between every UE's paths and every UE's delayed streams.
 
-    Entry (l, i, n) is the matched-filter coupling from transmit stream i of
-    the interfering user into receive path l at sample lag n, after the
-    receiver aligned itself to its own latest path.  At the default window of
-    200 samples the tail energy left outside is below 1e-6 of any column.
+    Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples; UE k samples
+    at its own alignment target, its latest integer path delay n_k,max.
+    Entry (k, k', l, i, n) of the (K, K, L, I, 2W+1) table is
+    rho((n - W + n_k,max - kappa_k'i - n_kl) T - tau_f,kl), the matched-filter
+    coupling from stream i of UE k' into path l of UE k at sample lag n - W.
+    At the default window of 200 samples the tail energy left outside is
+    below 1e-6 of any column.
     """
-
-    window: int
-    values: np.ndarray  # (L_k, L_kprime, 2*window + 1)
-
-
-def build_rho_table(ch_k, ch_kprime, kappa_kprime, window: int, T: float, beta: float) -> RhoTable:
-    """Correlation table between UE k's paths and UE k'`s delayed streams.
-
-    Stream i of UE k' is pre-delayed by ``kappa_kprime[i]`` samples; UE k
-    samples at its own alignment target (latest integer path delay).  Entry
-    (l, i, n) is rho((n + n_align_k - kappa_i - n_l) T - tau_f_l).
-    """
-    kappa = np.asarray(kappa_kprime, dtype=int)
-    if kappa.ndim != 1 or kappa.size != len(ch_kprime.paths):
-        raise ValueError("one pre-compensation delay per stream of the interfering UE")
-    n_align = ch_k.n_max
-    n_l = np.array([p.n for p in ch_k.paths])
-    tau_f = np.array([p.tau_f_s for p in ch_k.paths])
-
-    offsets = n_align - kappa[None, :] - n_l[:, None]  # (L_k, L_kprime)
+    kappa = np.asarray(kappa, dtype=int)
+    if kappa.ndim != 2 or kappa.shape[0] != channels.K:
+        raise ValueError("one row of pre-compensation delays per UE")
+    offsets = (
+        channels.n_max[:, None, None, None]
+        - kappa[None, :, None, :]
+        - channels.n[:, None, :, None]
+    )  # (K, K, L, I)
     max_offset = int(np.max(np.abs(offsets)))
     if max_offset > window:
         raise ValueError(
@@ -137,5 +125,5 @@ def build_rho_table(ch_k, ch_kprime, kappa_kprime, window: int, T: float, beta: 
         raise ValueError("beta must lie in [0, 1)")
     lags = np.arange(-window, window + 1)
     # computed in symbol-normalized units so integer offsets stay exactly integer
-    x = (lags[None, None, :] + offsets[:, :, None]) - (tau_f[:, None, None] / T)
-    return RhoTable(window=window, values=_rho_normalized(x, beta))
+    x = (lags + offsets[..., None]) - (channels.tau_f[:, None, :, None, None] / T)
+    return _rho_normalized(x, beta)

@@ -24,13 +24,11 @@ from .pulse import rrc_taps
 
 __all__ = [
     "Waveform",
-    "PaprResult",
     "qam4_map",
     "synthesize_dam_waveform",
     "synthesize_ofdm_waveform",
     "synthesize_strongest_path_waveform",
     "papr_blocks",
-    "papr_ccdf",
     "ccdf_from_paprs",
     "SYNTH_SPAN_SYMBOLS",
     "ANTENNA_GROUP",
@@ -60,13 +58,6 @@ class Waveform:
     @property
     def n_antennas(self) -> int:
         return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class PaprResult:
-    papr: np.ndarray           # linear, one entry per (block, antenna)
-    thresholds_db: np.ndarray
-    ccdf: np.ndarray
 
 
 def qam4_map(bits) -> np.ndarray:
@@ -153,21 +144,13 @@ class StreamSet:
 def dam_streams(symbols, beamformers, kappas, cfg: SimConfig) -> StreamSet:
     """The streams of ``synthesize_dam_waveform``: one per (UE, delay)."""
     symbols = np.asarray(symbols, dtype=complex)
-    K = symbols.shape[0]
-    m_t = cfg.M_t
-    streams = []
-    delays = []
-    weights = []
-    for k in range(K):
-        kappa = [int(v) for v in kappas[k]]
-        f_bar = beamformers.f_bar[k]
-        if f_bar.size != m_t * len(kappa):
-            raise ValueError("beamformer length does not match stream count")
-        for i, d in enumerate(kappa):
-            streams.append(symbols[k])
-            delays.append(d)
-            weights.append(f_bar[i * m_t : (i + 1) * m_t])
-    return StreamSet(np.array(streams), np.array(delays, dtype=int), np.asarray(weights).T)
+    kappas = np.asarray(kappas, dtype=int)           # (K, I)
+    K, I = kappas.shape
+    f_bar = beamformers.f_bar
+    if f_bar.shape != (K, I * cfg.M_t):
+        raise ValueError("beamformer length does not match stream count")
+    weights = f_bar.reshape(K * I, cfg.M_t).T
+    return StreamSet(np.repeat(symbols, I, axis=0), kappas.ravel(), weights)
 
 
 # Largest relative distance ||v - Q Q^H v|| / ||v|| of the OFDM beamformers
@@ -210,13 +193,9 @@ def strongest_path_streams(symbols, channels: ChannelSet, P: float, cfg: SimConf
     """The streams of ``synthesize_strongest_path_waveform``: one per UE."""
     symbols = np.asarray(symbols, dtype=complex)
     K = symbols.shape[0]
-    weights = []
-    for k in range(K):
-        ue = channels.ues[k]
-        strongest = max(ue.paths, key=lambda p: np.linalg.norm(p.gain))
-        _, _, vh = np.linalg.svd(strongest.gain, full_matrices=False)
-        weights.append(np.sqrt(P / K) * vh[0].conj())
-    return StreamSet(symbols, np.zeros(K, dtype=int), np.asarray(weights).T)
+    strongest = np.argmax(np.linalg.norm(channels.gains, axis=(2, 3)), axis=1)
+    _, _, vh = np.linalg.svd(channels.gains[np.arange(K), strongest], full_matrices=False)
+    return StreamSet(symbols, np.zeros(K, dtype=int), np.sqrt(P / K) * vh[:, 0].conj().T)
 
 
 def _antenna_groups(streams: StreamSet, cfg: SimConfig):
@@ -290,14 +269,7 @@ def papr_blocks(waveform: Waveform, block_symbols: int) -> np.ndarray:
     return (p.max(axis=2) / p.mean(axis=2)).T  # (n_blocks, n_antennas)
 
 
-def ccdf_from_paprs(paprs, thresholds_db) -> PaprResult:
-    paprs = np.asarray(paprs, dtype=float).ravel()
-    thresholds_db = np.asarray(thresholds_db, dtype=float)
-    papr_db = 10.0 * np.log10(paprs)
-    ccdf = np.array([(papr_db > th).mean() for th in thresholds_db])
-    return PaprResult(papr=paprs, thresholds_db=thresholds_db, ccdf=ccdf)
-
-
-def papr_ccdf(waveform: Waveform, block_symbols: int, thresholds_db) -> PaprResult:
-    """Exceedance probability of the per-block-per-antenna PAPR in dB."""
-    return ccdf_from_paprs(papr_blocks(waveform, block_symbols), thresholds_db)
+def ccdf_from_paprs(paprs, thresholds_db) -> np.ndarray:
+    """Share of the linear PAPRs whose dB value exceeds each threshold."""
+    papr_db = 10.0 * np.log10(np.asarray(paprs, dtype=float).ravel())
+    return np.array([(papr_db > th).mean() for th in np.asarray(thresholds_db, dtype=float)])

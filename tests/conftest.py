@@ -3,7 +3,7 @@
 import numpy as np
 
 from damlink.beamforming import assemble_bs_side, bs_side_rho_tables
-from damlink.channel import ChannelSet, PathComponent, UEChannel
+from damlink.channel import ChannelSet
 
 
 def rank1_gain(rng, m_r, m_t, scale=1.0):
@@ -21,28 +21,19 @@ def make_channel_set(
 ):
     """Channel set with prescribed integer delays and optional fractions of T.
 
-    ``delay_lists`` is one list of strictly increasing integers per UE;
-    ``frac_lists`` holds matching fractional offsets in units of T within
-    (-1/2, 1/2], defaulting to zero.  Gains are rank-1 outer products like the
-    production model unless ``full_rank`` is set.
+    ``delay_lists`` is one list of strictly increasing integers per UE, all of
+    the same length; ``frac_lists`` holds matching fractional offsets in units
+    of T within (-1/2, 1/2], defaulting to zero.  Gains are rank-1 outer
+    products like the production model unless ``full_rank`` is set; they are
+    drawn UE by UE, path by path.
     """
+    n = np.array(delay_lists, dtype=int)
+    if n.ndim != 2:
+        raise ValueError("every UE needs the same number of delays")
+    fracs = np.zeros(n.shape) if frac_lists is None else np.array(frac_lists, dtype=float)
     gain_of = full_rank_gain if full_rank else rank1_gain
-    ues = []
-    for k, n_list in enumerate(delay_lists):
-        fracs = frac_lists[k] if frac_lists is not None else [0.0] * len(n_list)
-        paths = []
-        for n, frac in zip(n_list, fracs):
-            tau_f = frac * T
-            paths.append(
-                PathComponent(
-                    gain=gain_of(rng, m_r, m_t, scale),
-                    tau_s=n * T + tau_f,
-                    n=int(n),
-                    tau_f_s=tau_f,
-                )
-            )
-        ues.append(UEChannel(paths=tuple(paths)))
-    return ChannelSet(ues=tuple(ues))
+    gains = np.array([[gain_of(rng, m_r, m_t, scale) for _ in row] for row in n])
+    return ChannelSet(gains=gains, n=n, tau_f=fracs * T)
 
 
 def bs_side_channels(channels, T, beta, window):
@@ -52,12 +43,10 @@ def bs_side_channels(channels, T, beta, window):
 
 
 def assert_same_channels(a, b):
-    """Equal UE count, path count, delays and gains, path by path."""
-    assert [ue.L for ue in a.ues] == [ue.L for ue in b.ues]
-    for ue_a, ue_b in zip(a.ues, b.ues):
-        for pa, pb in zip(ue_a.paths, ue_b.paths):
-            assert (pa.n, pa.tau_s, pa.tau_f_s) == (pb.n, pb.tau_s, pb.tau_f_s)
-            assert np.array_equal(pa.gain, pb.gain)
+    """Equal gains, integer delays and fractional delays."""
+    assert np.array_equal(a.gains, b.gains)
+    assert np.array_equal(a.n, b.n)
+    assert np.array_equal(a.tau_f, b.tau_f)
 
 
 def random_delay_channel_set(

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from damlink.beamforming import bs_side_kappa, null_space_projection
+from damlink.beamforming import null_space_projection
 from damlink.numerics import water_fill
 from damlink.pulse import build_rho_table, rrc, rrc_taps
 from damlink.waveform import SYNTH_SPAN_SYMBOLS
@@ -50,37 +50,39 @@ def oracle_power_terms(channels, f_list, w_list, window, T, beta, os=8, span=64)
     m_t = channels.M_t
     lags = np.arange(-window, window + 1)
 
+    L = channels.L
+    n_max = channels.n[:, -1]
+
     def stream_taps(k, kp, w):
         """taps[i, l, m]: stream i of UE kp heard by UE k through its path l."""
-        ue = channels.ues[k]
-        ue_p = channels.ues[kp]
-        kappa = bs_side_kappa(ue_p)
-        taps = np.zeros((ue_p.L, ue.L, lags.size), dtype=complex)
-        for i in range(ue_p.L):
+        kappa = n_max[kp] - channels.n[kp]  # BS-side pre-delays of UE kp's streams
+        taps = np.zeros((L, L, lags.size), dtype=complex)
+        for i in range(L):
             tx = np.zeros(2 * span * os + 1)
             tx[span * os + kappa[i] * os] = 1.0  # unit impulse delayed by kappa_i
             shaped = np.convolve(tx, phi)
             f_i = f_list[kp][i * m_t : (i + 1) * m_t]
-            for l, path in enumerate(ue.paths):
-                shift = int(round(path.tau_s / dt))
+            for l in range(L):
+                tau = channels.n[k, l] * T + channels.tau_f[k, l]
+                shift = int(round(tau / dt))
                 if shift >= 0:
                     rx = np.concatenate([np.zeros(shift), shaped])
                 else:
                     rx = shaped[-shift:]  # advance: negative total delay
                 filtered = np.convolve(rx, phi[::-1]) * dt
-                coupling = complex(w.conj() @ path.gain @ f_i)
+                coupling = complex(w.conj() @ channels.gains[k, l] @ f_i)
                 # impulse, shaping and matched filter each carry span*os steps
-                idx = 3 * span * os + (ue.n_max + lags) * os
+                idx = 3 * span * os + (n_max[k] + lags) * os
                 valid = (idx >= 0) & (idx < filtered.size)
                 taps[i, l, valid] = coupling * filtered[idx[valid]]
         return taps
 
     results = []
-    for k, ue in enumerate(channels.ues):
+    for k in range(channels.K):
         w = w_list[k]
         center = window
         own = stream_taps(k, k, w)
-        diag = own[np.arange(ue.L), np.arange(ue.L)]  # (L, lags)
+        diag = own[np.arange(L), np.arange(L)]  # (L, lags)
         aligned = diag.sum(axis=0)
         desired = abs(aligned[center]) ** 2
         isi_aligned = float(np.sum(np.abs(aligned) ** 2) - desired)
@@ -99,9 +101,9 @@ def oracle_power_terms(channels, f_list, w_list, window, T, beta, os=8, span=64)
 def _projected_channels(channels, bases, tables):
     """Per-UE lag-indexed matrices [H_kl basis_kl rho_ll[n]]_l, (2W+1, M_r, sum N_l)."""
     out = []
-    for k, ue in enumerate(channels.ues):
-        tab = tables[(k, k)].values
-        effective = [ue.paths[l].gain @ bases[k][l] for l in range(ue.L)]
+    for k in range(channels.K):
+        tab = tables[k, k]
+        effective = [channels.gains[k, l] @ bases[k][l] for l in range(channels.L)]
         blocks = [
             eff[None, :, :] * tab[l, l][:, None, None]
             for l, eff in enumerate(effective)
@@ -161,15 +163,12 @@ def oracle_isi_zf(channels, P, sigma2, T, beta, window, tol=1e-6, max_iter=200):
     receive filter) and stopping rule as ``isi_zf_alternating``.
     """
     K = channels.K
-    gains = [ue.gains for ue in channels.ues]
     bases = [
-        [null_space_projection(gains, k, l) for l in range(ue.L)]
-        for k, ue in enumerate(channels.ues)
+        [null_space_projection(channels.gains, k, l) for l in range(channels.L)]
+        for k in range(K)
     ]
-    tables = {
-        (k, k): build_rho_table(ue, ue, bs_side_kappa(ue), window, T, beta)
-        for k, ue in enumerate(channels.ues)
-    }
+    kappa = channels.n[:, -1:] - channels.n  # BS-side pre-delays
+    tables = build_rho_table(channels, kappa, window, T, beta)
     h_tilde = _projected_channels(channels, bases, tables)
     b_list = [np.sqrt(P / K / h.shape[2]) * np.ones(h.shape[2], dtype=complex) for h in h_tilde]
     w_list = [_unit_or_first_axis(h[(h.shape[0] - 1) // 2] @ b) for h, b in zip(h_tilde, b_list)]
@@ -190,9 +189,9 @@ def oracle_isi_zf(channels, P, sigma2, T, beta, window, tol=1e-6, max_iter=200):
                 break
 
     f_bar = []
-    for k, ue in enumerate(channels.ues):
+    for k in range(K):
         pieces, offset = [], 0
-        for l in range(ue.L):
+        for l in range(channels.L):
             dim = bases[k][l].shape[1]
             pieces.append(bases[k][l] @ b_list[k][offset : offset + dim])
             offset += dim
@@ -203,11 +202,8 @@ def oracle_isi_zf(channels, P, sigma2, T, beta, window, tol=1e-6, max_iter=200):
 def _literal_responses(channels, M):
     """(K, M, M_r, M_t) stack of (1/sqrt(M)) sum_l H_l exp(2j pi m n_l / M)."""
     m = np.arange(M)
-    out = []
-    for ue in channels.ues:
-        phases = np.exp(2j * np.pi * np.outer(m, ue.n_list) / M)
-        out.append(np.einsum("ml,lrt->mrt", phases, ue.gains) / np.sqrt(M))
-    return np.stack(out)
+    phases = np.exp(2j * np.pi * m[None, :, None] * channels.n[:, None, :] / M)
+    return np.einsum("kml,klrt->kmrt", phases, channels.gains) / np.sqrt(M)
 
 
 def oracle_ofdm_eigen(channels, M, P, sigma2):

@@ -109,19 +109,15 @@ def test_criterion_06_zero_forcing_structure():
         f_bar = state.f
         m_t = cs.M_t
         desired_scale = max(
-            abs(state.w[k].conj() @ ue.paths[l].gain @ f_bar[k][l * m_t : (l + 1) * m_t])
-            for k, ue in enumerate(cs.ues)
-            for l in range(ue.L)
+            abs(state.w[k].conj() @ cs.gains[k, l] @ f_bar[k][l * m_t : (l + 1) * m_t])
+            for k, l in np.ndindex(cs.K, cs.L)
         )
         worst = 0.0
-        for k, ue in enumerate(cs.ues):
-            for l, path in enumerate(ue.paths):
-                for kp, ue_p in enumerate(cs.ues):
-                    for i in range(ue_p.L):
-                        if (kp, i) == (k, l):
-                            continue
-                        f_i = f_bar[kp][i * m_t : (i + 1) * m_t]
-                        worst = max(worst, abs(state.w[k].conj() @ path.gain @ f_i))
+        for k, l, kp, i in np.ndindex(cs.K, cs.L, cs.K, cs.L):
+            if (kp, i) == (k, l):
+                continue
+            f_i = f_bar[kp][i * m_t : (i + 1) * m_t]
+            worst = max(worst, abs(state.w[k].conj() @ cs.gains[k, l] @ f_i))
         assert worst <= 1e-9 * desired_scale
         return worst / desired_scale
 
@@ -137,9 +133,8 @@ def test_criterion_06_zero_forcing_structure():
     state_i, sinrs_i, _ = isi_zf_alternating(F, P, sigma2)
     cross_term_check(cs_int, state_i)
     terms = power_terms(F, state_i.w, state_i.f)
-    for k, t in enumerate(terms):
-        assert t.interference <= 1e-12 * t.desired
-        assert sinrs_i[k] == pytest.approx(t.desired / sigma2, rel=1e-9)
+    assert np.all(terms.interference <= 1e-12 * terms.desired)
+    assert np.allclose(sinrs_i, terms.desired / sigma2, rtol=1e-9, atol=0.0)
     _report(6, f"worst relative cross term {rel:.1e}; integer delays interference-free")
 
 
@@ -175,10 +170,10 @@ def test_criterion_08_fractional_delay_waveform_oracle():
         bf, _ = eigen_beamform_bs_side(F, 1.0, sigma2)
         pipeline = power_terms(F, bf.w_bar, bf.f_bar)
         oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, window, T, beta, os=os)
+        p = pipeline
         for k in range(cs.K):
-            p = pipeline[k]
             for got, want in zip(
-                (p.desired, p.isi_aligned, p.isi_cross, p.iui), oracle[k]
+                (p.desired[k], p.isi_aligned[k], p.isi_cross[k], p.iui[k]), oracle[k]
             ):
                 scale = max(oracle[k][0], 1e-12)
                 assert got == pytest.approx(want, abs=1e-3 * scale, rel=1e-3)
@@ -205,7 +200,7 @@ def test_criterion_09_water_filling_kkt_and_zf_iui():
     bf, snr, _ = ofdm_zf_waterfill(cs, M, P, sigma2)
     assert bf.power.sum() == pytest.approx(M * P, rel=1e-9)
     for k in range(cs.K):
-        h_k = frequency_response(cs.ues[k], M)
+        h_k = frequency_response(cs, M)[k]
         for kp in range(cs.K):
             if kp == k:
                 continue

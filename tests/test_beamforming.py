@@ -1,5 +1,6 @@
 """Tests for effective channels, eigen-beamforming and ISI zero-forcing."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,12 +30,8 @@ BETA = 0.25
 SIGMA2 = 1e-3
 
 
-def _plans(channels, I_of_L):
-    plans = []
-    for ue in channels.ues:
-        I = I_of_L(ue.L)
-        plans.append(solve_compensation_delays(ue.n_list, I, ue.L + 1 - I))
-    return plans
+def _plans(channels, I):
+    return [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
 
 
 def _count_placements(block, m_r, m_t):
@@ -50,7 +47,6 @@ def _count_placements(block, m_r, m_t):
 
 def _literal_doubleside_sinr(channels, plans, f_list, w_list, sigma2, k):
     """Direct triple-sum evaluation of the grouped-lag SINR."""
-    ue = channels.ues[k]
     m_r, m_t = channels.M_r, channels.M_t
     pk = plans[k]
 
@@ -61,9 +57,9 @@ def _literal_doubleside_sinr(channels, plans, f_list, w_list, sigma2, k):
             w_r = w_list[k][r * m_r : (r + 1) * m_r]
             for i in range(pkp.I):
                 f_i = f_list[kp][i * m_t : (i + 1) * m_t]
-                for path in ue.paths:
-                    q = path.n + pkp.kappa[i] + pk.mu[r] - pk.n_max
-                    acc[q] = acc.get(q, 0.0) + w_r.conj() @ path.gain @ f_i
+                for n, gain in zip(channels.n[k], channels.gains[k]):
+                    q = n + pkp.kappa[i] + pk.mu[r] - pk.n_max
+                    acc[q] = acc.get(q, 0.0) + w_r.conj() @ gain @ f_i
         return acc
 
     own = couplings(k)
@@ -79,57 +75,64 @@ class TestAssembleEffectiveChannels:
     def test_single_path_single_ue(self):
         rng = np.random.default_rng(0)
         cs = make_channel_set(rng, 2, 4, [[5]])
-        plans = _plans(cs, lambda L: 1)
+        plans = _plans(cs, 1)
         tensor = assemble_effective_channels(cs, plans)
-        assert set(np.unique(tensor.lags[(0, 0)])) == {0}
-        assert np.array_equal(tensor.aligned_block(0), cs.ues[0].paths[0].gain)
+        assert set(np.unique(tensor.lags[0, 0])) == {0}
+        assert np.array_equal(tensor.aligned_blocks()[0], cs.gains[0, 0])
 
     def test_reference_plan_has_five_zero_lag_placements(self):
         rng = np.random.default_rng(1)
         cs = make_channel_set(rng, 2, 3, [[1, 3, 4, 5]])
         plans = [solve_compensation_delays([1, 3, 4, 5], 2, 3)]
         tensor = assemble_effective_channels(cs, plans)
-        block0 = tensor.aligned_block(0)
+        block0 = tensor.aligned_blocks()[0]
         assert _count_placements(block0, 2, 3) == 5
 
     def test_total_placements(self):
         rng = np.random.default_rng(2)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=4, fractional=False)
-        plans = _plans(cs, lambda L: 2)
+        plans = _plans(cs, 2)
         tensor = assemble_effective_channels(cs, plans)
-        for k, ue in enumerate(cs.ues):
+        assert tensor.lags.shape == (cs.K, cs.K, 3, 2, cs.L)
+        for k in range(cs.K):
             for kp in range(cs.K):
-                lags = tensor.lags[(k, kp)]
-                assert lags.size == plans[k].R * plans[kp].I * ue.L
+                lags = tensor.lags[k, kp]
                 for r, mu in enumerate(plans[k].mu):
                     for i, kappa in enumerate(plans[kp].kappa):
-                        for l, path in enumerate(ue.paths):
-                            assert lags[r, i, l] == path.n + kappa + mu - plans[k].n_max
+                        for l, n in enumerate(cs.n[k]):
+                            assert lags[r, i, l] == n + kappa + mu - plans[k].n_max
 
     def test_self_pair_min_lag(self):
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
-        plans = _plans(cs, lambda L: 2)
+        plans = _plans(cs, 2)
         tensor = assemble_effective_channels(cs, plans)
-        for k, ue in enumerate(cs.ues):
-            assert tensor.lags[(k, k)].min() == ue.n_list[0] - ue.n_max
+        for k in range(cs.K):
+            assert tensor.lags[k, k].min() == cs.n[k, 0] - cs.n_max[k]
+
+    def test_plans_must_share_stream_counts(self):
+        rng = np.random.default_rng(3)
+        cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
+        plans = [solve_compensation_delays(cs.n[0], 1, 3), solve_compensation_delays(cs.n[1], 2, 2)]
+        with pytest.raises(ValueError, match="same I and R"):
+            assemble_effective_channels(cs, plans)
 
 
 class TestEigenBeamformDoubleside:
     def test_interference_free_closed_form(self):
         rng = np.random.default_rng(4)
         cs = make_channel_set(rng, 2, 4, [[3]])
-        plans = _plans(cs, lambda L: 1)
+        plans = _plans(cs, 1)
         tensor = assemble_effective_channels(cs, plans)
         P = 2.0
         bf, sinrs = eigen_beamform_doubleside(tensor, P, SIGMA2)
-        smax = np.linalg.svd(cs.ues[0].paths[0].gain, compute_uv=False)[0]
+        smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
         assert sinrs[0] == pytest.approx(P * smax**2 / SIGMA2, rel=1e-10)
 
     def test_zero_channel_gives_zero_sinr(self):
         rng = np.random.default_rng(5)
         cs = make_channel_set(rng, 2, 4, [[3]], scale=0.0)
-        plans = _plans(cs, lambda L: 1)
+        plans = _plans(cs, 1)
         tensor = assemble_effective_channels(cs, plans)
         _, sinrs = eigen_beamform_doubleside(tensor, 1.0, SIGMA2)
         assert sinrs[0] == 0.0
@@ -138,7 +141,7 @@ class TestEigenBeamformDoubleside:
         rng = np.random.default_rng(6)
         for trial in range(5):
             cs = random_delay_channel_set(rng, 2, 5, K=2, L=3, fractional=False)
-            plans = _plans(cs, lambda L: int(rng.integers(1, L + 1)))
+            plans = _plans(cs, int(rng.integers(1, cs.L + 1)))
             tensor = assemble_effective_channels(cs, plans)
             bf, sinrs = eigen_beamform_doubleside(tensor, 1.5, SIGMA2)
             for k in range(cs.K):
@@ -148,35 +151,19 @@ class TestEigenBeamformDoubleside:
     def test_power_budget_binds(self):
         rng = np.random.default_rng(7)
         cs = random_delay_channel_set(rng, 2, 4, K=3, L=2, fractional=False)
-        plans = _plans(cs, lambda L: 1)
+        plans = _plans(cs, 1)
         tensor = assemble_effective_channels(cs, plans)
         bf, _ = eigen_beamform_doubleside(tensor, 3.0, SIGMA2)
-        assert bf.total_transmit_power() == pytest.approx(3.0, rel=1e-9)
+        assert np.linalg.norm(bf.f_bar) ** 2 == pytest.approx(3.0, rel=1e-9)
         for w in bf.w_bar:
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_sinr_scale_covariance(self):
         rng = np.random.default_rng(8)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
-        plans = _plans(cs, lambda L: 2)
+        plans = _plans(cs, 2)
         c = 3.7
-        scaled = make_channel_set(
-            rng, 2, 4, [ue.n_list for ue in cs.ues]
-        )  # placeholder replaced below
-        # scale the gains of the original set directly
-        from damlink.channel import ChannelSet, PathComponent, UEChannel
-
-        scaled = ChannelSet(
-            ues=tuple(
-                UEChannel(
-                    paths=tuple(
-                        PathComponent(gain=c * p.gain, tau_s=p.tau_s, n=p.n, tau_f_s=p.tau_f_s)
-                        for p in ue.paths
-                    ),
-                )
-                for ue in cs.ues
-            )
-        )
+        scaled = dataclasses.replace(cs, gains=c * cs.gains)
         t1 = assemble_effective_channels(cs, plans)
         t2 = assemble_effective_channels(scaled, plans)
         _, s1 = eigen_beamform_doubleside(t1, 1.0, SIGMA2)
@@ -194,7 +181,7 @@ def _lag_blocks(gains, weights):
 
 def _own_lag_blocks(F, k):
     """(aligned, cross-path) per-lag blocks of UE k's own streams."""
-    tab = F.tables[(k, k)].values
+    tab = F.tables[k, k]
     diag_only = np.zeros_like(tab)
     idx = np.arange(tab.shape[0])
     diag_only[idx, idx] = tab[idx, idx]
@@ -207,9 +194,8 @@ class TestBsSideAssembly:
         cs = make_channel_set(rng, 2, 4, [[1, 4, 7]])
         tables = bs_side_rho_tables(cs, 20, T, BETA)
         F = assemble_bs_side(cs, tables)
-        ue = cs.ues[0]
         center = F.window
-        expected = np.concatenate([p.gain for p in ue.paths], axis=1)
+        expected = np.concatenate(list(cs.gains[0]), axis=1)
         h_rho, h_hat = _own_lag_blocks(F, 0)
         assert np.array_equal(F.aligned[0], expected)
         assert np.array_equal(h_rho[center], expected)
@@ -223,24 +209,7 @@ class TestBsSideAssembly:
         fracs = [[0.21, -0.37, 0.44]]
         cs_plus = make_channel_set(rng, 2, 3, delays, fracs)
         # identical gains with negated fractional delays
-        from damlink.channel import ChannelSet, PathComponent, UEChannel
-
-        cs_minus = ChannelSet(
-            ues=tuple(
-                UEChannel(
-                    paths=tuple(
-                        PathComponent(
-                            gain=p.gain,
-                            tau_s=p.n * T - p.tau_f_s,
-                            n=p.n,
-                            tau_f_s=-p.tau_f_s,
-                        )
-                        for p in ue.paths
-                    ),
-                )
-                for ue in cs_plus.ues
-            )
-        )
+        cs_minus = dataclasses.replace(cs_plus, tau_f=-cs_plus.tau_f)
         Fp = assemble_bs_side(cs_plus, bs_side_rho_tables(cs_plus, 25, T, BETA))
         Fm = assemble_bs_side(cs_minus, bs_side_rho_tables(cs_minus, 25, T, BETA))
         h_rho_p, _ = _own_lag_blocks(Fp, 0)
@@ -255,25 +224,24 @@ class TestPowerTerms:
         cs = random_delay_channel_set(rng, 2, 6, K=2, L=3, fractional=False)
         F = assemble_bs_side(cs, bs_side_rho_tables(cs, 40, T, BETA))
         bf, _ = eigen_beamform_bs_side(F, 1.0, SIGMA2)
-        for t in power_terms(F, bf.w_bar, bf.f_bar):
-            assert t.isi_aligned == 0.0
+        assert np.all(power_terms(F, bf.w_bar, bf.f_bar).isi_aligned == 0.0)
 
     def test_single_ue_single_path_has_no_cross_terms(self):
         rng = np.random.default_rng(12)
         cs = make_channel_set(rng, 2, 4, [[3]], [[0.3]])
         F = assemble_bs_side(cs, bs_side_rho_tables(cs, 20, T, BETA))
         bf, _ = eigen_beamform_bs_side(F, 1.0, SIGMA2)
-        t = power_terms(F, bf.w_bar, bf.f_bar)[0]
-        assert t.isi_cross == 0.0
-        assert t.iui == 0.0
-        assert t.desired > 0.0
+        t = power_terms(F, bf.w_bar, bf.f_bar)
+        assert t.isi_cross[0] == 0.0
+        assert t.iui[0] == 0.0
+        assert t.desired[0] > 0.0
 
     @pytest.mark.parametrize(
         "m_r,m_t,delays,full_rank",
         [
             (2, 6, [[2, 7, 11], [1, 5, 13]], False),
-            (1, 5, [[0, 4], [3, 6, 8], [1, 9]], False),
-            (3, 4, [[1, 2, 6, 10], [0, 7]], True),
+            (1, 5, [[0, 4, 6], [3, 6, 8], [1, 5, 9]], False),
+            (3, 4, [[1, 2, 6, 10], [0, 3, 5, 7]], True),
         ],
     )
     def test_matches_lag_stacked_blocks(self, m_r, m_t, delays, full_rank):
@@ -282,28 +250,27 @@ class TestPowerTerms:
         fracs = [rng.uniform(-0.5, 0.5, len(d)).tolist() for d in delays]
         cs = make_channel_set(rng, m_r, m_t, delays, fracs, full_rank=full_rank)
         F = assemble_bs_side(cs, bs_side_rho_tables(cs, 30, T, BETA))
-        w_list = [rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r) for _ in cs.ues]
-        f_list = [
-            rng.standard_normal(m_t * ue.L) + 1j * rng.standard_normal(m_t * ue.L)
-            for ue in cs.ues
-        ]
-        for k, t in enumerate(power_terms(F, w_list, f_list)):
+        w_list = rng.standard_normal((cs.K, m_r)) + 1j * rng.standard_normal((cs.K, m_r))
+        shape = (cs.K, m_t * cs.L)
+        f_list = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        terms = power_terms(F, w_list, f_list)
+        for k in range(cs.K):
             h_rho, h_hat = _own_lag_blocks(F, k)
             a = (h_rho @ f_list[k]) @ w_list[k].conj()
             b = (h_hat @ f_list[k]) @ w_list[k].conj()
             iui = sum(
                 np.sum(np.abs(
-                    (_lag_blocks(F.gains[k], F.tables[(k, kp)].values) @ f_list[kp])
+                    (_lag_blocks(F.gains[k], F.tables[k, kp]) @ f_list[kp])
                     @ w_list[k].conj()
                 ) ** 2)
                 for kp in range(cs.K) if kp != k
             )
-            assert t.desired == pytest.approx(abs(a[F.window]) ** 2, rel=1e-12)
-            assert t.isi_aligned == pytest.approx(
+            assert terms.desired[k] == pytest.approx(abs(a[F.window]) ** 2, rel=1e-12)
+            assert terms.isi_aligned[k] == pytest.approx(
                 np.sum(np.abs(np.delete(a, F.window)) ** 2), rel=1e-10
             )
-            assert t.isi_cross == pytest.approx(np.sum(np.abs(b) ** 2), rel=1e-12)
-            assert t.iui == pytest.approx(iui, rel=1e-12)
+            assert terms.isi_cross[k] == pytest.approx(np.sum(np.abs(b) ** 2), rel=1e-12)
+            assert terms.iui[k] == pytest.approx(iui, rel=1e-12)
 
     def test_reference_config_memory_peak(self):
         # the per-lag block stacks this replaces peaked at 34.5 MB here
@@ -326,7 +293,7 @@ class TestEigenBeamformBsSide:
         F = assemble_bs_side(cs, bs_side_rho_tables(cs, 20, T, BETA))
         P = 1.7
         _, sinrs = eigen_beamform_bs_side(F, P, SIGMA2)
-        smax = np.linalg.svd(cs.ues[0].paths[0].gain, compute_uv=False)[0]
+        smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
         assert sinrs[0] == pytest.approx(P * smax**2 / SIGMA2, rel=1e-10)
 
     def test_sinr_invariant_under_receive_phase(self):
@@ -334,14 +301,9 @@ class TestEigenBeamformBsSide:
         cs = random_delay_channel_set(rng, 2, 5, K=2, L=3)
         F = assemble_bs_side(cs, bs_side_rho_tables(cs, 40, T, BETA))
         bf, sinrs = eigen_beamform_bs_side(F, 1.0, SIGMA2)
-        rotated = [np.exp(1j * rng.uniform(0, 2 * np.pi)) * w for w in bf.w_bar]
+        rotated = np.exp(1j * rng.uniform(0, 2 * np.pi, (cs.K, 1))) * bf.w_bar
         terms = power_terms(F, rotated, bf.f_bar)
-        again = np.array(
-            [
-                t.desired / (t.interference + SIGMA2 * np.linalg.norm(w) ** 2)
-                for t, w in zip(terms, rotated)
-            ]
-        )
+        again = terms.desired / (terms.interference + SIGMA2 * np.linalg.norm(rotated, axis=1) ** 2)
         assert np.allclose(again, sinrs, rtol=1e-12)
 
     def test_dominates_random_beamformers(self):
@@ -356,8 +318,8 @@ class TestEigenBeamformBsSide:
             f *= np.sqrt(P) / np.linalg.norm(f)
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             w /= np.linalg.norm(w)
-            t = power_terms(F, [w], [f])[0]
-            rnd = t.desired / (t.interference + SIGMA2)
+            t = power_terms(F, w[None], f[None])
+            rnd = t.desired[0] / (t.interference[0] + SIGMA2)
             assert rnd <= sinrs[0]
 
 
@@ -365,7 +327,7 @@ class TestNullSpaceProjection:
     def test_generic_dimension(self):
         rng = np.random.default_rng(16)
         cs = random_delay_channel_set(rng, 1, 8, K=2, L=2, fractional=False)
-        basis = null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 0, 0)
+        basis = null_space_projection(cs.gains, 0, 0)
         assert basis.shape == (8, 5)
 
     def test_boundary_dimension(self):
@@ -373,23 +335,23 @@ class TestNullSpaceProjection:
         # M_t = M_r * (L_tot - 1) + 1 exactly; full-rank paths make the
         # stacked interference matrix generically full row rank
         cs = random_delay_channel_set(rng, 2, 11, K=2, L=3, fractional=False, full_rank=True)
-        basis = null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 1, 2)
+        basis = null_space_projection(cs.gains, 1, 2)
         assert basis.shape == (11, 1)
 
     def test_kernel_membership(self):
         rng = np.random.default_rng(18)
         cs = random_delay_channel_set(rng, 2, 16, K=2, L=3, fractional=False)
-        basis = null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 0, 1)
-        for kp, ue in enumerate(cs.ues):
-            for lp, path in enumerate(ue.paths):
-                if (kp, lp) != (0, 1):
-                    assert np.linalg.norm(path.gain @ basis) <= 1e-10 * np.linalg.norm(path.gain)
+        basis = null_space_projection(cs.gains, 0, 1)
+        for kp, lp in np.ndindex(cs.K, cs.L):
+            if (kp, lp) != (0, 1):
+                gain = cs.gains[kp, lp]
+                assert np.linalg.norm(gain @ basis) <= 1e-10 * np.linalg.norm(gain)
 
     def test_infeasible_dimensions_raise(self):
         rng = np.random.default_rng(19)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False)
         with pytest.raises(InfeasibleError, match=r"M_t >= M_r \* \(L_tot - 1\) \+ 1"):
-            null_space_projection(bs_side_channels(cs, T, BETA, 40).gains, 0, 0)
+            null_space_projection(cs.gains, 0, 0)
 
 
 def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
@@ -399,16 +361,15 @@ def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
 
 def _center_channels(cs, window=40):
     """Per-UE zero-lag projected channels [H_kl basis_kl rho_ll[0]]_l, (M_r, D)."""
-    gains = bs_side_channels(cs, T, BETA, window).gains
-    out = []
-    for k, ue in enumerate(cs.ues):
-        tab = build_rho_table(ue, ue, bs_side_kappa(ue), window, T, BETA).values
-        out.append(np.concatenate(
-            [path.gain @ null_space_projection(gains, k, l) * tab[l, l, window]
-             for l, path in enumerate(ue.paths)],
+    tab = build_rho_table(cs, bs_side_kappa(cs), window, T, BETA)
+    return [
+        np.concatenate(
+            [cs.gains[k, l] @ null_space_projection(cs.gains, k, l) * tab[k, k, l, l, window]
+             for l in range(cs.L)],
             axis=1,
-        ))
-    return out
+        )
+        for k in range(cs.K)
+    ]
 
 
 def _grams(cs, window=40):
@@ -419,10 +380,9 @@ def _grams(cs, window=40):
 
 def _projected(cs):
     """Per UE, the per-path projected channels G_kl = H_kl B_kl."""
-    gains = bs_side_channels(cs, T, BETA, 40).gains
     return [
-        [path.gain @ null_space_projection(gains, k, l) for l, path in enumerate(ue.paths)]
-        for k, ue in enumerate(cs.ues)
+        [cs.gains[k, l] @ null_space_projection(cs.gains, k, l) for l in range(cs.L)]
+        for k in range(cs.K)
     ]
 
 
@@ -502,12 +462,12 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(22)
         cs = random_delay_channel_set(rng, 2, 8, K=1, L=3, fractional=False)
         state, sinrs, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
-        ue, w, f = cs.ues[0], state.w[0], state.f[0]
+        w, f = state.w[0], state.f[0]
         m_t = cs.M_t
-        tab = build_rho_table(ue, ue, bs_side_kappa(ue), 40, T, BETA).values
+        tab = build_rho_table(cs, bs_side_kappa(cs), 40, T, BETA)[0, 0]
         coup = sum(
-            tab[l, l] * (w.conj() @ path.gain @ f[l * m_t : (l + 1) * m_t])
-            for l, path in enumerate(ue.paths)
+            tab[l, l] * (w.conj() @ cs.gains[0, l] @ f[l * m_t : (l + 1) * m_t])
+            for l in range(cs.L)
         )
         center = 40
         desired = abs(coup[center]) ** 2
@@ -576,16 +536,13 @@ class TestIsiZfAlternating:
         state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
         f_bar = state.f
         m_t = cs.M_t
-        scale = np.sqrt(P) * max(np.linalg.norm(p.gain) for ue in cs.ues for p in ue.paths)
-        for k, ue in enumerate(cs.ues):
-            for l, path in enumerate(ue.paths):
-                for kp in range(cs.K):
-                    for i in range(cs.ues[kp].L):
-                        if (kp, i) == (k, l):
-                            continue
-                        f_i = f_bar[kp][i * m_t : (i + 1) * m_t]
-                        cross = abs(state.w[k].conj() @ path.gain @ f_i)
-                        assert cross <= 1e-9 * scale
+        scale = np.sqrt(P) * np.max(np.linalg.norm(cs.gains, axis=(2, 3)))
+        for k, l, kp, i in np.ndindex(cs.K, cs.L, cs.K, cs.L):
+            if (kp, i) == (k, l):
+                continue
+            f_i = f_bar[kp][i * m_t : (i + 1) * m_t]
+            cross = abs(state.w[k].conj() @ cs.gains[k, l] @ f_i)
+            assert cross <= 1e-9 * scale
 
     def test_power_budget(self):
         rng = np.random.default_rng(26)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import assert_same_channels
 from damlink.channel import (
+    ChannelSet,
     ConfigError,
     SimConfig,
     frequency_response,
@@ -72,24 +73,21 @@ class TestGenerateChannelSet:
         cfg = small_cfg(L=8)
         for seed in range(20):
             cs = generate_channel_set(cfg, seed)
-            for ue in cs.ues:
-                n = ue.n_list
-                assert len(set(n)) == cfg.L
-                assert n == sorted(n)
+            assert cs.n.shape == (cfg.K, cfg.L)
+            assert np.all(np.diff(cs.n, axis=1) > 0)
 
     def test_paths_are_rank_one(self):
         from damlink.numerics import rank
 
         cs = generate_channel_set(small_cfg(M_t=6, M_r=3), 7)
-        for ue in cs.ues:
-            for p in ue.paths:
-                assert rank(p.gain) == 1
+        for gain in cs.gains.reshape(-1, 3, 6):
+            assert rank(gain) == 1
 
     def test_mean_power_matches_large_scale_gain(self):
         cfg = small_cfg(M_t=1, M_r=1, K=1, L=1)
         draws = np.array(
             [
-                abs(generate_channel_set(cfg, seed).ues[0].paths[0].gain[0, 0]) ** 2
+                abs(generate_channel_set(cfg, seed).gains[0, 0, 0, 0]) ** 2
                 for seed in range(10_000)
             ]
         )
@@ -97,24 +95,43 @@ class TestGenerateChannelSet:
 
     def test_integer_delay_option(self):
         cs = generate_channel_set(small_cfg(), 3, integer_delays=True)
-        for ue in cs.ues:
-            for p in ue.paths:
-                assert p.tau_f_s == 0.0
-                assert p.tau_s == p.n * 5e-9
+        assert np.all(cs.tau_f == 0.0)
+        assert np.array_equal(cs.n, generate_channel_set(small_cfg(), 3).n)
 
     def test_impossible_distinctness_rejected(self):
         with pytest.raises(ConfigError):
             generate_channel_set(small_cfg(L=22, G_cp=20), 0)
 
 
+class TestChannelSet:
+    @pytest.mark.parametrize("n", [[[2, 2, 5]], [[0, 4, 3]], [[1, 2, 3], [4, 1, 6]]])
+    def test_integer_delays_must_increase(self, n):
+        K, L = np.shape(n)
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            ChannelSet(gains=np.zeros((K, L, 2, 4)), n=np.array(n), tau_f=np.zeros((K, L)))
+
+    def test_delays_are_read_only(self):
+        n = np.array([[0, 2, 5]])
+        cs = ChannelSet(gains=np.zeros((1, 3, 2, 4)), n=n, tau_f=np.zeros((1, 3)))
+        n[0, 1] = 7  # the caller's array is not the set's
+        assert cs.n.tolist() == [[0, 2, 5]]
+        with pytest.raises(ValueError, match="read-only"):
+            cs.n[0, 1] = 7
+
+    def test_delay_shapes_must_match_gains(self):
+        with pytest.raises(ValueError, match="gains must be"):
+            ChannelSet(
+                gains=np.zeros((2, 3, 2, 4)), n=np.array([[0, 1], [0, 1]]), tau_f=np.zeros((2, 2))
+            )
+
+
 class TestFrequencyResponse:
     def test_single_path_at_zero_is_flat(self):
         cfg = small_cfg(K=1, L=1)
         cs = generate_channel_set(cfg, 11, integer_delays=True)
-        ue = cs.ues[0]
-        h = ue.paths[0].gain
-        resp = frequency_response(ue, 8)
-        if ue.paths[0].n == 0:
+        h = cs.gains[0, 0]
+        resp = frequency_response(cs, 8)[0]
+        if cs.n[0, 0] == 0:
             expected = h / np.sqrt(8)
             assert np.allclose(resp, np.broadcast_to(expected, resp.shape))
         flat = np.linalg.norm(resp - resp[0], axis=(1, 2))
@@ -125,18 +142,16 @@ class TestFrequencyResponse:
     def test_parseval_with_distinct_integer_delays(self):
         cfg = small_cfg()
         cs = generate_channel_set(cfg, 5, integer_delays=True)
-        ue = cs.ues[0]
         M = 64
-        resp = frequency_response(ue, M)
-        lhs = np.sum(np.abs(resp) ** 2)
-        rhs = sum(np.linalg.norm(p.gain) ** 2 for p in ue.paths)
+        resp = frequency_response(cs, M)
+        lhs = np.sum(np.abs(resp) ** 2, axis=(1, 2, 3))
+        rhs = np.sum(np.abs(cs.gains) ** 2, axis=(1, 2, 3))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_single_point_transform_sums_paths(self):
         cs = generate_channel_set(small_cfg(K=1), 9)
-        ue = cs.ues[0]
-        resp = frequency_response(ue, 1)
-        assert np.allclose(resp[0], sum(p.gain for p in ue.paths))
+        resp = frequency_response(cs, 1)
+        assert np.allclose(resp[0, 0], cs.gains[0].sum(axis=0))
 
 
 class TestNoisePower:
@@ -155,6 +170,18 @@ class TestConfigValidation:
     def test_cp_covers_delay_span(self):
         with pytest.raises(ConfigError):
             SimConfig(G_cp=10, delay_span_samples=100)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(G_c=150, G_gi=200), "G_gi must be shorter than G_c"),
+            (dict(G_c=200, G_gi=200), "G_gi must be shorter than G_c"),
+            (dict(M=64), "G_cp must not exceed M"),
+        ],
+    )
+    def test_lengths_that_describe_no_system(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(**overrides)
 
     @pytest.mark.parametrize(
         "name,value", [("K", 2.0), ("M_t", True), ("G_cp", 100.5), ("G_gi", -1), ("L", 0)]

@@ -168,6 +168,12 @@ class TestParseConfig:
         choice = choose_compensation_counts(spec.config.M_t, spec.config.M_r, 5)
         assert choice.case == 2
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_config(path, kind="papr_ccdf")
+
     def test_missing_kind(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({}))
@@ -242,6 +248,20 @@ class TestCli:
         cfg_path.write_text(json.dumps({"experiment": {"trials": "many"}}))
         assert main(["se_vs_power_bsside", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error: experiment.trials: ")
+
+    @pytest.mark.parametrize(
+        "kind,system",
+        [
+            ("se_vs_power_doubleside", {"G_c": 150, "G_gi": 200}),
+            ("papr_ccdf", {"M": 64}),
+        ],
+    )
+    def test_lengths_that_describe_no_system_exit_code(self, tmp_path, capsys, kind, system):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"system": system}))
+        assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: system: ")
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_channel_set, random_delay_channel_set
-from damlink.channel import SimConfig
+from damlink.channel import ChannelSet, SimConfig
 from damlink.delay_design import InfeasibleError
 from damlink.numerics import water_fill
 from damlink.ofdm import (
@@ -12,6 +12,7 @@ from damlink.ofdm import (
     dam_overhead_factor,
     ofdm_effective_rate,
     ofdm_eigen,
+    ofdm_eigen_sinrs,
     ofdm_overhead_factor,
     ofdm_zf_waterfill,
 )
@@ -29,15 +30,15 @@ class TestOfdmEigen:
     def test_single_path_flat_sinr(self):
         rng = np.random.default_rng(0)
         cs = make_channel_set(rng, 2, 4, [[0]])
-        _, sinr = ofdm_eigen(cs, 16, 1.0, SIGMA2)
+        sinr = ofdm_eigen_sinrs(cs, 16, 1.0, SIGMA2)
         assert np.allclose(sinr, sinr[0, 0], rtol=1e-10)
 
     def test_noise_scaling_with_subcarrier_count(self):
         # interference-free single UE: SINR proportional to M through sigma^2/M
         rng = np.random.default_rng(1)
         cs = make_channel_set(rng, 2, 4, [[0]])
-        _, s8 = ofdm_eigen(cs, 8, 1.0, SIGMA2)
-        _, s16 = ofdm_eigen(cs, 16, 1.0, SIGMA2)
+        s8 = ofdm_eigen_sinrs(cs, 8, 1.0, SIGMA2)
+        s16 = ofdm_eigen_sinrs(cs, 16, 1.0, SIGMA2)
         # per-subcarrier power P/K and channel 1/sqrt(M): signal ~ 1/M, noise sigma2/M
         assert s16[0, 0] == pytest.approx(s8[0, 0], rel=1e-9)
 
@@ -45,11 +46,12 @@ class TestOfdmEigen:
         rng = np.random.default_rng(2)
         cs = random_delay_channel_set(rng, 2, 5, K=2, L=3, fractional=False, span=10)
         M = 8
-        bf, sinr = ofdm_eigen(cs, M, 1.3, SIGMA2)
+        bf = ofdm_eigen(cs, M, 1.3)
+        sinr = ofdm_eigen_sinrs(cs, M, 1.3, SIGMA2)
         from damlink.channel import frequency_response
 
         for k in range(cs.K):
-            h_k = frequency_response(cs.ues[k], M)
+            h_k = frequency_response(cs, M)[k]
             for m in range(M):
                 sig = abs(bf.u[k, m].conj() @ h_k[m] @ bf.v[k, m]) ** 2
                 interf = sum(
@@ -64,8 +66,8 @@ class TestOfdmEigen:
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 5, K=3, L=2, fractional=False, span=10)
         M, P = 16, 2.0
-        bf, _ = ofdm_eigen(cs, M, P, SIGMA2)
-        assert bf.total_transmit_power() == pytest.approx(M * P, rel=1e-9)
+        bf = ofdm_eigen(cs, M, P)
+        assert np.linalg.norm(bf.v) ** 2 == pytest.approx(M * P, rel=1e-9)
         norms = np.linalg.norm(bf.u, axis=2)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -79,7 +81,7 @@ class TestOfdmZfWaterfill:
         from damlink.channel import frequency_response
 
         for k in range(cs.K):
-            h_k = frequency_response(cs.ues[k], M)
+            h_k = frequency_response(cs, M)[k]
             for kp in range(cs.K):
                 if kp == k:
                     continue
@@ -94,7 +96,7 @@ class TestOfdmZfWaterfill:
         bf, snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
         from damlink.channel import frequency_response
 
-        h = frequency_response(cs.ues[0], M)
+        h = frequency_response(cs, M)[0]
         gains = np.array([np.linalg.norm(h[m]) ** 2 for m in range(M)]) / (SIGMA2 / M)
         powers = water_fill(gains, M * P)
         assert np.allclose(np.sort(bf.power.ravel()), np.sort(powers), rtol=1e-9)
@@ -131,9 +133,7 @@ class TestOfdmZfWaterfill:
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(9)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False, span=10)
-        from damlink.channel import ChannelSet
-
-        swapped = ChannelSet(ues=(cs.ues[1], cs.ues[0]))
+        swapped = ChannelSet(gains=cs.gains[::-1], n=cs.n[::-1], tau_f=cs.tau_f[::-1])
         _, _, r1 = ofdm_zf_waterfill(cs, 8, 1.0, SIGMA2)
         _, _, r2 = ofdm_zf_waterfill(swapped, 8, 1.0, SIGMA2)
         assert r1 == pytest.approx(r2, rel=1e-9)

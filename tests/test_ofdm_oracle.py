@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_channel_set, random_delay_channel_set
-from damlink.channel import (
-    ChannelSet,
-    PathComponent,
-    SimConfig,
-    UEChannel,
-    frequency_response,
-    generate_channel_set,
-)
+from damlink.channel import ChannelSet, SimConfig, frequency_response, generate_channel_set
 from damlink.ofdm import GRAM_MIN_RATIO, ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
 from oracles import oracle_ofdm_eigen, oracle_ofdm_zf_waterfill
 
@@ -45,7 +38,8 @@ def _channel_sets():
 
 @pytest.mark.parametrize("cs", _channel_sets())
 def test_eigen_matches_full_svd_oracle(cs):
-    bf, sinr = ofdm_eigen(cs, M, P, SIGMA2)
+    bf = ofdm_eigen(cs, M, P)
+    sinr = ofdm_eigen_sinrs(cs, M, P, SIGMA2)
     u, v, sinr_ref = oracle_ofdm_eigen(cs, M, P, SIGMA2)
     # elementwise, not up to a phase: v feeds the OFDM waveform
     assert np.max(np.abs(bf.u - u)) <= 1e-12
@@ -55,15 +49,17 @@ def test_eigen_matches_full_svd_oracle(cs):
 
 @pytest.mark.parametrize("cs", _channel_sets())
 def test_eigen_sinrs_follow_returned_beamformers(cs):
-    bf, sinr = ofdm_eigen(cs, M, P, SIGMA2)
-    h = np.stack([frequency_response(ue, M) for ue in cs.ues])
+    # the SINRs of ofdm_eigen's own u and v, by the literal formula
+    bf = ofdm_eigen(cs, M, P)
+    h = frequency_response(cs, M)
     coupling = np.einsum("kmr,kmrt,jmt->kjm", bf.u.conj(), h, bf.v)
     idx = np.arange(cs.K)
     signal = np.abs(coupling[idx, idx]) ** 2
     literal = signal / (np.sum(np.abs(coupling) ** 2, axis=1) - signal + SIGMA2 / M)
+    sinr = ofdm_eigen_sinrs(cs, M, P, SIGMA2)
     assert np.allclose(sinr, literal, rtol=1e-10, atol=0.0)
     _, _, sinr_ref = oracle_ofdm_eigen(cs, M, P, SIGMA2)
-    assert np.allclose(ofdm_eigen_sinrs(cs, M, P, SIGMA2), sinr_ref, rtol=1e-10, atol=0.0)
+    assert np.allclose(sinr, sinr_ref, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("cs", _channel_sets())
@@ -76,14 +72,18 @@ def test_zf_waterfill_matches_full_column_oracle(cs):
 
 
 def _weak_direction_channel_set(rng, ratio):
-    """UE 0 on three rank-1 paths; UE 1 on one path with singular values 1 and ratio."""
+    """UE 0 on three rank-1 paths; UE 1 on three scaled copies of one matrix with
+    singular values 1 and ratio, so each of its blocks has that singular ratio."""
     m_r, m_t = 2, 16
-    ue0 = make_channel_set(rng, m_r, m_t, [[0, 3, 7]]).ues[0]
+    gains0 = make_channel_set(rng, m_r, m_t, [[0, 3, 7]]).gains[0]
     left, _ = np.linalg.qr(rng.standard_normal((m_r, m_r)) + 1j * rng.standard_normal((m_r, m_r)))
     right, _ = np.linalg.qr(rng.standard_normal((m_t, m_r)) + 1j * rng.standard_normal((m_t, m_r)))
     gain = left @ np.diag([1.0, ratio]) @ right.conj().T
-    ue1 = UEChannel(paths=(PathComponent(gain=gain, tau_s=5 * 5e-9, n=5, tau_f_s=0.0),))
-    return ChannelSet(ues=(ue0, ue1))
+    # |1 + 0.6 e^ja + 0.3 e^jb| >= 0.1, so no subcarrier cancels UE 1's paths
+    gains1 = np.array([1.0, 0.6, 0.3])[:, None, None] * gain
+    return ChannelSet(
+        gains=np.stack([gains0, gains1]), n=np.array([[0, 3, 7], [5, 6, 9]]), tau_f=np.zeros((2, 3))
+    )
 
 
 def _rank_cases():
@@ -110,7 +110,7 @@ def _rank_cases():
 
 @pytest.mark.parametrize("cs,weak", _rank_cases())
 def test_zf_waterfill_rank_cases(cs, weak):
-    h = np.stack([frequency_response(ue, M) for ue in cs.ues])
+    h = frequency_response(cs, M)
     if weak:
         s = np.linalg.svd(h[1], compute_uv=False)
         ratio = s[:, 1] / s[:, 0]
@@ -129,7 +129,14 @@ def test_zf_waterfill_rank_cases(cs, weak):
                 assert leak <= 1e-10 * np.linalg.norm(h[k, m])
 
 
-@pytest.mark.parametrize("solve", [ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        pytest.param(lambda cs, M, P, sigma2: ofdm_eigen(cs, M, P), id="ofdm_eigen"),
+        pytest.param(ofdm_eigen_sinrs, id="ofdm_eigen_sinrs"),
+        pytest.param(ofdm_zf_waterfill, id="ofdm_zf_waterfill"),
+    ],
+)
 def test_reference_config_memory_peak(solve):
     # an M_t x M_t factor per (UE, subcarrier) alone would take 268 MB here
     cfg = SimConfig()

@@ -94,8 +94,8 @@ def _dam_case(cfg, channels, rng, blocks, block_symbols):
     bf, _ = eigen_beamform_bs_side(
         assemble_bs_side(channels, tables), cfg.p_watts(), cfg.sigma2_watts()
     )
-    kappas = [bs_side_kappa(ue) for ue in channels.ues]
-    pad = 32 + max(max(k) for k in kappas)
+    kappas = bs_side_kappa(channels)
+    pad = 32 + int(kappas.max())
     sym = _qam(rng, cfg.K, blocks * block_symbols + 2 * pad)
     return (
         dam_streams(sym, bf, kappas, cfg),
@@ -105,7 +105,7 @@ def _dam_case(cfg, channels, rng, blocks, block_symbols):
 
 
 def _ofdm_eigen_bf(cfg, channels):
-    return ofdm_eigen(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())[0]
+    return ofdm_eigen(channels, cfg.M, cfg.p_watts())
 
 
 def _ofdm_zf_bf(cfg, channels):

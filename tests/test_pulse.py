@@ -1,9 +1,11 @@
 """Tests for pulse shapes and correlation tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from damlink.channel import SimConfig, generate_channel_set
+from damlink.channel import ChannelSet, SimConfig, generate_channel_set
 from damlink.pulse import build_rho_table, rho, rrc, rrc_taps
 
 T = 5e-9
@@ -78,55 +80,63 @@ def _two_ue_channels(seed, integer_delays=False, L=3):
     return cfg, generate_channel_set(cfg, seed, integer_delays=integer_delays)
 
 
-def _bs_side_kappa(ue):
-    return [ue.n_max - n for n in ue.n_list]
+def _bs_side_kappa(cs):
+    return cs.n_max[:, None] - cs.n
 
 
 class TestBuildRhoTable:
     def test_aligned_columns_are_delta(self):
         cfg, cs = _two_ue_channels(0, integer_delays=True)
-        ue = cs.ues[0]
-        table = build_rho_table(ue, ue, _bs_side_kappa(ue), 40, cfg.T, cfg.beta)
+        table = build_rho_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)
+        assert table.shape == (2, 2, 3, 3, 81)
         delta = np.zeros(81)
         delta[40] = 1.0
-        for l in range(ue.L):
-            assert np.array_equal(table.values[l, l], delta)
-        assert np.all(np.abs(table.values) <= 1.0 + 1e-9)
+        for k in range(cs.K):
+            for l in range(cs.L):
+                assert np.array_equal(table[k, k, l, l], delta)
+        assert np.all(np.abs(table) <= 1.0 + 1e-9)
 
     def test_off_diagonal_zero_for_integer_delays(self):
         cfg, cs = _two_ue_channels(1, integer_delays=True)
-        ue = cs.ues[0]
-        table = build_rho_table(ue, ue, _bs_side_kappa(ue), 40, cfg.T, cfg.beta)
-        for l in range(ue.L):
-            for i in range(ue.L):
+        table = build_rho_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)[0, 0]
+        n = cs.n[0]
+        for l in range(cs.L):
+            for i in range(cs.L):
                 if l != i:
                     # stream i peaks at lag n_l - n_i seen from path l
-                    peak = ue.n_list[l] - ue.n_list[i] + 40
-                    col = table.values[l, i].copy()
+                    peak = n[l] - n[i] + 40
+                    col = table[l, i].copy()
                     assert col[peak] == 1.0
                     col[peak] = 0.0
                     assert np.all(col == 0.0)
 
-    def test_negated_fractional_delays_time_reverse_diagonal(self):
-        from damlink.channel import PathComponent, UEChannel
+    def test_every_pair_follows_the_formula(self):
+        # entry (k, k', l, i, n) = rho((n - W + n_k,max - kappa_k'i - n_kl) T - tau_f,kl)
+        cfg, cs = _two_ue_channels(4)
+        kappa = _bs_side_kappa(cs)
+        W = 40
+        table = build_rho_table(cs, kappa, W, cfg.T, cfg.beta)
+        for k in range(cs.K):
+            for kp in range(cs.K):
+                for l in range(cs.L):
+                    for i in range(cs.L):
+                        offset = cs.n_max[k] - kappa[kp, i] - cs.n[k, l]
+                        t = (np.arange(-W, W + 1) + offset) * cfg.T - cs.tau_f[k, l]
+                        assert np.allclose(
+                            table[k, kp, l, i], rho(t, cfg.T, cfg.beta), rtol=0.0, atol=1e-12
+                        )
 
+    def test_negated_fractional_delays_time_reverse_diagonal(self):
         cfg, cs = _two_ue_channels(5)
-        ue = cs.ues[0]
-        flipped = UEChannel(
-            paths=tuple(
-                PathComponent(gain=p.gain, tau_s=p.n * cfg.T - p.tau_f_s, n=p.n, tau_f_s=-p.tau_f_s)
-                for p in ue.paths
-            ),
-        )
-        kappa = _bs_side_kappa(ue)
-        t_plus = build_rho_table(ue, ue, kappa, 40, cfg.T, cfg.beta)
-        t_minus = build_rho_table(flipped, flipped, kappa, 40, cfg.T, cfg.beta)
-        for l in range(ue.L):
-            assert np.allclose(t_minus.values[l, l], t_plus.values[l, l][::-1], atol=1e-12)
+        flipped = dataclasses.replace(cs, tau_f=-cs.tau_f)
+        kappa = _bs_side_kappa(cs)
+        t_plus = build_rho_table(cs, kappa, 40, cfg.T, cfg.beta)
+        t_minus = build_rho_table(flipped, kappa, 40, cfg.T, cfg.beta)
+        for k in range(cs.K):
+            for l in range(cs.L):
+                assert np.allclose(t_minus[k, k, l, l], t_plus[k, k, l, l][::-1], atol=1e-12)
 
     def test_columns_match_oversampled_convolution(self):
-        from damlink.channel import PathComponent, UEChannel
-
         beta = 0.25  # faster tail decay keeps the truncation error below tolerance
         T_s = T
         os = 64
@@ -134,17 +144,12 @@ class TestBuildRhoTable:
         rng = np.random.default_rng(9)
 
         # fractional delays on the 64x grid so the oracle needs no interpolation
-        n_list = [1, 5, 8]
-        paths = []
-        for n in n_list:
-            frac = int(rng.integers(-os // 2 + 1, os // 2)) * dt
-            paths.append(
-                PathComponent(gain=np.ones((1, 1)), tau_s=n * T_s + frac, n=n, tau_f_s=frac)
-            )
-        ue = UEChannel(paths=tuple(paths))
-        kappa = _bs_side_kappa(ue)
+        n = np.array([[1, 5, 8]])
+        frac = np.array([[int(rng.integers(-os // 2 + 1, os // 2)) * dt for _ in range(3)]])
+        cs = ChannelSet(gains=np.ones((1, 3, 1, 1), dtype=complex), n=n, tau_f=frac)
+        kappa = _bs_side_kappa(cs)
         W = 40
-        table = build_rho_table(ue, ue, kappa, W, T_s, beta)
+        table = build_rho_table(cs, kappa, W, T_s, beta)[0, 0]
 
         span = 80
         t = np.arange(-span * os, span * os + 1) * dt
@@ -152,33 +157,28 @@ class TestBuildRhoTable:
         auto = np.convolve(phi, phi[::-1]) * dt
         center = len(phi) - 1
 
-        for l in range(ue.L):
-            for i in range(ue.L):
-                offset = ue.n_max - kappa[i] - ue.n_list[l]
-                args = (np.arange(-W, W + 1) + offset) * T_s - ue.paths[l].tau_f_s
+        for l in range(cs.L):
+            for i in range(cs.L):
+                offset = cs.n_max[0] - kappa[0, i] - n[0, l]
+                args = (np.arange(-W, W + 1) + offset) * T_s - frac[0, l]
                 idx = np.round(args / dt).astype(int) + center
                 oracle = np.array([auto[j] if 0 <= j < len(auto) else 0.0 for j in idx])
-                col = table.values[l, i]
+                col = table[l, i]
                 assert np.sum(col**2) == pytest.approx(
                     np.sum(oracle**2), abs=1e-4 * max(np.sum(col**2), 1e-3)
                 )
 
     def test_window_too_small_raises(self):
         cfg, cs = _two_ue_channels(2, L=3)
-        ue = cs.ues[0]
-        span = ue.n_max - ue.n_list[0]
+        span = int(np.max(cs.n_max - cs.n[:, 0]))
         if span > 1:
             with pytest.raises(ValueError):
-                build_rho_table(ue, ue, _bs_side_kappa(ue), span - 1, cfg.T, cfg.beta)
+                build_rho_table(cs, _bs_side_kappa(cs), span - 1, cfg.T, cfg.beta)
 
     def test_tail_energy_outside_default_window(self):
         cfg, cs = _two_ue_channels(3)
-        ue = cs.ues[0]
-        kappa = _bs_side_kappa(ue)
-        wide = build_rho_table(ue, ue, kappa, 600, cfg.T, cfg.beta)
-        W = cfg.rho_window  # 200 default window, 40 in the small config
-        full = np.sum(wide.values**2, axis=2)
-        inner = np.sum(wide.values[:, :, 600 - 200 : 600 + 201] ** 2, axis=2)
+        wide = build_rho_table(cs, _bs_side_kappa(cs), 600, cfg.T, cfg.beta)
+        full = np.sum(wide**2, axis=-1)
+        inner = np.sum(wide[..., 600 - 200 : 600 + 201] ** 2, axis=-1)
         tails = (full - inner) / np.maximum(full, 1e-300)
         assert np.all(tails < 1e-6)
-        del W

@@ -46,13 +46,12 @@ def test_power_terms_match_convolution_oracle(m_t, m_r, delays):
     oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, window, T, BETA, os=OS)
 
     for k in range(cs.K):
-        p = pipeline[k]
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
         scale = max(o_ds, 1e-12)
-        assert p.desired == pytest.approx(o_ds, rel=1e-3)
-        assert p.isi_aligned == pytest.approx(o_isi1, abs=1e-3 * scale, rel=1e-3)
-        assert p.isi_cross == pytest.approx(o_isi2, abs=1e-3 * scale, rel=1e-3)
-        assert p.iui == pytest.approx(o_iui, abs=1e-3 * scale, rel=1e-3)
+        assert pipeline.desired[k] == pytest.approx(o_ds, rel=1e-3)
+        assert pipeline.isi_aligned[k] == pytest.approx(o_isi1, abs=1e-3 * scale, rel=1e-3)
+        assert pipeline.isi_cross[k] == pytest.approx(o_isi2, abs=1e-3 * scale, rel=1e-3)
+        assert pipeline.iui[k] == pytest.approx(o_iui, abs=1e-3 * scale, rel=1e-3)
 
 
 def test_sinr_matches_oracle_end_to_end():
