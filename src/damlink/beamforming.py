@@ -6,8 +6,8 @@ Three pipelines share this module:
   (branch, stream, path) lag indices;
 * BS-side eigen-beamforming under fractional delays, built from the
   raised-cosine correlation tables;
-* ISI-zero-forcing transmission with alternating MMSE updates of the
-  receive and transmit vectors.
+* ISI-zero-forcing transmission from a sphere-grid start, polished by
+  alternating MMSE updates of the receive and transmit vectors.
 
 Each path gain is one matrix and the pulse couples paths only through a
 scalar weight per lag, so no per-lag block matrix is built: every SINR is a
@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .delay_design import DelayPlan, InfeasibleError
-from .numerics import null_space_basis
+from .numerics import RANK_TOL, null_space_basis
 from .pulse import build_rho_table
 
 __all__ = [
@@ -244,10 +244,27 @@ def eigen_beamform_bs_side(
 # ---------------------------------------------------------------------------
 
 
+# Receive vectors the ISI-ZF start is chosen from: a (theta, phi) grid of the
+# phase-free unit sphere of C^2, and for M_r > 2 a fixed pseudo-random sample
+# of the unit sphere of C^{M_r}.
+SPHERE_GRID = (25, 48)
+SPHERE_SAMPLES = 1200
+SPHERE_SEED = 0
+
+
 def zf_feasible(gains: np.ndarray) -> bool:
     """Whether M_t >= M_r (K L - 1) + 1 for the path gains (K, L, M_r, M_t)."""
     K, L, M_r, M_t = gains.shape
     return M_t >= M_r * (K * L - 1) + 1
+
+
+def _require_zf_feasible(gains: np.ndarray) -> None:
+    if not zf_feasible(gains):
+        K, L, M_r, M_t = gains.shape
+        raise InfeasibleError(
+            "zero-forcing infeasible: requires M_t >= M_r * (L_tot - 1) + 1, "
+            f"got M_t={M_t}, M_r={M_r}, L_tot={K * L}"
+        )
 
 
 def null_space_projection(gains: np.ndarray, k: int, l: int) -> np.ndarray:
@@ -257,27 +274,46 @@ def null_space_projection(gains: np.ndarray, k: int, l: int) -> np.ndarray:
     vector drawn from this span is invisible to all other paths of all UEs,
     enforcing the zero-forcing conditions by construction.
     """
+    _require_zf_feasible(gains)
     K, L, M_r, M_t = gains.shape
-    if not zf_feasible(gains):
-        raise InfeasibleError(
-            "zero-forcing infeasible: requires M_t >= M_r * (L_tot - 1) + 1, "
-            f"got M_t={M_t}, M_r={M_r}, L_tot={K * L}"
-        )
     others = np.delete(gains.reshape(K * L, M_r, M_t), k * L + l, axis=0)
     return null_space_basis(others.reshape(-1, M_t))
+
+
+def _projected_paths(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every path's rows H_kl P_kl with P_kl = I - Q_o Q_o^H, in the path span.
+
+    Q_o spans the rows of every other path of every UE.  All rows lie in the
+    span of Q (M_t, r), r <= K L M_r, from one reduced QR, so each Q_o comes
+    from a reduced SVD of the other paths' rows in Q's coordinates, keeping
+    the singular values above ``RANK_TOL`` relative (the rank rule of
+    ``null_space_basis``).  Returns the (K, L, M_r, r) coordinates of H_kl
+    P_kl and Q, so that H_kl P_kl = coords Q^H.
+    """
+    _require_zf_feasible(gains)
+    K, L, M_r, M_t = gains.shape
+    q, rt = np.linalg.qr(gains.reshape(-1, M_t).conj().T)
+    rows = rt.conj().T.reshape(K * L, M_r, -1)  # H_kl = rows Q^H
+    skip = np.arange(K * L - 1)
+    others = skip[None, :] + (skip[None, :] >= np.arange(K * L)[:, None])  # (K L, K L - 1)
+    _, s, vh = np.linalg.svd(rows[others].reshape(K * L, -1, rows.shape[-1]), full_matrices=False)
+    q_h = vh * (s > RANK_TOL * s[:, :1])[..., None]  # Q_o^H Q, dropped rows zeroed
+    projected = rows - (rows @ q_h.conj().swapaxes(1, 2)) @ q_h
+    return projected.reshape(K, L, M_r, -1), q
 
 
 @dataclass(frozen=True)
 class PathGrams:
     """Every UE's ISI-ZF channel in per-path Gram form.
 
-    With B_kl the null-space basis of path l and G_kl = H_kl B_kl, the stream
-    f_kl = B_kl b_kl reaches UE k's receiver as the output Y_kl = G_kl b_kl,
-    and UE k hears its stream at lag n as Y_k r_k[n] with r_k[n] =
+    Stream l of UE k is sent in the complement of every other path's row
+    space, P_kl = I - Q_o Q_o^H, so only its own path carries it: through the
+    projected path H_kl P_kl it reaches UE k's receiver as the output Y_kl,
+    and UE k hears its streams at lag n as Y_k r_k[n] with r_k[n] =
     (rho_ll[n])_l.  So every lag sum reduces to r0 = r[0] and the L x L Gram
-    matrix s of the other lags.  The transmit update always picks b_kl along
-    G_kl^H w_k, so the loop needs the bases only through the M_r x M_r Gram
-    matrices gram[k, l] = G_kl G_kl^H.
+    matrix s of the other lags.  The transmit update always sends f_kl along
+    P_kl H_kl^H w_k, so the loop sees the projector only through the
+    M_r x M_r Gram matrices gram[k, l] = H_kl P_kl H_kl^H.
     """
 
     gram: np.ndarray   # (K, L, M_r, M_r)
@@ -346,12 +382,12 @@ def mmse_transmit_update(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """SINR-optimal transmit weights (K, L) at fixed per-UE power P/K.
 
-    Path l of UE k sends b_kl = weights_kl G_kl^H w_k, that is f_kl =
-    weights_kl B_kl B_kl^H H_kl^H w_k, and so produces the output Y_kl =
-    weights_kl gram_kl w_k.  With n_l = w^H gram_l w = ||G_l^H w||^2 the
-    push-through identity gives weights proportional to c, where
-    (reg I + s diag(n)) c = r0.  Returns the weights, the outputs Y
-    (K, M_r, L) and the number of solves that took the ``pinv`` fallback.
+    Path l of UE k sends f_kl = weights_kl P_kl H_kl^H w_k and so produces
+    the output Y_kl = weights_kl gram_kl w_k.  With n_l = w^H gram_l w =
+    ||P_l H_l^H w||^2 the push-through identity gives weights proportional
+    to c, where (reg I + s diag(n)) c = r0.  Returns the weights, the
+    outputs Y (K, M_r, L) and the number of solves that took the ``pinv``
+    fallback.
     """
     K = grams.r0.shape[0]
     gw = grams.gram @ w[:, None, :, None]  # (K, L, M_r, 1)
@@ -373,6 +409,43 @@ def isi_zf_sinrs(grams: PathGrams, w: np.ndarray, y: np.ndarray, sigma2: float) 
     return desired / (isi + sigma2 * (w * w.conj()).real.sum(axis=1))
 
 
+def _sphere_points(m_r: int) -> np.ndarray:
+    """(G, M_r) unit receive vectors the ISI-ZF start is chosen from."""
+    if m_r == 1:
+        return np.ones((1, 1), dtype=complex)
+    if m_r == 2:
+        # w = (cos(theta/2), e^{j phi} sin(theta/2)) covers every w up to a phase
+        n_theta, n_phi = SPHERE_GRID
+        half = np.linspace(0.0, np.pi, n_theta)[:, None] / 2
+        phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
+        first, second = np.broadcast_arrays(np.cos(half), phase * np.sin(half))
+        return np.stack([first, second], axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(SPHERE_SEED)
+    z = rng.standard_normal((SPHERE_SAMPLES, m_r, 2)) @ np.array([1.0, 1j])
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, int]:
+    """Each UE's best sphere point w under the transmit weights optimal for it.
+
+    Under ZF a UE hears no other UE, so for a unit w its SINR with the best
+    transmit weights is r0^T diag(n) c, where (reg I + s diag(n)) c = r0,
+    n_l = w^H gram_l w and reg = K sigma2 / P: the ``mmse_transmit_update``
+    system.  Returns the (K, M_r) start and the number of ``pinv`` fallbacks.
+    """
+    K, L = grams.r0.shape
+    points = _sphere_points(grams.gram.shape[-1])  # (G, M_r)
+    G = points.shape[0]
+    outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(G, -1)
+    n = (outer @ grams.gram.reshape(K * L, -1).T).real.reshape(G, K, L).swapaxes(0, 1)
+    a = grams.s[:, None] * n[:, :, None, :]  # (K, G, L, L)
+    np.einsum("kgii->kgi", a)[:] += sigma2 * K / P
+    rhs = np.broadcast_to(grams.r0[:, None], (K, G, L)).reshape(K * G, L)
+    c, fallbacks = _solve(a.reshape(K * G, L, L), rhs)
+    sinrs = np.sum(grams.r0[:, None] * n * c.reshape(K, G, L), axis=2)  # (K, G)
+    return points[np.argmax(sinrs, axis=1)], fallbacks
+
+
 def isi_zf_alternating(
     F: BsSideChannels,
     P: float,
@@ -380,39 +453,37 @@ def isi_zf_alternating(
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> tuple[IsiZfState, np.ndarray, float]:
-    """Alternate MMSE receive/transmit updates on the ZF-projected channels.
+    """ISI-ZF beamforming: a sphere-grid start polished by alternating MMSE updates.
 
     Reads the path gains and each UE's own correlation table from the same
-    BS-side assembly that eigen-beamforming uses.  Starts from equal power
-    split across each UE's null-space coordinates; stops when the relative
-    sum-rate increase drops below ``tol`` or after ``max_iter`` iterations.
-    The objective trace is non-decreasing.  The bases enter only the start
-    and the final transmit vectors; the loop runs on the path Grams of all
-    UEs at once.
+    BS-side assembly that eigen-beamforming uses.  Stream l of UE k is sent
+    in the complement of every other path's row space (projector P_kl =
+    I - Q_o Q_o^H, Q_o from a reduced SVD), so no null-space basis is built
+    and the result does not depend on one.  For each UE the start is the
+    receive vector on a fixed sample of the unit sphere (``SPHERE_GRID`` at
+    M_r = 2, ``SPHERE_SAMPLES`` points at M_r > 2, w = 1 at M_r = 1) whose
+    SINR under its optimal transmit weights is largest, followed by one
+    transmit update.  The receive/transmit updates then run on the path
+    Grams of all UEs at once until the relative sum-rate increase drops
+    below ``tol`` or after ``max_iter`` iterations; the objective trace is
+    non-decreasing.  The final transmit vectors are f_kl = c_l P_kl
+    H_kl^H w_k.
     """
-    K, L, M_r, M_t = F.gains.shape
+    K, L, _, M_t = F.gains.shape
     r = _own_diagonals(F.tables)                  # (K, L, 2W+1)
     off = np.delete(r, F.window, axis=2)
-    r0 = r[..., F.window]
-    paths = list(np.ndindex(K, L))
-    bases = [null_space_projection(F.gains, k, l) for k, l in paths]
-    g = [F.gains[k, l] @ basis for (k, l), basis in zip(paths, bases)]
+    projected, q = _projected_paths(F.gains)      # H_kl P_kl = projected Q^H
     grams = PathGrams(
-        gram=np.stack([x @ x.conj().T for x in g]).reshape(K, L, M_r, M_r),
-        r0=r0,
+        gram=projected @ projected.conj().swapaxes(2, 3),
+        r0=r[..., F.window],
         s=off @ off.swapaxes(1, 2),
     )
-    # equal split: every null-space coordinate of UE k gets amp[k]
-    dims = np.array([basis.shape[1] for basis in bases]).reshape(K, L)
-    amp = np.sqrt(P / K / dims.sum(axis=1))
-    y = amp[:, None, None] * np.stack([x.sum(axis=1) for x in g]).reshape(K, L, M_r).swapaxes(1, 2)
-    f = amp[:, None] * np.stack([basis.sum(axis=1) for basis in bases]).reshape(K, L * M_t)
-
-    # matched-filter receive start keeps the initial state usable as-is
-    w = _unit_rows((y @ r0[..., None])[..., 0])
+    w, fallbacks = _grid_start(grams, P, sigma2)
+    weights, y, start_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
+    fallbacks += start_fallbacks
     sinrs = isi_zf_sinrs(grams, w, y, sigma2)
     trace = [float(np.sum(np.log2(1.0 + sinrs)))]
-    iterations, fallbacks, weights = 0, 0, None
+    iterations = 0
     if math.isfinite(tol):
         for _ in range(max_iter):
             w, rx_fallbacks = mmse_receive_update(grams, y, sigma2)
@@ -431,14 +502,10 @@ def isi_zf_alternating(
         and iterations > 0
         and trace[-1] - trace[-2] >= tol * max(abs(trace[-2]), 1e-300)
     )
-    if weights is not None:
-        f = np.stack([
-            c * (basis @ (x.conj().T @ w[k]))
-            for (k, _), basis, x, c in zip(paths, bases, g, weights.ravel())
-        ]).reshape(K, L * M_t)
+    f = weights[..., None] * (np.einsum("klmr,km->klr", projected.conj(), w) @ q.T)
 
     state = IsiZfState(
-        grams=grams, w=w, f=f, trace=trace, iterations=iterations,
+        grams=grams, w=w, f=f.reshape(K, L * M_t), trace=trace, iterations=iterations,
         converged=converged, fallbacks=fallbacks,
     )
     return state, sinrs, trace[-1]

@@ -9,9 +9,9 @@ combined into desired / aligned-ISI / cross-path-ISI / IUI powers without
 touching the closed-form raised cosine or any block-matrix assembly.
 
 ``oracle_isi_zf`` is a literal reference for the ISI-ZF alternating MMSE
-loop.  It keeps every lag explicit: per UE a (2W+1, M_r, D) stack of
-projected channels, and D x D transmit solves over the null-space
-coordinates (D = total null-space dimension).
+loop from a given start receive vector.  It keeps every lag explicit: per
+UE a (2W+1, M_r, D) stack of projected channels, and D x D transmit solves
+over the null-space coordinates (D = total null-space dimension).
 
 ``oracle_ofdm_eigen`` and ``oracle_ofdm_zf_waterfill`` are the literal OFDM
 baseline: per-subcarrier responses summed path by path with einsum,
@@ -156,11 +156,14 @@ def _stacked_transmit(h_tilde, w_list, P, sigma2):
     return out
 
 
-def oracle_isi_zf(channels, P, sigma2, T, beta, window, tol=1e-6, max_iter=200):
+def oracle_isi_zf(channels, P, sigma2, T, beta, window, w_start=None, tol=1e-6, max_iter=200):
     """Lag-stacked ISI-ZF loop: (iterations, objective trace, stacked f_bar).
 
-    Same start (equal split over each UE's null-space coordinates, matched
-    receive filter) and stopping rule as ``isi_zf_alternating``.
+    Starts from the unit receive vectors ``w_start`` (K, M_r) with one
+    transmit update, then runs the same alternating updates and stopping
+    rule as ``isi_zf_alternating``.  Without ``w_start`` it starts from an
+    equal split over each UE's null-space coordinates and the matched
+    receive filter: a start that depends on the null-space bases.
     """
     K = channels.K
     bases = [
@@ -170,8 +173,12 @@ def oracle_isi_zf(channels, P, sigma2, T, beta, window, tol=1e-6, max_iter=200):
     kappa = channels.n[:, -1:] - channels.n  # BS-side pre-delays
     tables = build_rho_table(channels, kappa, window, T, beta)
     h_tilde = _projected_channels(channels, bases, tables)
-    b_list = [np.sqrt(P / K / h.shape[2]) * np.ones(h.shape[2], dtype=complex) for h in h_tilde]
-    w_list = [_unit_or_first_axis(h[(h.shape[0] - 1) // 2] @ b) for h, b in zip(h_tilde, b_list)]
+    if w_start is None:
+        b_list = [np.sqrt(P / K / h.shape[2]) * np.ones(h.shape[2], dtype=complex) for h in h_tilde]
+        w_list = [_unit_or_first_axis(h[(h.shape[0] - 1) // 2] @ b) for h, b in zip(h_tilde, b_list)]
+    else:
+        w_list = list(w_start)
+        b_list = _stacked_transmit(h_tilde, w_list, P, sigma2)
 
     def objective(w, b):
         return float(np.sum(np.log2(1.0 + _stacked_sinrs(h_tilde, w, b, sigma2))))

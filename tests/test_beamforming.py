@@ -8,6 +8,7 @@ import pytest
 
 from conftest import bs_side_channels, make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
+    SPHERE_GRID,
     assemble_bs_side,
     assemble_effective_channels,
     bs_side_kappa,
@@ -21,9 +22,11 @@ from damlink.beamforming import (
     null_space_projection,
     power_terms,
 )
-from damlink.channel import SimConfig, generate_channel_set
+from damlink.channel import ChannelSet, SimConfig, generate_channel_set
 from damlink.delay_design import InfeasibleError, solve_compensation_delays
+from damlink.experiments import DEFAULT_POWER_GRID, trial_seed
 from damlink.pulse import build_rho_table
+from oracles import oracle_isi_zf
 
 T = 5e-9
 BETA = 0.25
@@ -499,9 +502,10 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(23)
         cs = _zf_setup(rng, fractional=True)
         F = bs_side_channels(cs, T, BETA, 40)
-        full, _, _ = isi_zf_alternating(F, 1.0, SIGMA2)
+        # from the sphere-grid start this draw meets tol=1e-6 after one step
+        full, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=1e-9)
         assert full.iterations > 1
-        state, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, max_iter=1)
+        state, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=1e-9, max_iter=1)
         assert state.iterations == 1
         assert not state.converged
 
@@ -518,8 +522,11 @@ class TestIsiZfAlternating:
         monkeypatch.setattr(np.linalg, "solve", singular)
         state, sinrs, _ = isi_zf_alternating(F, 1.0, SIGMA2)
         assert state.iterations == ref.iterations > 0
-        # every receive and every transmit solve of every UE took pinv
-        assert state.fallbacks == 2 * cs.K * state.iterations
+        # every solve took pinv: one per UE and sphere point, one per UE for
+        # the start's transmit update, and a receive and a transmit solve per
+        # UE and iteration
+        grid = SPHERE_GRID[0] * SPHERE_GRID[1]
+        assert state.fallbacks == cs.K * grid + cs.K + 2 * cs.K * state.iterations
         assert np.allclose(sinrs, ref_sinrs, rtol=1e-9, atol=0.0)
 
     def test_converged_integer_delay_solve(self):
@@ -550,3 +557,77 @@ class TestIsiZfAlternating:
         P = 3.0
         state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
         assert sum(np.linalg.norm(f) ** 2 for f in state.f) <= P * (1 + 1e-9)
+
+    def test_single_receive_antenna_is_one_transmit_update(self):
+        rng = np.random.default_rng(28)
+        cs = _zf_setup(rng, fractional=True, m_t=12, m_r=1)
+        F = bs_side_channels(cs, T, BETA, 40)
+        state, sinrs, _ = isi_zf_alternating(F, 2.0, SIGMA2)
+        w = np.ones((cs.K, 1), dtype=complex)
+        _, y, _ = mmse_transmit_update(state.grams, w, 2.0, SIGMA2)
+        once = isi_zf_sinrs(state.grams, w, y, SIGMA2)
+        assert np.allclose(sinrs, once, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(state.w), 1.0, rtol=0.0, atol=1e-12)
+        start, _, _ = isi_zf_alternating(F, 2.0, SIGMA2, tol=np.inf)
+        assert np.array_equal(start.w, w)
+        assert np.linalg.norm(state.f - start.f) <= 1e-12 * np.linalg.norm(start.f)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_four_receive_antennas_reach_long_basis_start_run(self, seed):
+        # the 5000-iteration run of the literal loop from an equal split over
+        # the null-space coordinates
+        rng = np.random.default_rng(seed)
+        cs = random_delay_channel_set(rng, 4, 16, K=2, L=2, fractional=True)
+        _, _, obj = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+        _, trace, _ = oracle_isi_zf(cs, 1.0, SIGMA2, T, BETA, 40, max_iter=5000)
+        assert obj >= trace[-1] * (1.0 - 1e-6)
+
+
+def _reference_draw(seed, j, t, integer_delays=False):
+    """The CLI's channel draw at power index j of DEFAULT_POWER_GRID, and its config."""
+    cfg = dataclasses.replace(SimConfig(), P_dbm=DEFAULT_POWER_GRID[j])
+    return generate_channel_set(cfg, trial_seed(seed, j, t), integer_delays), cfg
+
+
+class TestIsiZfReferenceConfig:
+    @pytest.mark.parametrize("seed", [1, 1009])
+    def test_fractional_grid_solves_converge(self, seed):
+        for j in range(len(DEFAULT_POWER_GRID)):
+            cs, cfg = _reference_draw(seed, j, 0)
+            F = bs_side_channels(cs, cfg.T, cfg.beta, cfg.rho_window)
+            state, _, _ = isi_zf_alternating(F, cfg.p_watts(), cfg.sigma2_watts())
+            assert state.converged, (seed, DEFAULT_POWER_GRID[j], state.iterations)
+
+    def test_result_does_not_depend_on_transmit_basis(self):
+        j = DEFAULT_POWER_GRID.index(40.0)
+        rng = np.random.default_rng(29)
+        for t in range(3):
+            cs, cfg = _reference_draw(1, j, t)
+            z = rng.standard_normal((cs.M_t, cs.M_t)) + 1j * rng.standard_normal((cs.M_t, cs.M_t))
+            q, r = np.linalg.qr(z)
+            unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            rotated = ChannelSet(gains=cs.gains @ unitary, n=cs.n, tau_f=cs.tau_f)
+            P, sigma2 = cfg.p_watts(), cfg.sigma2_watts()
+            _, sinrs, _ = isi_zf_alternating(
+                bs_side_channels(cs, cfg.T, cfg.beta, cfg.rho_window), P, sigma2
+            )
+            _, again, _ = isi_zf_alternating(
+                bs_side_channels(rotated, cfg.T, cfg.beta, cfg.rho_window), P, sigma2
+            )
+            assert np.allclose(again, sinrs, rtol=1e-9, atol=0.0), (t, np.max(np.abs(again / sinrs - 1)))
+
+
+class TestPathGrams:
+    @pytest.mark.parametrize(
+        "seed,m_t,full_rank",
+        [(30, 16, False), (31, 128, False), (32, 16, True), (33, 11, True)],
+    )
+    def test_projector_grams_match_null_space_bases(self, seed, m_t, full_rank):
+        rng = np.random.default_rng(seed)
+        cs = random_delay_channel_set(rng, 2, m_t, K=2, L=3, full_rank=full_rank)
+        gram = _grams(cs).gram
+        for k, l in np.ndindex(cs.K, cs.L):
+            basis = null_space_projection(cs.gains, k, l)
+            g = cs.gains[k, l] @ basis
+            literal = g @ g.conj().T
+            assert np.linalg.norm(gram[k, l] - literal) <= 1e-12 * np.linalg.norm(literal)

@@ -13,8 +13,9 @@ SIGMA2 = 1e-3
 WINDOW = 40
 
 
-# fractional instances stop after 17-91 iterations, at a 60-iteration cap, or
-# after 2; integer-delay instances have no ISI and stop after a few
+# from the sphere-grid start, fractional instances stop after 1-37 iterations
+# (one of them under a 60-iteration cap); integer-delay instances have no ISI
+# and stop after a few
 @pytest.mark.parametrize(
     "seed,m_r,m_t,K,L,span,fractional,P,max_iter",
     [
@@ -32,8 +33,13 @@ def test_matches_lag_stacked_oracle(seed, m_r, m_t, K, L, span, fractional, P, m
     rng = np.random.default_rng(seed)
     cs = random_delay_channel_set(rng, m_r, m_t, K=K, L=L, span=span, fractional=fractional)
     F = bs_side_channels(cs, T, BETA, WINDOW)
+    # with an infinite tol the solver returns its start: the receive vectors
+    # that the oracle's literal loop starts from
+    start, _, _ = isi_zf_alternating(F, P, SIGMA2, tol=np.inf)
     state, _, _ = isi_zf_alternating(F, P, SIGMA2, max_iter=max_iter)
-    iterations, trace, f_bar = oracle_isi_zf(cs, P, SIGMA2, T, BETA, WINDOW, max_iter=max_iter)
+    iterations, trace, f_bar = oracle_isi_zf(
+        cs, P, SIGMA2, T, BETA, WINDOW, start.w, max_iter=max_iter
+    )
 
     assert state.iterations == iterations
     assert np.allclose(state.trace, trace, rtol=1e-9, atol=0.0)
