@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .delay_design import DelayPlan, InfeasibleError
-from .numerics import RANK_TOL, null_space_basis
+from .numerics import null_space_basis, path_span, project_off_others
 from .pulse import build_rho_table
 
 __all__ = [
@@ -58,7 +58,6 @@ class BeamformerSet:
 
     f_bar: np.ndarray  # (K, I M_t)
     w_bar: np.ndarray  # (K, R M_r)
-    power: float
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ def eigen_beamform_doubleside(
     power[own, own, -q_min] = 0.0
     noise = sigma2 * np.sum((w * w.conj()).real, axis=1)
     sinrs = signal / (np.sum(power, axis=(1, 2)) + noise)
-    return BeamformerSet(f_bar=f, w_bar=w, power=P), sinrs
+    return BeamformerSet(f_bar=f, w_bar=w), sinrs
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def eigen_beamform_bs_side(
     w, f = _eigen_beamformers(F.aligned, P, sigma2)
     terms = power_terms(F, w, f)
     sinrs = terms.desired / (terms.interference + sigma2 * np.sum((w * w.conj()).real, axis=1))
-    return BeamformerSet(f_bar=f, w_bar=w, power=P), sinrs
+    return BeamformerSet(f_bar=f, w_bar=w), sinrs
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +277,6 @@ def null_space_projection(gains: np.ndarray, k: int, l: int) -> np.ndarray:
     K, L, M_r, M_t = gains.shape
     others = np.delete(gains.reshape(K * L, M_r, M_t), k * L + l, axis=0)
     return null_space_basis(others.reshape(-1, M_t))
-
-
-def _projected_paths(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every path's rows H_kl P_kl with P_kl = I - Q_o Q_o^H, in the path span.
-
-    Q_o spans the rows of every other path of every UE.  All rows lie in the
-    span of Q (M_t, r), r <= K L M_r, from one reduced QR, so each Q_o comes
-    from a reduced SVD of the other paths' rows in Q's coordinates, keeping
-    the singular values above ``RANK_TOL`` relative (the rank rule of
-    ``null_space_basis``).  Returns the (K, L, M_r, r) coordinates of H_kl
-    P_kl and Q, so that H_kl P_kl = coords Q^H.
-    """
-    _require_zf_feasible(gains)
-    K, L, M_r, M_t = gains.shape
-    q, rt = np.linalg.qr(gains.reshape(-1, M_t).conj().T)
-    rows = rt.conj().T.reshape(K * L, M_r, -1)  # H_kl = rows Q^H
-    skip = np.arange(K * L - 1)
-    others = skip[None, :] + (skip[None, :] >= np.arange(K * L)[:, None])  # (K L, K L - 1)
-    _, s, vh = np.linalg.svd(rows[others].reshape(K * L, -1, rows.shape[-1]), full_matrices=False)
-    q_h = vh * (s > RANK_TOL * s[:, :1])[..., None]  # Q_o^H Q, dropped rows zeroed
-    projected = rows - (rows @ q_h.conj().swapaxes(1, 2)) @ q_h
-    return projected.reshape(K, L, M_r, -1), q
 
 
 @dataclass(frozen=True)
@@ -458,8 +435,9 @@ def isi_zf_alternating(
     Reads the path gains and each UE's own correlation table from the same
     BS-side assembly that eigen-beamforming uses.  Stream l of UE k is sent
     in the complement of every other path's row space (projector P_kl =
-    I - Q_o Q_o^H, Q_o from a reduced SVD), so no null-space basis is built
-    and the result does not depend on one.  For each UE the start is the
+    I - Q_o Q_o^H, from ``numerics.project_off_others`` on the path rows in
+    their span ``numerics.path_span``), so no null-space basis is built and
+    the result does not depend on one.  For each UE the start is the
     receive vector on a fixed sample of the unit sphere (``SPHERE_GRID`` at
     M_r = 2, ``SPHERE_SAMPLES`` points at M_r > 2, w = 1 at M_r = 1) whose
     SINR under its optimal transmit weights is largest, followed by one
@@ -469,10 +447,13 @@ def isi_zf_alternating(
     non-decreasing.  The final transmit vectors are f_kl = c_l P_kl
     H_kl^H w_k.
     """
-    K, L, _, M_t = F.gains.shape
+    _require_zf_feasible(F.gains)
+    K, L, M_r, M_t = F.gains.shape
     r = _own_diagonals(F.tables)                  # (K, L, 2W+1)
     off = np.delete(r, F.window, axis=2)
-    projected, q = _projected_paths(F.gains)      # H_kl P_kl = projected Q^H
+    q, rows = path_span(F.gains)                  # H_kl = rows Q^H
+    # H_kl P_kl = projected Q^H, every path off every other path of every UE
+    projected = project_off_others(rows.reshape(K * L, M_r, -1)).reshape(rows.shape)
     grams = PathGrams(
         gram=projected @ projected.conj().swapaxes(2, 3),
         r0=r[..., F.window],

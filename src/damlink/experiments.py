@@ -255,12 +255,7 @@ def _ofdm_papr_draw(channels, cfg, block_symbols):
 
     def draw(rng, blocks):
         bits = rng.integers(0, 2, (cfg.K, blocks + 2, 2 * cfg.M))
-        sym = np.stack(
-            [
-                np.stack([qam4_map(bits[k, d]) for d in range(blocks + 2)])
-                for k in range(cfg.K)
-            ]
-        )
+        sym = qam4_map(bits.ravel()).reshape(cfg.K, blocks + 2, cfg.M)
         return ofdm_streams(sym, bf, cfg), block_symbols  # drop the edge-transient block
 
     return draw

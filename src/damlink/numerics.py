@@ -10,12 +10,20 @@ import numpy as np
 __all__ = [
     "rank",
     "null_space_basis",
+    "path_span",
+    "project_off_others",
     "water_fill",
     "RANK_TOL",
+    "GRAM_MIN_RATIO",
 ]
 
 # Relative singular-value threshold used for rank decisions throughout.
 RANK_TOL = 1e-10
+
+# Interferer blocks whose Gram eigenvalues span a wider ratio than this take
+# the SVD.  Gram eigenvalues are accurate only to about eps * lambda_max, too
+# coarse for the rank rule s_i > RANK_TOL * s_0; above the ratio every s_i is kept.
+GRAM_MIN_RATIO = 1e-8
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -49,6 +57,45 @@ def null_space_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     r = int(np.sum(s > tol * s[0])) if s.size else 0
     return vh[r:].conj().T
+
+
+def path_span(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal Q (n, r) spanning the rows of every matrix in ``gains`` (..., m, n).
+
+    Also returns the coordinates gains Q, so that gains = (gains Q) Q^H and
+    r is at most the total number of rows.
+    """
+    q, _ = np.linalg.qr(gains.reshape(-1, gains.shape[-1]).conj().T)
+    return q, gains @ q
+
+
+def project_off_others(blocks: np.ndarray) -> np.ndarray:
+    """Each of the G blocks (..., G, m, n) minus its projection on the others' row space.
+
+    The row space of the other G - 1 blocks keeps the right singular vectors
+    with s_i > RANK_TOL * s_0.  Where the eigenvalues of their Gram matrix
+    span at most GRAM_MIN_RATIO every one is kept, and the columns of
+    others^H U, normalized, are those vectors; the rest take the reduced SVD.
+    Needs (G - 1) m <= n, which zero-forcing feasibility implies.
+    """
+    G, m, n = blocks.shape[-3:]
+    if G == 1:
+        return blocks
+    skip = np.arange(G - 1)
+    idx = skip[None, :] + (skip[None, :] >= np.arange(G)[:, None])  # (G, G - 1)
+    others = blocks[..., idx, :, :].reshape(*blocks.shape[:-3], G, (G - 1) * m, n)
+    oh = others.conj().swapaxes(-1, -2)
+    lam, vecs = np.linalg.eigh(others @ oh)         # ascending
+    rest = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]
+    basis = oh @ vecs                               # columns s_i v_i
+    norm = np.linalg.norm(basis, axis=-2, keepdims=True)
+    norm[rest] = 1.0                                # replaced below
+    basis /= norm
+    if rest.any():
+        _, s, vh = np.linalg.svd(others[rest], full_matrices=False)
+        keep = s > RANK_TOL * s[:, :1]
+        basis[rest] = np.where(keep[:, :, None], vh, 0.0).conj().swapaxes(1, 2)
+    return blocks - (blocks @ basis) @ basis.conj().swapaxes(-1, -2)
 
 
 def water_fill(gains, total_power: float) -> np.ndarray:

@@ -5,9 +5,10 @@ zero-forcing variant projects each UE onto the null space of the others and
 water-fills power across all (UE, subcarrier) effective channels.  Both work
 in the span of the path gains' rows, which holds every row of every
 per-subcarrier response: the responses are built as H Q with at most K L M_r
-columns.  Only ``ofdm_eigen``'s beamformers, which the OFDM waveform needs
-with LAPACK's phases, come from the reduced SVD of the full responses; both
-functions return that span's basis Q with their beamformers.
+columns, and ``numerics.path_span`` gives its basis Q.  Only ``ofdm_eigen``'s
+beamformers, which the OFDM waveform needs with LAPACK's phases, come from
+the reduced SVD of the full responses; both functions return Q with their
+beamformers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelSet, SimConfig, frequency_response
 from .delay_design import InfeasibleError
-from .numerics import RANK_TOL, water_fill
+from .numerics import path_span, project_off_others, water_fill
 
 __all__ = [
     "OfdmBeamformerSet",
@@ -47,15 +48,11 @@ class OfdmBeamformerSet:
     basis: np.ndarray   # (M_t, r) orthonormal, the rows of v lie in its span
 
 
-def _path_span(channels: ChannelSet) -> np.ndarray:
-    """Orthonormal Q (M_t, r) spanning every path gain's rows, r <= K L M_r."""
-    q, _ = np.linalg.qr(channels.gains.reshape(-1, channels.M_t).conj().T)
-    return q
-
-
-def _responses_in_span(channels: ChannelSet, M: int, q: np.ndarray) -> np.ndarray:
-    """(K, M, M_r, r) stack of H_km Q = (1/sqrt(M)) sum_l (H_kl Q) exp(2j pi m n_kl / M)."""
-    return frequency_response(dataclasses.replace(channels, gains=channels.gains @ q), M)
+def _span_responses(channels: ChannelSet, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The path span Q (M_t, r) and the (K, M, M_r, r) stack of
+    H_km Q = (1/sqrt(M)) sum_l (H_kl Q) exp(2j pi m n_kl / M)."""
+    q, coords = path_span(channels.gains)
+    return q, frequency_response(dataclasses.replace(channels, gains=coords), M)
 
 
 def _top_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +77,7 @@ def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> n
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    h = _responses_in_span(channels, M, _path_span(channels))  # (K, M, M_r, r)
+    _, h = _span_responses(channels, M)                 # (K, M, M_r, r)
     K = channels.K
     _, uh = _top_pairs(h)                               # uh: (K, M, r)
     norm = np.linalg.norm(uh, axis=-1, keepdims=True)
@@ -107,34 +104,7 @@ def ofdm_eigen(channels: ChannelSet, M: int, P: float) -> OfdmBeamformerSet:
     frob = np.sqrt(np.sum(np.abs(v_hat) ** 2))  # sqrt(K*M)
     v = np.sqrt(M * P) * v_hat / frob           # each stream at power P/K
     power = np.full((channels.K, M), M * P / (channels.K * M))
-    return OfdmBeamformerSet(v=v, u=u, power=power, basis=_path_span(channels))
-
-
-# Interferer blocks whose Gram eigenvalues span a wider ratio than this take
-# the SVD.  Gram eigenvalues are accurate only to about eps * lambda_max, too
-# coarse for the rank rule s_i > RANK_TOL * s_0; above the ratio every s_i is kept.
-GRAM_MIN_RATIO = 1e-8
-
-
-def _project_off(h: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """h minus its orthogonal projection on the row space of others, per block.
-
-    The row space keeps the right singular vectors with s_i > RANK_TOL * s_0.
-    Where the eigenvalues of others others^H span at most GRAM_MIN_RATIO every
-    one is kept, and the columns of others^H U, normalized, are those vectors.
-    """
-    oh = others.conj().swapaxes(1, 2)               # (M, r, R)
-    lam, vecs = np.linalg.eigh(others @ oh)         # ascending
-    rest = lam[:, 0] <= GRAM_MIN_RATIO * lam[:, -1]
-    basis = oh @ vecs                               # columns s_i v_i
-    norm = np.linalg.norm(basis, axis=1, keepdims=True)
-    norm[rest] = 1.0                                # replaced below
-    basis /= norm
-    if rest.any():
-        _, s_all, vh_all = np.linalg.svd(others[rest], full_matrices=False)
-        keep = s_all > RANK_TOL * s_all[:, :1]
-        basis[rest] = np.where(keep[:, :, None], vh_all, 0.0).conj().swapaxes(1, 2)
-    return h - (h @ basis) @ basis.conj().swapaxes(1, 2)
+    return OfdmBeamformerSet(v=v, u=u, power=power, basis=path_span(channels.gains)[0])
 
 
 def ofdm_zf_waterfill(
@@ -145,9 +115,10 @@ def ofdm_zf_waterfill(
     Feasible when M_t >= (K-1) M_r + 1; returns per-stream SNRs and the
     subcarrier-averaged sum rate in bits/s/Hz (before overhead discounts).
     Everything runs on H Q, where Q is an orthonormal basis of the span of
-    all path gains' rows; since H = H Q Q^H, v = Q v~ is exact.  The
-    interferers' row spaces and each projected block's top singular pair
-    come from M_r-sized Gram matrices, as in ``ofdm_eigen_sinrs``.
+    all path gains' rows; since H = H Q Q^H, v = Q v~ is exact.  On each
+    subcarrier ``numerics.project_off_others`` takes every UE's block off
+    the other UEs' row space, and each projected block's top singular pair
+    comes from its M_r x M_r Gram matrix, as in ``ofdm_eigen_sinrs``.
     """
     K, M_r, M_t = channels.K, channels.M_r, channels.M_t
     if M_t < (K - 1) * M_r + 1:
@@ -155,15 +126,11 @@ def ofdm_zf_waterfill(
             "OFDM zero-forcing infeasible: requires M_t >= (K-1)*M_r + 1, "
             f"got M_t={M_t}, M_r={M_r}, K={K}"
         )
-    q = _path_span(channels)
-    h = _responses_in_span(channels, M, q)
+    q, h = _span_responses(channels, M)
     sigma2_hat = sigma2 / M
 
-    eff = h.reshape(K * M, M_r, -1)
-    if K > 1:
-        # every UE's blocks against the stacked blocks of the other UEs
-        others = h[np.nonzero(~np.eye(K, dtype=bool))[1].reshape(K, K - 1)]
-        eff = _project_off(eff, others.swapaxes(1, 2).reshape(K * M, (K - 1) * M_r, -1))
+    # the K UEs of each subcarrier are the groups
+    eff = project_off_others(h.swapaxes(0, 1)).swapaxes(0, 1).reshape(K * M, M_r, -1)
     u, uh = _top_pairs(eff)
     norm = np.linalg.norm(uh, axis=-1)
     gains = (norm**2 / sigma2_hat).reshape(K, M)

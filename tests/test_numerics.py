@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from damlink.numerics import null_space_basis, rank, water_fill
+from damlink.numerics import (
+    GRAM_MIN_RATIO,
+    null_space_basis,
+    project_off_others,
+    rank,
+    water_fill,
+)
 
 
 def _random_complex(rng, rows, cols):
@@ -62,6 +68,85 @@ class TestNullSpaceBasis:
                 assert np.linalg.norm(a @ basis) <= 1e-9 * max(np.linalg.norm(a), 1.0)
                 gram = basis.conj().T @ basis
                 assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10)
+
+
+def _others(blocks, idx):
+    """The rows of every block but the last index's, for one group."""
+    *batch, g = idx
+    return np.delete(blocks[tuple(batch)], g, axis=0).reshape(-1, blocks.shape[-1])
+
+
+def _literal_projection(blocks):
+    """Each block times N N^H, N a null-space basis of the other blocks' rows."""
+    out = np.empty_like(blocks)
+    for idx in np.ndindex(blocks.shape[:-2]):
+        n = null_space_basis(_others(blocks, idx))
+        out[idx] = blocks[idx] @ n @ n.conj().T
+    return out
+
+
+def _gram_side(blocks):
+    """Per group, whether the others' Gram eigenvalues span at most GRAM_MIN_RATIO."""
+    side = np.empty(blocks.shape[:-2], dtype=bool)
+    for idx in np.ndindex(side.shape):
+        others = _others(blocks, idx)
+        lam = np.linalg.eigvalsh(others @ others.conj().T)
+        side[idx] = lam[0] > GRAM_MIN_RATIO * lam[-1]
+    return side
+
+
+def _rank1(rng, m, n):
+    return _random_complex(rng, m, 1) @ _random_complex(rng, 1, n)
+
+
+class TestProjectOffOthers:
+    def _check(self, blocks, gram_side):
+        assert np.array_equal(_gram_side(blocks), gram_side)
+        out = project_off_others(blocks)
+        assert out.shape == blocks.shape
+        assert np.max(np.abs(out - _literal_projection(blocks))) <= 1e-12
+        return out
+
+    def test_generic_full_rank_groups_take_the_gram(self):
+        blocks = _random_complex(np.random.default_rng(21), 3 * 2, 10).reshape(3, 2, 10)
+        self._check(blocks, np.ones(3, dtype=bool))
+
+    def test_rank_one_interferers_take_the_svd(self):
+        # L = 1 paths: each interferer block has rank 1 in its 2 rows
+        rng = np.random.default_rng(22)
+        blocks = np.stack([_rank1(rng, 2, 16) for _ in range(2)])
+        self._check(blocks, np.zeros(2, dtype=bool))
+
+    def test_weak_direction_takes_the_svd_and_is_kept(self):
+        rng = np.random.default_rng(23)
+        left, _ = np.linalg.qr(_random_complex(rng, 2, 2))
+        right, _ = np.linalg.qr(_random_complex(rng, 16, 2))
+        weak = left @ np.diag([1.0, 5e-6]) @ right.conj().T
+        blocks = np.stack([_random_complex(rng, 2, 16), weak])
+        out = self._check(blocks, np.array([False, True]))
+        # the 5e-6 direction is above the rank rule, so block 0 is off both
+        # rows; that direction is known only to about eps / 5e-6
+        assert np.max(np.abs(out[0] @ right)) <= 1e-9
+
+    def test_zero_others_leave_the_block_unchanged(self):
+        blocks = np.zeros((2, 2, 8), dtype=complex)
+        blocks[0] = _random_complex(np.random.default_rng(24), 2, 8)
+        out = self._check(blocks, np.array([False, True]))
+        assert np.array_equal(out, blocks)
+
+    def test_single_group_is_unchanged(self):
+        blocks = _random_complex(np.random.default_rng(26), 2, 8)[None]
+        assert np.array_equal(project_off_others(blocks), blocks)
+
+    def test_leading_batch_axis(self):
+        # (subcarriers, UEs, M_r, r), as OFDM ZF calls it; one subcarrier's
+        # interferer is rank 1, so the batch mixes both sides
+        rng = np.random.default_rng(27)
+        blocks = _random_complex(rng, 4 * 2 * 2, 12).reshape(4, 2, 2, 12)
+        blocks[1, 1] = _rank1(rng, 2, 12)
+        gram_side = np.ones((4, 2), dtype=bool)
+        gram_side[1, 0] = False
+        self._check(blocks, gram_side)
 
 
 class TestWaterFill:

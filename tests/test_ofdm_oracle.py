@@ -7,7 +7,8 @@ import pytest
 
 from conftest import make_channel_set, random_delay_channel_set
 from damlink.channel import ChannelSet, SimConfig, frequency_response, generate_channel_set
-from damlink.ofdm import GRAM_MIN_RATIO, ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
+from damlink.numerics import GRAM_MIN_RATIO
+from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
 from oracles import oracle_ofdm_eigen, oracle_ofdm_zf_waterfill
 
 M = 16

@@ -52,7 +52,6 @@ class TestDamWaveform:
         bf = BeamformerSet(
             f_bar=rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4)),
             w_bar=np.array([[1.0, 0.0]]),
-            power=1.0,
         )
         wf = synthesize_dam_waveform(np.zeros((1, 50)), bf, [[0, 3]], cfg)
         assert not np.any(wf.samples)
@@ -62,7 +61,7 @@ class TestDamWaveform:
         rng = np.random.default_rng(2)
         sym = qam4_map(rng.integers(0, 2, 2 * 400))
         f = np.array([0.7 - 0.3j])
-        bf = BeamformerSet(f_bar=f[None], w_bar=np.ones((1, 1)), power=1.0)
+        bf = BeamformerSet(f_bar=f[None], w_bar=np.ones((1, 1)))
         wf = synthesize_dam_waveform(sym[None, :], bf, [[0]], cfg)
 
         taps = rrc_taps(cfg.beta, cfg.oversample, SYNTH_SPAN_SYMBOLS)
@@ -87,7 +86,7 @@ class TestDamWaveform:
             rng.standard_normal(9) + 1j * rng.standard_normal(9),
             rng.standard_normal(9) + 1j * rng.standard_normal(9),
         ])
-        bf = BeamformerSet(f_bar=f_bars, w_bar=np.zeros((2, 2)), power=1.0)
+        bf = BeamformerSet(f_bar=f_bars, w_bar=np.zeros((2, 2)))
         plans = [[0, 2, 5], [1, 3, 4]]
         wf = synthesize_dam_waveform(sym, bf, plans, cfg)
         interior = wf.samples[:, 50 * cfg.oversample : (n_sym - 50) * cfg.oversample]
@@ -146,7 +145,7 @@ class TestStrongestPath:
 
         _, _, vh = np.linalg.svd(cs.gains[0, 0], full_matrices=False)
         f = np.sqrt(P / 1) * vh[0].conj()
-        bf = BeamformerSet(f_bar=f[None], w_bar=np.zeros((1, 2)), power=P)
+        bf = BeamformerSet(f_bar=f[None], w_bar=np.zeros((1, 2)))
         wf_dam = synthesize_dam_waveform(sym, bf, [[0]], cfg)
         assert np.allclose(wf_sp.samples, wf_dam.samples, atol=1e-12)
 
@@ -180,7 +179,7 @@ class TestStrongestPath:
             strongest = max(gains, key=np.linalg.norm)
             _, _, vh = np.linalg.svd(strongest, full_matrices=False)
             weights.append(np.sqrt(P / 2) * vh[0].conj())
-        bf = BeamformerSet(f_bar=np.array(weights), w_bar=np.zeros((2, 2)), power=P)
+        bf = BeamformerSet(f_bar=np.array(weights), w_bar=np.zeros((2, 2)))
         wf_dam = synthesize_dam_waveform(sym, bf, [[0], [0]], cfg)
 
         p_sp = np.sort(10 * np.log10(papr_blocks(wf_sp, 64).ravel()))
