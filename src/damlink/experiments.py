@@ -311,7 +311,8 @@ def _run_papr(spec: ExperimentSpec) -> ResultTable:
     cfg = spec.config
     n_blocks = spec.trials
     block_symbols = cfg.M + cfg.G_cp  # like-for-like duration across schemes
-    channels = generate_channel_set(cfg, trial_seed(spec.seed, 0, 0), integer_delays=False)
+    channel_seed = trial_seed(spec.seed, 0, 0)  # every CCDF is conditioned on this channel
+    channels = generate_channel_set(cfg, channel_seed, integer_delays=False)
     draws = {
         "dam": _dam_papr_draw,
         "ofdm": _ofdm_papr_draw,
@@ -335,6 +336,8 @@ def _run_papr(spec: ExperimentSpec) -> ResultTable:
         config=cfg,
         seed=spec.seed,
         ccdf=ccdfs,
+        meta={"channel_seed": {"entropy": channel_seed.entropy,
+                               "spawn_key": list(channel_seed.spawn_key)}},
     )
 
 

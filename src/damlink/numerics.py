@@ -103,7 +103,9 @@ def water_fill(gains, total_power: float) -> np.ndarray:
 
     ``gains`` are effective power gains g_i (SNR per unit power); the active
     channels satisfy p_i = level - 1/g_i with a common water level, inactive
-    channels get zero.  Solved exactly by sorting and scanning active sets.
+    channels get zero.  Solved exactly: with the gains sorted, the active
+    count is the largest n whose level (P + sum of the n smallest 1/g) / n
+    reaches the n-th smallest 1/g, read off one cumulative sum.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -119,11 +121,9 @@ def water_fill(gains, total_power: float) -> np.ndarray:
     n_pos = int(np.sum(g > 0.0))
     inv = 1.0 / g[order[:n_pos]]
 
-    n_active = n_pos
-    level = (total_power + inv.sum()) / n_pos
-    while n_active > 1 and level < inv[n_active - 1]:
-        n_active -= 1
-        level = (total_power + inv[:n_active].sum()) / n_active
+    levels = (total_power + np.cumsum(inv)) / np.arange(1, n_pos + 1)
+    n_active = 1 + int(np.flatnonzero(levels >= inv)[-1])  # n = 1 always qualifies
+    level = (total_power + inv[:n_active].sum()) / n_active
 
     powers = np.zeros_like(g)
     powers[order[:n_active]] = level - inv[:n_active]

@@ -2,13 +2,14 @@
 
 Per-subcarrier eigen-beamforming tolerates inter-user interference; the
 zero-forcing variant projects each UE onto the null space of the others and
-water-fills power across all (UE, subcarrier) effective channels.  Both work
-in the span of the path gains' rows, which holds every row of every
-per-subcarrier response: the responses are built as H Q with at most K L M_r
-columns, and ``numerics.path_span`` gives its basis Q.  Only ``ofdm_eigen``'s
-beamformers, which the OFDM waveform needs with LAPACK's phases, come from
-the reduced SVD of the full responses; both functions return Q with their
-beamformers.
+water-fills power across all (UE, subcarrier) effective channels.  Eigen
+SINRs need only the per-subcarrier M_r x M_r cross Grams H_km H_jm^H, built
+from the path-pair Grams.  Zero-forcing works on the responses H Q in the
+span of the path gains' rows, which holds every row of every per-subcarrier
+response (at most K L M_r columns; ``numerics.path_span`` gives Q).
+``ofdm_eigen``'s beamformers, which the OFDM waveform needs with LAPACK's
+phases, come from the reduced SVD of the full responses.  Both beamformer
+functions return Q with their beamformers.
 """
 
 from __future__ import annotations
@@ -48,46 +49,35 @@ class OfdmBeamformerSet:
     basis: np.ndarray   # (M_t, r) orthonormal, the rows of v lie in its span
 
 
-def _span_responses(channels: ChannelSet, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The path span Q (M_t, r) and the (K, M, M_r, r) stack of
-    H_km Q = (1/sqrt(M)) sum_l (H_kl Q) exp(2j pi m n_kl / M)."""
-    q, coords = path_span(channels.gains)
-    return q, frequency_response(dataclasses.replace(channels, gains=coords), M)
-
-
-def _top_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top left singular vector u of every M_r x r block of h, and u^H h.
-
-    u is the top eigenvector of the M_r x M_r Gram matrix h h^H, and u^H h is
-    sigma_1 times the conjugated top right singular vector.
-    """
-    _, vecs = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
-    u = vecs[..., -1]
-    return u, (u.conj()[..., None, :] @ h)[..., 0, :]
-
-
 def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> np.ndarray:
     """(K, M) SINRs of per-subcarrier eigen-beamforming at P/K per stream.
 
-    SINRs do not depend on the singular vectors' phases, so the top singular
-    pair of each block comes from H Q (r <= K L M_r columns): u is the top
-    eigenvector of the M_r x M_r Gram matrix (H Q)(H Q)^H, and u^H H Q is
-    sigma_1 times the top right singular vector.  Every coupling
-    u^H H v = u^H (H Q) v~ is formed in r dimensions.
+    SINRs do not depend on the singular vectors' phases, so they come from
+    the M_r x M_r cross Grams G_kj[m] = H_km H_jm^H alone: Fourier sums over
+    the delay differences n_kl - n_jl' of the path-pair Grams H_kl H_jl'^H,
+    all taken from one Gram of the K L M_r path rows.  With u_k and
+    sigma_k^2 the top eigenpair of G_kk, v_j = H_j^H u_j / sigma_j, so UE j
+    reaches UE k with the power (P/K) |u_k^H G_kj u_j|^2 / sigma_j^2.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    _, h = _span_responses(channels, M)                 # (K, M, M_r, r)
-    K = channels.K
-    _, uh = _top_pairs(h)                               # uh: (K, M, r)
-    norm = np.linalg.norm(uh, axis=-1, keepdims=True)
-    # unit-norm v~ at power P/K; a stream whose block is zero stays silent
-    v = np.sqrt(P / K) * uh.conj() / np.maximum(norm, np.finfo(float).tiny)
-    # coupling[k, kp, m] = u_{k,m}^H H_{k,m} v_{kp,m}
-    coupling = np.einsum("kmt,jmt->kjm", uh, v)
-    signal = np.abs(coupling[np.arange(K), np.arange(K)]) ** 2  # (K, M)
-    interference = np.sum(np.abs(coupling) ** 2, axis=1) - signal
-    return signal / (interference + sigma2 / M)
+    K, L, M_r, M_t = channels.gains.shape
+    rows = channels.gains.reshape(K * L * M_r, M_t)
+    pairs = (rows @ rows.conj().T).reshape(K, L, M_r, K, L, M_r)
+    pairs = pairs.transpose(0, 3, 1, 4, 2, 5).reshape(K, K, L * L, M_r * M_r)
+    lags = (channels.n[:, None, :, None] - channels.n[None, :, None, :]).reshape(K, K, 1, L * L)
+    # exact phases exp(2j pi ((m lag) mod M) / M), read from one M-entry table
+    table = np.exp(2j * np.pi * np.arange(M) / M)
+    phases = table[(np.arange(M)[:, None] * lags) % M]              # (K, K, M, L L)
+    gram = (phases @ pairs).reshape(K, K, M, M_r, M_r) / M
+    idx = np.arange(K)
+    lam, vecs = np.linalg.eigh(gram[idx, idx])
+    top, u = lam[..., -1], vecs[..., -1]                            # (K, M), (K, M, M_r)
+    coupling = np.einsum("kmr,kjmrs,jms->kjm", u.conj(), gram, u)
+    # UE j's power at UE k; a stream whose block is zero stays silent
+    leak = np.abs(coupling) ** 2 * np.divide(P / K, top, out=np.zeros_like(top), where=top > 0)
+    leak[idx, idx] = 0.0
+    return (P / K) * top / (np.sum(leak, axis=1) + sigma2 / M)
 
 
 def ofdm_eigen(channels: ChannelSet, M: int, P: float) -> OfdmBeamformerSet:
@@ -95,8 +85,8 @@ def ofdm_eigen(channels: ChannelSet, M: int, P: float) -> OfdmBeamformerSet:
 
     Every stream receives P/K so the frequency-domain budget M*P binds.  The
     beamformers come from the reduced SVD of the full M_r x M_t responses,
-    whose phases the OFDM waveform keeps; ``ofdm_eigen_sinrs`` gives their
-    SINRs.
+    whose phases the OFDM waveform keeps.  ``ofdm_eigen_sinrs`` gives their
+    SINRs from the M_r x M_r cross Grams alone, without these vectors.
     """
     u_all, _, vh_all = np.linalg.svd(frequency_response(channels, M), full_matrices=False)
     u = u_all[..., :, 0]                # (K, M, M_r)
@@ -114,11 +104,12 @@ def ofdm_zf_waterfill(
 
     Feasible when M_t >= (K-1) M_r + 1; returns per-stream SNRs and the
     subcarrier-averaged sum rate in bits/s/Hz (before overhead discounts).
-    Everything runs on H Q, where Q is an orthonormal basis of the span of
-    all path gains' rows; since H = H Q Q^H, v = Q v~ is exact.  On each
-    subcarrier ``numerics.project_off_others`` takes every UE's block off
-    the other UEs' row space, and each projected block's top singular pair
-    comes from its M_r x M_r Gram matrix, as in ``ofdm_eigen_sinrs``.
+    Everything runs on the responses H Q, at most K L M_r columns wide, where
+    Q = ``numerics.path_span`` spans all path gains' rows; since H = H Q Q^H,
+    v = Q v~ is exact.  On each subcarrier ``numerics.project_off_others``
+    takes every UE's block off the other UEs' row space.  A projected block's
+    top left singular vector u is the top eigenvector of its M_r x M_r Gram
+    matrix, and u^H (H Q) is sigma_1 times the conjugated top right one.
     """
     K, M_r, M_t = channels.K, channels.M_r, channels.M_t
     if M_t < (K - 1) * M_r + 1:
@@ -126,12 +117,14 @@ def ofdm_zf_waterfill(
             "OFDM zero-forcing infeasible: requires M_t >= (K-1)*M_r + 1, "
             f"got M_t={M_t}, M_r={M_r}, K={K}"
         )
-    q, h = _span_responses(channels, M)
+    q, coords = path_span(channels.gains)
+    h = frequency_response(dataclasses.replace(channels, gains=coords), M)   # (K, M, M_r, r)
     sigma2_hat = sigma2 / M
 
     # the K UEs of each subcarrier are the groups
     eff = project_off_others(h.swapaxes(0, 1)).swapaxes(0, 1).reshape(K * M, M_r, -1)
-    u, uh = _top_pairs(eff)
+    u = np.linalg.eigh(eff @ eff.conj().swapaxes(-1, -2))[1][..., -1]
+    uh = (u.conj()[:, None, :] @ eff)[:, 0, :]
     norm = np.linalg.norm(uh, axis=-1)
     gains = (norm**2 / sigma2_hat).reshape(K, M)
     # a block projected to zero gets gain 0 and a zero direction

@@ -238,6 +238,26 @@ class TestCli:
         header = (tmp_path / "papr_ccdf.csv").read_text().splitlines()[0]
         assert header == "threshold_db,ccdf_dam,ccdf_ofdm,ccdf_strongest"
 
+    def test_papr_sidecar_records_channel_seed(self, tmp_path):
+        system = dict(M_t=4, M_r=2, K=2, L=2, M=32, delay_span_samples=10,
+                      G_cp=10, rho_window=30, g_ls_db=0.0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(system=system)))
+        out = tmp_path / "papr"
+        code = main(["papr_ccdf", "--config", str(cfg_path), "--seed", "5",
+                     "--trials", "2", "--out", str(out)])
+        assert code == 0
+        sidecar = json.loads((tmp_path / "papr.json").read_text())
+        assert sidecar["schema_version"] == 1
+        recorded = sidecar["meta"]["channel_seed"]
+        assert recorded == {"entropy": 5, "spawn_key": [0, 0]}
+        # the recorded seed redraws the one channel the CCDFs are conditioned on
+        cfg = SimConfig(**system)
+        assert_same_channels(
+            generate_channel_set(cfg, np.random.SeedSequence(**recorded)),
+            generate_channel_set(cfg, trial_seed(5, 0, 0)),
+        )
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"system": {"beta": 2.0}}))

@@ -185,6 +185,47 @@ class TestWaterFill:
                 inactive = (~active) & (g > 0)
                 assert np.all(level <= 1.0 / g[inactive] + 1e-9)
 
+    def test_matches_active_set_scan(self):
+        # the scan that drops the weakest channel while the level stays below
+        # its 1/g; the level arithmetic is the same, so results are equal
+        def scan(g, total):
+            order = np.argsort(g)[::-1]
+            inv = 1.0 / g[order[: int(np.sum(g > 0.0))]]
+            n = inv.size
+            level = (total + inv.sum()) / n
+            while n > 1 and level < inv[n - 1]:
+                n -= 1
+                level = (total + inv[:n].sum()) / n
+            powers = np.zeros_like(g)
+            powers[order[:n]] = level - inv[:n]
+            return powers
+
+        rng = np.random.default_rng(29)
+        cases = [(rng.uniform(1e2, 1e3, 1024), 20.0)]  # every channel active
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            g = np.exp(rng.uniform(-15.0, 10.0, n)) * (rng.uniform(size=n) > 0.1)
+            g[0] = max(g[0], 1e-3)
+            cases.append((g, float(np.exp(rng.uniform(-5.0, 8.0)))))
+        for g, total in cases:
+            assert np.array_equal(water_fill(g, total), scan(g, total))
+
+    def test_adversarial_gains_kkt(self):
+        # 24 strong gains, 1000 gains spread over six decades around the level
+        # and three repeated ones: the cut lands among the weak gains
+        rng = np.random.default_rng(23)
+        g = rng.permutation(np.concatenate(
+            [rng.uniform(1e2, 1e3, 24), np.logspace(-3, 3, 1000), [0.05] * 3]
+        ))
+        total = 20.0
+        p = water_fill(g, total)
+        assert p.sum() == pytest.approx(total, rel=1e-12)
+        active = p > 0.0
+        assert 24 < active.sum() < g.size
+        level = (total + np.sum(1.0 / g[active])) / active.sum()
+        assert np.allclose(p[active] + 1.0 / g[active], level, rtol=1e-12, atol=0.0)
+        assert np.all(1.0 / g[~active] >= level)
+
     def test_monotone_in_gain(self):
         rng = np.random.default_rng(19)
         for _ in range(50):

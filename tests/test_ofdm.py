@@ -1,5 +1,7 @@
 """Tests for the OFDM benchmark and effective-rate accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,23 @@ class TestOfdmEigen:
                 )
                 expected = sig / (interf + SIGMA2 / M)
                 assert sinr[k, m] == pytest.approx(expected, rel=1e-10)
+
+    def test_zero_ue_is_silent(self):
+        # UE 1 has no paths: its SINR is 0 and UE 0 sees no interference, so
+        # UE 0 keeps its single-UE SINR at the per-stream power P/K
+        rng = np.random.default_rng(5)
+        cs = random_delay_channel_set(rng, 2, 6, K=2, L=3, fractional=False, span=10)
+        gains = cs.gains.copy()
+        gains[1] = 0.0
+        silent = ChannelSet(gains=gains, n=cs.n, tau_f=cs.tau_f)
+        alone = ChannelSet(gains=gains[:1], n=cs.n[:1], tau_f=cs.tau_f[:1])
+        M, P = 8, 1.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sinr = ofdm_eigen_sinrs(silent, M, P, SIGMA2)
+        assert np.all(sinr[1] == 0.0)
+        assert np.all(np.isfinite(sinr[0])) and np.all(sinr[0] > 0.0)
+        assert np.allclose(sinr[0], ofdm_eigen_sinrs(alone, M, P / 2, SIGMA2)[0], rtol=1e-12)
 
     def test_power_budget_binds(self):
         rng = np.random.default_rng(3)

@@ -34,6 +34,12 @@ def _channel_sets():
     rng = np.random.default_rng(7)
     full = make_channel_set(rng, 2, 16, [[0, 3, 7], [1, 5, 9]], full_rank=True)
     cases.append(pytest.param(full, id="16x2-K2-L3-full-rank"))
+    # delays past M wrap every phase index of the Gram route modulo M
+    wrap = random_delay_channel_set(np.random.default_rng(41), 2, 16, K=2, L=3, span=40)
+    assert wrap.n.max() >= 2 * M
+    cases.append(pytest.param(wrap, id="16x2-K2-L3-delays-past-M"))
+    single = random_delay_channel_set(np.random.default_rng(42), 2, 16, K=1, L=3, span=12)
+    cases.append(pytest.param(single, id="16x2-K1-L3"))
     return cases
 
 
@@ -60,6 +66,14 @@ def test_eigen_sinrs_follow_returned_beamformers(cs):
     sinr = ofdm_eigen_sinrs(cs, M, P, SIGMA2)
     assert np.allclose(sinr, literal, rtol=1e-10, atol=0.0)
     _, _, sinr_ref = oracle_ofdm_eigen(cs, M, P, SIGMA2)
+    assert np.allclose(sinr, sinr_ref, rtol=1e-10, atol=0.0)
+
+
+def test_eigen_sinrs_reference_shape():
+    cfg = SimConfig()
+    cs = generate_channel_set(cfg, 0)
+    sinr = ofdm_eigen_sinrs(cs, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
+    _, _, sinr_ref = oracle_ofdm_eigen(cs, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
     assert np.allclose(sinr, sinr_ref, rtol=1e-10, atol=0.0)
 
 
