@@ -1,22 +1,27 @@
 """Effective channels, beamformers and SINRs for delay-aligned transmission.
 
-Three pipelines share this module:
+Both delay designs produce one assembly, ``DamChannels``: the path gains,
+a (2W+1)-lag scalar weight for every (branch, path, stream) triple of every
+UE pair, and a mask of each UE's aligned triples.  Double-side compensation
+on integer delays writes each triple's lag as a 0/1 table; BS-side
+compensation (one branch, stream l aligned through path l) reads the
+raised-cosine correlation tables, so it also covers fractional delays.
+BS-side single-side DAM is the I = L, R = 1 case of double-side DAM.  On
+this assembly run:
 
-* double-side eigen-beamforming on integer delays, built from each pair's
-  (branch, stream, path) lag indices;
-* BS-side eigen-beamforming under fractional delays, built from the
-  raised-cosine correlation tables;
-* ISI-zero-forcing transmission from a sphere-grid start, polished by
-  alternating MMSE updates of the receive and transmit vectors.
+* eigen-beamforming on each UE's aligned block, with one power split
+  (desired / aligned ISI / cross-path ISI / IUI) for both designs;
+* ISI-zero-forcing transmission on the BS-side assembly, from a
+  sphere-grid start polished by alternating MMSE updates of the receive
+  and transmit vectors.
 
 Each path gain is one matrix and the pulse couples paths only through a
 scalar weight per lag, so no per-lag block matrix is built: every SINR is a
-contraction of the scalar couplings w^H H_l f_i with lag indices or weights.
+contraction of the scalar couplings w_r^H H_l f_i with the lag weights.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +33,7 @@ from .pulse import build_rho_table
 
 __all__ = [
     "BeamformerSet",
-    "EffectiveChannelTensor",
-    "BsSideChannels",
+    "DamChannels",
     "PowerTerms",
     "PathGrams",
     "IsiZfState",
@@ -61,32 +65,44 @@ class BeamformerSet:
 
 
 @dataclass(frozen=True)
-class EffectiveChannelTensor:
-    """Path gains and the lag q[k, k', r, i, l] at which branch r of UE k
-    hears stream i of UE k' through its path l."""
+class DamChannels:
+    """Path gains and the scalar coupling of every (branch, path, stream) triple.
 
-    gains: np.ndarray  # (K, L, M_r, M_t)
-    lags: np.ndarray   # (K, K, R, I, L) integer
+    Branch r of UE k hears stream i of UE k' through its path l at lag n - W
+    with the weight ``tables[k, k', r, l, i, n]``.  ``aligned_mask[k, r, l, i]``
+    marks UE k's aligned triples: its own streams that the delay design lines
+    up at lag 0.  Both delay designs produce this assembly.
+    """
+
+    gains: np.ndarray         # (K, L, M_r, M_t)
+    tables: np.ndarray        # (K, K, R, L, I, 2W+1)
+    aligned_mask: np.ndarray  # (K, R, L, I) bool
+
+    @property
+    def window(self) -> int:
+        return (self.tables.shape[-1] - 1) // 2
 
     def aligned_blocks(self) -> np.ndarray:
-        """(K, M_r R, M_t I) blocks with H_kl at (r, i) wherever q[k, k, r, i, l] = 0."""
+        """(K, R M_r, I M_t) blocks with rho[0] H_kl at (r, i) for every aligned triple."""
         K, _, m_r, m_t = self.gains.shape
-        _, _, R, I, _ = self.lags.shape
+        _, R, _, I = self.aligned_mask.shape
         blk = np.zeros((K, R, m_r, I, m_t), dtype=complex)
-        own = self.lags[np.arange(K), np.arange(K)]
-        k, r, i, l = np.nonzero(own == 0)
-        blk[k, r, :, i, :] = self.gains[k, l]
+        k, r, l, i = np.nonzero(self.aligned_mask)
+        rho0 = self.tables[k, k, r, l, i, self.window]
+        blk[k, r, :, i, :] = rho0[:, None, None] * self.gains[k, l]
         return blk.reshape(K, R * m_r, I * m_t)
 
 
 def assemble_effective_channels(
     channels: ChannelSet, plans: list[DelayPlan] | tuple[DelayPlan, ...]
-) -> EffectiveChannelTensor:
-    """Residual delay lag of every (branch, stream, path) product.
+) -> DamChannels:
+    """Double-side assembly: each triple's integer lag as a 0/1 table.
 
     For receiving UE k and transmitting UE k', path l heard on branch r from
     stream i arrives with lag q = n_kl + kappa_{k'i} + mu_{kr} - n_{k,max}
-    relative to UE k's alignment target.  Every plan has the same I and R.
+    relative to UE k's alignment target, so its table is 1 at lag q and 0
+    elsewhere, with W = max |q|.  UE k's own triples at q = 0 are aligned.
+    Every plan has the same I and R, and every delay must be an integer.
     """
     if len(plans) != channels.K:
         raise ValueError("one delay plan per UE")
@@ -94,59 +110,24 @@ def assemble_effective_channels(
         raise ValueError("every UE's plan must have the same I and R")
     if any(plan.n_max != n_max for plan, n_max in zip(plans, channels.n_max)):
         raise ValueError("every plan must target its UE's latest path")
+    if channels.tau_f.any():
+        raise ValueError("double-side assembly needs integer delays (tau_f = 0)")
     mu = np.array([plan.mu for plan in plans])        # (K, R)
     kappa = np.array([plan.kappa for plan in plans])  # (K, I)
     lags = (
         mu[:, None, :, None, None]
-        + kappa[None, :, None, :, None]
-        + (channels.n - channels.n_max[:, None])[:, None, None, None, :]
+        + (channels.n - channels.n_max[:, None])[:, None, None, :, None]
+        + kappa[None, :, None, None, :]
+    )  # (K, K, R, L, I)
+    W = int(np.max(np.abs(lags)))
+    tables = np.zeros((lags.size, 2 * W + 1))
+    tables[np.arange(lags.size), lags.ravel() + W] = 1.0
+    own = np.arange(channels.K)
+    return DamChannels(
+        gains=channels.gains,
+        tables=tables.reshape(lags.shape + (2 * W + 1,)),
+        aligned_mask=lags[own, own] == 0,
     )
-    return EffectiveChannelTensor(gains=channels.gains, lags=lags)
-
-
-def _eigen_beamformers(blocks: np.ndarray, P: float, sigma2: float):
-    """Top singular pair of each UE's aligned block; transmit vectors get P/K each."""
-    if P <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("P and sigma2 must be positive")
-    u, _, vh = np.linalg.svd(blocks, full_matrices=False)
-    v = vh[:, 0].conj()
-    return u[:, :, 0], np.sqrt(P) * v / np.linalg.norm(v)
-
-
-def eigen_beamform_doubleside(
-    tensor: EffectiveChannelTensor, P: float, sigma2: float
-) -> tuple[BeamformerSet, np.ndarray]:
-    """Top singular pair of each UE's aligned block as transmit/receive vectors.
-
-    Transmit vectors share the budget equally (P/K each); the SINR counts all
-    misaligned same-UE lags and every lag of the other UEs.  The coupling at
-    lag q is the sum of the scalars w_r^H H_l f_i over the triples at lag q.
-    """
-    gains, lags = tensor.gains, tensor.lags
-    K, _, m_r, m_t = gains.shape
-    _, _, R, I, _ = lags.shape
-    w, f = _eigen_beamformers(tensor.aligned_blocks(), P, sigma2)
-
-    wh = np.einsum("krm,klmt->krlt", w.reshape(K, R, m_r).conj(), gains)
-    z = np.einsum("krlt,jit->kjril", wh, f.reshape(K, I, m_t))  # (K, K, R, I, L)
-    # one bin per (k, k', lag); lag 0 is bin -q_min of each pair
-    q_min = min(int(lags.min()), 0)
-    width = max(int(lags.max()), 0) - q_min + 1
-    bins = np.arange(K * K).reshape(K, K, 1, 1, 1) * width + lags - q_min
-    per_lag = np.zeros(K * K * width, dtype=complex)
-    np.add.at(per_lag, bins.ravel(), z.ravel())
-    power = np.abs(per_lag.reshape(K, K, width)) ** 2
-    own = np.arange(K)
-    signal = power[own, own, -q_min].copy()
-    power[own, own, -q_min] = 0.0
-    noise = sigma2 * np.sum((w * w.conj()).real, axis=1)
-    sinrs = signal / (np.sum(power, axis=(1, 2)) + noise)
-    return BeamformerSet(f_bar=f, w_bar=w), sinrs
-
-
-# ---------------------------------------------------------------------------
-# BS-side pipeline with fractional delays
-# ---------------------------------------------------------------------------
 
 
 def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
@@ -155,40 +136,15 @@ def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
 
 
 def bs_side_rho_tables(channels: ChannelSet, window: int, T: float, beta: float) -> np.ndarray:
-    """(K, K, L, L, 2W+1) correlation tables under BS-side pre-delays."""
-    return build_rho_table(channels, bs_side_kappa(channels), window, T, beta)
+    """(K, K, 1, L, L, 2W+1) correlation tables under BS-side pre-delays (one branch)."""
+    return build_rho_table(channels, bs_side_kappa(channels), window, T, beta)[:, :, None]
 
 
-@dataclass(frozen=True)
-class BsSideChannels:
-    """Path gains, the correlation tables and each UE's aligned block.
-
-    UE k hears stream i of UE k' through its path l at lag n - W with the
-    scalar weight ``tables[k, k', l, i, n]``; ``aligned[k]`` is
-    [rho_ll[0] H_kl]_l, the zero-lag block of UE k's own streams.
-    """
-
-    gains: np.ndarray    # (K, L, M_r, M_t)
-    tables: np.ndarray   # (K, K, L, L, 2W+1)
-    aligned: np.ndarray  # (K, M_r, L M_t)
-
-    @property
-    def window(self) -> int:
-        return (self.tables.shape[-1] - 1) // 2
-
-
-def _own_diagonals(tables: np.ndarray) -> np.ndarray:
-    """(K, L, 2W+1) couplings rho_ll of every UE's streams through their own paths."""
-    K, _, L = tables.shape[:3]
-    return tables[np.arange(K), np.arange(K)][:, np.arange(L), np.arange(L)]
-
-
-def assemble_bs_side(channels: ChannelSet, tables: np.ndarray) -> BsSideChannels:
-    """Collect the gains and tables, and build each UE's zero-lag aligned block."""
-    K, L, m_r, m_t = channels.gains.shape
-    r0 = _own_diagonals(tables)[..., (tables.shape[-1] - 1) // 2]  # (K, L)
-    aligned = (r0[:, :, None, None] * channels.gains).swapaxes(1, 2).reshape(K, m_r, L * m_t)
-    return BsSideChannels(gains=channels.gains, tables=tables, aligned=aligned)
+def assemble_bs_side(channels: ChannelSet, tables: np.ndarray) -> DamChannels:
+    """BS-side assembly: one receive branch, and stream l aligned through path l."""
+    K, L = channels.K, channels.L
+    mask = np.broadcast_to(np.eye(L, dtype=bool), (K, 1, L, L))
+    return DamChannels(gains=channels.gains, tables=tables, aligned_mask=mask)
 
 
 @dataclass(frozen=True)
@@ -196,8 +152,8 @@ class PowerTerms:
     """Each UE's received power split, as (K,) arrays."""
 
     desired: np.ndarray
-    isi_aligned: np.ndarray  # own streams through their own paths, off-sample lags
-    isi_cross: np.ndarray    # own streams through the UE's other paths
+    isi_aligned: np.ndarray  # aligned triples at off-sample lags
+    isi_cross: np.ndarray    # own streams through every other triple
     iui: np.ndarray
 
     @property
@@ -205,37 +161,55 @@ class PowerTerms:
         return self.isi_aligned + self.isi_cross + self.iui
 
 
-def power_terms(F: BsSideChannels, w: np.ndarray, f: np.ndarray) -> PowerTerms:
+def power_terms(F: DamChannels, w: np.ndarray, f: np.ndarray) -> PowerTerms:
     """Decompose each UE's received power into desired/ISI/IUI components.
 
-    With z[k, k', l, i] = w_k^H H_kl f_k'i the coupling at lag n is
-    sum_{l,i} rho_li[n] z[l, i]: the diagonal (l = i) of UE k's own table
-    carries the desired and aligned-ISI power, its off-diagonal the
-    cross-path ISI, and the cross-UE tables the IUI.
+    With z[k, k', r, l, i] = w_kr^H H_kl f_k'i the coupling at lag n is
+    sum_{r,l,i} tables[k, k', r, l, i, n] z[k, k', r, l, i]: UE k's aligned
+    triples carry the desired and aligned-ISI power, its other own triples
+    the cross-path ISI, and the other UEs' streams the IUI.
     """
-    K, L, _, m_t = F.gains.shape
-    wh = np.einsum("km,klmt->klt", w.conj(), F.gains)
-    z = np.einsum("klt,jit->kjli", wh, f.reshape(K, L, m_t))  # (K, K, L, L)
+    K, _, m_r, m_t = F.gains.shape
+    _, R, _, I = F.aligned_mask.shape
+    wh = np.einsum("krm,klmt->krlt", w.reshape(K, R, m_r).conj(), F.gains)
+    z = np.einsum("krlt,jit->kjrli", wh, f.reshape(K, I, m_t))  # (K, K, R, L, I)
     own = np.arange(K)
-    z_own = z[own, own]  # (K, L, L) own streams
-    a = np.einsum("kln,kl->kn", _own_diagonals(F.tables), np.diagonal(z_own, axis1=1, axis2=2))
+    z_own, tables_own = z[own, own], F.tables[own, own]
+    a = np.einsum("krlin,krli->kn", tables_own, z_own * F.aligned_mask)
     desired = np.abs(a[:, F.window]) ** 2
     isi_aligned = np.sum(np.abs(a) ** 2, axis=1) - desired
-    cross = z_own * ~np.eye(L, dtype=bool)  # cross-path couplings only
-    isi_cross = np.sum(np.abs(np.einsum("klin,kli->kn", F.tables[own, own], cross)) ** 2, axis=1)
+    cross = z_own * ~F.aligned_mask
+    isi_cross = np.sum(np.abs(np.einsum("krlin,krli->kn", tables_own, cross)) ** 2, axis=1)
     z[own, own] = 0.0  # other UEs' streams only
-    iui = np.sum(np.abs(np.einsum("kjlin,kjli->kjn", F.tables, z)) ** 2, axis=(1, 2))
+    iui = np.sum(np.abs(np.einsum("kjrlin,kjrli->kjn", F.tables, z)) ** 2, axis=(1, 2))
     return PowerTerms(desired=desired, isi_aligned=isi_aligned, isi_cross=isi_cross, iui=iui)
 
 
 def eigen_beamform_bs_side(
-    F: BsSideChannels, P: float, sigma2: float
+    F: DamChannels, P: float, sigma2: float
 ) -> tuple[BeamformerSet, np.ndarray]:
-    """Eigen-beamforming on the zero-lag aligned block of each UE."""
-    w, f = _eigen_beamformers(F.aligned, P, sigma2)
+    """Eigen-beamforming on the aligned block of each UE, for either delay design.
+
+    The top singular pair of each UE's aligned block gives its transmit and
+    receive vectors; transmit vectors share the budget equally (P/K each).
+    The SINR counts every term of ``power_terms`` but the desired one.
+    """
+    if P <= 0.0 or sigma2 <= 0.0:
+        raise ValueError("P and sigma2 must be positive")
+    u, _, vh = np.linalg.svd(F.aligned_blocks(), full_matrices=False)
+    w, v = u[:, :, 0], vh[:, 0].conj()
+    f = np.sqrt(P) * v / np.linalg.norm(v)
     terms = power_terms(F, w, f)
     sinrs = terms.desired / (terms.interference + sigma2 * np.sum((w * w.conj()).real, axis=1))
     return BeamformerSet(f_bar=f, w_bar=w), sinrs
+
+
+def eigen_beamform_doubleside(
+    F: DamChannels, P: float, sigma2: float
+) -> tuple[BeamformerSet, np.ndarray]:
+    """Eigen-beamforming on a double-side assembly."""
+    # kept as a name of its own: perfbench/tracing.py times double-side solves through it
+    return eigen_beamform_bs_side(F, P, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +225,10 @@ SPHERE_SAMPLES = 1200
 SPHERE_SEED = 0
 
 
-def zf_feasible(gains: np.ndarray) -> bool:
-    """Whether M_t >= M_r (K L - 1) + 1 for the path gains (K, L, M_r, M_t)."""
-    K, L, M_r, M_t = gains.shape
-    return M_t >= M_r * (K * L - 1) + 1
-
-
 def _require_zf_feasible(gains: np.ndarray) -> None:
-    if not zf_feasible(gains):
-        K, L, M_r, M_t = gains.shape
+    """Raise unless M_t >= M_r (K L - 1) + 1 for the path gains (K, L, M_r, M_t)."""
+    K, L, M_r, M_t = gains.shape
+    if M_t < M_r * (K * L - 1) + 1:
         raise InfeasibleError(
             "zero-forcing infeasible: requires M_t >= M_r * (L_tot - 1) + 1, "
             f"got M_t={M_t}, M_r={M_r}, L_tot={K * L}"
@@ -424,32 +393,34 @@ def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, 
 
 
 def isi_zf_alternating(
-    F: BsSideChannels,
+    F: DamChannels,
     P: float,
     sigma2: float,
     tol: float = 1e-6,
     max_iter: int = 200,
-) -> tuple[IsiZfState, np.ndarray, float]:
+) -> tuple[IsiZfState, np.ndarray]:
     """ISI-ZF beamforming: a sphere-grid start polished by alternating MMSE updates.
 
-    Reads the path gains and each UE's own correlation table from the same
-    BS-side assembly that eigen-beamforming uses.  Stream l of UE k is sent
-    in the complement of every other path's row space (projector P_kl =
-    I - Q_o Q_o^H, from ``numerics.project_off_others`` on the path rows in
-    their span ``numerics.path_span``), so no null-space basis is built and
-    the result does not depend on one.  For each UE the start is the
-    receive vector on a fixed sample of the unit sphere (``SPHERE_GRID`` at
-    M_r = 2, ``SPHERE_SAMPLES`` points at M_r > 2, w = 1 at M_r = 1) whose
-    SINR under its optimal transmit weights is largest, followed by one
-    transmit update.  The receive/transmit updates then run on the path
-    Grams of all UEs at once until the relative sum-rate increase drops
-    below ``tol`` or after ``max_iter`` iterations; the objective trace is
-    non-decreasing.  The final transmit vectors are f_kl = c_l P_kl
-    H_kl^H w_k.
+    Reads the path gains and each UE's own-path correlations rho_ll (on its
+    one branch) from the same BS-side assembly that eigen-beamforming uses.
+    Stream l of UE k is sent in the complement of every other path's row
+    space (projector P_kl = I - Q_o Q_o^H, from
+    ``numerics.project_off_others`` on the path rows in their span
+    ``numerics.path_span``), so no null-space basis is built and the result
+    does not depend on one.  For each UE the start is the receive vector on
+    a fixed sample of the unit sphere (``SPHERE_GRID`` at M_r = 2,
+    ``SPHERE_SAMPLES`` points at M_r > 2, w = 1 at M_r = 1) whose SINR under
+    its optimal transmit weights is largest, followed by one transmit
+    update; ``max_iter=0`` returns that start.  The receive/transmit updates
+    then run on the path Grams of all UEs at once until the relative
+    sum-rate increase drops below ``tol`` or after ``max_iter`` iterations;
+    the objective trace is non-decreasing.  The final transmit vectors are
+    f_kl = c_l P_kl H_kl^H w_k.
     """
     _require_zf_feasible(F.gains)
     K, L, M_r, M_t = F.gains.shape
-    r = _own_diagonals(F.tables)                  # (K, L, 2W+1)
+    own, path = np.arange(K), np.arange(L)
+    r = F.tables[own, own, 0][:, path, path]      # (K, L, 2W+1) rho_ll
     off = np.delete(r, F.window, axis=2)
     q, rows = path_span(F.gains)                  # H_kl = rows Q^H
     # H_kl P_kl = projected Q^H, every path off every other path of every UE
@@ -465,18 +436,17 @@ def isi_zf_alternating(
     sinrs = isi_zf_sinrs(grams, w, y, sigma2)
     trace = [float(np.sum(np.log2(1.0 + sinrs)))]
     iterations = 0
-    if math.isfinite(tol):
-        for _ in range(max_iter):
-            w, rx_fallbacks = mmse_receive_update(grams, y, sigma2)
-            weights, y, tx_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
-            fallbacks += rx_fallbacks + tx_fallbacks
-            sinrs = isi_zf_sinrs(grams, w, y, sigma2)
-            obj = float(np.sum(np.log2(1.0 + sinrs)))
-            prev = trace[-1]
-            trace.append(obj)
-            iterations += 1
-            if obj - prev < tol * max(abs(prev), 1e-300):
-                break
+    for _ in range(max_iter):
+        w, rx_fallbacks = mmse_receive_update(grams, y, sigma2)
+        weights, y, tx_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
+        fallbacks += rx_fallbacks + tx_fallbacks
+        sinrs = isi_zf_sinrs(grams, w, y, sigma2)
+        obj = float(np.sum(np.log2(1.0 + sinrs)))
+        prev = trace[-1]
+        trace.append(obj)
+        iterations += 1
+        if obj - prev < tol * max(abs(prev), 1e-300):
+            break
     # cut off: stopped at max_iter while the last step still rose by >= tol
     converged = not (
         iterations >= max_iter
@@ -489,4 +459,4 @@ def isi_zf_alternating(
         grams=grams, w=w, f=f.reshape(K, L * M_t), trace=trace, iterations=iterations,
         converged=converged, fallbacks=fallbacks,
     )
-    return state, sinrs, trace[-1]
+    return state, sinrs

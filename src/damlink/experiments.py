@@ -25,7 +25,6 @@ from .beamforming import (
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
-    zf_feasible,
 )
 from .channel import ChannelSet, ConfigError, SimConfig, generate_channel_set
 from .delay_design import InfeasibleError, choose_compensation_counts, solve_compensation_delays
@@ -134,8 +133,8 @@ def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float | No
     if not (1 <= I <= cfg.M_t and 1 <= R <= cfg.M_r):
         return None
     plans = [solve_compensation_delays(n, I, R) for n in channels.n]
-    tensor = assemble_effective_channels(channels, plans)
-    _, sinrs = eigen_beamform_doubleside(tensor, cfg.p_watts(), cfg.sigma2_watts())
+    F = assemble_effective_channels(channels, plans)
+    _, sinrs = eigen_beamform_doubleside(F, cfg.p_watts(), cfg.sigma2_watts())
     return dam_effective_rate(sinrs, cfg)
 
 
@@ -160,10 +159,10 @@ def _eval_bsside(channels: ChannelSet, cfg: SimConfig) -> dict:
     F = assemble_bs_side(channels, tables)
     _, sinrs = eigen_beamform_bs_side(F, P, sigma2)
     out["dam-eigen"] = dam_effective_rate(sinrs, cfg)
-    if zf_feasible(F.gains):
-        _, zf_sinrs, _ = isi_zf_alternating(F, P, sigma2)
+    try:
+        _, zf_sinrs = isi_zf_alternating(F, P, sigma2)
         out["dam-isizf"] = dam_effective_rate(zf_sinrs, cfg)
-    else:
+    except InfeasibleError:
         out["dam-isizf"] = None
     eig_sinrs = ofdm_eigen_sinrs(channels, cfg.M, P, sigma2)
     out["ofdm-eigen"] = ofdm_effective_rate(eig_sinrs, cfg)

@@ -1,12 +1,13 @@
 """Independent references for the fractional-delay algebra.
 
-``oracle_power_terms`` is a time-domain oracle for the power split.  It
-simulates one impulse per transmit stream through the multipath channel on an
-oversampled grid: pulse-shape by discrete convolution, delay by grid shifts,
-matched-filter by another convolution, then sample at the receiver's
-alignment instant.  The resulting per-(stream, path) tap sequences are
-combined into desired / aligned-ISI / cross-path-ISI / IUI powers without
-touching the closed-form raised cosine or any block-matrix assembly.
+``oracle_power_terms`` is a time-domain oracle for the power split of
+either delay design.  It simulates one impulse per pre-delayed transmit
+stream through the multipath channel on an oversampled grid: pulse-shape by
+discrete convolution, delay by grid shifts, matched-filter by another
+convolution, then sample each post-delayed receive branch at the receiver's
+alignment instant.  The resulting per-(branch, stream, path) tap sequences
+are combined into desired / aligned-ISI / cross-path-ISI / IUI powers
+without touching the closed-form raised cosine or any block-matrix assembly.
 
 ``oracle_isi_zf`` is a literal reference for the ISI-ZF alternating MMSE
 loop from a given start receive vector.  It keeps every lag explicit: per
@@ -37,29 +38,39 @@ from damlink.pulse import build_rho_table, rrc, rrc_taps
 from damlink.waveform import SYNTH_SPAN_SYMBOLS
 
 
-def oracle_power_terms(channels, f_list, w_list, window, T, beta, os=8, span=64):
+def bs_side_delays(channels):
+    """BS-side compensation: pre-delays n_max - n_l (K, L), one branch with mu = 0."""
+    return channels.n[:, -1:] - channels.n, np.zeros((channels.K, 1), dtype=int)
+
+
+def oracle_power_terms(channels, f_list, w_list, kappa, mu, window, T, beta, os=8, span=64):
     """Power components per UE, matching ``power_terms`` semantics.
 
-    ``f_list`` holds stacked per-stream transmit vectors (BS-side layout:
-    one stream per path of the owning UE), ``w_list`` unit receive vectors.
+    Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples and sent
+    with its block of the stacked transmit vector ``f_list[k']`` (I M_t);
+    branch r of UE k post-delays what it hears by ``mu[k, r]`` samples and
+    combines it with its block of the stacked receive vector ``w_list[k]``
+    (R M_r).  A (branch, path, stream) triple of UE k's own streams is
+    aligned when its integer offset n_kl + kappa_ki + mu_kr - n_k,max is 0.
     Fractional delays must sit on the T/os grid.
     """
     dt = T / os
     grid = np.arange(-span * os, span * os + 1)
     phi = rrc(grid * dt, T, beta)
-    m_t = channels.M_t
+    m_t, m_r = channels.M_t, channels.M_r
     lags = np.arange(-window, window + 1)
+    kappa, mu = np.asarray(kappa), np.asarray(mu)
+    I, R = kappa.shape[1], mu.shape[1]
 
     L = channels.L
     n_max = channels.n[:, -1]
 
-    def stream_taps(k, kp, w):
-        """taps[i, l, m]: stream i of UE kp heard by UE k through its path l."""
-        kappa = n_max[kp] - channels.n[kp]  # BS-side pre-delays of UE kp's streams
-        taps = np.zeros((L, L, lags.size), dtype=complex)
-        for i in range(L):
+    def stream_taps(k, kp):
+        """taps[r, i, l, m]: stream i of UE kp heard on branch r of UE k through its path l."""
+        taps = np.zeros((R, I, L, lags.size), dtype=complex)
+        for i in range(I):
             tx = np.zeros(2 * span * os + 1)
-            tx[span * os + kappa[i] * os] = 1.0  # unit impulse delayed by kappa_i
+            tx[span * os + kappa[kp, i] * os] = 1.0  # unit impulse delayed by kappa_i
             shaped = np.convolve(tx, phi)
             f_i = f_list[kp][i * m_t : (i + 1) * m_t]
             for l in range(L):
@@ -70,30 +81,33 @@ def oracle_power_terms(channels, f_list, w_list, window, T, beta, os=8, span=64)
                 else:
                     rx = shaped[-shift:]  # advance: negative total delay
                 filtered = np.convolve(rx, phi[::-1]) * dt
-                coupling = complex(w.conj() @ channels.gains[k, l] @ f_i)
-                # impulse, shaping and matched filter each carry span*os steps
-                idx = 3 * span * os + (n_max[k] + lags) * os
-                valid = (idx >= 0) & (idx < filtered.size)
-                taps[i, l, valid] = coupling * filtered[idx[valid]]
+                for r in range(R):
+                    w_r = w_list[k][r * m_r : (r + 1) * m_r]
+                    coupling = complex(w_r.conj() @ channels.gains[k, l] @ f_i)
+                    # impulse, shaping and matched filter each carry span*os
+                    # steps; the branch's post-delay mu_r moves its samples later
+                    idx = 3 * span * os + (n_max[k] + lags - mu[k, r]) * os
+                    valid = (idx >= 0) & (idx < filtered.size)
+                    taps[r, i, l, valid] = coupling * filtered[idx[valid]]
         return taps
 
     results = []
     for k in range(channels.K):
-        w = w_list[k]
         center = window
-        own = stream_taps(k, k, w)
-        diag = own[np.arange(L), np.arange(L)]  # (L, lags)
-        aligned = diag.sum(axis=0)
+        own = stream_taps(k, k)
+        offset = mu[k][:, None, None] + kappa[k][None, :, None] + channels.n[k][None, None, :]
+        is_aligned = offset == n_max[k]  # (R, I, L)
+        aligned = own[is_aligned].sum(axis=0)
         desired = abs(aligned[center]) ** 2
         isi_aligned = float(np.sum(np.abs(aligned) ** 2) - desired)
 
-        cross_total = own.sum(axis=(0, 1)) - aligned  # streams through other paths
+        cross_total = own.sum(axis=(0, 1, 2)) - aligned  # every other own triple
         isi_cross = float(np.sum(np.abs(cross_total) ** 2))
 
         iui = 0.0
         for kp in range(channels.K):
             if kp != k:
-                iui += float(np.sum(np.abs(stream_taps(k, kp, w).sum(axis=(0, 1))) ** 2))
+                iui += float(np.sum(np.abs(stream_taps(k, kp).sum(axis=(0, 1, 2))) ** 2))
         results.append((float(desired), isi_aligned, isi_cross, iui))
     return results
 

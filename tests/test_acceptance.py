@@ -30,7 +30,7 @@ from damlink.experiments import (
 )
 from damlink.numerics import rank, water_fill
 from damlink.ofdm import dam_overhead_factor, ofdm_overhead_factor, ofdm_zf_waterfill
-from oracles import oracle_power_terms
+from oracles import bs_side_delays, oracle_power_terms
 
 
 def _report(num: int, text: str) -> None:
@@ -124,13 +124,13 @@ def test_criterion_06_zero_forcing_structure():
     # fractional-delay instance: cross terms vanish relative to the desired terms
     rng = np.random.default_rng(42)
     cs = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=True)
-    state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, beta, 60), P, sigma2)
+    state, _ = isi_zf_alternating(bs_side_channels(cs, T, beta, 60), P, sigma2)
     rel = cross_term_check(cs, state)
 
     # integer delays: interference exactly zero, SINR = P_DS / sigma^2
     cs_int = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=False)
     F = bs_side_channels(cs_int, T, beta, 60)
-    state_i, sinrs_i, _ = isi_zf_alternating(F, P, sigma2)
+    state_i, sinrs_i = isi_zf_alternating(F, P, sigma2)
     cross_term_check(cs_int, state_i)
     terms = power_terms(F, state_i.w, state_i.f)
     assert np.all(terms.interference <= 1e-12 * terms.desired)
@@ -143,7 +143,7 @@ def test_criterion_07_alternating_optimization_monotone():
     rng = np.random.default_rng(7)
     for trial in range(50):
         cs = random_delay_channel_set(rng, 1, 8, K=2, L=2, span=15, fractional=True)
-        state, _, _ = isi_zf_alternating(
+        state, _ = isi_zf_alternating(
             bs_side_channels(cs, T, beta, 40), 1.0, sigma2, tol=1e-6, max_iter=200
         )
         trace = np.asarray(state.trace)
@@ -169,7 +169,8 @@ def test_criterion_08_fractional_delay_waveform_oracle():
         F = assemble_bs_side(cs, bs_side_rho_tables(cs, window, T, beta))
         bf, _ = eigen_beamform_bs_side(F, 1.0, sigma2)
         pipeline = power_terms(F, bf.w_bar, bf.f_bar)
-        oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, window, T, beta, os=os)
+        kappa, mu = bs_side_delays(cs)
+        oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, T, beta, os=os)
         p = pipeline
         for k in range(cs.K):
             for got, want in zip(

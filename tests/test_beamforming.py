@@ -74,44 +74,57 @@ def _literal_doubleside_sinr(channels, plans, f_list, w_list, sigma2, k):
     return signal / (interference + sigma2 * np.linalg.norm(w_list[k]) ** 2)
 
 
+def _table_lags(F):
+    """(K, K, R, L, I) lag of each triple's 0/1 table, checking it holds one 1."""
+    assert set(np.unique(F.tables)) <= {0.0, 1.0}
+    assert np.all(F.tables.sum(axis=-1) == 1.0)
+    return np.argmax(F.tables, axis=-1) - F.window
+
+
 class TestAssembleEffectiveChannels:
     def test_single_path_single_ue(self):
         rng = np.random.default_rng(0)
         cs = make_channel_set(rng, 2, 4, [[5]])
         plans = _plans(cs, 1)
-        tensor = assemble_effective_channels(cs, plans)
-        assert set(np.unique(tensor.lags[0, 0])) == {0}
-        assert np.array_equal(tensor.aligned_blocks()[0], cs.gains[0, 0])
+        F = assemble_effective_channels(cs, plans)
+        assert set(np.unique(_table_lags(F)[0, 0])) == {0}
+        assert np.all(F.aligned_mask)
+        assert np.array_equal(F.aligned_blocks()[0], cs.gains[0, 0])
 
     def test_reference_plan_has_five_zero_lag_placements(self):
         rng = np.random.default_rng(1)
         cs = make_channel_set(rng, 2, 3, [[1, 3, 4, 5]])
         plans = [solve_compensation_delays([1, 3, 4, 5], 2, 3)]
-        tensor = assemble_effective_channels(cs, plans)
-        block0 = tensor.aligned_blocks()[0]
+        F = assemble_effective_channels(cs, plans)
+        block0 = F.aligned_blocks()[0]
         assert _count_placements(block0, 2, 3) == 5
+        assert np.count_nonzero(F.aligned_mask[0]) == 5
 
     def test_total_placements(self):
         rng = np.random.default_rng(2)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=4, fractional=False)
         plans = _plans(cs, 2)
-        tensor = assemble_effective_channels(cs, plans)
-        assert tensor.lags.shape == (cs.K, cs.K, 3, 2, cs.L)
+        F = assemble_effective_channels(cs, plans)
+        lags = _table_lags(F)
+        assert lags.shape == (cs.K, cs.K, 3, cs.L, 2)
+        assert F.window == np.max(np.abs(lags))
         for k in range(cs.K):
             for kp in range(cs.K):
-                lags = tensor.lags[k, kp]
                 for r, mu in enumerate(plans[k].mu):
                     for i, kappa in enumerate(plans[kp].kappa):
                         for l, n in enumerate(cs.n[k]):
-                            assert lags[r, i, l] == n + kappa + mu - plans[k].n_max
+                            q = n + kappa + mu - plans[k].n_max
+                            assert lags[k, kp, r, l, i] == q
+                            if kp == k:
+                                assert F.aligned_mask[k, r, l, i] == (q == 0)
 
     def test_self_pair_min_lag(self):
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
         plans = _plans(cs, 2)
-        tensor = assemble_effective_channels(cs, plans)
+        lags = _table_lags(assemble_effective_channels(cs, plans))
         for k in range(cs.K):
-            assert tensor.lags[k, k].min() == cs.n[k, 0] - cs.n_max[k]
+            assert lags[k, k].min() == cs.n[k, 0] - cs.n_max[k]
 
     def test_plans_must_share_stream_counts(self):
         rng = np.random.default_rng(3)
@@ -120,15 +133,26 @@ class TestAssembleEffectiveChannels:
         with pytest.raises(ValueError, match="same I and R"):
             assemble_effective_channels(cs, plans)
 
+    def test_fractional_delays_are_rejected(self):
+        # the reference config's fractional draw has |tau_f| up to 0.44 T
+        cs = generate_channel_set(SimConfig(), 5)
+        assert np.any(cs.tau_f != 0.0)
+        plans = _plans(cs, 2)
+        with pytest.raises(ValueError, match="integer delays"):
+            assemble_effective_channels(cs, plans)
+        integer = assemble_effective_channels(dataclasses.replace(cs, tau_f=0.0 * cs.tau_f), plans)
+        _, sinrs = eigen_beamform_doubleside(integer, 1.0, SIGMA2)
+        assert np.all(np.isfinite(sinrs)) and np.all(sinrs > 0.0)
+
 
 class TestEigenBeamformDoubleside:
     def test_interference_free_closed_form(self):
         rng = np.random.default_rng(4)
         cs = make_channel_set(rng, 2, 4, [[3]])
         plans = _plans(cs, 1)
-        tensor = assemble_effective_channels(cs, plans)
+        F = assemble_effective_channels(cs, plans)
         P = 2.0
-        bf, sinrs = eigen_beamform_doubleside(tensor, P, SIGMA2)
+        bf, sinrs = eigen_beamform_doubleside(F, P, SIGMA2)
         smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
         assert sinrs[0] == pytest.approx(P * smax**2 / SIGMA2, rel=1e-10)
 
@@ -136,8 +160,8 @@ class TestEigenBeamformDoubleside:
         rng = np.random.default_rng(5)
         cs = make_channel_set(rng, 2, 4, [[3]], scale=0.0)
         plans = _plans(cs, 1)
-        tensor = assemble_effective_channels(cs, plans)
-        _, sinrs = eigen_beamform_doubleside(tensor, 1.0, SIGMA2)
+        F = assemble_effective_channels(cs, plans)
+        _, sinrs = eigen_beamform_doubleside(F, 1.0, SIGMA2)
         assert sinrs[0] == 0.0
 
     def test_matches_literal_formula_oracle(self):
@@ -145,8 +169,8 @@ class TestEigenBeamformDoubleside:
         for trial in range(5):
             cs = random_delay_channel_set(rng, 2, 5, K=2, L=3, fractional=False)
             plans = _plans(cs, int(rng.integers(1, cs.L + 1)))
-            tensor = assemble_effective_channels(cs, plans)
-            bf, sinrs = eigen_beamform_doubleside(tensor, 1.5, SIGMA2)
+            F = assemble_effective_channels(cs, plans)
+            bf, sinrs = eigen_beamform_doubleside(F, 1.5, SIGMA2)
             for k in range(cs.K):
                 oracle = _literal_doubleside_sinr(cs, plans, bf.f_bar, bf.w_bar, SIGMA2, k)
                 assert sinrs[k] == pytest.approx(oracle, rel=1e-9)
@@ -155,8 +179,8 @@ class TestEigenBeamformDoubleside:
         rng = np.random.default_rng(7)
         cs = random_delay_channel_set(rng, 2, 4, K=3, L=2, fractional=False)
         plans = _plans(cs, 1)
-        tensor = assemble_effective_channels(cs, plans)
-        bf, _ = eigen_beamform_doubleside(tensor, 3.0, SIGMA2)
+        F = assemble_effective_channels(cs, plans)
+        bf, _ = eigen_beamform_doubleside(F, 3.0, SIGMA2)
         assert np.linalg.norm(bf.f_bar) ** 2 == pytest.approx(3.0, rel=1e-9)
         for w in bf.w_bar:
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
@@ -184,7 +208,7 @@ def _lag_blocks(gains, weights):
 
 def _own_lag_blocks(F, k):
     """(aligned, cross-path) per-lag blocks of UE k's own streams."""
-    tab = F.tables[k, k]
+    tab = F.tables[k, k, 0]
     diag_only = np.zeros_like(tab)
     idx = np.arange(tab.shape[0])
     diag_only[idx, idx] = tab[idx, idx]
@@ -200,7 +224,7 @@ class TestBsSideAssembly:
         center = F.window
         expected = np.concatenate(list(cs.gains[0]), axis=1)
         h_rho, h_hat = _own_lag_blocks(F, 0)
-        assert np.array_equal(F.aligned[0], expected)
+        assert np.array_equal(F.aligned_blocks()[0], expected)
         assert np.array_equal(h_rho[center], expected)
         off = np.delete(h_rho, center, axis=0)
         assert not np.any(off)
@@ -218,7 +242,7 @@ class TestBsSideAssembly:
         h_rho_p, _ = _own_lag_blocks(Fp, 0)
         h_rho_m, _ = _own_lag_blocks(Fm, 0)
         assert np.allclose(h_rho_m, h_rho_p[::-1], atol=1e-12)
-        assert np.allclose(Fm.aligned[0], h_rho_m[Fm.window], atol=1e-12)
+        assert np.allclose(Fm.aligned_blocks()[0], h_rho_m[Fm.window], atol=1e-12)
 
 
 class TestPowerTerms:
@@ -263,7 +287,7 @@ class TestPowerTerms:
             b = (h_hat @ f_list[k]) @ w_list[k].conj()
             iui = sum(
                 np.sum(np.abs(
-                    (_lag_blocks(F.gains[k], F.tables[k, kp]) @ f_list[kp])
+                    (_lag_blocks(F.gains[k], F.tables[k, kp, 0]) @ f_list[kp])
                     @ w_list[k].conj()
                 ) ** 2)
                 for kp in range(cs.K) if kp != k
@@ -377,7 +401,7 @@ def _center_channels(cs, window=40):
 
 def _grams(cs, window=40):
     F = bs_side_channels(cs, T, BETA, window)
-    state, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=np.inf)
+    state, _ = isi_zf_alternating(F, 1.0, SIGMA2, max_iter=0)
     return state.grams
 
 
@@ -464,7 +488,7 @@ class TestIsiZfAlternating:
     def test_integer_delays_single_ue_interference_free(self):
         rng = np.random.default_rng(22)
         cs = random_delay_channel_set(rng, 2, 8, K=1, L=3, fractional=False)
-        state, sinrs, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+        state, sinrs = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
         w, f = state.w[0], state.f[0]
         m_t = cs.M_t
         tab = build_rho_table(cs, bs_side_kappa(cs), 40, T, BETA)[0, 0]
@@ -482,15 +506,15 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(23)
         for _ in range(5):
             cs = _zf_setup(rng, fractional=True)
-            state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+            state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
             diffs = np.diff(state.trace)
             assert np.all(diffs >= -1e-9 * np.maximum(np.abs(state.trace[:-1]), 1.0))
 
-    def test_infinite_tol_returns_initialization(self):
+    def test_zero_max_iter_returns_initialization(self):
         rng = np.random.default_rng(24)
         cs = _zf_setup(rng, fractional=True)
-        state, sinrs, _ = isi_zf_alternating(
-            bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2, tol=np.inf
+        state, sinrs = isi_zf_alternating(
+            bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2, max_iter=0
         )
         assert state.iterations == 0
         assert len(state.trace) == 1
@@ -503,9 +527,9 @@ class TestIsiZfAlternating:
         cs = _zf_setup(rng, fractional=True)
         F = bs_side_channels(cs, T, BETA, 40)
         # from the sphere-grid start this draw meets tol=1e-6 after one step
-        full, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=1e-9)
+        full, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=1e-9)
         assert full.iterations > 1
-        state, _, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=1e-9, max_iter=1)
+        state, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=1e-9, max_iter=1)
         assert state.iterations == 1
         assert not state.converged
 
@@ -513,14 +537,14 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(27)
         cs = _zf_setup(rng, fractional=True)
         F = bs_side_channels(cs, T, BETA, 40)
-        ref, ref_sinrs, _ = isi_zf_alternating(F, 1.0, SIGMA2)
+        ref, ref_sinrs = isi_zf_alternating(F, 1.0, SIGMA2)
         assert ref.fallbacks == 0
 
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        state, sinrs, _ = isi_zf_alternating(F, 1.0, SIGMA2)
+        state, sinrs = isi_zf_alternating(F, 1.0, SIGMA2)
         assert state.iterations == ref.iterations > 0
         # every solve took pinv: one per UE and sphere point, one per UE for
         # the start's transmit update, and a receive and a transmit solve per
@@ -532,7 +556,7 @@ class TestIsiZfAlternating:
     def test_converged_integer_delay_solve(self):
         rng = np.random.default_rng(22)
         cs = _zf_setup(rng, fractional=False)
-        state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
         assert state.iterations < 200
         assert state.converged
 
@@ -540,7 +564,7 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(25)
         cs = _zf_setup(rng, fractional=True, m_t=16)
         P = 2.0
-        state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
+        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
         f_bar = state.f
         m_t = cs.M_t
         scale = np.sqrt(P) * np.max(np.linalg.norm(cs.gains, axis=(2, 3)))
@@ -555,20 +579,20 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(26)
         cs = _zf_setup(rng, fractional=True)
         P = 3.0
-        state, _, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
+        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
         assert sum(np.linalg.norm(f) ** 2 for f in state.f) <= P * (1 + 1e-9)
 
     def test_single_receive_antenna_is_one_transmit_update(self):
         rng = np.random.default_rng(28)
         cs = _zf_setup(rng, fractional=True, m_t=12, m_r=1)
         F = bs_side_channels(cs, T, BETA, 40)
-        state, sinrs, _ = isi_zf_alternating(F, 2.0, SIGMA2)
+        state, sinrs = isi_zf_alternating(F, 2.0, SIGMA2)
         w = np.ones((cs.K, 1), dtype=complex)
         _, y, _ = mmse_transmit_update(state.grams, w, 2.0, SIGMA2)
         once = isi_zf_sinrs(state.grams, w, y, SIGMA2)
         assert np.allclose(sinrs, once, rtol=1e-12, atol=0.0)
         assert np.allclose(np.abs(state.w), 1.0, rtol=0.0, atol=1e-12)
-        start, _, _ = isi_zf_alternating(F, 2.0, SIGMA2, tol=np.inf)
+        start, _ = isi_zf_alternating(F, 2.0, SIGMA2, max_iter=0)
         assert np.array_equal(start.w, w)
         assert np.linalg.norm(state.f - start.f) <= 1e-12 * np.linalg.norm(start.f)
 
@@ -578,9 +602,9 @@ class TestIsiZfAlternating:
         # the null-space coordinates
         rng = np.random.default_rng(seed)
         cs = random_delay_channel_set(rng, 4, 16, K=2, L=2, fractional=True)
-        _, _, obj = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
         _, trace, _ = oracle_isi_zf(cs, 1.0, SIGMA2, T, BETA, 40, max_iter=5000)
-        assert obj >= trace[-1] * (1.0 - 1e-6)
+        assert state.trace[-1] >= trace[-1] * (1.0 - 1e-6)
 
 
 def _reference_draw(seed, j, t, integer_delays=False):
@@ -595,7 +619,7 @@ class TestIsiZfReferenceConfig:
         for j in range(len(DEFAULT_POWER_GRID)):
             cs, cfg = _reference_draw(seed, j, 0)
             F = bs_side_channels(cs, cfg.T, cfg.beta, cfg.rho_window)
-            state, _, _ = isi_zf_alternating(F, cfg.p_watts(), cfg.sigma2_watts())
+            state, _ = isi_zf_alternating(F, cfg.p_watts(), cfg.sigma2_watts())
             assert state.converged, (seed, DEFAULT_POWER_GRID[j], state.iterations)
 
     def test_result_does_not_depend_on_transmit_basis(self):
@@ -608,10 +632,10 @@ class TestIsiZfReferenceConfig:
             unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
             rotated = ChannelSet(gains=cs.gains @ unitary, n=cs.n, tau_f=cs.tau_f)
             P, sigma2 = cfg.p_watts(), cfg.sigma2_watts()
-            _, sinrs, _ = isi_zf_alternating(
+            _, sinrs = isi_zf_alternating(
                 bs_side_channels(cs, cfg.T, cfg.beta, cfg.rho_window), P, sigma2
             )
-            _, again, _ = isi_zf_alternating(
+            _, again = isi_zf_alternating(
                 bs_side_channels(rotated, cfg.T, cfg.beta, cfg.rho_window), P, sigma2
             )
             assert np.allclose(again, sinrs, rtol=1e-9, atol=0.0), (t, np.max(np.abs(again / sinrs - 1)))

@@ -85,6 +85,18 @@ class TestRunExperiment:
         ue_row = next(r for r in table.rows if r.scheme == "dam-eigen-ue")
         assert ue_row.infeasible  # R = L = 3 > M_r
 
+    def test_doubleside_bs_matches_bsside_eigen(self):
+        # BS-side DAM is the I = L, R = 1 plan of the double-side kind: on the
+        # same channel draws both kinds must score it alike, trial by trial
+        spec = dict(config=SimConfig(), grid=(10.0, 40.0), trials=4, seed=11)
+        double = run_experiment(ExperimentSpec(kind="se_vs_power_doubleside", **spec))
+        single = run_experiment(ExperimentSpec(kind="se_vs_power_bsside", **spec))
+        for value in spec["grid"]:
+            got = np.array(double.samples[(value, "dam-eigen-bs")], dtype=float)
+            want = np.array(single.samples[(value, "dam-eigen")], dtype=float)
+            assert got.shape == (4,)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_fractional_kind(self):
         table = run_experiment(small_spec(kind="se_vs_power_fractional", trials=2))
         by_scheme = {r.scheme: r for r in table.rows if r.sweep_value == 30.0}

@@ -35,8 +35,8 @@ def test_matches_lag_stacked_oracle(seed, m_r, m_t, K, L, span, fractional, P, m
     F = bs_side_channels(cs, T, BETA, WINDOW)
     # with an infinite tol the solver returns its start: the receive vectors
     # that the oracle's literal loop starts from
-    start, _, _ = isi_zf_alternating(F, P, SIGMA2, tol=np.inf)
-    state, _, _ = isi_zf_alternating(F, P, SIGMA2, max_iter=max_iter)
+    start, _ = isi_zf_alternating(F, P, SIGMA2, max_iter=0)
+    state, _ = isi_zf_alternating(F, P, SIGMA2, max_iter=max_iter)
     iterations, trace, f_bar = oracle_isi_zf(
         cs, P, SIGMA2, T, BETA, WINDOW, start.w, max_iter=max_iter
     )
