@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .delay_design import DelayPlan, InfeasibleError
+from .delay_design import DelayPlan, InfeasibleError, triple_lags
 from .numerics import null_space_basis, path_span, project_off_others
 from .pulse import build_rho_table
 
@@ -98,10 +98,8 @@ def assemble_effective_channels(
 ) -> DamChannels:
     """Double-side assembly: each triple's integer lag as a 0/1 table.
 
-    For receiving UE k and transmitting UE k', path l heard on branch r from
-    stream i arrives with lag q = n_kl + kappa_{k'i} + mu_{kr} - n_{k,max}
-    relative to UE k's alignment target, so its table is 1 at lag q and 0
-    elsewhere, with W = max |q|.  UE k's own triples at q = 0 are aligned.
+    Each triple's table is 1 at its lag q (``delay_design.triple_lags``) and
+    0 elsewhere, with W = max |q|; UE k's own triples at q = 0 are aligned.
     Every plan has the same I and R, and every delay must be an integer.
     """
     if len(plans) != channels.K:
@@ -112,12 +110,8 @@ def assemble_effective_channels(
         raise ValueError("every plan must target its UE's latest path")
     if channels.tau_f.any():
         raise ValueError("double-side assembly needs integer delays (tau_f = 0)")
-    mu = np.array([plan.mu for plan in plans])        # (K, R)
-    kappa = np.array([plan.kappa for plan in plans])  # (K, I)
-    lags = (
-        mu[:, None, :, None, None]
-        + (channels.n - channels.n_max[:, None])[:, None, None, :, None]
-        + kappa[None, :, None, None, :]
+    lags = triple_lags(
+        channels.n, channels.n_max, [plan.kappa for plan in plans], [plan.mu for plan in plans]
     )  # (K, K, R, L, I)
     W = int(np.max(np.abs(lags)))
     tables = np.zeros((lags.size, 2 * W + 1))
@@ -446,13 +440,11 @@ def isi_zf_alternating(
         trace.append(obj)
         iterations += 1
         if obj - prev < tol * max(abs(prev), 1e-300):
+            converged = True
             break
-    # cut off: stopped at max_iter while the last step still rose by >= tol
-    converged = not (
-        iterations >= max_iter
-        and iterations > 0
-        and trace[-1] - trace[-2] >= tol * max(abs(trace[-2]), 1e-300)
-    )
+    else:
+        # cut off at max_iter while every step still rose by >= tol
+        converged = max_iter == 0
     f = weights[..., None] * (np.einsum("klmr,km->klr", projected.conj(), w) @ q.T)
 
     state = IsiZfState(

@@ -1,11 +1,11 @@
 """Design of integer delay pre/post-compensation for multipath alignment.
 
 A UE with L resolvable integer path delays n_1 < ... < n_L is served by I
-pre-delayed transmit streams and R post-delayed receive branches.  Choosing
-the I + R compensation values so that every path has at least one (stream,
-branch) pair summing to the alignment target n_L is a linear system over a
-structured 0/1 matrix; it is solvable whenever I + R - 1 >= L, and for
-I + R - 1 = L the solution is closed form.
+pre-delayed transmit streams and R post-delayed receive branches; stream i,
+branch r and path l add up to the delay kappa_i + mu_r + n_l.  The I*R sums
+kappa_i + mu_r have rank I + R - 1, so every path can reach the target n_L
+through some (stream, branch) pair whenever I + R - 1 >= L, and for
+I + R - 1 = L the compensation delays are closed form.
 """
 
 from __future__ import annotations
@@ -16,17 +16,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "DelayPlan",
-    "AlignmentSets",
-    "CompensationSystem",
-    "CountChoice",
-    "build_compensation_matrix",
-    "build_selection_matrix",
-    "build_compensation_system",
-    "feasibility_check",
-    "solve_compensation_delays",
-    "enumerate_alignment_sets",
-    "choose_compensation_counts",
+    "DelayPlan", "AlignmentSets", "CountChoice", "build_compensation_matrix",
+    "solve_compensation_delays", "triple_lags", "enumerate_alignment_sets",
+    "stream_count_range", "choose_compensation_counts",
 ]
 
 
@@ -64,16 +56,6 @@ class AlignmentSets:
     L_extra: int
 
 
-@dataclass(frozen=True)
-class CompensationSystem:
-    """Structured linear system: selection @ Q @ [kappa; mu] = alignment vector."""
-
-    Q: np.ndarray      # (I*R, I+R) 0/1
-    V: np.ndarray      # (L, I*R) 0/1 row selector
-    x: np.ndarray      # (I+R,) concatenated [kappa; mu]
-    n_vec: np.ndarray  # (L,) targets [n_max - n_L, ..., n_max - n_1]
-
-
 class CountChoice(NamedTuple):
     I: int
     R: int
@@ -96,26 +78,6 @@ def build_compensation_matrix(I: int, R: int) -> np.ndarray:
     return q
 
 
-def build_selection_matrix(I: int, R: int) -> np.ndarray:
-    """Row selector picking L = I + R - 1 independent combined-delay equations.
-
-    Takes the whole first stream block (all R branches) plus the last branch
-    of every remaining stream block.
-    """
-    if I < 1 or R < 1:
-        raise ValueError("I and R must be >= 1")
-    L = I + R - 1
-    selected = list(range(R)) + [i * R + (R - 1) for i in range(1, I)]
-    v = np.zeros((L, I * R))
-    v[np.arange(L), selected] = 1.0
-    return v
-
-
-def feasibility_check(I: int, R: int, L: int) -> bool:
-    """Whether I streams and R branches can align L paths."""
-    return I + R - 1 >= L
-
-
 def solve_compensation_delays(n_list: Sequence[int], I: int, R: int) -> DelayPlan:
     """Closed-form compensation delays for the exactly-determined case I+R-1 = L.
 
@@ -135,59 +97,62 @@ def solve_compensation_delays(n_list: Sequence[int], I: int, R: int) -> DelayPla
     return DelayPlan(I=I, R=R, kappa=kappa, mu=mu, n_max=n_max)
 
 
-def build_compensation_system(plan: DelayPlan, n_list: Sequence[int]) -> CompensationSystem:
-    n = np.asarray(n_list, dtype=float)
-    q = build_compensation_matrix(plan.I, plan.R)
-    v = build_selection_matrix(plan.I, plan.R)
-    x = np.concatenate([np.asarray(plan.kappa, float), np.asarray(plan.mu, float)])
-    n_vec = plan.n_max - n[::-1]
-    return CompensationSystem(Q=q, V=v, x=x, n_vec=n_vec)
+def triple_lags(n, n_max, kappa, mu) -> np.ndarray:
+    """(K, K, R, L, I) integer lag of every (branch, path, stream) triple of every UE pair.
+
+    Path l of receiving UE k, heard on branch r from stream i of transmitting
+    UE k', arrives q = n_kl + kappa_k'i + mu_kr - n_k,max samples after UE k's
+    alignment target; UE k's own triples at q = 0 are aligned.  ``n`` is
+    (K, L), ``n_max`` (K,), ``kappa`` (K, I) and ``mu`` (K, R).
+    """
+    n, n_max, kappa, mu = (np.asarray(a) for a in (n, n_max, kappa, mu))
+    return (
+        mu[:, None, :, None, None]
+        + (n - n_max[:, None])[:, None, None, :, None]
+        + kappa[None, :, None, None, :]
+    )
 
 
 def enumerate_alignment_sets(plan: DelayPlan, n_list: Sequence[int]) -> AlignmentSets:
     """Split all I*R*L (stream, branch, path) triples into aligned and ISI sets."""
     n = [int(v) for v in n_list]
-    desired = []
-    isi = []
-    for i, kappa in enumerate(plan.kappa, start=1):
-        for r, mu in enumerate(plan.mu, start=1):
-            for l, nl in enumerate(n, start=1):
-                if kappa + mu + nl == plan.n_max:
-                    desired.append((i, r, l))
-                else:
-                    isi.append((i, r, l))
-    return AlignmentSets(
-        desired=tuple(desired),
-        isi=tuple(isi),
-        L_extra=len(desired) - len(n),
+    lags = triple_lags([n], [plan.n_max], [plan.kappa], [plan.mu])[0, 0]  # (R, L, I)
+    aligned = lags.transpose(2, 0, 1) == 0  # (I, R, L)
+    desired, isi = (
+        tuple(map(tuple, (np.argwhere(m) + 1).tolist())) for m in (aligned, ~aligned)
     )
+    return AlignmentSets(desired=desired, isi=isi, L_extra=len(desired) - len(n))
+
+
+def stream_count_range(M_t: int, M_r: int, L: int) -> range:
+    """Stream counts I that fit I <= M_t streams and R = L + 1 - I <= M_r branches."""
+    return range(max(1, L + 1 - M_r), min(L, M_t) + 1)
+
+
+_REGIMES = {  # (M_r >= L, M_t >= L) -> (case, side) of the antenna regime
+    (False, True): (1, "bs-side"), (True, False): (2, "ue-side"),
+    (True, True): (3, "single-side"), (False, False): (4, "double-side"),
+}
 
 
 def choose_compensation_counts(M_t: int, M_r: int, L: int) -> CountChoice:
     """Pick stream/branch counts minimizing the same-UE interference count.
 
-    The objective L(L+1-I)I - L over the feasible stream-count interval is
-    minimized at an interval endpoint; the four antenna-regime cases below
-    reproduce that optimum directly.
+    The count L(L+1-I)I - L is concave in I, so its minimum over the feasible
+    ``stream_count_range`` lies at an endpoint; ties go to the transmit-heavy
+    end, which suits the downlink.  ``case``/``side`` name the antenna regime
+    (M_r >= L, M_t >= L): 1 bs-side, 2 ue-side, 3 single-side (both ends tie),
+    4 double-side.
     """
     if M_t < 1 or M_r < 1 or L < 1:
         raise ValueError("antenna counts and path count must be >= 1")
-    lo = max(1, L + 1 - M_r)
-    hi = min(L, M_t)
-    if lo > hi:
+    counts = stream_count_range(M_t, M_r, L)
+    if not counts:
         raise InfeasibleError(
             f"no feasible stream count: need M_t + M_r >= L + 1, got "
             f"M_t={M_t}, M_r={M_r}, L={L}"
         )
-    if M_r < L and M_t >= L:
-        case, side, I = 1, "bs-side", L
-    elif M_r >= L and M_t < L:
-        case, side, I = 2, "ue-side", 1
-    elif M_r >= L and M_t >= L:
-        # both endpoints tie; transmit-side compensation suits the downlink
-        case, side, I = 3, "single-side", L
-    else:
-        case, side = 4, "double-side"
-        # endpoint comparison; ties go to the transmit-heavy choice
-        I = M_t if M_r * (L + 1 - M_r) >= M_t * (L + 1 - M_t) else L + 1 - M_r
+    lo, hi = counts[0], counts[-1]
+    I = hi if (L + 1 - hi) * hi <= (L + 1 - lo) * lo else lo
+    case, side = _REGIMES[M_r >= L, M_t >= L]
     return CountChoice(I=I, R=L + 1 - I, case=case, side=side)

@@ -28,6 +28,7 @@ from .beamforming import (
 )
 from .channel import ChannelSet, ConfigError, SimConfig, generate_channel_set
 from .delay_design import InfeasibleError, choose_compensation_counts, solve_compensation_delays
+from .delay_design import stream_count_range
 from .ofdm import (
     dam_effective_rate,
     ofdm_effective_rate,
@@ -127,12 +128,9 @@ def trial_seed(base_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSequ
 # ---------------------------------------------------------------------------
 
 
-def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float | None:
+def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float:
     """Effective rate of double-side eigen-beamforming with I streams per UE."""
-    R = channels.L + 1 - I
-    if not (1 <= I <= cfg.M_t and 1 <= R <= cfg.M_r):
-        return None
-    plans = [solve_compensation_delays(n, I, R) for n in channels.n]
+    plans = [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
     F = assemble_effective_channels(channels, plans)
     _, sinrs = eigen_beamform_doubleside(F, cfg.p_watts(), cfg.sigma2_watts())
     return dam_effective_rate(sinrs, cfg)
@@ -144,8 +142,10 @@ def _eval_doubleside(channels: ChannelSet, cfg: SimConfig) -> dict:
         counts["dam-eigen-auto"] = choose_compensation_counts(cfg.M_t, cfg.M_r, cfg.L).I
     except InfeasibleError:
         counts["dam-eigen-auto"] = None
-    # schemes that pick the same stream count share one plan and one solve
-    rates = {I: _doubleside_rate(channels, cfg, I) for I in set(counts.values()) - {None}}
+    # schemes that pick the same stream count share one plan and one solve;
+    # a count outside the feasible interval gets no rate
+    feasible = stream_count_range(cfg.M_t, cfg.M_r, cfg.L)
+    rates = {I: _doubleside_rate(channels, cfg, I) for I in set(counts.values()) if I in feasible}
     out = {scheme: rates.get(I) for scheme, I in counts.items()}
     sinrs = ofdm_eigen_sinrs(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
     out["ofdm-eigen"] = ofdm_effective_rate(sinrs, cfg)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .delay_design import triple_lags
+
 __all__ = ["rho", "rrc", "rrc_taps", "build_rho_table"]
 
 
@@ -103,7 +105,8 @@ def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.n
     Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples; UE k samples
     at its own alignment target, its latest integer path delay n_k,max.
     Entry (k, k', l, i, n) of the (K, K, L, I, 2W+1) table is
-    rho((n - W + n_k,max - kappa_k'i - n_kl) T - tau_f,kl), the matched-filter
+    rho((n - W - q) T - tau_f,kl) with q the integer lag of the triple
+    (``delay_design.triple_lags``, no post-delay): the matched-filter
     coupling from stream i of UE k' into path l of UE k at sample lag n - W.
     At the default window of 200 samples the tail energy left outside is
     below 1e-6 of any column.
@@ -111,11 +114,8 @@ def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.n
     kappa = np.asarray(kappa, dtype=int)
     if kappa.ndim != 2 or kappa.shape[0] != channels.K:
         raise ValueError("one row of pre-compensation delays per UE")
-    offsets = (
-        channels.n_max[:, None, None, None]
-        - kappa[None, :, None, :]
-        - channels.n[:, None, :, None]
-    )  # (K, K, L, I)
+    mu = np.zeros((channels.K, 1), dtype=int)  # no post-delay
+    offsets = -triple_lags(channels.n, channels.n_max, kappa, mu)[:, :, 0]  # (K, K, L, I)
     max_offset = int(np.max(np.abs(offsets)))
     if max_offset > window:
         raise ValueError(

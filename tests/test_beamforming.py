@@ -23,7 +23,11 @@ from damlink.beamforming import (
     power_terms,
 )
 from damlink.channel import ChannelSet, SimConfig, generate_channel_set
-from damlink.delay_design import InfeasibleError, solve_compensation_delays
+from damlink.delay_design import (
+    InfeasibleError,
+    enumerate_alignment_sets,
+    solve_compensation_delays,
+)
 from damlink.experiments import DEFAULT_POWER_GRID, trial_seed
 from damlink.pulse import build_rho_table
 from oracles import oracle_isi_zf
@@ -117,6 +121,23 @@ class TestAssembleEffectiveChannels:
                             assert lags[k, kp, r, l, i] == q
                             if kp == k:
                                 assert F.aligned_mask[k, r, l, i] == (q == 0)
+
+    def test_alignment_sets_list_the_aligned_mask(self):
+        # (i, r, l) triples of one reader against the (K, R, L, I) mask of the other
+        rng = np.random.default_rng(41)
+        for L in range(1, 6):
+            for I in range(max(1, L - 2), L + 1):  # R = L + 1 - I up to 3
+                for _ in range(10):
+                    K = int(rng.integers(2, 4))
+                    cs = random_delay_channel_set(rng, 1, 2, K=K, L=L, fractional=False)
+                    plans = _plans(cs, I)
+                    F = assemble_effective_channels(cs, plans)
+                    for k in range(K):
+                        desired = enumerate_alignment_sets(plans[k], cs.n[k]).desired
+                        r, l, i = np.nonzero(F.aligned_mask[k])
+                        expected = sorted(zip((i + 1).tolist(), (r + 1).tolist(), (l + 1).tolist()))
+                        assert list(desired) == expected
+                        assert all(type(v) is int for triple in desired for v in triple)
 
     def test_self_pair_min_lag(self):
         rng = np.random.default_rng(3)

@@ -6,11 +6,8 @@ import pytest
 from damlink.delay_design import (
     InfeasibleError,
     build_compensation_matrix,
-    build_compensation_system,
-    build_selection_matrix,
     choose_compensation_counts,
     enumerate_alignment_sets,
-    feasibility_check,
     solve_compensation_delays,
 )
 from damlink.numerics import rank
@@ -48,15 +45,6 @@ class TestCompensationMatrix:
                 assert np.all(q[:, :I].sum(axis=1) == 1)
 
 
-class TestFeasibility:
-    @pytest.mark.parametrize(
-        "i_r_l,expected",
-        [((3, 2, 4), True), ((1, 1, 1), True), ((2, 2, 4), False)],
-    )
-    def test_cases(self, i_r_l, expected):
-        assert feasibility_check(*i_r_l) is expected
-
-
 class TestSolveCompensationDelays:
     def test_reference_example(self):
         plan = solve_compensation_delays([1, 3, 4, 5], 2, 3)
@@ -92,26 +80,6 @@ class TestSolveCompensationDelays:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             solve_compensation_delays([3, 1, 2], 2, 2)
-
-
-class TestCompensationSystem:
-    def test_selected_system_solves_alignment(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            L = int(rng.integers(1, 8))
-            n = _random_delay_list(rng, L)
-            I = int(rng.integers(1, L + 1))
-            plan = solve_compensation_delays(n, I, L + 1 - I)
-            sys = build_compensation_system(plan, n)
-            assert np.array_equal(sys.V @ sys.Q @ sys.x, sys.n_vec)
-            assert rank(sys.V @ sys.Q) == L
-            assert np.all(sys.V.sum(axis=1) == 1)
-
-    def test_selection_matches_block_layout(self):
-        # first stream block in full, then each later stream at the last branch
-        v = build_selection_matrix(3, 2)
-        picked = np.argmax(v, axis=1).tolist()
-        assert picked == [0, 1, 3, 5]
 
 
 class TestEnumerateAlignmentSets:
@@ -166,6 +134,13 @@ class TestChooseCompensationCounts:
         def f(I, L):
             return L * (L + 1 - I) * I - L
 
+        regimes = {  # (M_r >= L, M_t >= L) -> (case, side)
+            (False, True): (1, "bs-side"),
+            (True, False): (2, "ue-side"),
+            (True, True): (3, "single-side"),
+            (False, False): (4, "double-side"),
+        }
+
         for M_t in range(1, 17):
             for M_r in range(1, 17):
                 for L in range(1, 17):
@@ -179,3 +154,4 @@ class TestChooseCompensationCounts:
                     assert choice.R == L + 1 - choice.I
                     best = min(f(i, L) for i in range(lo, hi + 1))
                     assert f(choice.I, L) == best
+                    assert (choice.case, choice.side) == regimes[M_r >= L, M_t >= L]
