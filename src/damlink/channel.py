@@ -7,6 +7,7 @@ part and a fractional remainder in [-T/2, T/2].
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -64,6 +65,10 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("P_dbm", "noise_psd_dbm_hz", "T_ns", "beta", "g_ls_db"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
         if self.T_ns <= 0.0:

@@ -90,8 +90,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ParseError(f"experiment.kind: unknown kind {self.kind!r}")
-        if not self.grid:
-            raise ParseError("experiment.grid: must be non-empty")
+        if not self.grid or not all(map(math.isfinite, self.grid)):
+            raise ParseError(f"experiment.grid: must be non-empty and finite, got {self.grid!r}")
         if self.trials < 1:
             raise ParseError("experiment.trials: must be >= 1")
         if self.seed < 0:

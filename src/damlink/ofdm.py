@@ -9,7 +9,7 @@ span of the path gains' rows, which holds every row of every per-subcarrier
 response (at most K L M_r columns; ``numerics.path_span`` gives Q).
 ``ofdm_eigen``'s beamformers, which the OFDM waveform needs with LAPACK's
 phases, come from the reduced SVD of the full responses.  Both beamformer
-functions return Q with their beamformers.
+functions return Q and each transmit vector's coordinates v~ = Q^H v.
 """
 
 from __future__ import annotations
@@ -39,14 +39,19 @@ __all__ = [
 class OfdmBeamformerSet:
     """Per-(UE, subcarrier) transmit/receive vectors and allocated powers.
 
-    Every transmit vector lies in the span of ``basis``'s orthonormal
-    columns, so the OFDM waveform is shaped in r dimensions instead of M_t.
+    Transmit vectors are stored as their coordinates v~ in ``basis``'s r
+    orthonormal columns (v = Q v~), so none can leave that span and the OFDM
+    waveform is shaped in r dimensions instead of M_t.
     """
 
-    v: np.ndarray       # (K, M, M_t)
+    coords: np.ndarray  # (K, M, r) transmit vectors in basis coordinates
     u: np.ndarray       # (K, M, M_r)
     power: np.ndarray   # (K, M) allocated transmit power per stream
-    basis: np.ndarray   # (M_t, r) orthonormal, the rows of v lie in its span
+    basis: np.ndarray   # (M_t, r) orthonormal
+
+    @property
+    def v(self) -> np.ndarray:  # (K, M, M_t)
+        return self.coords @ self.basis.T
 
 
 def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> np.ndarray:
@@ -94,7 +99,8 @@ def ofdm_eigen(channels: ChannelSet, M: int, P: float) -> OfdmBeamformerSet:
     frob = np.sqrt(np.sum(np.abs(v_hat) ** 2))  # sqrt(K*M)
     v = np.sqrt(M * P) * v_hat / frob           # each stream at power P/K
     power = np.full((channels.K, M), M * P / (channels.K * M))
-    return OfdmBeamformerSet(v=v, u=u, power=power, basis=path_span(channels.gains)[0])
+    q = path_span(channels.gains)[0]
+    return OfdmBeamformerSet(coords=v @ q.conj(), u=u, power=power, basis=q)
 
 
 def ofdm_zf_waterfill(
@@ -106,10 +112,10 @@ def ofdm_zf_waterfill(
     subcarrier-averaged sum rate in bits/s/Hz (before overhead discounts).
     Everything runs on the responses H Q, at most K L M_r columns wide, where
     Q = ``numerics.path_span`` spans all path gains' rows; since H = H Q Q^H,
-    v = Q v~ is exact.  On each subcarrier ``numerics.project_off_others``
-    takes every UE's block off the other UEs' row space.  A projected block's
-    top left singular vector u is the top eigenvector of its M_r x M_r Gram
-    matrix, and u^H (H Q) is sigma_1 times the conjugated top right one.
+    v = Q v~ is exact and v~ is stored.  ``numerics.project_off_others``
+    takes every UE's block off the other UEs' row space per subcarrier.  A
+    projected block's top left singular vector u is its M_r x M_r Gram's top
+    eigenvector, and u^H (H Q) is sigma_1 times the conjugated top right one.
     """
     K, M_r, M_t = channels.K, channels.M_r, channels.M_t
     if M_t < (K - 1) * M_r + 1:
@@ -131,10 +137,10 @@ def ofdm_zf_waterfill(
     v_dir = (uh.conj() / np.maximum(norm, np.finfo(float).tiny)[:, None]).reshape(K, M, -1)
 
     powers = water_fill(gains.ravel(), M * P).reshape(K, M)
-    v = (np.sqrt(powers)[..., None] * v_dir) @ q.T
+    v_coords = np.sqrt(powers)[..., None] * v_dir
     snr = gains * powers
     rate = float(np.sum(np.log2(1.0 + snr))) / M
-    return OfdmBeamformerSet(v=v, u=u.reshape(K, M, M_r), power=powers, basis=q), snr, rate
+    return OfdmBeamformerSet(v_coords, u.reshape(K, M, M_r), powers, q), snr, rate
 
 
 def dam_overhead_factor(cfg: SimConfig) -> float:

@@ -153,36 +153,23 @@ def dam_streams(symbols, beamformers, kappas, cfg: SimConfig) -> StreamSet:
     return StreamSet(np.repeat(symbols, I, axis=0), kappas.ravel(), weights)
 
 
-# Largest relative distance ||v - Q Q^H v|| / ||v|| of the OFDM beamformers
-# from their basis span; LAPACK's vectors sit about 1e-15 from it.
-SPAN_TOL = 1e-10
-
-
 def ofdm_streams(symbols, beamformers, cfg: SimConfig) -> StreamSet:
     """The streams of ``synthesize_ofdm_waveform`` in the beamformers' span.
 
-    Every transmit vector is v = Q v~ with Q = ``beamformers.basis``, so the
-    per-subcarrier beamforming, IDFT and cyclic prefix run on the r columns
-    of v~ = Q^H v, and antenna a transmits Q[a] times the r shaped streams.
-    Raises ValueError if v leaves the span of Q.
+    Every transmit vector is v = Q v~ with Q = ``beamformers.basis`` and v~ =
+    ``beamformers.coords``, so the per-subcarrier beamforming, IDFT and
+    cyclic prefix run on the r columns of v~, and antenna a transmits Q[a]
+    times the r shaped streams.
     """
     symbols = np.asarray(symbols, dtype=complex)
     K, n_ofdm, M = symbols.shape
     if M != cfg.M:
         raise ValueError(f"expected {cfg.M} subcarriers, got {M}")
     q = beamformers.basis
-    v = beamformers.v
-    v_span = v @ q.conj()                                          # (K, M, r)
-    outside = np.linalg.norm(v - v_span @ q.T)
-    if outside > SPAN_TOL * np.linalg.norm(v):
-        raise ValueError(
-            f"OFDM beamformers leave the basis span: relative residual "
-            f"{outside / np.linalg.norm(v):.3g} > {SPAN_TOL:g}"
-        )
     r = q.shape[1]
     with_cp = np.empty((n_ofdm, cfg.G_cp + M, r), dtype=complex)
     time = with_cp[:, cfg.G_cp :]                                  # (D, M, r)
-    np.einsum("kdm,kmr->dmr", symbols, v_span, out=time)
+    np.einsum("kdm,kmr->dmr", symbols, beamformers.coords, out=time)
     np.fft.ifft(time, axis=1, norm="ortho", out=time)
     with_cp[:, : cfg.G_cp] = time[:, M - cfg.G_cp :]
     serial = with_cp.reshape(n_ofdm * (M + cfg.G_cp), r).T         # (r, N)

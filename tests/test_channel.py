@@ -1,6 +1,7 @@
 """Tests for channel generation and derived representations."""
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -188,6 +189,17 @@ class TestConfigValidation:
     )
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            SimConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("T_ns", math.nan), ("T_ns", math.inf), ("P_dbm", math.nan), ("P_dbm", -math.inf),
+            ("g_ls_db", math.inf), ("noise_psd_dbm_hz", math.nan),
+        ],
+    )
+    def test_real_values_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
             SimConfig(**{name: value})
 
 

@@ -1,6 +1,7 @@
 """Tests for experiment orchestration, config parsing and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,11 @@ class TestParseConfig:
         path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ParseError, match=f"^{section}.{key}: "):
             parse_config(path, kind="se_vs_power_bsside")
+
+    @pytest.mark.parametrize("grid", [(math.nan,), (20.0, math.inf), (-math.inf, 30.0)])
+    def test_spec_grid_must_be_finite(self, grid):
+        with pytest.raises(ParseError, match="^experiment.grid: "):
+            small_spec(grid=grid)
 
     def test_section_must_be_object(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -36,7 +36,6 @@ from damlink.experiments import (
 from damlink.ofdm import ofdm_eigen, ofdm_zf_waterfill
 from damlink.waveform import (
     ANTENNA_GROUP,
-    SPAN_TOL,
     Waveform,
     _antenna_groups,
     _fast_len,
@@ -197,22 +196,17 @@ def test_ofdm_reference_chunk_matches_per_antenna_oracle():
         assert np.allclose(paprs[:, a : a + ANTENNA_GROUP], ref_paprs, rtol=1e-12, atol=0.0)
 
 
-def test_ofdm_streams_reject_beamformers_outside_basis():
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_ofdm_streams_reject_coords_that_miss_the_basis_width(extra):
     cfg = SimConfig(M_t=13, **SMALL)
     bf = _ofdm_eigen_bf(cfg, generate_channel_set(cfg, 3, integer_delays=False))
-    assert bf.basis.shape[1] < cfg.M_t
-    # a unit direction orthogonal to the basis
-    off = np.linalg.svd(bf.basis.conj().T)[2][-1].conj()
+    r = bf.basis.shape[1]
+    assert 1 < r < cfg.M_t
     sym = _ofdm_symbols(cfg, np.random.default_rng(6), 2)
-
-    def shifted(rel):
-        v = bf.v.copy()
-        v[0, 0] += rel * np.linalg.norm(bf.v) * off
-        return dataclasses.replace(bf, v=v)
-
-    ofdm_streams(sym, shifted(1e-2 * SPAN_TOL), cfg)
-    with pytest.raises(ValueError, match="basis span"):
-        ofdm_streams(sym, shifted(1e2 * SPAN_TOL), cfg)
+    # one coordinate too few or too many for the basis columns
+    coords = np.resize(bf.coords, bf.coords.shape[:2] + (r + extra,))
+    with pytest.raises(ValueError):
+        ofdm_streams(sym, dataclasses.replace(bf, coords=coords), cfg)
 
 
 def _traced_peak(func, *args):

@@ -101,10 +101,10 @@ class TestOfdmWaveform:
     def test_single_tone_constant_envelope(self):
         cfg = small_cfg(M_t=1, M_r=1, K=1, M=64, G_cp=16)
         m0 = 4  # m0 * G_cp divisible by M keeps the tone phase-continuous at CP joins
-        v = np.zeros((1, 64, 1), dtype=complex)
-        v[0, m0, 0] = 1.0
+        coords = np.zeros((1, 64, 1), dtype=complex)
+        coords[0, m0, 0] = 1.0
         bf = OfdmBeamformerSet(
-            v=v, u=np.ones((1, 64, 1)), power=np.ones((1, 64)), basis=np.eye(1)
+            coords=coords, u=np.ones((1, 64, 1)), power=np.ones((1, 64)), basis=np.eye(1)
         )
         sym = np.zeros((1, 6, 64), dtype=complex)
         sym[0, :, m0] = 1.0
