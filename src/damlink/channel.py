@@ -19,6 +19,7 @@ __all__ = [
     "split_delay",
     "steering_vector",
     "generate_channel_set",
+    "subcarrier_coefficients",
     "frequency_response",
     "dbm_to_watts",
 ]
@@ -26,6 +27,11 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Raised for configuration values that cannot describe a system."""
+
+
+def is_finite_real(value) -> bool:
+    """A real number (numpy scalars too) other than a bool, NaN or an infinity."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -67,7 +73,7 @@ class SimConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("P_dbm", "noise_psd_dbm_hz", "T_ns", "beta", "g_ls_db"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not is_finite_real(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
@@ -210,16 +216,20 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
     return ChannelSet(gains=gains, n=n, tau_f=tau_f)
 
 
-def frequency_response(channels: ChannelSet, M: int) -> np.ndarray:
-    """Per-subcarrier responses H_km = (1/sqrt(M)) sum_l H_kl exp(2j pi m n_kl / M).
+def subcarrier_coefficients(channels: ChannelSet, M: int) -> np.ndarray:
+    """(K, M, L) weights c_kl[m] = exp(2j pi ((m n_kl) mod M) / M) / sqrt(M).
 
-    Only integer delay parts enter, matching the discrete transform of the
-    sampled channel; shape (K, M, M_r, M_t).
+    The one place a path delay becomes a subcarrier weight: integer delays
+    only, phases read from one exact M-entry table (n and n + M weigh alike).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    m = np.arange(M)
-    phases = np.exp(2j * np.pi * (m[:, None] * channels.n[:, None, :]) / M)  # (K, M, L)
+    table = np.exp(2j * np.pi * np.arange(M) / M) / np.sqrt(M)
+    return table[(np.arange(M)[:, None] * channels.n[:, None, :]) % M]
+
+
+def frequency_response(channels: ChannelSet, M: int) -> np.ndarray:
+    """(K, M, M_r, M_t) responses H_km = sum_l c_kl[m] H_kl, c from ``subcarrier_coefficients``."""
     gains = channels.gains
-    flat = phases @ gains.reshape(*gains.shape[:2], -1)
-    return flat.reshape(gains.shape[0], M, *gains.shape[2:]) / np.sqrt(M)
+    flat = subcarrier_coefficients(channels, M) @ gains.reshape(*gains.shape[:2], -1)
+    return flat.reshape(gains.shape[0], M, *gains.shape[2:])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .beamforming import (
     eigen_beamform_doubleside,
     isi_zf_alternating,
 )
-from .channel import ChannelSet, ConfigError, SimConfig, generate_channel_set
+from .channel import ChannelSet, ConfigError, SimConfig, generate_channel_set, is_finite_real
 from .delay_design import InfeasibleError, choose_compensation_counts, solve_compensation_delays
 from .delay_design import stream_count_range
 from .ofdm import (
@@ -80,6 +80,8 @@ class ParseError(ValueError):
 
 @dataclass
 class ExperimentSpec:
+    """One experiment; its values are checked here, for config files and library callers alike."""
+
     kind: str
     config: SimConfig = field(default_factory=SimConfig)
     grid: tuple[float, ...] = DEFAULT_POWER_GRID
@@ -90,12 +92,19 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ParseError(f"experiment.kind: unknown kind {self.kind!r}")
-        if not self.grid or not all(map(math.isfinite, self.grid)):
-            raise ParseError(f"experiment.grid: must be non-empty and finite, got {self.grid!r}")
-        if self.trials < 1:
-            raise ParseError("experiment.trials: must be >= 1")
-        if self.seed < 0:
-            raise ParseError("experiment.seed: must be >= 0")
+        grid = self.grid
+        if not isinstance(grid, (list, tuple)) or not grid or not all(map(is_finite_real, grid)):
+            raise ParseError(
+                f"experiment.grid: must be a non-empty list of finite numbers, got {grid!r}"
+            )
+        self.grid = tuple(float(v) for v in grid)
+        for key, least in (("trials", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ParseError(f"experiment.{key}: must be an integer >= {least}, got {value!r}")
+            setattr(self, key, int(value))
+        if self.out is not None and not isinstance(self.out, str):
+            raise ParseError(f"experiment.out: must be a string, got {self.out!r}")
 
 
 @dataclass(frozen=True)
@@ -354,13 +363,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 _EXPERIMENT_KEYS = {"kind", "grid", "trials", "seed", "out"}
 
 
-def _is_number(value) -> bool:
-    """A JSON number other than a boolean, NaN or an infinity."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-
-
 def _section(doc: dict, name: str) -> dict:
     section = doc.get(name, {})
     if not isinstance(section, dict):
@@ -368,18 +370,12 @@ def _section(doc: dict, name: str) -> dict:
     return section
 
 
-def _integer(experiment: dict, key: str, default: int) -> int:
-    value = experiment.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"experiment.{key}: must be an integer, got {value!r}")
-    return value
-
-
 def parse_config(path, kind: str | None = None) -> ExperimentSpec:
     """Load a JSON config with ``system`` and ``experiment`` sections.
 
-    Unknown keys are rejected with their full key path; system values run
-    through the same validation as directly constructed configurations.
+    Unknown keys are rejected with their full key path; both sections run
+    through the same validation as a directly constructed ``SimConfig`` and
+    ``ExperimentSpec``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -398,7 +394,7 @@ def parse_config(path, kind: str | None = None) -> ExperimentSpec:
     for key, value in system.items():
         if key not in known_fields:
             raise ParseError(f"system.{key}: unknown key")
-        if not _is_number(value):
+        if not is_finite_real(value):
             raise ParseError(f"system.{key}: must be a finite number, got {value!r}")
     try:
         cfg = SimConfig(**system)
@@ -409,25 +405,10 @@ def parse_config(path, kind: str | None = None) -> ExperimentSpec:
     for key in experiment:
         if key not in _EXPERIMENT_KEYS:
             raise ParseError(f"experiment.{key}: unknown key")
-    resolved_kind = kind or experiment.get("kind")
-    if resolved_kind is None:
+    experiment = {**experiment, "kind": kind or experiment.get("kind")}
+    if experiment["kind"] is None:
         raise ParseError("experiment.kind: missing (give a kind or a CLI subcommand)")
-    grid = experiment.get("grid", DEFAULT_POWER_GRID)
-    if not isinstance(grid, (list, tuple)) or not grid or not all(map(_is_number, grid)):
-        raise ParseError(
-            f"experiment.grid: must be a non-empty list of finite numbers, got {grid!r}"
-        )
-    out = experiment.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ParseError(f"experiment.out: must be a string, got {out!r}")
-    return ExperimentSpec(
-        kind=resolved_kind,
-        config=cfg,
-        grid=tuple(float(v) for v in grid),
-        trials=_integer(experiment, "trials", 100),
-        seed=_integer(experiment, "seed", 0),
-        out=out,
-    )
+    return ExperimentSpec(config=cfg, **experiment)
 
 
 def write_table_csv(table: ResultTable, path) -> None:

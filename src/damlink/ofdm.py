@@ -2,11 +2,11 @@
 
 Per-subcarrier eigen-beamforming tolerates inter-user interference; the
 zero-forcing variant projects each UE onto the null space of the others and
-water-fills power across all (UE, subcarrier) effective channels.  Eigen
-SINRs need only the per-subcarrier M_r x M_r cross Grams H_km H_jm^H, built
-from the path-pair Grams.  Zero-forcing works on the responses H Q in the
-span of the path gains' rows, which holds every row of every per-subcarrier
-response (at most K L M_r columns; ``numerics.path_span`` gives Q).
+water-fills power across all (UE, subcarrier) effective channels.  Both read
+a path's subcarrier weights c from ``channel.subcarrier_coefficients``.
+Eigen SINRs need only the cross Grams H_km H_jm^H = sum c_kl[m] c_jl'[m]^*
+H_kl H_jl'^H; zero-forcing works on sum_l c_kl[m] H_kl Q, where Q
+(``numerics.path_span``) spans all path gains' rows in <= K L M_r columns.
 ``ofdm_eigen``'s beamformers, which the OFDM waveform needs with LAPACK's
 phases, come from the reduced SVD of the full responses.  Both beamformer
 functions return Q and each transmit vector's coordinates v~ = Q^H v.
@@ -14,12 +14,11 @@ functions return Q and each transmit vector's coordinates v~ = Q^H v.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, SimConfig, frequency_response
+from .channel import ChannelSet, SimConfig, frequency_response, subcarrier_coefficients
 from .delay_design import InfeasibleError
 from .numerics import path_span, project_off_others, water_fill
 
@@ -58,23 +57,19 @@ def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> n
     """(K, M) SINRs of per-subcarrier eigen-beamforming at P/K per stream.
 
     SINRs do not depend on the singular vectors' phases, so they come from
-    the M_r x M_r cross Grams G_kj[m] = H_km H_jm^H alone: Fourier sums over
-    the delay differences n_kl - n_jl' of the path-pair Grams H_kl H_jl'^H,
-    all taken from one Gram of the K L M_r path rows.  With u_k and
-    sigma_k^2 the top eigenpair of G_kk, v_j = H_j^H u_j / sigma_j, so UE j
-    reaches UE k with the power (P/K) |u_k^H G_kj u_j|^2 / sigma_j^2.
+    the M_r x M_r cross Grams G_kj[m] = H_km H_jm^H alone: sums over path
+    pairs of c_kl[m] c_jl'[m]^* H_kl H_jl'^H, with c the subcarrier
+    coefficients and every H_kl H_jl'^H from one Gram of the path rows.  With
+    u_k and sigma_k^2 the top eigenpair of G_kk, v_j = H_j^H u_j / sigma_j, so
+    UE j reaches UE k with the power (P/K) |u_k^H G_kj u_j|^2 / sigma_j^2.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
     K, L, M_r, M_t = channels.gains.shape
     rows = channels.gains.reshape(K * L * M_r, M_t)
     pairs = (rows @ rows.conj().T).reshape(K, L, M_r, K, L, M_r)
     pairs = pairs.transpose(0, 3, 1, 4, 2, 5).reshape(K, K, L * L, M_r * M_r)
-    lags = (channels.n[:, None, :, None] - channels.n[None, :, None, :]).reshape(K, K, 1, L * L)
-    # exact phases exp(2j pi ((m lag) mod M) / M), read from one M-entry table
-    table = np.exp(2j * np.pi * np.arange(M) / M)
-    phases = table[(np.arange(M)[:, None] * lags) % M]              # (K, K, M, L L)
-    gram = (phases @ pairs).reshape(K, K, M, M_r, M_r) / M
+    c = subcarrier_coefficients(channels, M)                         # (K, M, L)
+    coef = (c[:, None, :, :, None] * c.conj()[None, :, :, None, :]).reshape(K, K, M, L * L)
+    gram = (coef @ pairs).reshape(K, K, M, M_r, M_r)
     idx = np.arange(K)
     lam, vecs = np.linalg.eigh(gram[idx, idx])
     top, u = lam[..., -1], vecs[..., -1]                            # (K, M), (K, M, M_r)
@@ -124,15 +119,15 @@ def ofdm_zf_waterfill(
             f"got M_t={M_t}, M_r={M_r}, K={K}"
         )
     q, coords = path_span(channels.gains)
-    h = frequency_response(dataclasses.replace(channels, gains=coords), M)   # (K, M, M_r, r)
-    sigma2_hat = sigma2 / M
+    h = subcarrier_coefficients(channels, M) @ coords.reshape(K, channels.L, -1)
+    h = h.reshape(K, M, M_r, -1)                                     # (K, M, M_r, r)
 
     # the K UEs of each subcarrier are the groups
     eff = project_off_others(h.swapaxes(0, 1)).swapaxes(0, 1).reshape(K * M, M_r, -1)
     u = np.linalg.eigh(eff @ eff.conj().swapaxes(-1, -2))[1][..., -1]
     uh = (u.conj()[:, None, :] @ eff)[:, 0, :]
     norm = np.linalg.norm(uh, axis=-1)
-    gains = (norm**2 / sigma2_hat).reshape(K, M)
+    gains = (norm**2 / (sigma2 / M)).reshape(K, M)
     # a block projected to zero gets gain 0 and a zero direction
     v_dir = (uh.conj() / np.maximum(norm, np.finfo(float).tiny)[:, None]).reshape(K, M, -1)
 

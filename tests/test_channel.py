@@ -17,6 +17,7 @@ from damlink.channel import (
     generate_channel_set,
     split_delay,
     steering_vector,
+    subcarrier_coefficients,
 )
 
 
@@ -154,6 +155,27 @@ class TestFrequencyResponse:
         resp = frequency_response(cs, 1)
         assert np.allclose(resp[0, 0], cs.gains[0].sum(axis=0))
 
+    def test_delays_whole_periods_apart_give_identical_responses(self):
+        # one exact phase rule: n, n + M and n + 3M read the same table entry
+        M = 64
+        cs = generate_channel_set(small_cfg(), 3)
+        shifted = dataclasses.replace(cs, n=cs.n + np.array([M, 3 * M, 3 * M]))
+        assert np.array_equal(frequency_response(shifted, M), frequency_response(cs, M))
+
+    def test_coefficients_match_the_direct_phase(self):
+        M = 16
+        cs = generate_channel_set(small_cfg(), 4)
+        # the direct phase in extended precision, so its own rounding stays far below 1e-15
+        pi = 4 * np.arctan(np.longdouble(1))
+        direct = np.exp(2j * pi * np.arange(M)[:, None] * cs.n[:, None, :] / M) / np.sqrt(M)
+        coefficients = subcarrier_coefficients(cs, M)
+        assert coefficients.shape == (cs.K, M, cs.L)
+        assert np.max(np.abs(coefficients - direct)) <= 1e-15
+
+    def test_subcarrier_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            subcarrier_coefficients(generate_channel_set(small_cfg(), 4), 0)
+
 
 class TestNoisePower:
     def test_reference_value(self):
@@ -196,6 +218,7 @@ class TestConfigValidation:
         [
             ("T_ns", math.nan), ("T_ns", math.inf), ("P_dbm", math.nan), ("P_dbm", -math.inf),
             ("g_ls_db", math.inf), ("noise_psd_dbm_hz", math.nan),
+            ("P_dbm", True), ("beta", False), ("T_ns", True),
         ],
     )
     def test_real_values_must_be_finite(self, name, value):

@@ -171,6 +171,22 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="^experiment.grid: "):
             small_spec(grid=grid)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("trials", 2.5), ("seed", 1.5), ("trials", True), ("seed", False),
+            ("grid", (True,)), ("grid", ("10",)), ("grid", 20.0), ("out", 5),
+        ],
+    )
+    def test_spec_checks_what_a_config_file_would(self, key, value):
+        with pytest.raises(ParseError, match=f"^experiment.{key}: "):
+            small_spec(**{key: value})
+
+    def test_spec_stores_numpy_scalars_as_python_numbers(self):
+        spec = small_spec(grid=[np.float32(20.0), np.int64(30)], trials=np.int64(2))
+        assert spec.grid == (20.0, 30.0) and spec.trials == 2
+        assert all(type(v) is float for v in spec.grid) and type(spec.trials) is int
+
     def test_section_must_be_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": [1]}))
