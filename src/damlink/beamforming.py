@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .delay_design import DelayPlan, InfeasibleError, triple_lags
+from .delay_design import InfeasibleError, solve_compensation_delays, triple_lags
 from .numerics import null_space_basis, path_span, project_off_others
 from .pulse import build_rho_table
 
@@ -93,23 +93,17 @@ class DamChannels:
         return blk.reshape(K, R * m_r, I * m_t)
 
 
-def assemble_effective_channels(
-    channels: ChannelSet, plans: list[DelayPlan] | tuple[DelayPlan, ...]
-) -> DamChannels:
-    """Double-side assembly: each triple's integer lag as a 0/1 table.
+def assemble_effective_channels(channels: ChannelSet, I: int) -> DamChannels:
+    """Double-side assembly, I streams per UE: each triple's integer lag as a 0/1 table.
 
-    Each triple's table is 1 at its lag q (``delay_design.triple_lags``) and
-    0 elsewhere, with W = max |q|; UE k's own triples at q = 0 are aligned.
-    Every plan has the same I and R, and every delay must be an integer.
+    UE k's delays are ``solve_compensation_delays(n_k, I, L + 1 - I)``, so 1 <= I <= L,
+    and must be integers.  Each triple's table is 1 at its lag q
+    (``delay_design.triple_lags``) and 0 elsewhere, with W = max |q|; UE k's own
+    triples at q = 0 are aligned.
     """
-    if len(plans) != channels.K:
-        raise ValueError("one delay plan per UE")
-    if len({(plan.I, plan.R) for plan in plans}) != 1:
-        raise ValueError("every UE's plan must have the same I and R")
-    if any(plan.n_max != n_max for plan, n_max in zip(plans, channels.n_max)):
-        raise ValueError("every plan must target its UE's latest path")
     if channels.tau_f.any():
         raise ValueError("double-side assembly needs integer delays (tau_f = 0)")
+    plans = [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
     lags = triple_lags(
         channels.n, channels.n_max, [plan.kappa for plan in plans], [plan.mu for plan in plans]
     )  # (K, K, R, L, I)
@@ -134,10 +128,11 @@ def bs_side_rho_tables(channels: ChannelSet, window: int, T: float, beta: float)
     return build_rho_table(channels, bs_side_kappa(channels), window, T, beta)[:, :, None]
 
 
-def assemble_bs_side(channels: ChannelSet, tables: np.ndarray) -> DamChannels:
-    """BS-side assembly: one receive branch, and stream l aligned through path l."""
+def assemble_bs_side(channels: ChannelSet, window: int, T: float, beta: float) -> DamChannels:
+    """BS-side assembly: one receive branch, stream l through path l, ``bs_side_rho_tables``."""
     K, L = channels.K, channels.L
     mask = np.broadcast_to(np.eye(L, dtype=bool), (K, 1, L, L))
+    tables = bs_side_rho_tables(channels, window, T, beta)
     return DamChannels(gains=channels.gains, tables=tables, aligned_mask=mask)
 
 

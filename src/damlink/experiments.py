@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,14 +22,12 @@ from .beamforming import (
     assemble_bs_side,
     assemble_effective_channels,
     bs_side_kappa,
-    bs_side_rho_tables,
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
 )
 from .channel import ChannelSet, ConfigError, SimConfig, generate_channel_set, is_finite_real
-from .delay_design import InfeasibleError, choose_compensation_counts, solve_compensation_delays
-from .delay_design import stream_count_range
+from .delay_design import InfeasibleError, choose_compensation_counts, stream_count_range
 from .ofdm import (
     dam_effective_rate,
     ofdm_effective_rate,
@@ -92,6 +91,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ParseError(f"experiment.kind: unknown kind {self.kind!r}")
+        if not isinstance(self.config, SimConfig):
+            raise ParseError(f"config: must be a SimConfig, got {self.config!r}")
         grid = self.grid
         if not isinstance(grid, (list, tuple)) or not grid or not all(map(is_finite_real, grid)):
             raise ParseError(
@@ -139,21 +140,17 @@ def trial_seed(base_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSequ
 
 def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float:
     """Effective rate of double-side eigen-beamforming with I streams per UE."""
-    plans = [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
-    F = assemble_effective_channels(channels, plans)
+    F = assemble_effective_channels(channels, I)
     _, sinrs = eigen_beamform_doubleside(F, cfg.p_watts(), cfg.sigma2_watts())
     return dam_effective_rate(sinrs, cfg)
 
 
 def _eval_doubleside(channels: ChannelSet, cfg: SimConfig) -> dict:
-    counts = {"dam-eigen-bs": cfg.L, "dam-eigen-ue": 1}
-    try:
-        counts["dam-eigen-auto"] = choose_compensation_counts(cfg.M_t, cfg.M_r, cfg.L).I
-    except InfeasibleError:
-        counts["dam-eigen-auto"] = None
-    # schemes that pick the same stream count share one plan and one solve;
+    # schemes that pick the same stream count share one assembly and one solve;
     # a count outside the feasible interval gets no rate
     feasible = stream_count_range(cfg.M_t, cfg.M_r, cfg.L)
+    auto = choose_compensation_counts(cfg.M_t, cfg.M_r, cfg.L).I if feasible else None
+    counts = {"dam-eigen-bs": cfg.L, "dam-eigen-ue": 1, "dam-eigen-auto": auto}
     rates = {I: _doubleside_rate(channels, cfg, I) for I in set(counts.values()) if I in feasible}
     out = {scheme: rates.get(I) for scheme, I in counts.items()}
     sinrs = ofdm_eigen_sinrs(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
@@ -164,8 +161,7 @@ def _eval_doubleside(channels: ChannelSet, cfg: SimConfig) -> dict:
 def _eval_bsside(channels: ChannelSet, cfg: SimConfig) -> dict:
     P, sigma2 = cfg.p_watts(), cfg.sigma2_watts()
     out = {}
-    tables = bs_side_rho_tables(channels, cfg.rho_window, cfg.T, cfg.beta)
-    F = assemble_bs_side(channels, tables)
+    F = assemble_bs_side(channels, cfg.rho_window, cfg.T, cfg.beta)
     _, sinrs = eigen_beamform_bs_side(F, P, sigma2)
     out["dam-eigen"] = dam_effective_rate(sinrs, cfg)
     try:
@@ -240,19 +236,18 @@ def _run_sweep(spec: ExperimentSpec) -> ResultTable:
 # the streams of one chunk and the symbols to skip before its first block.
 
 
-def _qam4_streams(rng, K: int, n_sym: int) -> np.ndarray:
-    return np.stack([qam4_map(rng.integers(0, 2, 2 * n_sym)) for _ in range(K)])
+def _qam4(rng, *shape) -> np.ndarray:
+    return qam4_map(rng.integers(0, 2, 2 * math.prod(shape))).reshape(shape)
 
 
 def _dam_papr_draw(channels, cfg, block_symbols):
-    tables = bs_side_rho_tables(channels, cfg.rho_window, cfg.T, cfg.beta)
-    F = assemble_bs_side(channels, tables)
+    F = assemble_bs_side(channels, cfg.rho_window, cfg.T, cfg.beta)
     bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
     kappas = bs_side_kappa(channels)
     pad = 32 + int(kappas.max())
 
     def draw(rng, blocks):
-        sym = _qam4_streams(rng, cfg.K, blocks * block_symbols + 2 * pad)
+        sym = _qam4(rng, cfg.K, blocks * block_symbols + 2 * pad)
         return dam_streams(sym, bf, kappas, cfg), pad
 
     return draw
@@ -262,8 +257,7 @@ def _ofdm_papr_draw(channels, cfg, block_symbols):
     bf = ofdm_eigen(channels, cfg.M, cfg.p_watts())
 
     def draw(rng, blocks):
-        bits = rng.integers(0, 2, (cfg.K, blocks + 2, 2 * cfg.M))
-        sym = qam4_map(bits.ravel()).reshape(cfg.K, blocks + 2, cfg.M)
+        sym = _qam4(rng, cfg.K, blocks + 2, cfg.M)
         return ofdm_streams(sym, bf, cfg), block_symbols  # drop the edge-transient block
 
     return draw
@@ -273,7 +267,7 @@ def _strongest_papr_draw(channels, cfg, block_symbols):
     pad = 32
 
     def draw(rng, blocks):
-        sym = _qam4_streams(rng, cfg.K, blocks * block_symbols + 2 * pad)
+        sym = _qam4(rng, cfg.K, blocks * block_symbols + 2 * pad)
         return strongest_path_streams(sym, channels, cfg.p_watts(), cfg), pad
 
     return draw

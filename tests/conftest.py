@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from damlink.beamforming import assemble_bs_side, bs_side_rho_tables
+from damlink.beamforming import assemble_bs_side
 from damlink.channel import ChannelSet
 
 
@@ -37,9 +37,8 @@ def make_channel_set(
 
 
 def bs_side_channels(channels, T, beta, window):
-    """The BS-side assembly (path gains, rho tables) that ISI-ZF and eigen
-    beamforming read, built as an experiment trial builds it."""
-    return assemble_bs_side(channels, bs_side_rho_tables(channels, window, T, beta))
+    """The BS-side assembly that ISI-ZF and eigen beamforming read, in (T, beta, window) order."""
+    return assemble_bs_side(channels, window, T, beta)
 
 
 def assert_same_channels(a, b):

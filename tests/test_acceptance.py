@@ -10,7 +10,6 @@ import pytest
 from conftest import bs_side_channels, make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
-    bs_side_rho_tables,
     eigen_beamform_bs_side,
     isi_zf_alternating,
     power_terms,
@@ -166,7 +165,7 @@ def test_criterion_08_fractional_delay_waveform_oracle():
         ]
         cs = make_channel_set(rng, 2, 8, delays, frac, T=T)
         window = 48
-        F = assemble_bs_side(cs, bs_side_rho_tables(cs, window, T, beta))
+        F = assemble_bs_side(cs, window, T, beta)
         bf, _ = eigen_beamform_bs_side(F, 1.0, sigma2)
         pipeline = power_terms(F, bf.w_bar, bf.f_bar)
         kappa, mu = bs_side_delays(cs)

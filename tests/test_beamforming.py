@@ -12,7 +12,6 @@ from damlink.beamforming import (
     assemble_bs_side,
     assemble_effective_channels,
     bs_side_kappa,
-    bs_side_rho_tables,
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
@@ -38,6 +37,7 @@ SIGMA2 = 1e-3
 
 
 def _plans(channels, I):
+    """The per-UE delay plans the I-stream double-side assembly solves, for the oracles."""
     return [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
 
 
@@ -89,8 +89,7 @@ class TestAssembleEffectiveChannels:
     def test_single_path_single_ue(self):
         rng = np.random.default_rng(0)
         cs = make_channel_set(rng, 2, 4, [[5]])
-        plans = _plans(cs, 1)
-        F = assemble_effective_channels(cs, plans)
+        F = assemble_effective_channels(cs, 1)
         assert set(np.unique(_table_lags(F)[0, 0])) == {0}
         assert np.all(F.aligned_mask)
         assert np.array_equal(F.aligned_blocks()[0], cs.gains[0, 0])
@@ -98,8 +97,7 @@ class TestAssembleEffectiveChannels:
     def test_reference_plan_has_five_zero_lag_placements(self):
         rng = np.random.default_rng(1)
         cs = make_channel_set(rng, 2, 3, [[1, 3, 4, 5]])
-        plans = [solve_compensation_delays([1, 3, 4, 5], 2, 3)]
-        F = assemble_effective_channels(cs, plans)
+        F = assemble_effective_channels(cs, 2)  # plan (I, R) = (2, 3)
         block0 = F.aligned_blocks()[0]
         assert _count_placements(block0, 2, 3) == 5
         assert np.count_nonzero(F.aligned_mask[0]) == 5
@@ -108,7 +106,7 @@ class TestAssembleEffectiveChannels:
         rng = np.random.default_rng(2)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=4, fractional=False)
         plans = _plans(cs, 2)
-        F = assemble_effective_channels(cs, plans)
+        F = assemble_effective_channels(cs, 2)
         lags = _table_lags(F)
         assert lags.shape == (cs.K, cs.K, 3, cs.L, 2)
         assert F.window == np.max(np.abs(lags))
@@ -131,7 +129,7 @@ class TestAssembleEffectiveChannels:
                     K = int(rng.integers(2, 4))
                     cs = random_delay_channel_set(rng, 1, 2, K=K, L=L, fractional=False)
                     plans = _plans(cs, I)
-                    F = assemble_effective_channels(cs, plans)
+                    F = assemble_effective_channels(cs, I)
                     for k in range(K):
                         desired = enumerate_alignment_sets(plans[k], cs.n[k]).desired
                         r, l, i = np.nonzero(F.aligned_mask[k])
@@ -142,26 +140,25 @@ class TestAssembleEffectiveChannels:
     def test_self_pair_min_lag(self):
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
-        plans = _plans(cs, 2)
-        lags = _table_lags(assemble_effective_channels(cs, plans))
+        lags = _table_lags(assemble_effective_channels(cs, 2))
         for k in range(cs.K):
             assert lags[k, k].min() == cs.n[k, 0] - cs.n_max[k]
 
-    def test_plans_must_share_stream_counts(self):
+    @pytest.mark.parametrize("I", [0, 4])
+    def test_stream_count_must_fit_the_paths(self, I):
+        # 1 <= I <= L, so that R = L + 1 - I >= 1 branch
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
-        plans = [solve_compensation_delays(cs.n[0], 1, 3), solve_compensation_delays(cs.n[1], 2, 2)]
-        with pytest.raises(ValueError, match="same I and R"):
-            assemble_effective_channels(cs, plans)
+        with pytest.raises(ValueError, match="need I \\+ R - 1 = L"):
+            assemble_effective_channels(cs, I)
 
     def test_fractional_delays_are_rejected(self):
         # the reference config's fractional draw has |tau_f| up to 0.44 T
         cs = generate_channel_set(SimConfig(), 5)
         assert np.any(cs.tau_f != 0.0)
-        plans = _plans(cs, 2)
         with pytest.raises(ValueError, match="integer delays"):
-            assemble_effective_channels(cs, plans)
-        integer = assemble_effective_channels(dataclasses.replace(cs, tau_f=0.0 * cs.tau_f), plans)
+            assemble_effective_channels(cs, 2)
+        integer = assemble_effective_channels(dataclasses.replace(cs, tau_f=0.0 * cs.tau_f), 2)
         _, sinrs = eigen_beamform_doubleside(integer, 1.0, SIGMA2)
         assert np.all(np.isfinite(sinrs)) and np.all(sinrs > 0.0)
 
@@ -170,8 +167,7 @@ class TestEigenBeamformDoubleside:
     def test_interference_free_closed_form(self):
         rng = np.random.default_rng(4)
         cs = make_channel_set(rng, 2, 4, [[3]])
-        plans = _plans(cs, 1)
-        F = assemble_effective_channels(cs, plans)
+        F = assemble_effective_channels(cs, 1)
         P = 2.0
         bf, sinrs = eigen_beamform_doubleside(F, P, SIGMA2)
         smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
@@ -180,8 +176,7 @@ class TestEigenBeamformDoubleside:
     def test_zero_channel_gives_zero_sinr(self):
         rng = np.random.default_rng(5)
         cs = make_channel_set(rng, 2, 4, [[3]], scale=0.0)
-        plans = _plans(cs, 1)
-        F = assemble_effective_channels(cs, plans)
+        F = assemble_effective_channels(cs, 1)
         _, sinrs = eigen_beamform_doubleside(F, 1.0, SIGMA2)
         assert sinrs[0] == 0.0
 
@@ -189,8 +184,9 @@ class TestEigenBeamformDoubleside:
         rng = np.random.default_rng(6)
         for trial in range(5):
             cs = random_delay_channel_set(rng, 2, 5, K=2, L=3, fractional=False)
-            plans = _plans(cs, int(rng.integers(1, cs.L + 1)))
-            F = assemble_effective_channels(cs, plans)
+            I = int(rng.integers(1, cs.L + 1))
+            plans = _plans(cs, I)
+            F = assemble_effective_channels(cs, I)
             bf, sinrs = eigen_beamform_doubleside(F, 1.5, SIGMA2)
             for k in range(cs.K):
                 oracle = _literal_doubleside_sinr(cs, plans, bf.f_bar, bf.w_bar, SIGMA2, k)
@@ -199,8 +195,7 @@ class TestEigenBeamformDoubleside:
     def test_power_budget_binds(self):
         rng = np.random.default_rng(7)
         cs = random_delay_channel_set(rng, 2, 4, K=3, L=2, fractional=False)
-        plans = _plans(cs, 1)
-        F = assemble_effective_channels(cs, plans)
+        F = assemble_effective_channels(cs, 1)
         bf, _ = eigen_beamform_doubleside(F, 3.0, SIGMA2)
         assert np.linalg.norm(bf.f_bar) ** 2 == pytest.approx(3.0, rel=1e-9)
         for w in bf.w_bar:
@@ -209,11 +204,10 @@ class TestEigenBeamformDoubleside:
     def test_sinr_scale_covariance(self):
         rng = np.random.default_rng(8)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
-        plans = _plans(cs, 2)
         c = 3.7
         scaled = dataclasses.replace(cs, gains=c * cs.gains)
-        t1 = assemble_effective_channels(cs, plans)
-        t2 = assemble_effective_channels(scaled, plans)
+        t1 = assemble_effective_channels(cs, 2)
+        t2 = assemble_effective_channels(scaled, 2)
         _, s1 = eigen_beamform_doubleside(t1, 1.0, SIGMA2)
         _, s2 = eigen_beamform_doubleside(t2, 1.0, SIGMA2 * c**2)
         assert np.allclose(s1, s2, rtol=1e-12)
@@ -240,8 +234,7 @@ class TestBsSideAssembly:
     def test_integer_delays_collapse_to_zero_lag(self):
         rng = np.random.default_rng(9)
         cs = make_channel_set(rng, 2, 4, [[1, 4, 7]])
-        tables = bs_side_rho_tables(cs, 20, T, BETA)
-        F = assemble_bs_side(cs, tables)
+        F = assemble_bs_side(cs, 20, T, BETA)
         center = F.window
         expected = np.concatenate(list(cs.gains[0]), axis=1)
         h_rho, h_hat = _own_lag_blocks(F, 0)
@@ -258,8 +251,8 @@ class TestBsSideAssembly:
         cs_plus = make_channel_set(rng, 2, 3, delays, fracs)
         # identical gains with negated fractional delays
         cs_minus = dataclasses.replace(cs_plus, tau_f=-cs_plus.tau_f)
-        Fp = assemble_bs_side(cs_plus, bs_side_rho_tables(cs_plus, 25, T, BETA))
-        Fm = assemble_bs_side(cs_minus, bs_side_rho_tables(cs_minus, 25, T, BETA))
+        Fp = assemble_bs_side(cs_plus, 25, T, BETA)
+        Fm = assemble_bs_side(cs_minus, 25, T, BETA)
         h_rho_p, _ = _own_lag_blocks(Fp, 0)
         h_rho_m, _ = _own_lag_blocks(Fm, 0)
         assert np.allclose(h_rho_m, h_rho_p[::-1], atol=1e-12)
@@ -270,14 +263,14 @@ class TestPowerTerms:
     def test_integer_delays_kill_aligned_isi(self):
         rng = np.random.default_rng(11)
         cs = random_delay_channel_set(rng, 2, 6, K=2, L=3, fractional=False)
-        F = assemble_bs_side(cs, bs_side_rho_tables(cs, 40, T, BETA))
+        F = assemble_bs_side(cs, 40, T, BETA)
         bf, _ = eigen_beamform_bs_side(F, 1.0, SIGMA2)
         assert np.all(power_terms(F, bf.w_bar, bf.f_bar).isi_aligned == 0.0)
 
     def test_single_ue_single_path_has_no_cross_terms(self):
         rng = np.random.default_rng(12)
         cs = make_channel_set(rng, 2, 4, [[3]], [[0.3]])
-        F = assemble_bs_side(cs, bs_side_rho_tables(cs, 20, T, BETA))
+        F = assemble_bs_side(cs, 20, T, BETA)
         bf, _ = eigen_beamform_bs_side(F, 1.0, SIGMA2)
         t = power_terms(F, bf.w_bar, bf.f_bar)
         assert t.isi_cross[0] == 0.0
@@ -297,7 +290,7 @@ class TestPowerTerms:
         rng = np.random.default_rng(m_t)
         fracs = [rng.uniform(-0.5, 0.5, len(d)).tolist() for d in delays]
         cs = make_channel_set(rng, m_r, m_t, delays, fracs, full_rank=full_rank)
-        F = assemble_bs_side(cs, bs_side_rho_tables(cs, 30, T, BETA))
+        F = assemble_bs_side(cs, 30, T, BETA)
         w_list = rng.standard_normal((cs.K, m_r)) + 1j * rng.standard_normal((cs.K, m_r))
         shape = (cs.K, m_t * cs.L)
         f_list = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -324,10 +317,10 @@ class TestPowerTerms:
         # the per-lag block stacks this replaces peaked at 34.5 MB here
         cfg = SimConfig()
         cs = generate_channel_set(cfg, 0)
-        tables = bs_side_rho_tables(cs, cfg.rho_window, cfg.T, cfg.beta)
+        F = assemble_bs_side(cs, cfg.rho_window, cfg.T, cfg.beta)
         tracemalloc.start()
         try:
-            eigen_beamform_bs_side(assemble_bs_side(cs, tables), cfg.p_watts(), cfg.sigma2_watts())
+            eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -338,7 +331,7 @@ class TestEigenBeamformBsSide:
     def test_closed_form_single_path(self):
         rng = np.random.default_rng(13)
         cs = make_channel_set(rng, 2, 4, [[3]])
-        F = assemble_bs_side(cs, bs_side_rho_tables(cs, 20, T, BETA))
+        F = assemble_bs_side(cs, 20, T, BETA)
         P = 1.7
         _, sinrs = eigen_beamform_bs_side(F, P, SIGMA2)
         smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
@@ -347,7 +340,7 @@ class TestEigenBeamformBsSide:
     def test_sinr_invariant_under_receive_phase(self):
         rng = np.random.default_rng(14)
         cs = random_delay_channel_set(rng, 2, 5, K=2, L=3)
-        F = assemble_bs_side(cs, bs_side_rho_tables(cs, 40, T, BETA))
+        F = assemble_bs_side(cs, 40, T, BETA)
         bf, sinrs = eigen_beamform_bs_side(F, 1.0, SIGMA2)
         rotated = np.exp(1j * rng.uniform(0, 2 * np.pi, (cs.K, 1))) * bf.w_bar
         terms = power_terms(F, rotated, bf.f_bar)
@@ -357,7 +350,7 @@ class TestEigenBeamformBsSide:
     def test_dominates_random_beamformers(self):
         rng = np.random.default_rng(15)
         cs = random_delay_channel_set(rng, 2, 16, K=1, L=3)
-        F = assemble_bs_side(cs, bs_side_rho_tables(cs, 40, T, BETA))
+        F = assemble_bs_side(cs, 40, T, BETA)
         P = 1.0
         _, sinrs = eigen_beamform_bs_side(F, P, SIGMA2)
         dim = 16 * 3

@@ -182,6 +182,10 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=f"^experiment.{key}: "):
             small_spec(**{key: value})
 
+    def test_spec_config_must_be_a_simconfig(self):
+        with pytest.raises(ParseError, match="^config: "):
+            small_spec(config={"M_t": 8})
+
     def test_spec_stores_numpy_scalars_as_python_numbers(self):
         spec = small_spec(grid=[np.float32(20.0), np.int64(30)], trials=np.int64(2))
         assert spec.grid == (20.0, 30.0) and spec.trials == 2

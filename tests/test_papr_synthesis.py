@@ -18,7 +18,6 @@ import pytest
 from damlink.beamforming import (
     assemble_bs_side,
     bs_side_kappa,
-    bs_side_rho_tables,
     eigen_beamform_bs_side,
 )
 from damlink.channel import SimConfig, generate_channel_set
@@ -89,10 +88,8 @@ def _qam(rng, K, n_sym):
 
 
 def _dam_case(cfg, channels, rng, blocks, block_symbols):
-    tables = bs_side_rho_tables(channels, cfg.rho_window, cfg.T, cfg.beta)
-    bf, _ = eigen_beamform_bs_side(
-        assemble_bs_side(channels, tables), cfg.p_watts(), cfg.sigma2_watts()
-    )
+    F = assemble_bs_side(channels, cfg.rho_window, cfg.T, cfg.beta)
+    bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
     kappas = bs_side_kappa(channels)
     pad = 32 + int(kappas.max())
     sym = _qam(rng, cfg.K, blocks * block_symbols + 2 * pad)

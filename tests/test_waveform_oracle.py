@@ -7,7 +7,6 @@ from conftest import bs_side_channels, make_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     assemble_effective_channels,
-    bs_side_rho_tables,
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
@@ -42,7 +41,7 @@ def test_power_terms_match_convolution_oracle(m_t, m_r, delays):
     rng = np.random.default_rng(m_t * 100 + m_r)
     cs = _grid_fraction_channels(rng, m_r, m_t, delays)
     window = 48
-    F = assemble_bs_side(cs, bs_side_rho_tables(cs, window, T, BETA))
+    F = assemble_bs_side(cs, window, T, BETA)
     bf, _ = eigen_beamform_bs_side(F, 1.0, 1e-3)
 
     pipeline = power_terms(F, bf.w_bar, bf.f_bar)
@@ -70,7 +69,7 @@ def test_doubleside_power_terms_match_convolution_oracle(m_r, m_t, delays, I):
     rng = np.random.default_rng(m_t * 10 + m_r + I)
     cs = make_channel_set(rng, m_r, m_t, delays, T=T)
     plans = [solve_compensation_delays(n, I, cs.L + 1 - I) for n in cs.n]
-    F = assemble_effective_channels(cs, plans)
+    F = assemble_effective_channels(cs, I)
     kappa = np.array([plan.kappa for plan in plans])
     mu = np.array([plan.mu for plan in plans])
     window = F.window + 8
@@ -101,7 +100,7 @@ def test_sinr_matches_oracle_end_to_end():
     cs = _grid_fraction_channels(rng, 2, 6, [[1, 4, 9], [2, 6, 12]])
     window = 48
     sigma2 = 1e-3
-    F = assemble_bs_side(cs, bs_side_rho_tables(cs, window, T, BETA))
+    F = assemble_bs_side(cs, window, T, BETA)
     bf, sinrs = eigen_beamform_bs_side(F, 1.0, sigma2)
     kappa, mu = bs_side_delays(cs)
     oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, T, BETA, os=OS)
