@@ -4,7 +4,7 @@ The matched-filter autocorrelation of the unit-energy root-raised-cosine
 transmit filter is the raised cosine, which vanishes at nonzero integer
 sample offsets.  Residual inter-symbol coupling under fractional path delays
 is captured by tables of raised-cosine samples at integer-plus-fractional
-offsets.
+offsets.  Both pulses are evaluated in symbol units x = t / T.
 """
 
 from __future__ import annotations
@@ -16,11 +16,19 @@ from .delay_design import triple_lags
 __all__ = ["rho", "rrc", "rrc_taps", "build_rho_table"]
 
 
-def _rho_normalized(x, beta: float):
-    """Raised cosine at symbol-normalized offsets x = t / T."""
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+
+
+def rho(x, beta: float):
+    """Raised cosine sinc(x) cos(pi beta x) / (1 - (2 beta x)^2) at x = t / T.
+
+    Exact zeros are returned at nonzero integers, and the removable
+    singularity at |x| = 1/(2 beta) is evaluated by its limit.
+    """
+    _check_beta(beta)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
 
     den = 1.0 - (2.0 * beta * x) ** 2
     out = np.empty_like(x)
@@ -34,36 +42,18 @@ def _rho_normalized(x, beta: float):
     # true Nyquist zeros; float sin(pi*n) noise would otherwise leak through
     nyquist = (x == np.round(x)) & (x != 0.0)
     out[nyquist] = 0.0
-    return out[0] if scalar else out
+    return out[()]
 
 
-def rho(t, T: float, beta: float):
-    """Raised-cosine pulse sinc(t/T) cos(pi beta t/T) / (1 - (2 beta t/T)^2).
+def rrc(x, beta: float):
+    """Root-raised-cosine impulse response at x = t / T, unit energy in units of T.
 
-    Exact zeros are returned at nonzero integer multiples of T, and the
-    removable singularity at |t| = T/(2 beta) is evaluated by its limit.
+    Self-convolution sampled at integers reproduces the raised cosine ``rho``.
+    In seconds the unit-energy pulse is ``rrc(t / T, beta) / sqrt(T)``.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    return _rho_normalized(np.asarray(t, dtype=float) / T, beta)
+    _check_beta(beta)
+    x = np.asarray(x, dtype=float)
 
-
-def rrc(t, T: float, beta: float):
-    """Unit-energy root-raised-cosine impulse response.
-
-    Self-convolution sampled at T reproduces the raised cosine ``rho``.
-    """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    x = np.asarray(t, dtype=float) / T
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
-    scale = 1.0 / np.sqrt(T)
     out = np.empty_like(x)
 
     at_zero = x == 0.0
@@ -82,11 +72,10 @@ def rrc(t, T: float, beta: float):
             (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
             + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
         )
-    out *= scale
-    return out[0] if scalar else out
+    return out[()]
 
 
-def rrc_taps(beta: float, oversample: int, span_symbols: int = 16) -> np.ndarray:
+def rrc_taps(beta: float, oversample: int, span_symbols: int) -> np.ndarray:
     """Symbol-normalized RRC taps on an oversampled grid.
 
     Sampled at ``oversample`` points per symbol over +/- ``span_symbols``
@@ -96,7 +85,7 @@ def rrc_taps(beta: float, oversample: int, span_symbols: int = 16) -> np.ndarray
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     n = np.arange(-span_symbols * oversample, span_symbols * oversample + 1)
-    return rrc(n / oversample, 1.0, beta)
+    return rrc(n / oversample, beta)
 
 
 def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.ndarray:
@@ -105,12 +94,14 @@ def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.n
     Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples; UE k samples
     at its own alignment target, its latest integer path delay n_k,max.
     Entry (k, k', l, i, n) of the (K, K, L, I, 2W+1) table is
-    rho((n - W - q) T - tau_f,kl) with q the integer lag of the triple
+    rho(n - W - q - tau_f,kl / T) with q the integer lag of the triple
     (``delay_design.triple_lags``, no post-delay): the matched-filter
     coupling from stream i of UE k' into path l of UE k at sample lag n - W.
     At the default window of 200 samples the tail energy left outside is
     below 1e-6 of any column.
     """
+    if T <= 0.0:
+        raise ValueError("T must be positive")
     kappa = np.asarray(kappa, dtype=int)
     if kappa.ndim != 2 or kappa.shape[0] != channels.K:
         raise ValueError("one row of pre-compensation delays per UE")
@@ -121,9 +112,7 @@ def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.n
         raise ValueError(
             f"window {window} too small for delay offsets up to {max_offset} samples"
         )
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
     lags = np.arange(-window, window + 1)
-    # computed in symbol-normalized units so integer offsets stay exactly integer
+    # computed in symbol units so integer offsets stay exactly integer
     x = (lags + offsets[..., None]) - (channels.tau_f[:, None, :, None, None] / T)
-    return _rho_normalized(x, beta)
+    return rho(x, beta)

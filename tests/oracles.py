@@ -56,7 +56,7 @@ def oracle_power_terms(channels, f_list, w_list, kappa, mu, window, T, beta, os=
     """
     dt = T / os
     grid = np.arange(-span * os, span * os + 1)
-    phi = rrc(grid * dt, T, beta)
+    phi = rrc(grid * dt / T, beta) / np.sqrt(T)
     m_t, m_r = channels.M_t, channels.M_r
     lags = np.arange(-window, window + 1)
     kappa, mu = np.asarray(kappa), np.asarray(mu)

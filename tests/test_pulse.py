@@ -13,60 +13,76 @@ T = 5e-9
 
 class TestRho:
     def test_peak(self):
-        assert rho(0.0, T, 0.25) == 1.0
+        assert rho(0.0, 0.25) == 1.0
 
     @pytest.mark.parametrize("beta", [0.0, 0.01, 0.25, 0.5, 0.9])
     def test_nyquist_zero_crossings(self, beta):
         n = np.concatenate([np.arange(-10, 0), np.arange(1, 11)])
-        assert np.all(np.abs(rho(n * T, T, beta)) < 1e-12)
+        assert np.all(np.abs(rho(n, beta)) < 1e-12)
 
     def test_beta_zero_half_sample(self):
-        assert rho(T / 2, T, 0.0) == pytest.approx(2.0 / np.pi, rel=1e-12)
+        assert rho(0.5, 0.0) == pytest.approx(2.0 / np.pi, rel=1e-12)
 
     def test_even(self):
         rng = np.random.default_rng(2)
         t = rng.uniform(-30 * T, 30 * T, 200)
-        assert np.array_equal(rho(t, T, 0.3), rho(-t, T, 0.3))
+        assert np.array_equal(rho(t / T, 0.3), rho(-t / T, 0.3))
 
     def test_singularity_limit(self):
         beta = 0.25
         t_sing = T / (2 * beta)
         expected = (np.pi / 4) * np.sinc(1.0 / (2 * beta))
-        assert rho(t_sing, T, beta) == pytest.approx(expected, rel=1e-9)
+        assert rho(t_sing / T, beta) == pytest.approx(expected, rel=1e-9)
         # continuity across the singular point
-        assert rho(t_sing * (1 + 1e-10), T, beta) == pytest.approx(expected, rel=1e-6)
+        assert rho(t_sing * (1 + 1e-10) / T, beta) == pytest.approx(expected, rel=1e-6)
 
 
 class TestRrc:
     def test_value_at_origin(self):
         beta = 0.3
-        assert rrc(0.0, T, beta) == pytest.approx(
-            (1.0 - beta + 4.0 * beta / np.pi) / np.sqrt(T), rel=1e-12
-        )
+        assert rrc(0.0, beta) == pytest.approx(1.0 - beta + 4.0 * beta / np.pi, rel=1e-12)
 
     def test_unit_energy(self):
         beta = 0.3
-        t = np.linspace(-40 * T, 40 * T, 400_001)
-        energy = np.trapezoid(rrc(t, T, beta) ** 2, t)
+        x = np.linspace(-40, 40, 400_001)
+        energy = np.trapezoid(rrc(x, beta) ** 2, x)
         assert energy == pytest.approx(1.0, abs=1e-3)
 
     def test_beta_to_zero_limit_is_sinc(self):
-        t = 0.3 * T
-        expected = np.sinc(0.3) / np.sqrt(T)
-        assert rrc(t, T, 1e-9) == pytest.approx(expected, abs=1e-6 / np.sqrt(T))
+        assert rrc(0.3, 1e-9) == pytest.approx(np.sinc(0.3), abs=1e-6)
 
     def test_self_convolution_reproduces_rho(self):
         beta = 0.22
         os = 64
         span = 60
-        dt = T / os
-        t = np.arange(-span * os, span * os + 1) * dt
-        phi = rrc(t, T, beta)
+        dt = 1.0 / os
+        x = np.arange(-span * os, span * os + 1) * dt
+        phi = rrc(x, beta)
         auto = np.convolve(phi, phi[::-1]) * dt  # centered at len-1
         center = len(phi) - 1
         n = np.arange(-10, 11)
         sampled = auto[center + n * os]
-        assert np.allclose(sampled, rho(n * T, T, beta), atol=1e-3)
+        assert np.allclose(sampled, rho(n, beta), atol=1e-3)
+
+
+@pytest.mark.parametrize("pulse", [rho, rrc])
+class TestOneCodePath:
+    def test_python_float_gives_float64(self, pulse):
+        assert type(pulse(0.3, 0.25)) is np.float64
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_shape_and_dtype_kept(self, pulse, shape):
+        x = np.linspace(-2.5, 3.5, int(np.prod(shape))).reshape(shape)
+        out = pulse(x, 0.25)
+        assert out.shape == shape
+        assert out.dtype == np.float64
+        elementwise = np.reshape([pulse(float(v), 0.25) for v in x.ravel()], shape)
+        assert np.array_equal(out, elementwise)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0])
+    def test_beta_out_of_range_raises(self, pulse, beta):
+        with pytest.raises(ValueError, match="beta"):
+            pulse(0.3, beta)
 
 
 class TestRrcTaps:
@@ -123,7 +139,7 @@ class TestBuildRhoTable:
                         offset = cs.n_max[k] - kappa[kp, i] - cs.n[k, l]
                         t = (np.arange(-W, W + 1) + offset) * cfg.T - cs.tau_f[k, l]
                         assert np.allclose(
-                            table[k, kp, l, i], rho(t, cfg.T, cfg.beta), rtol=0.0, atol=1e-12
+                            table[k, kp, l, i], rho(t / cfg.T, cfg.beta), rtol=0.0, atol=1e-12
                         )
 
     def test_negated_fractional_delays_time_reverse_diagonal(self):
@@ -153,7 +169,7 @@ class TestBuildRhoTable:
 
         span = 80
         t = np.arange(-span * os, span * os + 1) * dt
-        phi = rrc(t, T_s, beta)
+        phi = rrc(t / T_s, beta) / np.sqrt(T_s)
         auto = np.convolve(phi, phi[::-1]) * dt
         center = len(phi) - 1
 
@@ -167,6 +183,19 @@ class TestBuildRhoTable:
                 assert np.sum(col**2) == pytest.approx(
                     np.sum(oracle**2), abs=1e-4 * max(np.sum(col**2), 1e-3)
                 )
+
+    @pytest.mark.parametrize("integer_delays", [False, True])
+    @pytest.mark.parametrize("T_bad", [0.0, -5e-9])
+    def test_nonpositive_T_raises(self, integer_delays, T_bad):
+        cfg, cs = _two_ue_channels(1, integer_delays=integer_delays)
+        with pytest.raises(ValueError, match="T must be positive"):
+            build_rho_table(cs, _bs_side_kappa(cs), 40, T_bad, cfg.beta)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0])
+    def test_beta_out_of_range_raises(self, beta):
+        cfg, cs = _two_ue_channels(1)
+        with pytest.raises(ValueError, match="beta"):
+            build_rho_table(cs, _bs_side_kappa(cs), 40, cfg.T, beta)
 
     def test_window_too_small_raises(self):
         cfg, cs = _two_ue_channels(2, L=3)
