@@ -172,7 +172,7 @@ def _eval_bsside(channels: ChannelSet, cfg: SimConfig) -> dict:
     eig_sinrs = ofdm_eigen_sinrs(channels, cfg.M, P, sigma2)
     out["ofdm-eigen"] = ofdm_effective_rate(eig_sinrs, cfg)
     try:
-        _, _, zf_rate = ofdm_zf_waterfill(channels, cfg.M, P, sigma2)
+        _, zf_rate = ofdm_zf_waterfill(channels, cfg.M, P, sigma2)
         out["ofdm-zf-wf"] = ofdm_overhead_factor(cfg) * zf_rate
     except InfeasibleError:
         out["ofdm-zf-wf"] = None

@@ -20,9 +20,10 @@ __all__ = [
 # Relative singular-value threshold used for rank decisions throughout.
 RANK_TOL = 1e-10
 
-# Interferer blocks whose Gram eigenvalues span a wider ratio than this take
-# the SVD.  Gram eigenvalues are accurate only to about eps * lambda_max, too
-# coarse for the rank rule s_i > RANK_TOL * s_0; above the ratio every s_i is kept.
+# Interferer Grams whose eigenvalues span a wider ratio than this are not
+# inverted; OFDM zero-forcing takes ``project_off_others`` there instead.
+# Gram eigenvalues are accurate only to about eps * lambda_max, too coarse
+# for the rank rule s_i > RANK_TOL * s_0; above the ratio every s_i is kept.
 GRAM_MIN_RATIO = 1e-8
 
 
@@ -72,11 +73,9 @@ def path_span(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def project_off_others(blocks: np.ndarray) -> np.ndarray:
     """Each of the G blocks (..., G, m, n) minus its projection on the others' row space.
 
-    The row space of the other G - 1 blocks keeps the right singular vectors
-    with s_i > RANK_TOL * s_0.  Where the eigenvalues of their Gram matrix
-    span at most GRAM_MIN_RATIO every one is kept, and the columns of
-    others^H U, normalized, are those vectors; the rest take the reduced SVD.
-    Needs (G - 1) m <= n, which zero-forcing feasibility implies.
+    The row space of the other G - 1 blocks is spanned by the right singular
+    vectors of their stacked rows with s_i > RANK_TOL * s_0, from one batched
+    reduced SVD.  Needs (G - 1) m <= n, which zero-forcing feasibility implies.
     """
     G, m, n = blocks.shape[-3:]
     if G == 1:
@@ -84,17 +83,9 @@ def project_off_others(blocks: np.ndarray) -> np.ndarray:
     skip = np.arange(G - 1)
     idx = skip[None, :] + (skip[None, :] >= np.arange(G)[:, None])  # (G, G - 1)
     others = blocks[..., idx, :, :].reshape(*blocks.shape[:-3], G, (G - 1) * m, n)
-    oh = others.conj().swapaxes(-1, -2)
-    lam, vecs = np.linalg.eigh(others @ oh)         # ascending
-    rest = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]
-    basis = oh @ vecs                               # columns s_i v_i
-    norm = np.linalg.norm(basis, axis=-2, keepdims=True)
-    norm[rest] = 1.0                                # replaced below
-    basis /= norm
-    if rest.any():
-        _, s, vh = np.linalg.svd(others[rest], full_matrices=False)
-        keep = s > RANK_TOL * s[:, :1]
-        basis[rest] = np.where(keep[:, :, None], vh, 0.0).conj().swapaxes(1, 2)
+    _, s, vh = np.linalg.svd(others, full_matrices=False)
+    keep = s > RANK_TOL * s[..., :1]
+    basis = np.where(keep[..., None], vh, 0.0).conj().swapaxes(-1, -2)
     return blocks - (blocks @ basis) @ basis.conj().swapaxes(-1, -2)
 
 

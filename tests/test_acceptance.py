@@ -28,7 +28,7 @@ from damlink.experiments import (
     run_experiment,
 )
 from damlink.numerics import rank, water_fill
-from damlink.ofdm import dam_overhead_factor, ofdm_overhead_factor, ofdm_zf_waterfill
+from damlink.ofdm import dam_overhead_factor, ofdm_overhead_factor, ofdm_zf_beamformers
 from oracles import bs_side_delays, oracle_power_terms
 
 
@@ -197,7 +197,7 @@ def test_criterion_09_water_filling_kkt_and_zf_iui():
 
     cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, span=10, fractional=False)
     M, P, sigma2 = 16, 1.0, 1e-3
-    bf, snr, _ = ofdm_zf_waterfill(cs, M, P, sigma2)
+    bf = ofdm_zf_beamformers(cs, M, P, sigma2)
     assert bf.power.sum() == pytest.approx(M * P, rel=1e-9)
     for k in range(cs.K):
         h_k = frequency_response(cs, M)[k]

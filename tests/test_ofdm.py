@@ -16,6 +16,7 @@ from damlink.ofdm import (
     ofdm_eigen,
     ofdm_eigen_sinrs,
     ofdm_overhead_factor,
+    ofdm_zf_beamformers,
     ofdm_zf_waterfill,
 )
 
@@ -96,7 +97,7 @@ class TestOfdmZfWaterfill:
         rng = np.random.default_rng(4)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False, span=10)
         M = 8
-        bf, _, _ = ofdm_zf_waterfill(cs, M, 1.0, SIGMA2)
+        bf = ofdm_zf_beamformers(cs, M, 1.0, SIGMA2)
         from damlink.channel import frequency_response
 
         for k in range(cs.K):
@@ -112,7 +113,8 @@ class TestOfdmZfWaterfill:
         rng = np.random.default_rng(5)
         cs = random_delay_channel_set(rng, 1, 4, K=1, L=3, fractional=False, span=10)
         M, P = 16, 2.0
-        bf, snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+        bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
+        snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
         from damlink.channel import frequency_response
 
         h = frequency_response(cs, M)[0]
@@ -125,7 +127,8 @@ class TestOfdmZfWaterfill:
         rng = np.random.default_rng(6)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False, span=10)
         M, P = 16, 1.0
-        bf, snr, _ = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+        bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
+        snr, _ = ofdm_zf_waterfill(cs, M, P, SIGMA2)
         powers = bf.power.ravel()
         assert powers.sum() == pytest.approx(M * P, rel=1e-9)
         gains = np.where(powers > 0, snr.ravel() / np.where(powers > 0, powers, 1.0), 0.0)
@@ -138,12 +141,15 @@ class TestOfdmZfWaterfill:
         cs = random_delay_channel_set(rng, 4, 4, K=2, L=2, fractional=False, span=10)
         with pytest.raises(InfeasibleError):
             ofdm_zf_waterfill(cs, 8, 1.0, SIGMA2)
+        with pytest.raises(InfeasibleError):
+            ofdm_zf_beamformers(cs, 8, 1.0, SIGMA2)
 
     def test_waterfill_beats_equal_power(self):
         rng = np.random.default_rng(8)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False, span=10)
         M, P = 16, 1.0
-        bf, snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+        bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
+        snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
         gains = np.where(bf.power > 0, snr / np.where(bf.power > 0, bf.power, 1.0), 0.0)
         # recompute gains including zero-power streams via effective channels
         equal = np.sum(np.log2(1.0 + gains * P / cs.K)) / M
@@ -153,8 +159,8 @@ class TestOfdmZfWaterfill:
         rng = np.random.default_rng(9)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False, span=10)
         swapped = ChannelSet(gains=cs.gains[::-1], n=cs.n[::-1], tau_f=cs.tau_f[::-1])
-        _, _, r1 = ofdm_zf_waterfill(cs, 8, 1.0, SIGMA2)
-        _, _, r2 = ofdm_zf_waterfill(swapped, 8, 1.0, SIGMA2)
+        _, r1 = ofdm_zf_waterfill(cs, 8, 1.0, SIGMA2)
+        _, r2 = ofdm_zf_waterfill(swapped, 8, 1.0, SIGMA2)
         assert r1 == pytest.approx(r2, rel=1e-9)
 
 

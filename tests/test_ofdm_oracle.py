@@ -7,8 +7,9 @@ import pytest
 
 from conftest import make_channel_set, random_delay_channel_set
 from damlink.channel import ChannelSet, SimConfig, frequency_response, generate_channel_set
+from damlink import ofdm
 from damlink.numerics import GRAM_MIN_RATIO
-from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
+from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_beamformers, ofdm_zf_waterfill
 from oracles import oracle_ofdm_eigen, oracle_ofdm_zf_waterfill
 
 M = 16
@@ -79,7 +80,8 @@ def test_eigen_sinrs_reference_shape():
 
 @pytest.mark.parametrize("cs", _channel_sets())
 def test_zf_waterfill_matches_full_column_oracle(cs):
-    bf, snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
     snr_ref, power_ref, rate_ref = oracle_ofdm_zf_waterfill(cs, M, P, SIGMA2)
     assert np.allclose(snr, snr_ref, rtol=1e-10, atol=0.0)
     assert np.allclose(bf.power, power_ref, rtol=1e-10, atol=0.0)
@@ -130,7 +132,8 @@ def test_zf_waterfill_rank_cases(cs, weak):
         s = np.linalg.svd(h[1], compute_uv=False)
         ratio = s[:, 1] / s[:, 0]
         assert np.all((ratio > 1e-10) & (ratio ** 2 < GRAM_MIN_RATIO))
-    bf, snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
     snr_ref, power_ref, rate_ref = oracle_ofdm_zf_waterfill(cs, M, P, SIGMA2)
     assert np.allclose(snr, snr_ref, rtol=1e-10, atol=0.0)
     assert np.allclose(bf.power, power_ref, rtol=1e-10, atol=0.0)
@@ -144,12 +147,106 @@ def test_zf_waterfill_rank_cases(cs, weak):
                 assert leak <= 1e-10 * np.linalg.norm(h[k, m])
 
 
+def _mixed_route_channel_set(rng, ratio):
+    """UE 1 sends A at delays 0 and M/2 and 2 ratio B at delay 5, with A and B
+    rank-1 on orthogonal rows and columns: its even subcarriers have singular
+    values in the ratio ``ratio``, and on odd ones the two A paths cancel to
+    rounding, leaving rank 1."""
+    m_r, m_t = 2, 16
+    gains0 = make_channel_set(rng, m_r, m_t, [[0, 3, 7]]).gains[0]
+    left, _ = np.linalg.qr(rng.standard_normal((m_r, m_r)) + 1j * rng.standard_normal((m_r, m_r)))
+    right, _ = np.linalg.qr(rng.standard_normal((m_t, m_r)) + 1j * rng.standard_normal((m_t, m_r)))
+    a = np.outer(left[:, 0], right[:, 0].conj())
+    b = np.outer(left[:, 1], right[:, 1].conj())
+    gains1 = np.stack([a, 2 * ratio * b, a])
+    return ChannelSet(
+        gains=np.stack([gains0, gains1]), n=np.array([[0, 3, 7], [0, 5, M // 2]]), tau_f=np.zeros((2, 3))
+    )
+
+
+def _svd_subcarriers(cs):
+    """Subcarriers where some UE's interferer Gram has eigenvalues spanning
+    more than GRAM_MIN_RATIO, from the literal responses."""
+    h = frequency_response(cs, M)
+    handed = np.zeros(M, dtype=bool)
+    for k in range(cs.K):
+        others = np.concatenate([h[j] for j in range(cs.K) if j != k], axis=1)
+        lam = np.linalg.eigvalsh(others @ others.conj().swapaxes(1, 2))
+        handed |= lam[:, 0] <= GRAM_MIN_RATIO * lam[:, -1]
+    return np.flatnonzero(handed)
+
+
+def _handover_cases():
+    everywhere, odd = np.arange(M), np.arange(1, M, 2)
+    return [
+        # squared singular ratio 1e-6 > GRAM_MIN_RATIO: the Schur complement
+        pytest.param(_weak_direction_channel_set(np.random.default_rng(33), 1e-3), [], id="ratio-1e-3"),
+        pytest.param(_weak_direction_channel_set(np.random.default_rng(33), 5e-6), everywhere, id="ratio-5e-6"),
+        pytest.param(
+            random_delay_channel_set(np.random.default_rng(31), 2, 16, K=2, L=1, span=12),
+            everywhere,
+            id="rank-deficient",
+        ),
+        pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-3), odd, id="mixed-1e-3"),
+    ]
+
+
+def _spy(monkeypatch, name):
+    """Record every call ofdm makes to its import ``name``."""
+    calls = []
+    func = getattr(ofdm, name)
+
+    def spy(*args):
+        calls.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(ofdm, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("cs,svd_subcarriers", _handover_cases())
+def test_zf_handover_to_the_projection(cs, svd_subcarriers, monkeypatch):
+    assert np.array_equal(_svd_subcarriers(cs), svd_subcarriers)
+    h = frequency_response(cs, M)
+    projected = _spy(monkeypatch, "project_off_others")
+    snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    # one projector call holds exactly the handed-over subcarriers, in order
+    if len(svd_subcarriers):
+        (blocks,), = projected
+        rows = blocks.reshape(len(svd_subcarriers), -1, blocks.shape[-1])
+        full = h[:, svd_subcarriers].swapaxes(0, 1).reshape(len(svd_subcarriers), -1, cs.M_t)
+        gram = full @ full.conj().swapaxes(1, 2)
+        assert np.allclose(rows @ rows.conj().swapaxes(1, 2), gram, rtol=0.0, atol=1e-12 * np.abs(gram).max())
+    else:
+        assert projected == []
+    snr_ref, power_ref, rate_ref = oracle_ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    assert np.allclose(snr, snr_ref, rtol=1e-10, atol=0.0)
+    assert rate == pytest.approx(rate_ref, rel=1e-10)
+    bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
+    assert np.allclose(bf.power, power_ref, rtol=1e-10, atol=0.0)
+    for k in range(cs.K):
+        for kp in range(cs.K):
+            if kp != k:
+                leak = np.abs(np.einsum("mr,mrt,mt->m", bf.u[k].conj(), h[k], bf.v[kp]))
+                assert np.all(leak <= 1e-10 * np.linalg.norm(h[k], axis=(1, 2)))
+
+
+@pytest.mark.parametrize("integer_delays", [True, False], ids=["int", "frac"])
+def test_zf_rate_builds_no_beamformer_on_reference_draws(integer_delays, monkeypatch):
+    cfg = SimConfig()
+    cs = generate_channel_set(cfg, 0, integer_delays)
+    projected, spans = _spy(monkeypatch, "project_off_others"), _spy(monkeypatch, "path_span")
+    ofdm_zf_waterfill(cs, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
+    assert projected == [] and spans == []
+
+
 @pytest.mark.parametrize(
     "solve",
     [
         pytest.param(lambda cs, M, P, sigma2: ofdm_eigen(cs, M, P), id="ofdm_eigen"),
         pytest.param(ofdm_eigen_sinrs, id="ofdm_eigen_sinrs"),
         pytest.param(ofdm_zf_waterfill, id="ofdm_zf_waterfill"),
+        pytest.param(ofdm_zf_beamformers, id="ofdm_zf_beamformers"),
     ],
 )
 def test_reference_config_memory_peak(solve):

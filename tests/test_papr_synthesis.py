@@ -32,7 +32,7 @@ from damlink.experiments import (
     papr_at_exceedance,
     run_experiment,
 )
-from damlink.ofdm import ofdm_eigen, ofdm_zf_waterfill
+from damlink.ofdm import ofdm_eigen, ofdm_zf_beamformers
 from damlink.waveform import (
     ANTENNA_GROUP,
     Waveform,
@@ -105,7 +105,7 @@ def _ofdm_eigen_bf(cfg, channels):
 
 
 def _ofdm_zf_bf(cfg, channels):
-    return ofdm_zf_waterfill(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())[0]
+    return ofdm_zf_beamformers(channels, cfg.M, cfg.p_watts(), cfg.sigma2_watts())
 
 
 def _ofdm_symbols(cfg, rng, n_ofdm):
