@@ -65,15 +65,17 @@ def main(argv=None) -> int:
 
         prefix = Path(spec.out) if spec.out else Path("results") / spec.kind
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        write_table_csv(table, prefix.with_suffix(".csv"))
-        write_json_sidecar(table, prefix.with_suffix(".json"))
+        # appended, not swapped in, so a prefix such as run.v2 keeps its dot
+        csv_path = prefix.parent / (prefix.name + ".csv")
+        write_table_csv(table, csv_path)
+        write_json_sidecar(table, prefix.parent / (prefix.name + ".json"))
         if table.ccdf is not None:
             write_ccdf_csv(table, prefix.parent / (prefix.name + "_ccdf.csv"))
         feasible = [r for r in table.rows if not r.infeasible]
         if not feasible:
             print("error: every row infeasible for the configured dimensions", file=sys.stderr)
             return 1
-        print(f"wrote {prefix.with_suffix('.csv')} ({len(table.rows)} rows)")
+        print(f"wrote {csv_path} ({len(table.rows)} rows)")
         return 0
     except (ParseError, ConfigError, InfeasibleError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

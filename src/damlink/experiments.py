@@ -99,6 +99,9 @@ class ExperimentSpec:
                 f"experiment.grid: must be a non-empty list of finite numbers, got {grid!r}"
             )
         self.grid = tuple(float(v) for v in grid)
+        # samples are keyed by grid value, so a repeated one (-0.0 repeats 0.0) would lose trials
+        if len(set(self.grid)) != len(self.grid):
+            raise ParseError(f"experiment.grid: values must be distinct, got {grid!r}")
         for key, least in (("trials", 1), ("seed", 0)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

@@ -11,6 +11,9 @@ S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of those cross Grams;
 where G_oo is too ill-conditioned for that, the subcarrier takes
 ``numerics.project_off_others`` on the responses sum_l c_kl[m] H_kl Q, where
 Q (``numerics.path_span``) spans all path gains' rows in <= K L M_r columns.
+Every Hermitian eigenproblem here (the own Grams, the interferer Grams
+G_oo and the S_k) is one batched ``numerics.jacobi_eigh`` call over all K M
+blocks; SINRs and rates read eigenvalues, and eigenvectors only up to phase.
 ``ofdm_eigen``'s beamformers, which the OFDM waveform needs with LAPACK's
 phases, come from the reduced SVD of the full responses.  Both beamformer
 functions return Q and each transmit vector's coordinates v~ = Q^H v.
@@ -24,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelSet, SimConfig, frequency_response, subcarrier_coefficients
 from .delay_design import InfeasibleError
-from .numerics import GRAM_MIN_RATIO, path_span, project_off_others, water_fill
+from .numerics import GRAM_MIN_RATIO, jacobi_eigh, path_span, project_off_others, water_fill
 
 __all__ = [
     "OfdmBeamformerSet",
@@ -85,7 +88,7 @@ def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> n
     K = channels.K
     gram = _cross_grams(channels, M)
     idx = np.arange(K)
-    lam, vecs = np.linalg.eigh(gram[idx, idx])
+    lam, vecs = jacobi_eigh(gram[idx, idx])
     top, u = lam[..., -1], vecs[..., -1]                            # (K, M), (K, M, M_r)
     coupling = np.einsum("kmr,kjmrs,jms->kjm", u.conj(), gram, u)
     # UE j's power at UE k; a stream whose block is zero stays silent
@@ -138,13 +141,15 @@ def _span_responses(channels: ChannelSet, M: int) -> tuple[np.ndarray, np.ndarra
 def _zf_schur(channels: ChannelSet, M: int, h: np.ndarray | None = None):
     """Gram of each UE's block projected off the other UEs' rows, per subcarrier.
 
-    Returns (schur, solve, handed, projected).  With O the other UEs' rows
-    and G_oo = W diag(lam) W^H from one batched ``eigh``, B = G_ko W gives
-    the Schur complement S_k = G_kk - B diag(1/lam) B^H (``schur``, (K, M,
-    M_r, M_r)) and solve = G_oo^-1 G_ok ((K, M, (K-1) M_r, M_r)), so the
-    projected block is H_k - solve^H O.  Gram eigenvalues are accurate only
-    to about eps * lam_max, so on every subcarrier where some UE's lam span
-    more than GRAM_MIN_RATIO (indices ``handed``) all K blocks come from
+    Returns (schur, w, scaled, handed, projected).  With O the other UEs'
+    rows and G_oo = W diag(lam) W^H from one batched ``numerics.jacobi_eigh``
+    (``w``, (K, M, (K-1) M_r, (K-1) M_r)), B = G_ko W and ``scaled`` =
+    diag(1/lam) B^H give the Schur complement S_k = G_kk - B scaled
+    (``schur``, (K, M, M_r, M_r)); only the beamformers need
+    G_oo^-1 G_ok = W scaled, the map that projects block k to
+    H_k - (W scaled)^H O.  Gram eigenvalues are accurate only to about
+    eps * lam_max, so on every subcarrier where some UE's lam span more than
+    GRAM_MIN_RATIO (indices ``handed``) all K blocks come from
     ``numerics.project_off_others`` on the span responses ``h`` instead,
     built here if not given; ``projected`` holds those (K, len(handed), M_r,
     r) blocks, and ``schur`` their Grams.
@@ -154,16 +159,16 @@ def _zf_schur(channels: ChannelSet, M: int, h: np.ndarray | None = None):
     own, idx = np.arange(K), _other_ues(K)
     schur = grams[own, own]                                          # (K, M, M_r, M_r)
     if K == 1:
-        return schur, np.zeros((1, M, 0, M_r), dtype=complex), np.arange(0), None
+        w, scaled = np.zeros((1, M, 0, 0), dtype=complex), np.zeros((1, M, 0, M_r), dtype=complex)
+        return schur, w, scaled, np.arange(0), None
     g_ko = grams[own[:, None], idx].transpose(0, 2, 3, 1, 4).reshape(K, M, M_r, -1)
     g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
-    lam, w = np.linalg.eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))  # ascending
+    lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))     # ascending
     to_svd = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]            # (K, M)
     b = g_ko @ w
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd[..., None])
     scaled = inv[..., :, None] * b.conj().swapaxes(-1, -2)           # diag(1/lam) B^H
     schur = schur - b @ scaled
-    solve = w @ scaled
     handed = np.flatnonzero(to_svd.any(axis=0))
     projected = None
     if handed.size:
@@ -172,7 +177,7 @@ def _zf_schur(channels: ChannelSet, M: int, h: np.ndarray | None = None):
         # the K UEs of each subcarrier are the groups
         projected = project_off_others(h[:, handed].swapaxes(0, 1)).swapaxes(0, 1)
         schur[:, handed] = projected @ projected.conj().swapaxes(-1, -2)
-    return schur, solve, handed, projected
+    return schur, w, scaled, handed, projected
 
 
 def _water_fill_streams(top: np.ndarray, M: int, P: float, sigma2: float):
@@ -198,7 +203,7 @@ def ofdm_zf_waterfill(
     (``ofdm_zf_beamformers`` gives them).
     """
     _require_zf_feasible(channels)
-    top = np.linalg.eigvalsh(_zf_schur(channels, M)[0])[..., -1]
+    top = jacobi_eigh(_zf_schur(channels, M)[0])[0][..., -1]
     snr, _, rate = _water_fill_streams(top, M, P, sigma2)
     return snr, rate
 
@@ -214,11 +219,11 @@ def ofdm_zf_beamformers(channels: ChannelSet, M: int, P: float, sigma2: float) -
     _require_zf_feasible(channels)
     K, M_r = channels.K, channels.M_r
     q, h = _span_responses(channels, M)
-    schur, solve, handed, projected = _zf_schur(channels, M, h)
-    lam, vecs = np.linalg.eigh(schur)
+    schur, w, scaled, handed, projected = _zf_schur(channels, M, h)
+    lam, vecs = jacobi_eigh(schur)
     u = vecs[..., -1]                                                # (K, M, M_r)
     others = h[_other_ues(K)].transpose(0, 2, 1, 3, 4).reshape(K, M, (K - 1) * M_r, h.shape[-1])
-    eff = h - solve.conj().swapaxes(-1, -2) @ others
+    eff = h - (w @ scaled).conj().swapaxes(-1, -2) @ others
     if handed.size:
         eff[:, handed] = projected
     uh = (u.conj()[..., None, :] @ eff)[..., 0, :]

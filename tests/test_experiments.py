@@ -176,6 +176,7 @@ class TestParseConfig:
         [
             ("trials", 2.5), ("seed", 1.5), ("trials", True), ("seed", False),
             ("grid", (True,)), ("grid", ("10",)), ("grid", 20.0), ("out", 5),
+            ("grid", (10.0, 10)), ("grid", (0.0, -0.0)),
         ],
     )
     def test_spec_checks_what_a_config_file_would(self, key, value):
@@ -268,13 +269,21 @@ class TestCli:
         )
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "papr"
-        code = main(
-            ["papr_ccdf", "--config", str(cfg_path), "--trials", "4", "--out", str(out)]
-        )
-        assert code == 0
-        header = (tmp_path / "papr_ccdf.csv").read_text().splitlines()[0]
-        assert header == "threshold_db,ccdf_dam,ccdf_ofdm,ccdf_strongest"
+        # a dot in the prefix is part of the name, not a suffix to replace
+        for name in ("papr", "run.v2"):
+            out = tmp_path / name
+            code = main(
+                ["papr_ccdf", "--config", str(cfg_path), "--trials", "4", "--out", str(out)]
+            )
+            assert code == 0
+            header = (tmp_path / f"{name}_ccdf.csv").read_text().splitlines()[0]
+            assert header == "threshold_db,ccdf_dam,ccdf_ofdm,ccdf_strongest"
+            assert (tmp_path / f"{name}.csv").read_text().startswith("sweep_value,")
+            assert json.loads((tmp_path / f"{name}.json").read_text())["kind"] == "papr_ccdf"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "papr.csv", "papr.json", "papr_ccdf.csv",
+            "run.v2.csv", "run.v2.json", "run.v2_ccdf.csv",
+        ]
 
     def test_papr_sidecar_records_channel_seed(self, tmp_path):
         system = dict(M_t=4, M_r=2, K=2, L=2, M=32, delay_span_samples=10,

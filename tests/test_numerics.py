@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from damlink import numerics
 from damlink.numerics import (
+    jacobi_eigh,
     null_space_basis,
     project_off_others,
     rank,
@@ -133,6 +135,101 @@ class TestProjectOffOthers:
         blocks = _random_complex(rng, 4 * 2 * 2, 12).reshape(4, 2, 2, 12)
         blocks[1, 1] = _rank1(rng, 2, 12)
         self._check(blocks)
+
+
+def _hermitian(rng, shape):
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return h + h.conj().swapaxes(-1, -2)
+
+
+def _unitary(rng, shape):
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return q
+
+
+def _stack(kind, lead, n, rng):
+    """A (*lead, n, n) Hermitian stack of one kind."""
+    shape = (*lead, n, n)
+    if kind == "random":
+        return _hermitian(rng, shape)
+    if kind == "rank-deficient":
+        # indefinite, rank n // 2 (zero at n = 1)
+        x = rng.standard_normal((*lead, n, n // 2)) + 1j * rng.standard_normal((*lead, n, n // 2))
+        signs = np.where(np.arange(n // 2) % 2, -1.0, 1.0)
+        return (x * signs) @ x.conj().swapaxes(-1, -2)
+    if kind == "zero":
+        return np.zeros(shape, dtype=complex)
+    if kind == "diagonal":
+        return rng.standard_normal((*lead, n))[..., None] * np.eye(n)
+    if kind == "repeated":
+        u = _unitary(rng, shape)
+        return (u * (np.arange(n) // 2 + 1.0)) @ u.conj().swapaxes(-1, -2)  # 1, 1, 2, 2, ...
+    if kind == "scaled":
+        # each matrix graded over 1e-6 across its rows and scaled by 1e-150..1e150
+        grade = np.logspace(0.0, -6.0, n)
+        scale = 10.0 ** rng.uniform(-150.0, 150.0, lead)[..., None, None]
+        return scale * (grade[:, None] * _hermitian(rng, shape) * grade)
+    raise ValueError(kind)
+
+
+class TestJacobiEigh:
+    KINDS = ["random", "rank-deficient", "zero", "diagonal", "repeated", "scaled"]
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=["single", "3", "2x5"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_lapack(self, n, kind, lead):
+        rng = np.random.default_rng(1000 * n + 10 * self.KINDS.index(kind) + len(lead))
+        a = _stack(kind, lead, n, rng)
+        lam, v = jacobi_eigh(a)
+        assert lam.shape == (*lead, n) and v.shape == (*lead, n, n)
+        assert lam.dtype == float
+        norm = np.linalg.norm(a, axis=(-2, -1))[..., None]
+        assert np.all(np.diff(lam, axis=-1) >= 0.0)
+        assert np.all(np.abs(lam - np.linalg.eigvalsh(a)) <= 1e-13 * norm)
+        residual = np.linalg.norm(a @ v - v * lam[..., None, :], axis=(-2, -1))
+        assert np.all(residual <= 1e-13 * norm[..., 0])
+        gram = v.conj().swapaxes(-1, -2) @ v
+        assert np.all(np.linalg.norm(gram - np.eye(n), axis=(-2, -1)) <= 1e-13)
+
+    def test_reads_the_lower_triangle(self):
+        rng = np.random.default_rng(3)
+        a = _hermitian(rng, (4, 3, 3))
+        upper = np.triu_indices(3, 1)
+        a[:, upper[0], upper[1]] = np.nan
+        lam, v = jacobi_eigh(a)
+        lam_ref, v_ref = np.linalg.eigh(a)
+        assert np.allclose(lam, lam_ref, rtol=0.0, atol=1e-13 * np.abs(lam_ref).max())
+        # the same eigenvectors up to phase (the spectrum is simple)
+        overlap = np.abs(np.sum(v.conj() * v_ref, axis=-2))
+        assert np.allclose(overlap, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_real_input(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        lam, v = jacobi_eigh(a)
+        assert np.allclose(lam, [1.0, 3.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(a @ v, v * lam, rtol=0.0, atol=1e-15)
+
+    def test_empty_stack(self):
+        lam, v = jacobi_eigh(np.zeros((0, 3, 3), dtype=complex))
+        assert lam.shape == (0, 3) and v.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_raises(self, bad):
+        a = _hermitian(np.random.default_rng(4), (5, 3, 3))
+        a[2, 2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigh(a)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        a = _hermitian(np.random.default_rng(5), (8, 4, 4))
+        monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 2)
+        with pytest.raises(np.linalg.LinAlgError, match="2 sweeps"):
+            jacobi_eigh(a)
+        # one rotation is exact at n = 2, so a single sweep converges
+        monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 1)
+        lam, _ = jacobi_eigh(a[:, :2, :2])
+        assert np.allclose(lam, np.linalg.eigvalsh(a[:, :2, :2]), rtol=0.0, atol=1e-14)
 
 
 class TestWaterFill:

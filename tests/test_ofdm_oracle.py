@@ -240,6 +240,41 @@ def test_zf_rate_builds_no_beamformer_on_reference_draws(integer_delays, monkeyp
     assert projected == [] and spans == []
 
 
+@pytest.mark.parametrize("shape", [SHAPES[0], SHAPES[1]], ids=lambda s: "{}x{}-K{}-L{}".format(*s))
+def test_outputs_do_not_depend_on_eigenvector_phases(shape, monkeypatch):
+    # every OFDM SINR and rate reads eigenvalues, and eigenvectors only up to
+    # phase, which is what lets any Hermitian eigensolver serve
+    m_t, m_r, K, L = shape
+    cs = random_delay_channel_set(np.random.default_rng(60), m_r, m_t, K=K, L=L, span=12)
+    sinr = ofdm_eigen_sinrs(cs, M, P, SIGMA2)
+    snr, rate = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    power = ofdm_zf_beamformers(cs, M, P, SIGMA2).power
+    rng, kernel, calls = np.random.default_rng(61), ofdm.jacobi_eigh, []
+
+    def rephased(a):
+        lam, v = kernel(a)
+        calls.append(a.shape)
+        return lam, v * np.exp(2j * np.pi * rng.uniform(size=v.shape[:-2] + (1, v.shape[-1])))
+
+    monkeypatch.setattr(ofdm, "jacobi_eigh", rephased)
+    assert np.allclose(ofdm_eigen_sinrs(cs, M, P, SIGMA2), sinr, rtol=1e-12, atol=0.0)
+    snr2, rate2 = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    assert np.allclose(snr2, snr, rtol=1e-12, atol=0.0)
+    assert rate2 == pytest.approx(rate, rel=1e-12)
+    bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
+    assert np.allclose(bf.power, power, rtol=1e-12, atol=0.0)
+    h = frequency_response(cs, M)
+    for k in range(K):
+        for kp in range(K):
+            if kp != k:
+                leak = np.abs(np.einsum("mr,mrt,mt->m", bf.u[k].conj(), h[k], bf.v[kp]))
+                assert np.all(leak <= 1e-10 * np.linalg.norm(h[k], axis=(1, 2)))
+    # every route went through the rephased kernel: own Grams, then interferer
+    # Grams and Schur complements for the rate and again for the beamformers
+    interferer = (K, M, (K - 1) * m_r, (K - 1) * m_r)
+    assert calls == [(K, M, m_r, m_r), interferer, (K, M, m_r, m_r), interferer, (K, M, m_r, m_r)]
+
+
 @pytest.mark.parametrize(
     "solve",
     [
