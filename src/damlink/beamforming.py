@@ -2,12 +2,12 @@
 
 Both delay designs produce one assembly, ``DamChannels``: the path gains,
 a (2W+1)-lag scalar weight for every (branch, path, stream) triple of every
-UE pair, and a mask of each UE's aligned triples.  Double-side compensation
-on integer delays writes each triple's lag as a 0/1 table; BS-side
-compensation (one branch, stream l aligned through path l) reads the
-raised-cosine correlation tables, so it also covers fractional delays.
-BS-side single-side DAM is the I = L, R = 1 case of double-side DAM.  On
-this assembly run:
+UE pair, and a mask of each UE's aligned triples.  BS-side single-side DAM
+(one branch, stream l aligned through path l) is the I = L, R = 1 case of
+double-side DAM, so both designs run one body on their compensation delays:
+the raised-cosine tables of ``pulse.build_rho_table``, or one unit tap per
+triple when every delay is an integer, where the two agree.  On this
+assembly run:
 
 * eigen-beamforming on each UE's aligned block, with one power split
   (desired / aligned ISI / cross-path ISI / IUI) for both designs;
@@ -29,7 +29,7 @@ import numpy as np
 from .channel import ChannelSet
 from .delay_design import InfeasibleError, solve_compensation_delays, triple_lags
 from .numerics import null_space_basis, path_span, project_off_others
-from .pulse import build_rho_table
+from .pulse import build_rho_table, check_pulse
 
 __all__ = [
     "BeamformerSet",
@@ -93,29 +93,35 @@ class DamChannels:
         return blk.reshape(K, R * m_r, I * m_t)
 
 
-def assemble_effective_channels(channels: ChannelSet, I: int) -> DamChannels:
-    """Double-side assembly, I streams per UE: each triple's integer lag as a 0/1 table.
+def _assemble(channels: ChannelSet, kappa, mu, window: int, T: float, beta: float) -> DamChannels:
+    """The assembly under pre-delays kappa (K, I) and post-delays mu (K, R).
 
-    UE k's delays are ``solve_compensation_delays(n_k, I, L + 1 - I)``, so 1 <= I <= L,
-    and must be integers.  Each triple's table is 1 at its lag q
-    (``delay_design.triple_lags``) and 0 elsewhere, with W = max |q|; UE k's own
-    triples at q = 0 are aligned.
+    UE k's own triples at lag q = 0 (``delay_design.triple_lags``) are
+    aligned.  ``pulse.rho`` is 1 at 0 and exactly 0 at nonzero integers, so on
+    integer delays each triple's table is one unit tap at its lag, W = max |q|;
+    otherwise ``build_rho_table``'s, whose ``window`` must cover every |q|.
     """
+    check_pulse(T, beta)
+    lags = triple_lags(channels.n, channels.n_max, kappa, mu)  # (K, K, R, L, I)
     if channels.tau_f.any():
-        raise ValueError("double-side assembly needs integer delays (tau_f = 0)")
-    plans = [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
-    lags = triple_lags(
-        channels.n, channels.n_max, [plan.kappa for plan in plans], [plan.mu for plan in plans]
-    )  # (K, K, R, L, I)
-    W = int(np.max(np.abs(lags)))
-    tables = np.zeros((lags.size, 2 * W + 1))
-    tables[np.arange(lags.size), lags.ravel() + W] = 1.0
+        tables = build_rho_table(channels, kappa, mu, window, T, beta)
+    else:
+        W = int(np.max(np.abs(lags)))
+        tables = np.zeros((lags.size, 2 * W + 1))
+        tables[np.arange(lags.size), lags.ravel() + W] = 1.0
+        tables = tables.reshape(lags.shape + (2 * W + 1,))
     own = np.arange(channels.K)
-    return DamChannels(
-        gains=channels.gains,
-        tables=tables.reshape(lags.shape + (2 * W + 1,)),
-        aligned_mask=lags[own, own] == 0,
-    )
+    return DamChannels(gains=channels.gains, tables=tables, aligned_mask=lags[own, own] == 0)
+
+
+def assemble_effective_channels(
+    channels: ChannelSet, I: int, window: int, T: float, beta: float
+) -> DamChannels:
+    """Double-side assembly with I streams per UE, under UE k's plan
+    ``solve_compensation_delays(n_k, I, L + 1 - I)``, so 1 <= I <= L; on
+    fractional delays ``window`` must cover |q|, up to twice the delay span."""
+    plans = [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
+    return _assemble(channels, [p.kappa for p in plans], [p.mu for p in plans], window, T, beta)
 
 
 def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
@@ -125,15 +131,14 @@ def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
 
 def bs_side_rho_tables(channels: ChannelSet, window: int, T: float, beta: float) -> np.ndarray:
     """(K, K, 1, L, L, 2W+1) correlation tables under BS-side pre-delays (one branch)."""
-    return build_rho_table(channels, bs_side_kappa(channels), window, T, beta)[:, :, None]
+    mu = np.zeros((channels.K, 1), dtype=int)
+    return build_rho_table(channels, bs_side_kappa(channels), mu, window, T, beta)
 
 
 def assemble_bs_side(channels: ChannelSet, window: int, T: float, beta: float) -> DamChannels:
-    """BS-side assembly: one receive branch, stream l through path l, ``bs_side_rho_tables``."""
-    K, L = channels.K, channels.L
-    mask = np.broadcast_to(np.eye(L, dtype=bool), (K, 1, L, L))
-    tables = bs_side_rho_tables(channels, window, T, beta)
-    return DamChannels(gains=channels.gains, tables=tables, aligned_mask=mask)
+    """BS-side assembly: one receive branch without post-delay, stream l aligning path l."""
+    mu = np.zeros((channels.K, 1), dtype=int)
+    return _assemble(channels, bs_side_kappa(channels), mu, window, T, beta)
 
 
 @dataclass(frozen=True)

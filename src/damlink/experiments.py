@@ -143,7 +143,7 @@ def trial_seed(base_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSequ
 
 def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float:
     """Effective rate of double-side eigen-beamforming with I streams per UE."""
-    F = assemble_effective_channels(channels, I)
+    F = assemble_effective_channels(channels, I, cfg.rho_window, cfg.T, cfg.beta)
     _, sinrs = eigen_beamform_doubleside(F, cfg.p_watts(), cfg.sigma2_watts())
     return dam_effective_rate(sinrs, cfg)
 

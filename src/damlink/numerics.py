@@ -29,9 +29,9 @@ RANK_TOL = 1e-10
 
 # Interferer Grams whose eigenvalues span a wider ratio than this are not
 # inverted; OFDM zero-forcing takes ``project_off_others`` there instead.
-# Gram eigenvalues are accurate only to about eps * lambda_max, too coarse
-# for the rank rule s_i > RANK_TOL * s_0; above the ratio every s_i is kept.
-GRAM_MIN_RATIO = 1e-8
+# Gram eigenvalues are accurate only to about eps * lambda_max, so a Schur
+# complement through G_oo^-1 errs by about eps / ratio (README: measured).
+GRAM_MIN_RATIO = 1e-5
 
 # Cyclic Jacobi converges quadratically, in about 4-7 sweeps up to n = 6 (one
 # sweep, a single exact rotation, at n = 2); a stack still off-diagonal after

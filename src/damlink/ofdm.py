@@ -6,17 +6,17 @@ diagonalization) and water-fills power across all (UE, subcarrier) streams.
 Both read a path's subcarrier weights c from
 ``channel.subcarrier_coefficients``.  Their SINRs need only the M_r x M_r
 cross Grams G_kj[m] = H_km H_jm^H = sum c_kl[m] c_jl'[m]^* H_kl H_jl'^H.
-UE k's block projected off the others' rows O has the Gram
-S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of those cross Grams;
-where G_oo is too ill-conditioned for that, the subcarrier takes
-``numerics.project_off_others`` on the responses sum_l c_kl[m] H_kl Q, where
-Q (``numerics.path_span``) spans all path gains' rows in <= K L M_r columns.
-Every Hermitian eigenproblem here (the own Grams, the interferer Grams
-G_oo and the S_k) is one batched ``numerics.jacobi_eigh`` call over all K M
-blocks; SINRs and rates read eigenvalues, and eigenvectors only up to phase.
-``ofdm_eigen``'s beamformers, which the OFDM waveform needs with LAPACK's
-phases, come from the reduced SVD of the full responses.  Both beamformer
-functions return Q and each transmit vector's coordinates v~ = Q^H v.
+The ZF beamformers take one route: ``numerics.project_off_others`` on the
+responses sum_l c_kl[m] H_kl Q, where Q (``numerics.path_span``) spans all
+path gains' rows in <= K L M_r columns.  The rate's fast path is their
+Gram, S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross
+Grams; a subcarrier whose G_oo is too ill-conditioned for it takes the
+projection.  Every Hermitian eigenproblem here is one batched
+``numerics.jacobi_eigh`` call over all K M blocks; SINRs and rates read
+eigenvalues, and eigenvectors only up to phase.  ``ofdm_eigen``'s
+beamformers, which the OFDM waveform needs with LAPACK's phases, come from
+the reduced SVD of the full responses.  Both beamformer functions return Q
+and each transmit vector's coordinates v~ = Q^H v.
 """
 
 from __future__ import annotations
@@ -130,54 +130,44 @@ def _other_ues(K: int) -> np.ndarray:
     return skip[None, :] + (skip[None, :] >= np.arange(K)[:, None])
 
 
-def _span_responses(channels: ChannelSet, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Q from ``numerics.path_span`` and the (K, M, M_r, r) responses H Q."""
+def _zf_projected(channels: ChannelSet, M: int, subcarriers=slice(None)):
+    """Q and the (K, m, M_r, r) span responses H_km Q on ``subcarriers``, each
+    UE's block taken off the other UEs' rows; H = H Q Q^H, so nothing is lost."""
     K, M_r = channels.K, channels.M_r
     q, coords = path_span(channels.gains)
-    h = subcarrier_coefficients(channels, M) @ coords.reshape(K, channels.L, -1)
-    return q, h.reshape(K, M, M_r, -1)
+    c = subcarrier_coefficients(channels, M)[:, subcarriers]
+    h = (c @ coords.reshape(K, channels.L, -1)).reshape(K, -1, M_r, q.shape[1])
+    # the K UEs of each subcarrier are the groups
+    return q, project_off_others(h.swapaxes(0, 1)).swapaxes(0, 1)
 
 
-def _zf_schur(channels: ChannelSet, M: int, h: np.ndarray | None = None):
-    """Gram of each UE's block projected off the other UEs' rows, per subcarrier.
+def _zf_schur(channels: ChannelSet, M: int) -> np.ndarray:
+    """(K, M, M_r, M_r) Gram of each UE's block projected off the other UEs' rows.
 
-    Returns (schur, w, scaled, handed, projected).  With O the other UEs'
-    rows and G_oo = W diag(lam) W^H from one batched ``numerics.jacobi_eigh``
-    (``w``, (K, M, (K-1) M_r, (K-1) M_r)), B = G_ko W and ``scaled`` =
-    diag(1/lam) B^H give the Schur complement S_k = G_kk - B scaled
-    (``schur``, (K, M, M_r, M_r)); only the beamformers need
-    G_oo^-1 G_ok = W scaled, the map that projects block k to
-    H_k - (W scaled)^H O.  Gram eigenvalues are accurate only to about
-    eps * lam_max, so on every subcarrier where some UE's lam span more than
-    GRAM_MIN_RATIO (indices ``handed``) all K blocks come from
-    ``numerics.project_off_others`` on the span responses ``h`` instead,
-    built here if not given; ``projected`` holds those (K, len(handed), M_r,
-    r) blocks, and ``schur`` their Grams.
+    With G_oo = W diag(lam) W^H from one batched ``numerics.jacobi_eigh`` and
+    B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H.
+    Gram eigenvalues are accurate only to about eps * lam_max, so every
+    subcarrier where some UE's lam span more than GRAM_MIN_RATIO takes the
+    ``_zf_projected`` blocks' Grams instead.
     """
     K, M_r = channels.K, channels.M_r
     grams = _cross_grams(channels, M)
     own, idx = np.arange(K), _other_ues(K)
     schur = grams[own, own]                                          # (K, M, M_r, M_r)
     if K == 1:
-        w, scaled = np.zeros((1, M, 0, 0), dtype=complex), np.zeros((1, M, 0, M_r), dtype=complex)
-        return schur, w, scaled, np.arange(0), None
+        return schur
     g_ko = grams[own[:, None], idx].transpose(0, 2, 3, 1, 4).reshape(K, M, M_r, -1)
     g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
     lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))     # ascending
     to_svd = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]            # (K, M)
     b = g_ko @ w
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd[..., None])
-    scaled = inv[..., :, None] * b.conj().swapaxes(-1, -2)           # diag(1/lam) B^H
-    schur = schur - b @ scaled
+    schur = schur - b @ (inv[..., :, None] * b.conj().swapaxes(-1, -2))
     handed = np.flatnonzero(to_svd.any(axis=0))
-    projected = None
     if handed.size:
-        if h is None:
-            h = _span_responses(channels, M)[1]
-        # the K UEs of each subcarrier are the groups
-        projected = project_off_others(h[:, handed].swapaxes(0, 1)).swapaxes(0, 1)
+        projected = _zf_projected(channels, M, handed)[1]
         schur[:, handed] = projected @ projected.conj().swapaxes(-1, -2)
-    return schur, w, scaled, handed, projected
+    return schur
 
 
 def _water_fill_streams(top: np.ndarray, M: int, P: float, sigma2: float):
@@ -196,14 +186,13 @@ def ofdm_zf_waterfill(
 
     Feasible when M_t >= (K-1) M_r + 1.  UE k's gain on subcarrier m is the
     top eigenvalue of its projected Gram S_k (the Schur complement of the
-    cross Grams, or the ``numerics.project_off_others`` route past
-    GRAM_MIN_RATIO) over sigma2 / M, and water-filling spreads M P over all
-    K M streams.  Returns the (K, M) SNRs and the subcarrier-averaged sum
-    rate in bits/s/Hz (before overhead discounts); no beamformer is built
-    (``ofdm_zf_beamformers`` gives them).
+    cross Grams, or the projection past GRAM_MIN_RATIO) over sigma2 / M, and
+    water-filling spreads M P over all K M streams.  Returns the (K, M) SNRs
+    and the subcarrier-averaged sum rate in bits/s/Hz (before overhead
+    discounts); no beamformer is built (``ofdm_zf_beamformers`` gives them).
     """
     _require_zf_feasible(channels)
-    top = jacobi_eigh(_zf_schur(channels, M)[0])[0][..., -1]
+    top = jacobi_eigh(_zf_schur(channels, M))[0][..., -1]
     snr, _, rate = _water_fill_streams(top, M, P, sigma2)
     return snr, rate
 
@@ -211,22 +200,16 @@ def ofdm_zf_waterfill(
 def ofdm_zf_beamformers(channels: ChannelSet, M: int, P: float, sigma2: float) -> OfdmBeamformerSet:
     """The beamformers and powers behind ``ofdm_zf_waterfill``'s rate.
 
-    u is the top eigenvector of S_k, and the transmit direction is the
-    projected block's conjugated top right singular vector,
-    v~ proportional to (H_k Q - G_ko G_oo^-1 O Q)^H u in the coordinates of
-    Q = ``numerics.path_span``; since H = H Q Q^H, v = Q v~ is exact.
+    From each UE's block projected off the other UEs' rows
+    (``_zf_projected``, in the coordinates of Q = ``numerics.path_span``),
+    u is the top eigenvector of its Gram and, with X_k that projected block,
+    the transmit direction v~ is proportional to X_k^H u; v = Q v~.
     """
     _require_zf_feasible(channels)
-    K, M_r = channels.K, channels.M_r
-    q, h = _span_responses(channels, M)
-    schur, w, scaled, handed, projected = _zf_schur(channels, M, h)
-    lam, vecs = jacobi_eigh(schur)
+    q, projected = _zf_projected(channels, M)
+    lam, vecs = jacobi_eigh(projected @ projected.conj().swapaxes(-1, -2))
     u = vecs[..., -1]                                                # (K, M, M_r)
-    others = h[_other_ues(K)].transpose(0, 2, 1, 3, 4).reshape(K, M, (K - 1) * M_r, h.shape[-1])
-    eff = h - (w @ scaled).conj().swapaxes(-1, -2) @ others
-    if handed.size:
-        eff[:, handed] = projected
-    uh = (u.conj()[..., None, :] @ eff)[..., 0, :]
+    uh = (u.conj()[..., None, :] @ projected)[..., 0, :]
     norm = np.linalg.norm(uh, axis=-1)
     # a block projected to zero gets a zero direction
     v_dir = uh.conj() / np.maximum(norm, np.finfo(float).tiny)[..., None]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .delay_design import triple_lags
 
-__all__ = ["rho", "rrc", "rrc_taps", "build_rho_table"]
+__all__ = ["rho", "rrc", "rrc_taps", "check_pulse", "build_rho_table"]
 
 
 def _check_beta(beta: float) -> None:
@@ -88,25 +88,31 @@ def rrc_taps(beta: float, oversample: int, span_symbols: int) -> np.ndarray:
     return rrc(n / oversample, beta)
 
 
-def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.ndarray:
-    """Raised-cosine couplings between every UE's paths and every UE's delayed streams.
-
-    Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples; UE k samples
-    at its own alignment target, its latest integer path delay n_k,max.
-    Entry (k, k', l, i, n) of the (K, K, L, I, 2W+1) table is
-    rho(n - W - q - tau_f,kl / T) with q the integer lag of the triple
-    (``delay_design.triple_lags``, no post-delay): the matched-filter
-    coupling from stream i of UE k' into path l of UE k at sample lag n - W.
-    At the default window of 200 samples the tail energy left outside is
-    below 1e-6 of any column.
-    """
+def check_pulse(T: float, beta: float) -> None:
+    """Raise unless the sample interval T is positive and beta lies in [0, 1)."""
     if T <= 0.0:
         raise ValueError("T must be positive")
-    kappa = np.asarray(kappa, dtype=int)
-    if kappa.ndim != 2 or kappa.shape[0] != channels.K:
-        raise ValueError("one row of pre-compensation delays per UE")
-    mu = np.zeros((channels.K, 1), dtype=int)  # no post-delay
-    offsets = -triple_lags(channels.n, channels.n_max, kappa, mu)[:, :, 0]  # (K, K, L, I)
+    _check_beta(beta)
+
+
+def build_rho_table(channels, kappa, mu, window: int, T: float, beta: float) -> np.ndarray:
+    """Raised-cosine couplings between every UE's paths and every UE's delayed streams.
+
+    Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples and branch r
+    of UE k post-delays what it hears by ``mu[k, r]`` samples; UE k samples at
+    its own alignment target, its latest integer path delay n_k,max.  Entry
+    (k, k', r, l, i, n) of the (K, K, R, L, I, 2W+1) table is
+    rho(n - W - q - tau_f,kl / T) with q the integer lag of the triple
+    (``delay_design.triple_lags``): the matched-filter coupling from stream i
+    of UE k' into path l of UE k on branch r at sample lag n - W.  At the
+    default window of 200 samples the tail energy left outside is below 1e-6
+    of any column.
+    """
+    check_pulse(T, beta)
+    kappa, mu = np.asarray(kappa, dtype=int), np.asarray(mu, dtype=int)
+    if kappa.ndim != 2 or kappa.shape[0] != channels.K or mu.ndim != 2 or mu.shape[0] != channels.K:
+        raise ValueError("one row of pre- and of post-compensation delays per UE")
+    offsets = -triple_lags(channels.n, channels.n_max, kappa, mu)  # (K, K, R, L, I)
     max_offset = int(np.max(np.abs(offsets)))
     if max_offset > window:
         raise ValueError(
@@ -114,5 +120,5 @@ def build_rho_table(channels, kappa, window: int, T: float, beta: float) -> np.n
         )
     lags = np.arange(-window, window + 1)
     # computed in symbol units so integer offsets stay exactly integer
-    x = (lags + offsets[..., None]) - (channels.tau_f[:, None, :, None, None] / T)
+    x = (lags + offsets[..., None]) - (channels.tau_f[:, None, None, :, None, None] / T)
     return rho(x, beta)

@@ -185,7 +185,8 @@ def oracle_isi_zf(channels, P, sigma2, T, beta, window, w_start=None, tol=1e-6, 
         for k in range(K)
     ]
     kappa = channels.n[:, -1:] - channels.n  # BS-side pre-delays
-    tables = build_rho_table(channels, kappa, window, T, beta)
+    mu = np.zeros((K, 1), dtype=int)  # one branch
+    tables = build_rho_table(channels, kappa, mu, window, T, beta)[:, :, 0]
     h_tilde = _projected_channels(channels, bases, tables)
     if w_start is None:
         b_list = [np.sqrt(P / K / h.shape[2]) * np.ones(h.shape[2], dtype=complex) for h in h_tilde]

@@ -34,6 +34,7 @@ from oracles import oracle_isi_zf
 T = 5e-9
 BETA = 0.25
 SIGMA2 = 1e-3
+WINDOW = 64  # covers every lag |q| <= 2 * 30 of the default random delays
 
 
 def _plans(channels, I):
@@ -89,7 +90,7 @@ class TestAssembleEffectiveChannels:
     def test_single_path_single_ue(self):
         rng = np.random.default_rng(0)
         cs = make_channel_set(rng, 2, 4, [[5]])
-        F = assemble_effective_channels(cs, 1)
+        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
         assert set(np.unique(_table_lags(F)[0, 0])) == {0}
         assert np.all(F.aligned_mask)
         assert np.array_equal(F.aligned_blocks()[0], cs.gains[0, 0])
@@ -97,7 +98,7 @@ class TestAssembleEffectiveChannels:
     def test_reference_plan_has_five_zero_lag_placements(self):
         rng = np.random.default_rng(1)
         cs = make_channel_set(rng, 2, 3, [[1, 3, 4, 5]])
-        F = assemble_effective_channels(cs, 2)  # plan (I, R) = (2, 3)
+        F = assemble_effective_channels(cs, 2, WINDOW, T, BETA)  # plan (I, R) = (2, 3)
         block0 = F.aligned_blocks()[0]
         assert _count_placements(block0, 2, 3) == 5
         assert np.count_nonzero(F.aligned_mask[0]) == 5
@@ -106,7 +107,7 @@ class TestAssembleEffectiveChannels:
         rng = np.random.default_rng(2)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=4, fractional=False)
         plans = _plans(cs, 2)
-        F = assemble_effective_channels(cs, 2)
+        F = assemble_effective_channels(cs, 2, WINDOW, T, BETA)
         lags = _table_lags(F)
         assert lags.shape == (cs.K, cs.K, 3, cs.L, 2)
         assert F.window == np.max(np.abs(lags))
@@ -129,7 +130,7 @@ class TestAssembleEffectiveChannels:
                     K = int(rng.integers(2, 4))
                     cs = random_delay_channel_set(rng, 1, 2, K=K, L=L, fractional=False)
                     plans = _plans(cs, I)
-                    F = assemble_effective_channels(cs, I)
+                    F = assemble_effective_channels(cs, I, WINDOW, T, BETA)
                     for k in range(K):
                         desired = enumerate_alignment_sets(plans[k], cs.n[k]).desired
                         r, l, i = np.nonzero(F.aligned_mask[k])
@@ -140,7 +141,7 @@ class TestAssembleEffectiveChannels:
     def test_self_pair_min_lag(self):
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
-        lags = _table_lags(assemble_effective_channels(cs, 2))
+        lags = _table_lags(assemble_effective_channels(cs, 2, WINDOW, T, BETA))
         for k in range(cs.K):
             assert lags[k, k].min() == cs.n[k, 0] - cs.n_max[k]
 
@@ -150,24 +151,48 @@ class TestAssembleEffectiveChannels:
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
         with pytest.raises(ValueError, match="need I \\+ R - 1 = L"):
-            assemble_effective_channels(cs, I)
+            assemble_effective_channels(cs, I, WINDOW, T, BETA)
 
-    def test_fractional_delays_are_rejected(self):
+    def test_fractional_delays_take_the_rho_tables(self):
         # the reference config's fractional draw has |tau_f| up to 0.44 T
-        cs = generate_channel_set(SimConfig(), 5)
+        cfg = SimConfig()
+        cs = generate_channel_set(cfg, 5)
         assert np.any(cs.tau_f != 0.0)
-        with pytest.raises(ValueError, match="integer delays"):
-            assemble_effective_channels(cs, 2)
-        integer = assemble_effective_channels(dataclasses.replace(cs, tau_f=0.0 * cs.tau_f), 2)
-        _, sinrs = eigen_beamform_doubleside(integer, 1.0, SIGMA2)
-        assert np.all(np.isfinite(sinrs)) and np.all(sinrs > 0.0)
+        plans = _plans(cs, 2)
+        kappa, mu = [plan.kappa for plan in plans], [plan.mu for plan in plans]
+        F = assemble_effective_channels(cs, 2, cfg.rho_window, cfg.T, cfg.beta)
+        table = build_rho_table(cs, kappa, mu, cfg.rho_window, cfg.T, cfg.beta)
+        assert np.array_equal(F.tables, table)
+        integer = dataclasses.replace(cs, tau_f=0.0 * cs.tau_f)
+        for G in (F, assemble_effective_channels(integer, 2, cfg.rho_window, cfg.T, cfg.beta)):
+            _, sinrs = eigen_beamform_doubleside(G, 1.0, SIGMA2)
+            assert np.all(np.isfinite(sinrs)) and np.all(sinrs > 0.0)
+
+    @pytest.mark.parametrize("design", [1, 2, 3, "bs-side"])
+    def test_unit_taps_are_the_rho_tables(self, design):
+        # on integer delays the unit-tap tables are build_rho_table's on their
+        # 2W+1 lags, and build_rho_table holds exact zeros on every other lag
+        rng = np.random.default_rng(43)
+        cs = random_delay_channel_set(rng, 2, 4, K=3, L=3, fractional=False)
+        if design == "bs-side":
+            kappa, mu = bs_side_kappa(cs), np.zeros((cs.K, 1), dtype=int)
+            F = assemble_bs_side(cs, WINDOW, T, BETA)
+        else:
+            plans = _plans(cs, design)
+            kappa, mu = [plan.kappa for plan in plans], [plan.mu for plan in plans]
+            F = assemble_effective_channels(cs, design, WINDOW, T, BETA)
+        table = build_rho_table(cs, kappa, mu, WINDOW, T, BETA)
+        W = F.window
+        assert W < WINDOW
+        assert np.array_equal(F.tables, table[..., WINDOW - W : WINDOW + W + 1])
+        assert not np.any(table[..., : WINDOW - W]) and not np.any(table[..., WINDOW + W + 1 :])
 
 
 class TestEigenBeamformDoubleside:
     def test_interference_free_closed_form(self):
         rng = np.random.default_rng(4)
         cs = make_channel_set(rng, 2, 4, [[3]])
-        F = assemble_effective_channels(cs, 1)
+        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
         P = 2.0
         bf, sinrs = eigen_beamform_doubleside(F, P, SIGMA2)
         smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
@@ -176,7 +201,7 @@ class TestEigenBeamformDoubleside:
     def test_zero_channel_gives_zero_sinr(self):
         rng = np.random.default_rng(5)
         cs = make_channel_set(rng, 2, 4, [[3]], scale=0.0)
-        F = assemble_effective_channels(cs, 1)
+        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
         _, sinrs = eigen_beamform_doubleside(F, 1.0, SIGMA2)
         assert sinrs[0] == 0.0
 
@@ -186,7 +211,7 @@ class TestEigenBeamformDoubleside:
             cs = random_delay_channel_set(rng, 2, 5, K=2, L=3, fractional=False)
             I = int(rng.integers(1, cs.L + 1))
             plans = _plans(cs, I)
-            F = assemble_effective_channels(cs, I)
+            F = assemble_effective_channels(cs, I, WINDOW, T, BETA)
             bf, sinrs = eigen_beamform_doubleside(F, 1.5, SIGMA2)
             for k in range(cs.K):
                 oracle = _literal_doubleside_sinr(cs, plans, bf.f_bar, bf.w_bar, SIGMA2, k)
@@ -195,7 +220,7 @@ class TestEigenBeamformDoubleside:
     def test_power_budget_binds(self):
         rng = np.random.default_rng(7)
         cs = random_delay_channel_set(rng, 2, 4, K=3, L=2, fractional=False)
-        F = assemble_effective_channels(cs, 1)
+        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
         bf, _ = eigen_beamform_doubleside(F, 3.0, SIGMA2)
         assert np.linalg.norm(bf.f_bar) ** 2 == pytest.approx(3.0, rel=1e-9)
         for w in bf.w_bar:
@@ -206,8 +231,8 @@ class TestEigenBeamformDoubleside:
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
         c = 3.7
         scaled = dataclasses.replace(cs, gains=c * cs.gains)
-        t1 = assemble_effective_channels(cs, 2)
-        t2 = assemble_effective_channels(scaled, 2)
+        t1 = assemble_effective_channels(cs, 2, WINDOW, T, BETA)
+        t2 = assemble_effective_channels(scaled, 2, WINDOW, T, BETA)
         _, s1 = eigen_beamform_doubleside(t1, 1.0, SIGMA2)
         _, s2 = eigen_beamform_doubleside(t2, 1.0, SIGMA2 * c**2)
         assert np.allclose(s1, s2, rtol=1e-12)
@@ -402,7 +427,8 @@ def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
 
 def _center_channels(cs, window=40):
     """Per-UE zero-lag projected channels [H_kl basis_kl rho_ll[0]]_l, (M_r, D)."""
-    tab = build_rho_table(cs, bs_side_kappa(cs), window, T, BETA)
+    mu = np.zeros((cs.K, 1), dtype=int)
+    tab = build_rho_table(cs, bs_side_kappa(cs), mu, window, T, BETA)[:, :, 0]
     return [
         np.concatenate(
             [cs.gains[k, l] @ null_space_projection(cs.gains, k, l) * tab[k, k, l, l, window]
@@ -505,7 +531,7 @@ class TestIsiZfAlternating:
         state, sinrs = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
         w, f = state.w[0], state.f[0]
         m_t = cs.M_t
-        tab = build_rho_table(cs, bs_side_kappa(cs), 40, T, BETA)[0, 0]
+        tab = build_rho_table(cs, bs_side_kappa(cs), np.zeros((1, 1), dtype=int), 40, T, BETA)[0, 0, 0]
         coup = sum(
             tab[l, l] * (w.conj() @ cs.gains[0, l] @ f[l * m_t : (l + 1) * m_t])
             for l in range(cs.L)

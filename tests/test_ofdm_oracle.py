@@ -178,16 +178,27 @@ def _svd_subcarriers(cs):
 
 def _handover_cases():
     everywhere, odd = np.arange(M), np.arange(1, M, 2)
-    return [
-        # squared singular ratio 1e-6 > GRAM_MIN_RATIO: the Schur complement
-        pytest.param(_weak_direction_channel_set(np.random.default_rng(33), 1e-3), [], id="ratio-1e-3"),
+    cases = []
+    for seed in range(33, 43):
+        tag = "" if seed == 33 else f"-seed{seed}"
+        cases += [
+            # squared singular ratio 1e-4 > GRAM_MIN_RATIO: the Schur complement
+            pytest.param(
+                _weak_direction_channel_set(np.random.default_rng(seed), 1e-2), [], id=f"ratio-1e-2{tag}"
+            ),
+            # 1e-6 < GRAM_MIN_RATIO: the projection
+            pytest.param(
+                _weak_direction_channel_set(np.random.default_rng(seed), 1e-3), everywhere, id=f"ratio-1e-3{tag}"
+            ),
+        ]
+    return cases + [
         pytest.param(_weak_direction_channel_set(np.random.default_rng(33), 5e-6), everywhere, id="ratio-5e-6"),
         pytest.param(
             random_delay_channel_set(np.random.default_rng(31), 2, 16, K=2, L=1, span=12),
             everywhere,
             id="rank-deficient",
         ),
-        pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-3), odd, id="mixed-1e-3"),
+        pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-2), odd, id="mixed-1e-2"),
     ]
 
 
@@ -270,9 +281,9 @@ def test_outputs_do_not_depend_on_eigenvector_phases(shape, monkeypatch):
                 leak = np.abs(np.einsum("mr,mrt,mt->m", bf.u[k].conj(), h[k], bf.v[kp]))
                 assert np.all(leak <= 1e-10 * np.linalg.norm(h[k], axis=(1, 2)))
     # every route went through the rephased kernel: own Grams, then interferer
-    # Grams and Schur complements for the rate and again for the beamformers
+    # Grams and Schur complements for the rate, then the beamformers' projected Grams
     interferer = (K, M, (K - 1) * m_r, (K - 1) * m_r)
-    assert calls == [(K, M, m_r, m_r), interferer, (K, M, m_r, m_r), interferer, (K, M, m_r, m_r)]
+    assert calls == [(K, M, m_r, m_r), interferer, (K, M, m_r, m_r), (K, M, m_r, m_r)]
 
 
 @pytest.mark.parametrize(

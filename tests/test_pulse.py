@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from damlink.beamforming import assemble_bs_side, assemble_effective_channels
 from damlink.channel import ChannelSet, SimConfig, generate_channel_set
 from damlink.pulse import build_rho_table, rho, rrc, rrc_taps
 
@@ -100,10 +101,43 @@ def _bs_side_kappa(cs):
     return cs.n_max[:, None] - cs.n
 
 
+def _bs_side_table(cs, kappa, W, T, beta):
+    """``build_rho_table`` on one branch without post-delay, (K, K, L, I, 2W+1)."""
+    return build_rho_table(cs, kappa, np.zeros((cs.K, 1), dtype=int), W, T, beta)[:, :, 0]
+
+
+def _pulse_check_cases(bad_values, table_delays):
+    """(bad value, integer delays, builder(cs, T, beta)) for ``build_rho_table`` on
+    ``table_delays`` and for both assemblies on integer and fractional delays.
+
+    The ``build_rho_table`` cases keep the ids they had before the assemblies
+    joined them.
+    """
+    def table(cs, T, beta):
+        return _bs_side_table(cs, _bs_side_kappa(cs), 40, T, beta)
+
+    assemblies = {
+        "assemble_bs_side": lambda cs, T, beta: assemble_bs_side(cs, 40, T, beta),
+        "assemble_effective_channels": (
+            lambda cs, T, beta: assemble_effective_channels(cs, 2, 40, T, beta)
+        ),
+    }
+    cases = []
+    for bad in bad_values:
+        for integer in table_delays:
+            case_id = f"{bad}-{integer}" if len(table_delays) > 1 else f"{bad}"
+            cases.append(pytest.param(bad, integer, table, id=case_id))
+    for name, build in assemblies.items():
+        for bad in bad_values:
+            for integer in (False, True):
+                cases.append(pytest.param(bad, integer, build, id=f"{bad}-{integer}-{name}"))
+    return cases
+
+
 class TestBuildRhoTable:
     def test_aligned_columns_are_delta(self):
         cfg, cs = _two_ue_channels(0, integer_delays=True)
-        table = build_rho_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)
+        table = _bs_side_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)
         assert table.shape == (2, 2, 3, 3, 81)
         delta = np.zeros(81)
         delta[40] = 1.0
@@ -114,7 +148,7 @@ class TestBuildRhoTable:
 
     def test_off_diagonal_zero_for_integer_delays(self):
         cfg, cs = _two_ue_channels(1, integer_delays=True)
-        table = build_rho_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)[0, 0]
+        table = _bs_side_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)[0, 0]
         n = cs.n[0]
         for l in range(cs.L):
             for i in range(cs.L):
@@ -131,7 +165,7 @@ class TestBuildRhoTable:
         cfg, cs = _two_ue_channels(4)
         kappa = _bs_side_kappa(cs)
         W = 40
-        table = build_rho_table(cs, kappa, W, cfg.T, cfg.beta)
+        table = _bs_side_table(cs, kappa, W, cfg.T, cfg.beta)
         for k in range(cs.K):
             for kp in range(cs.K):
                 for l in range(cs.L):
@@ -146,8 +180,8 @@ class TestBuildRhoTable:
         cfg, cs = _two_ue_channels(5)
         flipped = dataclasses.replace(cs, tau_f=-cs.tau_f)
         kappa = _bs_side_kappa(cs)
-        t_plus = build_rho_table(cs, kappa, 40, cfg.T, cfg.beta)
-        t_minus = build_rho_table(flipped, kappa, 40, cfg.T, cfg.beta)
+        t_plus = _bs_side_table(cs, kappa, 40, cfg.T, cfg.beta)
+        t_minus = _bs_side_table(flipped, kappa, 40, cfg.T, cfg.beta)
         for k in range(cs.K):
             for l in range(cs.L):
                 assert np.allclose(t_minus[k, k, l, l], t_plus[k, k, l, l][::-1], atol=1e-12)
@@ -165,7 +199,7 @@ class TestBuildRhoTable:
         cs = ChannelSet(gains=np.ones((1, 3, 1, 1), dtype=complex), n=n, tau_f=frac)
         kappa = _bs_side_kappa(cs)
         W = 40
-        table = build_rho_table(cs, kappa, W, T_s, beta)[0, 0]
+        table = _bs_side_table(cs, kappa, W, T_s, beta)[0, 0]
 
         span = 80
         t = np.arange(-span * os, span * os + 1) * dt
@@ -184,29 +218,28 @@ class TestBuildRhoTable:
                     np.sum(oracle**2), abs=1e-4 * max(np.sum(col**2), 1e-3)
                 )
 
-    @pytest.mark.parametrize("integer_delays", [False, True])
-    @pytest.mark.parametrize("T_bad", [0.0, -5e-9])
-    def test_nonpositive_T_raises(self, integer_delays, T_bad):
+    @pytest.mark.parametrize("T_bad,integer_delays,build", _pulse_check_cases((0.0, -5e-9), (False, True)))
+    def test_nonpositive_T_raises(self, T_bad, integer_delays, build):
         cfg, cs = _two_ue_channels(1, integer_delays=integer_delays)
         with pytest.raises(ValueError, match="T must be positive"):
-            build_rho_table(cs, _bs_side_kappa(cs), 40, T_bad, cfg.beta)
+            build(cs, T_bad, cfg.beta)
 
-    @pytest.mark.parametrize("beta", [-0.1, 1.0])
-    def test_beta_out_of_range_raises(self, beta):
-        cfg, cs = _two_ue_channels(1)
+    @pytest.mark.parametrize("beta,integer_delays,build", _pulse_check_cases((-0.1, 1.0), (False,)))
+    def test_beta_out_of_range_raises(self, beta, integer_delays, build):
+        cfg, cs = _two_ue_channels(1, integer_delays=integer_delays)
         with pytest.raises(ValueError, match="beta"):
-            build_rho_table(cs, _bs_side_kappa(cs), 40, cfg.T, beta)
+            build(cs, cfg.T, beta)
 
     def test_window_too_small_raises(self):
         cfg, cs = _two_ue_channels(2, L=3)
         span = int(np.max(cs.n_max - cs.n[:, 0]))
         if span > 1:
             with pytest.raises(ValueError):
-                build_rho_table(cs, _bs_side_kappa(cs), span - 1, cfg.T, cfg.beta)
+                _bs_side_table(cs, _bs_side_kappa(cs), span - 1, cfg.T, cfg.beta)
 
     def test_tail_energy_outside_default_window(self):
         cfg, cs = _two_ue_channels(3)
-        wide = build_rho_table(cs, _bs_side_kappa(cs), 600, cfg.T, cfg.beta)
+        wide = _bs_side_table(cs, _bs_side_kappa(cs), 600, cfg.T, cfg.beta)
         full = np.sum(wide**2, axis=-1)
         inner = np.sum(wide[..., 600 - 200 : 600 + 201] ** 2, axis=-1)
         tails = (full - inner) / np.maximum(full, 1e-300)

@@ -12,7 +12,7 @@ from damlink.beamforming import (
     isi_zf_alternating,
     power_terms,
 )
-from damlink.delay_design import solve_compensation_delays
+from damlink.delay_design import solve_compensation_delays, triple_lags
 from oracles import bs_side_delays, oracle_power_terms
 
 T = 5e-9
@@ -58,21 +58,30 @@ def test_power_terms_match_convolution_oracle(m_t, m_r, delays):
 
 
 @pytest.mark.parametrize(
-    "m_r,m_t,delays,I",
+    "m_r,m_t,delays,I,fractional",
     [
-        (3, 6, [[1, 4, 9], [2, 5, 12]], 1),          # R = 3 receive branches
-        (2, 6, [[0, 3, 7], [1, 6, 10]], 2),          # I = R = 2
-        (2, 8, [[2, 5, 6, 11], [0, 4, 7, 9]], 3),    # L = 4, I = 3, R = 2
+        pytest.param(3, 6, [[1, 4, 9], [2, 5, 12]], 1, False, id="3-6-delays0-1"),  # R = 3
+        pytest.param(2, 6, [[0, 3, 7], [1, 6, 10]], 2, False, id="2-6-delays1-2"),  # I = R = 2
+        pytest.param(  # L = 4, I = 3, R = 2
+            2, 8, [[2, 5, 6, 11], [0, 4, 7, 9]], 3, False, id="2-8-delays2-3"
+        ),
+        pytest.param(3, 6, [[1, 4, 9], [2, 5, 12]], 1, True, id="frac-R3"),
+        pytest.param(2, 6, [[0, 3, 7], [1, 6, 10]], 2, True, id="frac-R2"),
     ],
 )
-def test_doubleside_power_terms_match_convolution_oracle(m_r, m_t, delays, I):
+def test_doubleside_power_terms_match_convolution_oracle(m_r, m_t, delays, I, fractional):
     rng = np.random.default_rng(m_t * 10 + m_r + I)
-    cs = make_channel_set(rng, m_r, m_t, delays, T=T)
+    if fractional:
+        cs = _grid_fraction_channels(rng, m_r, m_t, delays)
+    else:
+        cs = make_channel_set(rng, m_r, m_t, delays, T=T)
     plans = [solve_compensation_delays(n, I, cs.L + 1 - I) for n in cs.n]
-    F = assemble_effective_channels(cs, I)
     kappa = np.array([plan.kappa for plan in plans])
     mu = np.array([plan.mu for plan in plans])
-    window = F.window + 8
+    # integer delays take one unit tap per triple at W = max |q|; the oracle
+    # and fractional delays see 8 lags more on each side
+    window = int(np.max(np.abs(triple_lags(cs.n, cs.n_max, kappa, mu)))) + 8
+    F = assemble_effective_channels(cs, I, window, T, BETA)
     sigma2 = 1e-3
     # random beamformers use every branch; eigen-beamforming leaves a branch
     # without aligned triples silent
