@@ -5,8 +5,8 @@ a (2W+1)-lag scalar weight for every (branch, path, stream) triple of every
 UE pair, and a mask of each UE's aligned triples.  BS-side single-side DAM
 (one branch, stream l aligned through path l) is the I = L, R = 1 case of
 double-side DAM, so both designs run one body on their compensation delays:
-the raised-cosine tables of ``pulse.build_rho_table``, or one unit tap per
-triple when every delay is an integer, where the two agree.  On this
+it derives every triple's integer lag once and hands the lags, with the
+fractional delays in samples, to ``pulse.build_rho_table``.  On this
 assembly run:
 
 * eigen-beamforming on each UE's aligned block, with one power split
@@ -29,7 +29,7 @@ import numpy as np
 from .channel import ChannelSet
 from .delay_design import InfeasibleError, solve_compensation_delays, triple_lags
 from .numerics import null_space_basis, path_span, project_off_others
-from .pulse import build_rho_table, check_pulse
+from .pulse import build_rho_table
 
 __all__ = [
     "BeamformerSet",
@@ -93,35 +93,26 @@ class DamChannels:
         return blk.reshape(K, R * m_r, I * m_t)
 
 
-def _assemble(channels: ChannelSet, kappa, mu, window: int, T: float, beta: float) -> DamChannels:
+def _assemble(channels: ChannelSet, kappa, mu, window: int, beta: float) -> DamChannels:
     """The assembly under pre-delays kappa (K, I) and post-delays mu (K, R).
 
     UE k's own triples at lag q = 0 (``delay_design.triple_lags``) are
-    aligned.  ``pulse.rho`` is 1 at 0 and exactly 0 at nonzero integers, so on
-    integer delays each triple's table is one unit tap at its lag, W = max |q|;
-    otherwise ``build_rho_table``'s, whose ``window`` must cover every |q|.
+    aligned, and ``pulse.build_rho_table`` weighs every triple at its lag.
     """
-    check_pulse(T, beta)
     lags = triple_lags(channels.n, channels.n_max, kappa, mu)  # (K, K, R, L, I)
-    if channels.tau_f.any():
-        tables = build_rho_table(channels, kappa, mu, window, T, beta)
-    else:
-        W = int(np.max(np.abs(lags)))
-        tables = np.zeros((lags.size, 2 * W + 1))
-        tables[np.arange(lags.size), lags.ravel() + W] = 1.0
-        tables = tables.reshape(lags.shape + (2 * W + 1,))
+    tables = build_rho_table(lags, channels.frac, window, beta)
     own = np.arange(channels.K)
     return DamChannels(gains=channels.gains, tables=tables, aligned_mask=lags[own, own] == 0)
 
 
 def assemble_effective_channels(
-    channels: ChannelSet, I: int, window: int, T: float, beta: float
+    channels: ChannelSet, I: int, window: int, beta: float
 ) -> DamChannels:
     """Double-side assembly with I streams per UE, under UE k's plan
     ``solve_compensation_delays(n_k, I, L + 1 - I)``, so 1 <= I <= L; on
     fractional delays ``window`` must cover |q|, up to twice the delay span."""
     plans = [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
-    return _assemble(channels, [p.kappa for p in plans], [p.mu for p in plans], window, T, beta)
+    return _assemble(channels, [p.kappa for p in plans], [p.mu for p in plans], window, beta)
 
 
 def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
@@ -129,16 +120,15 @@ def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
     return channels.n_max[:, None] - channels.n
 
 
-def bs_side_rho_tables(channels: ChannelSet, window: int, T: float, beta: float) -> np.ndarray:
+def bs_side_rho_tables(channels: ChannelSet, window: int, beta: float) -> np.ndarray:
     """(K, K, 1, L, L, 2W+1) correlation tables under BS-side pre-delays (one branch)."""
-    mu = np.zeros((channels.K, 1), dtype=int)
-    return build_rho_table(channels, bs_side_kappa(channels), mu, window, T, beta)
+    return assemble_bs_side(channels, window, beta).tables
 
 
-def assemble_bs_side(channels: ChannelSet, window: int, T: float, beta: float) -> DamChannels:
+def assemble_bs_side(channels: ChannelSet, window: int, beta: float) -> DamChannels:
     """BS-side assembly: one receive branch without post-delay, stream l aligning path l."""
     mu = np.zeros((channels.K, 1), dtype=int)
-    return _assemble(channels, bs_side_kappa(channels), mu, window, T, beta)
+    return _assemble(channels, bs_side_kappa(channels), mu, window, beta)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each UE sees a small number of temporally resolvable paths; a path carries a
 rank-1 complex gain matrix and an absolute delay split into an integer sample
-part and a fractional remainder in [-T/2, T/2].
+part and a fractional remainder in [-1/2, 1/2] samples.  A drawn channel
+holds its delays in samples only; the sample interval T stays in ``SimConfig``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,12 @@ class SimConfig:
             raise ConfigError("T_ns must be positive")
         if self.G_cp < self.delay_span_samples:
             raise ConfigError("G_cp must cover the delay span")
-        if self.rho_window < self.delay_span_samples:
-            raise ConfigError("rho_window must cover the delay span")
+        if self.rho_window < 2 * self.delay_span_samples:
+            # double-side lags q = mu + n - n_max + kappa reach -span ... 2 span
+            raise ConfigError(
+                "rho_window must cover twice the delay span, got "
+                f"rho_window={self.rho_window}, delay_span_samples={self.delay_span_samples}"
+            )
         if self.G_cp > self.M:
             raise ConfigError(f"G_cp must not exceed M, got G_cp={self.G_cp}, M={self.M}")
         if self.G_gi >= self.G_c:
@@ -115,20 +120,20 @@ class ChannelSet:
     """K UEs with L resolvable paths each.
 
     Path l of UE k has the gain matrix ``gains[k, l]`` and the delay
-    ``n[k, l] * T + tau_f[k, l]``; each UE's integer delays increase strictly.
+    ``n[k, l] + frac[k, l]`` samples; each UE's integer delays increase strictly.
     """
 
     gains: np.ndarray  # (K, L, M_r, M_t)
     n: np.ndarray      # (K, L) integer sample delays
-    tau_f: np.ndarray  # (K, L) fractional remainders in seconds
+    frac: np.ndarray   # (K, L) fractional remainders in samples
 
     def __post_init__(self) -> None:
         # private read-only delays, so the ordering checked here stays true
-        for name in ("n", "tau_f"):
+        for name in ("n", "frac"):
             value = np.array(getattr(self, name))
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        if self.gains.ndim != 4 or not self.n.shape == self.tau_f.shape == self.gains.shape[:2]:
+        if self.gains.ndim != 4 or not self.n.shape == self.frac.shape == self.gains.shape[:2]:
             raise ValueError("gains must be (K, L, M_r, M_t) with (K, L) delays")
         if np.any(np.diff(self.n, axis=1) <= 0):
             raise ConfigError("integer path delays must be strictly increasing")
@@ -180,7 +185,8 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
     """Draw a random sparse channel for every UE; deterministic per seed.
 
     Path delays are uniform on [0, delay_span * T] and redrawn until the
-    integer parts are pairwise distinct; each gain matrix is a rank-1 outer
+    integer parts are pairwise distinct; each remainder of ``split_delay`` is
+    stored over T, in samples.  Each gain matrix is a rank-1 outer
     product of receive/transmit steering vectors scaled by a CN(0, g_ls / L)
     coefficient.
     """
@@ -192,7 +198,7 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
     T = cfg.T
     gains = np.empty((cfg.K, cfg.L, cfg.M_r, cfg.M_t), dtype=complex)
     n = np.empty((cfg.K, cfg.L), dtype=int)
-    tau_f = np.empty((cfg.K, cfg.L))
+    frac = np.empty((cfg.K, cfg.L))
     for k in range(cfg.K):
         while True:
             taus = rng.uniform(0.0, cfg.delay_span_samples * T, cfg.L)
@@ -200,7 +206,8 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
             if len({d for d, _ in split}) == cfg.L:
                 break
         for l, idx in enumerate(np.argsort([d for d, _ in split])):
-            n[k, l], tau_f[k, l] = split[idx]
+            n[k, l], rest = split[idx]
+            frac[k, l] = rest / T
             aod = rng.uniform(-np.pi / 2, np.pi / 2)
             aoa = rng.uniform(-np.pi / 2, np.pi / 2)
             alpha = np.sqrt(cfg.g_ls / (2.0 * cfg.L)) * (
@@ -212,8 +219,8 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
                 * np.outer(steering_vector(cfg.M_r, aoa), steering_vector(cfg.M_t, aod).conj())
             )
     if integer_delays:
-        tau_f[:] = 0.0
-    return ChannelSet(gains=gains, n=n, tau_f=tau_f)
+        frac[:] = 0.0
+    return ChannelSet(gains=gains, n=n, frac=frac)
 
 
 def subcarrier_coefficients(channels: ChannelSet, M: int) -> np.ndarray:

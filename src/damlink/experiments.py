@@ -143,7 +143,7 @@ def trial_seed(base_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSequ
 
 def _doubleside_rate(channels: ChannelSet, cfg: SimConfig, I: int) -> float:
     """Effective rate of double-side eigen-beamforming with I streams per UE."""
-    F = assemble_effective_channels(channels, I, cfg.rho_window, cfg.T, cfg.beta)
+    F = assemble_effective_channels(channels, I, cfg.rho_window, cfg.beta)
     _, sinrs = eigen_beamform_doubleside(F, cfg.p_watts(), cfg.sigma2_watts())
     return dam_effective_rate(sinrs, cfg)
 
@@ -164,7 +164,7 @@ def _eval_doubleside(channels: ChannelSet, cfg: SimConfig) -> dict:
 def _eval_bsside(channels: ChannelSet, cfg: SimConfig) -> dict:
     P, sigma2 = cfg.p_watts(), cfg.sigma2_watts()
     out = {}
-    F = assemble_bs_side(channels, cfg.rho_window, cfg.T, cfg.beta)
+    F = assemble_bs_side(channels, cfg.rho_window, cfg.beta)
     _, sinrs = eigen_beamform_bs_side(F, P, sigma2)
     out["dam-eigen"] = dam_effective_rate(sinrs, cfg)
     try:
@@ -244,7 +244,7 @@ def _qam4(rng, *shape) -> np.ndarray:
 
 
 def _dam_papr_draw(channels, cfg, block_symbols):
-    F = assemble_bs_side(channels, cfg.rho_window, cfg.T, cfg.beta)
+    F = assemble_bs_side(channels, cfg.rho_window, cfg.beta)
     bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
     kappas = bs_side_kappa(channels)
     pad = 32 + int(kappas.max())

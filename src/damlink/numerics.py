@@ -16,6 +16,7 @@ __all__ = [
     "rank",
     "null_space_basis",
     "path_span",
+    "other_groups",
     "project_off_others",
     "jacobi_eigh",
     "water_fill",
@@ -82,6 +83,12 @@ def path_span(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, gains @ q
 
 
+def other_groups(G: int) -> np.ndarray:
+    """(G, G - 1) indices of every group but g, in order, in row g."""
+    skip = np.arange(G - 1)
+    return skip[None, :] + (skip[None, :] >= np.arange(G)[:, None])
+
+
 def project_off_others(blocks: np.ndarray) -> np.ndarray:
     """Each of the G blocks (..., G, m, n) minus its projection on the others' row space.
 
@@ -92,9 +99,7 @@ def project_off_others(blocks: np.ndarray) -> np.ndarray:
     G, m, n = blocks.shape[-3:]
     if G == 1:
         return blocks
-    skip = np.arange(G - 1)
-    idx = skip[None, :] + (skip[None, :] >= np.arange(G)[:, None])  # (G, G - 1)
-    others = blocks[..., idx, :, :].reshape(*blocks.shape[:-3], G, (G - 1) * m, n)
+    others = blocks[..., other_groups(G), :, :].reshape(*blocks.shape[:-3], G, (G - 1) * m, n)
     _, s, vh = np.linalg.svd(others, full_matrices=False)
     keep = s > RANK_TOL * s[..., :1]
     basis = np.where(keep[..., None], vh, 0.0).conj().swapaxes(-1, -2)

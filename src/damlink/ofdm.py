@@ -27,7 +27,14 @@ import numpy as np
 
 from .channel import ChannelSet, SimConfig, frequency_response, subcarrier_coefficients
 from .delay_design import InfeasibleError
-from .numerics import GRAM_MIN_RATIO, jacobi_eigh, path_span, project_off_others, water_fill
+from .numerics import (
+    GRAM_MIN_RATIO,
+    jacobi_eigh,
+    other_groups,
+    path_span,
+    project_off_others,
+    water_fill,
+)
 
 __all__ = [
     "OfdmBeamformerSet",
@@ -124,12 +131,6 @@ def _require_zf_feasible(channels: ChannelSet) -> None:
         )
 
 
-def _other_ues(K: int) -> np.ndarray:
-    """(K, K - 1) indices of every UE but k, in order."""
-    skip = np.arange(K - 1)
-    return skip[None, :] + (skip[None, :] >= np.arange(K)[:, None])
-
-
 def _zf_projected(channels: ChannelSet, M: int, subcarriers=slice(None)):
     """Q and the (K, m, M_r, r) span responses H_km Q on ``subcarriers``, each
     UE's block taken off the other UEs' rows; H = H Q Q^H, so nothing is lost."""
@@ -152,7 +153,7 @@ def _zf_schur(channels: ChannelSet, M: int) -> np.ndarray:
     """
     K, M_r = channels.K, channels.M_r
     grams = _cross_grams(channels, M)
-    own, idx = np.arange(K), _other_ues(K)
+    own, idx = np.arange(K), other_groups(K)
     schur = grams[own, own]                                          # (K, M, M_r, M_r)
     if K == 1:
         return schur

@@ -4,16 +4,15 @@ The matched-filter autocorrelation of the unit-energy root-raised-cosine
 transmit filter is the raised cosine, which vanishes at nonzero integer
 sample offsets.  Residual inter-symbol coupling under fractional path delays
 is captured by tables of raised-cosine samples at integer-plus-fractional
-offsets.  Both pulses are evaluated in symbol units x = t / T.
+offsets.  Both pulses are evaluated in symbol units x = t / T, and the tables
+read every delay in samples, so nothing here takes the sample interval T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .delay_design import triple_lags
-
-__all__ = ["rho", "rrc", "rrc_taps", "check_pulse", "build_rho_table"]
+__all__ = ["rho", "rrc", "rrc_taps", "build_rho_table"]
 
 
 def _check_beta(beta: float) -> None:
@@ -88,37 +87,30 @@ def rrc_taps(beta: float, oversample: int, span_symbols: int) -> np.ndarray:
     return rrc(n / oversample, beta)
 
 
-def check_pulse(T: float, beta: float) -> None:
-    """Raise unless the sample interval T is positive and beta lies in [0, 1)."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    _check_beta(beta)
+def build_rho_table(lags, frac, window: int, beta: float) -> np.ndarray:
+    """(K, K, R, L, I, 2W+1) raised-cosine couplings of every (branch, path, stream) triple.
 
+    ``lags`` (K, K, R, L, I) holds the integer lag q of every triple: the
+    samples by which path l of UE k, heard on branch r from stream i of UE
+    k', arrives after UE k's alignment target.  ``frac`` (K, L) holds each
+    path's fractional delay in samples.  Entry (k, k', r, l, i, n) is
+    rho(n - W - q - frac_kl), the matched-filter coupling at lag n - W.
 
-def build_rho_table(channels, kappa, mu, window: int, T: float, beta: float) -> np.ndarray:
-    """Raised-cosine couplings between every UE's paths and every UE's delayed streams.
-
-    Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples and branch r
-    of UE k post-delays what it hears by ``mu[k, r]`` samples; UE k samples at
-    its own alignment target, its latest integer path delay n_k,max.  Entry
-    (k, k', r, l, i, n) of the (K, K, R, L, I, 2W+1) table is
-    rho(n - W - q - tau_f,kl / T) with q the integer lag of the triple
-    (``delay_design.triple_lags``): the matched-filter coupling from stream i
-    of UE k' into path l of UE k on branch r at sample lag n - W.  At the
-    default window of 200 samples the tail energy left outside is below 1e-6
-    of any column.
+    ``rho`` is exactly 1 at 0 and exactly 0 at nonzero integers, so when every
+    ``frac`` is 0 each triple's table is one unit tap at its lag, with
+    W = max |q|.  Otherwise W = ``window``, which must cover every |q|; at
+    the default window of 200 samples the tail energy left outside is below
+    1e-6 of any column.
     """
-    check_pulse(T, beta)
-    kappa, mu = np.asarray(kappa, dtype=int), np.asarray(mu, dtype=int)
-    if kappa.ndim != 2 or kappa.shape[0] != channels.K or mu.ndim != 2 or mu.shape[0] != channels.K:
-        raise ValueError("one row of pre- and of post-compensation delays per UE")
-    offsets = -triple_lags(channels.n, channels.n_max, kappa, mu)  # (K, K, R, L, I)
-    max_offset = int(np.max(np.abs(offsets)))
-    if max_offset > window:
-        raise ValueError(
-            f"window {window} too small for delay offsets up to {max_offset} samples"
-        )
-    lags = np.arange(-window, window + 1)
-    # computed in symbol units so integer offsets stay exactly integer
-    x = (lags + offsets[..., None]) - (channels.tau_f[:, None, None, :, None, None] / T)
-    return rho(x, beta)
+    _check_beta(beta)
+    lags, frac = np.asarray(lags), np.asarray(frac)
+    max_lag = int(np.max(np.abs(lags)))
+    if not frac.any():
+        table = np.zeros((lags.size, 2 * max_lag + 1))
+        table[np.arange(lags.size), lags.ravel() + max_lag] = 1.0
+        return table.reshape(lags.shape + (2 * max_lag + 1,))
+    if max_lag > window:
+        raise ValueError(f"window {window} too small for delay offsets up to {max_lag} samples")
+    n = np.arange(-window, window + 1)
+    # integer lags stay exact; frac enters once, as the sampled offset
+    return rho((n - lags[..., None]) - frac[:, None, None, :, None, None], beta)

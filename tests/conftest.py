@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from damlink.beamforming import assemble_bs_side
 from damlink.channel import ChannelSet
 
 
@@ -16,14 +15,12 @@ def full_rank_gain(rng, m_r, m_t, scale=1.0):
     return scale * (rng.standard_normal((m_r, m_t)) + 1j * rng.standard_normal((m_r, m_t)))
 
 
-def make_channel_set(
-    rng, m_r, m_t, delay_lists, frac_lists=None, T=5e-9, scale=1.0, full_rank=False
-):
-    """Channel set with prescribed integer delays and optional fractions of T.
+def make_channel_set(rng, m_r, m_t, delay_lists, frac_lists=None, scale=1.0, full_rank=False):
+    """Channel set with prescribed integer delays and optional fractional delays.
 
     ``delay_lists`` is one list of strictly increasing integers per UE, all of
-    the same length; ``frac_lists`` holds matching fractional offsets in units
-    of T within (-1/2, 1/2], defaulting to zero.  Gains are rank-1 outer
+    the same length; ``frac_lists`` holds matching fractional offsets in
+    samples within (-1/2, 1/2], defaulting to zero.  Gains are rank-1 outer
     products like the production model unless ``full_rank`` is set; they are
     drawn UE by UE, path by path.
     """
@@ -33,23 +30,18 @@ def make_channel_set(
     fracs = np.zeros(n.shape) if frac_lists is None else np.array(frac_lists, dtype=float)
     gain_of = full_rank_gain if full_rank else rank1_gain
     gains = np.array([[gain_of(rng, m_r, m_t, scale) for _ in row] for row in n])
-    return ChannelSet(gains=gains, n=n, tau_f=fracs * T)
-
-
-def bs_side_channels(channels, T, beta, window):
-    """The BS-side assembly that ISI-ZF and eigen beamforming read, in (T, beta, window) order."""
-    return assemble_bs_side(channels, window, T, beta)
+    return ChannelSet(gains=gains, n=n, frac=fracs)
 
 
 def assert_same_channels(a, b):
     """Equal gains, integer delays and fractional delays."""
     assert np.array_equal(a.gains, b.gains)
     assert np.array_equal(a.n, b.n)
-    assert np.array_equal(a.tau_f, b.tau_f)
+    assert np.array_equal(a.frac, b.frac)
 
 
 def random_delay_channel_set(
-    rng, m_r, m_t, K, L, span=30, fractional=True, T=5e-9, scale=1.0, full_rank=False
+    rng, m_r, m_t, K, L, span=30, fractional=True, scale=1.0, full_rank=False
 ):
     delay_lists = [
         np.sort(rng.choice(np.arange(span + 1), size=L, replace=False)).tolist()
@@ -59,5 +51,5 @@ def random_delay_channel_set(
     if fractional:
         frac_lists = [rng.uniform(-0.5, 0.5, L).tolist() for _ in range(K)]
     return make_channel_set(
-        rng, m_r, m_t, delay_lists, frac_lists, T=T, scale=scale, full_rank=full_rank
+        rng, m_r, m_t, delay_lists, frac_lists, scale=scale, full_rank=full_rank
     )

@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from damlink.beamforming import null_space_projection
+from damlink.delay_design import triple_lags
 from damlink.numerics import water_fill
 from damlink.pulse import build_rho_table, rrc, rrc_taps
 from damlink.waveform import SYNTH_SPAN_SYMBOLS
@@ -43,7 +44,7 @@ def bs_side_delays(channels):
     return channels.n[:, -1:] - channels.n, np.zeros((channels.K, 1), dtype=int)
 
 
-def oracle_power_terms(channels, f_list, w_list, kappa, mu, window, T, beta, os=8, span=64):
+def oracle_power_terms(channels, f_list, w_list, kappa, mu, window, beta, os=8, span=64):
     """Power components per UE, matching ``power_terms`` semantics.
 
     Stream i of UE k' is pre-delayed by ``kappa[k', i]`` samples and sent
@@ -52,11 +53,10 @@ def oracle_power_terms(channels, f_list, w_list, kappa, mu, window, T, beta, os=
     combines it with its block of the stacked receive vector ``w_list[k]``
     (R M_r).  A (branch, path, stream) triple of UE k's own streams is
     aligned when its integer offset n_kl + kappa_ki + mu_kr - n_k,max is 0.
-    Fractional delays must sit on the T/os grid.
+    Time runs in samples; fractional delays must sit on the 1/os grid.
     """
-    dt = T / os
     grid = np.arange(-span * os, span * os + 1)
-    phi = rrc(grid * dt / T, beta) / np.sqrt(T)
+    phi = rrc(grid / os, beta)
     m_t, m_r = channels.M_t, channels.M_r
     lags = np.arange(-window, window + 1)
     kappa, mu = np.asarray(kappa), np.asarray(mu)
@@ -74,13 +74,12 @@ def oracle_power_terms(channels, f_list, w_list, kappa, mu, window, T, beta, os=
             shaped = np.convolve(tx, phi)
             f_i = f_list[kp][i * m_t : (i + 1) * m_t]
             for l in range(L):
-                tau = channels.n[k, l] * T + channels.tau_f[k, l]
-                shift = int(round(tau / dt))
+                shift = int(round((channels.n[k, l] + channels.frac[k, l]) * os))
                 if shift >= 0:
                     rx = np.concatenate([np.zeros(shift), shaped])
                 else:
                     rx = shaped[-shift:]  # advance: negative total delay
-                filtered = np.convolve(rx, phi[::-1]) * dt
+                filtered = np.convolve(rx, phi[::-1]) / os
                 for r in range(R):
                     w_r = w_list[k][r * m_r : (r + 1) * m_r]
                     coupling = complex(w_r.conj() @ channels.gains[k, l] @ f_i)
@@ -170,7 +169,7 @@ def _stacked_transmit(h_tilde, w_list, P, sigma2):
     return out
 
 
-def oracle_isi_zf(channels, P, sigma2, T, beta, window, w_start=None, tol=1e-6, max_iter=200):
+def oracle_isi_zf(channels, P, sigma2, beta, window, w_start=None, tol=1e-6, max_iter=200):
     """Lag-stacked ISI-ZF loop: (iterations, objective trace, stacked f_bar).
 
     Starts from the unit receive vectors ``w_start`` (K, M_r) with one
@@ -186,7 +185,8 @@ def oracle_isi_zf(channels, P, sigma2, T, beta, window, w_start=None, tol=1e-6, 
     ]
     kappa = channels.n[:, -1:] - channels.n  # BS-side pre-delays
     mu = np.zeros((K, 1), dtype=int)  # one branch
-    tables = build_rho_table(channels, kappa, mu, window, T, beta)[:, :, 0]
+    lags = triple_lags(channels.n, channels.n_max, kappa, mu)
+    tables = build_rho_table(lags, channels.frac, window, beta)[:, :, 0]
     h_tilde = _projected_channels(channels, bases, tables)
     if w_start is None:
         b_list = [np.sqrt(P / K / h.shape[2]) * np.ones(h.shape[2], dtype=complex) for h in h_tilde]

@@ -7,7 +7,7 @@ criterion.
 import numpy as np
 import pytest
 
-from conftest import bs_side_channels, make_channel_set, random_delay_channel_set
+from conftest import make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     eigen_beamform_bs_side,
@@ -102,7 +102,7 @@ def test_criterion_05_count_selection_equivalence():
 
 
 def test_criterion_06_zero_forcing_structure():
-    T, beta, sigma2, P = 5e-9, 0.25, 1e-3, 2.0
+    beta, sigma2, P = 0.25, 1e-3, 2.0
 
     def cross_term_check(cs, state):
         f_bar = state.f
@@ -123,12 +123,12 @@ def test_criterion_06_zero_forcing_structure():
     # fractional-delay instance: cross terms vanish relative to the desired terms
     rng = np.random.default_rng(42)
     cs = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=True)
-    state, _ = isi_zf_alternating(bs_side_channels(cs, T, beta, 60), P, sigma2)
+    state, _ = isi_zf_alternating(assemble_bs_side(cs, 60, beta), P, sigma2)
     rel = cross_term_check(cs, state)
 
     # integer delays: interference exactly zero, SINR = P_DS / sigma^2
     cs_int = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=False)
-    F = bs_side_channels(cs_int, T, beta, 60)
+    F = assemble_bs_side(cs_int, 60, beta)
     state_i, sinrs_i = isi_zf_alternating(F, P, sigma2)
     cross_term_check(cs_int, state_i)
     terms = power_terms(F, state_i.w, state_i.f)
@@ -138,12 +138,12 @@ def test_criterion_06_zero_forcing_structure():
 
 
 def test_criterion_07_alternating_optimization_monotone():
-    T, beta, sigma2 = 5e-9, 0.25, 1e-3
+    beta, sigma2 = 0.25, 1e-3
     rng = np.random.default_rng(7)
     for trial in range(50):
         cs = random_delay_channel_set(rng, 1, 8, K=2, L=2, span=15, fractional=True)
         state, _ = isi_zf_alternating(
-            bs_side_channels(cs, T, beta, 40), 1.0, sigma2, tol=1e-6, max_iter=200
+            assemble_bs_side(cs, 40, beta), 1.0, sigma2, tol=1e-6, max_iter=200
         )
         trace = np.asarray(state.trace)
         assert np.all(np.diff(trace) >= -1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
@@ -154,7 +154,7 @@ def test_criterion_07_alternating_optimization_monotone():
 
 
 def test_criterion_08_fractional_delay_waveform_oracle():
-    T, beta, sigma2 = 5e-9, 0.25, 1e-3
+    beta, sigma2 = 0.25, 1e-3
     os = 8
     rng = np.random.default_rng(88)
     worst = 0.0
@@ -163,13 +163,13 @@ def test_criterion_08_fractional_delay_waveform_oracle():
             (rng.integers(-os // 2 + 1, os // 2, size=len(d)) / os).tolist()
             for d in delays
         ]
-        cs = make_channel_set(rng, 2, 8, delays, frac, T=T)
+        cs = make_channel_set(rng, 2, 8, delays, frac)
         window = 48
-        F = assemble_bs_side(cs, window, T, beta)
+        F = assemble_bs_side(cs, window, beta)
         bf, _ = eigen_beamform_bs_side(F, 1.0, sigma2)
         pipeline = power_terms(F, bf.w_bar, bf.f_bar)
         kappa, mu = bs_side_delays(cs)
-        oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, T, beta, os=os)
+        oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, beta, os=os)
         p = pipeline
         for k in range(cs.K):
             for got, want in zip(

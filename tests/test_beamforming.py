@@ -6,12 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bs_side_channels, make_channel_set, random_delay_channel_set
+from conftest import make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
     SPHERE_GRID,
     assemble_bs_side,
     assemble_effective_channels,
-    bs_side_kappa,
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
@@ -26,12 +25,12 @@ from damlink.delay_design import (
     InfeasibleError,
     enumerate_alignment_sets,
     solve_compensation_delays,
+    triple_lags,
 )
 from damlink.experiments import DEFAULT_POWER_GRID, trial_seed
 from damlink.pulse import build_rho_table
 from oracles import oracle_isi_zf
 
-T = 5e-9
 BETA = 0.25
 SIGMA2 = 1e-3
 WINDOW = 64  # covers every lag |q| <= 2 * 30 of the default random delays
@@ -90,7 +89,7 @@ class TestAssembleEffectiveChannels:
     def test_single_path_single_ue(self):
         rng = np.random.default_rng(0)
         cs = make_channel_set(rng, 2, 4, [[5]])
-        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
+        F = assemble_effective_channels(cs, 1, WINDOW, BETA)
         assert set(np.unique(_table_lags(F)[0, 0])) == {0}
         assert np.all(F.aligned_mask)
         assert np.array_equal(F.aligned_blocks()[0], cs.gains[0, 0])
@@ -98,7 +97,7 @@ class TestAssembleEffectiveChannels:
     def test_reference_plan_has_five_zero_lag_placements(self):
         rng = np.random.default_rng(1)
         cs = make_channel_set(rng, 2, 3, [[1, 3, 4, 5]])
-        F = assemble_effective_channels(cs, 2, WINDOW, T, BETA)  # plan (I, R) = (2, 3)
+        F = assemble_effective_channels(cs, 2, WINDOW, BETA)  # plan (I, R) = (2, 3)
         block0 = F.aligned_blocks()[0]
         assert _count_placements(block0, 2, 3) == 5
         assert np.count_nonzero(F.aligned_mask[0]) == 5
@@ -107,7 +106,7 @@ class TestAssembleEffectiveChannels:
         rng = np.random.default_rng(2)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=4, fractional=False)
         plans = _plans(cs, 2)
-        F = assemble_effective_channels(cs, 2, WINDOW, T, BETA)
+        F = assemble_effective_channels(cs, 2, WINDOW, BETA)
         lags = _table_lags(F)
         assert lags.shape == (cs.K, cs.K, 3, cs.L, 2)
         assert F.window == np.max(np.abs(lags))
@@ -130,7 +129,7 @@ class TestAssembleEffectiveChannels:
                     K = int(rng.integers(2, 4))
                     cs = random_delay_channel_set(rng, 1, 2, K=K, L=L, fractional=False)
                     plans = _plans(cs, I)
-                    F = assemble_effective_channels(cs, I, WINDOW, T, BETA)
+                    F = assemble_effective_channels(cs, I, WINDOW, BETA)
                     for k in range(K):
                         desired = enumerate_alignment_sets(plans[k], cs.n[k]).desired
                         r, l, i = np.nonzero(F.aligned_mask[k])
@@ -141,7 +140,7 @@ class TestAssembleEffectiveChannels:
     def test_self_pair_min_lag(self):
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
-        lags = _table_lags(assemble_effective_channels(cs, 2, WINDOW, T, BETA))
+        lags = _table_lags(assemble_effective_channels(cs, 2, WINDOW, BETA))
         for k in range(cs.K):
             assert lags[k, k].min() == cs.n[k, 0] - cs.n_max[k]
 
@@ -151,48 +150,44 @@ class TestAssembleEffectiveChannels:
         rng = np.random.default_rng(3)
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
         with pytest.raises(ValueError, match="need I \\+ R - 1 = L"):
-            assemble_effective_channels(cs, I, WINDOW, T, BETA)
+            assemble_effective_channels(cs, I, WINDOW, BETA)
 
     def test_fractional_delays_take_the_rho_tables(self):
-        # the reference config's fractional draw has |tau_f| up to 0.44 T
+        # the reference config's fractional draw has |frac| up to 0.44 samples
         cfg = SimConfig()
         cs = generate_channel_set(cfg, 5)
-        assert np.any(cs.tau_f != 0.0)
+        assert np.any(cs.frac != 0.0)
         plans = _plans(cs, 2)
-        kappa, mu = [plan.kappa for plan in plans], [plan.mu for plan in plans]
-        F = assemble_effective_channels(cs, 2, cfg.rho_window, cfg.T, cfg.beta)
-        table = build_rho_table(cs, kappa, mu, cfg.rho_window, cfg.T, cfg.beta)
-        assert np.array_equal(F.tables, table)
-        integer = dataclasses.replace(cs, tau_f=0.0 * cs.tau_f)
-        for G in (F, assemble_effective_channels(integer, 2, cfg.rho_window, cfg.T, cfg.beta)):
+        lags = triple_lags(cs.n, cs.n_max, [p.kappa for p in plans], [p.mu for p in plans])
+        F = assemble_effective_channels(cs, 2, cfg.rho_window, cfg.beta)
+        assert np.array_equal(F.tables, build_rho_table(lags, cs.frac, cfg.rho_window, cfg.beta))
+        integer = dataclasses.replace(cs, frac=0.0 * cs.frac)
+        for G in (F, assemble_effective_channels(integer, 2, cfg.rho_window, cfg.beta)):
             _, sinrs = eigen_beamform_doubleside(G, 1.0, SIGMA2)
             assert np.all(np.isfinite(sinrs)) and np.all(sinrs > 0.0)
 
-    @pytest.mark.parametrize("design", [1, 2, 3, "bs-side"])
-    def test_unit_taps_are_the_rho_tables(self, design):
-        # on integer delays the unit-tap tables are build_rho_table's on their
-        # 2W+1 lags, and build_rho_table holds exact zeros on every other lag
-        rng = np.random.default_rng(43)
-        cs = random_delay_channel_set(rng, 2, 4, K=3, L=3, fractional=False)
-        if design == "bs-side":
-            kappa, mu = bs_side_kappa(cs), np.zeros((cs.K, 1), dtype=int)
-            F = assemble_bs_side(cs, WINDOW, T, BETA)
-        else:
-            plans = _plans(cs, design)
-            kappa, mu = [plan.kappa for plan in plans], [plan.mu for plan in plans]
-            F = assemble_effective_channels(cs, design, WINDOW, T, BETA)
-        table = build_rho_table(cs, kappa, mu, WINDOW, T, BETA)
-        W = F.window
-        assert W < WINDOW
-        assert np.array_equal(F.tables, table[..., WINDOW - W : WINDOW + W + 1])
-        assert not np.any(table[..., : WINDOW - W]) and not np.any(table[..., WINDOW + W + 1 :])
+    @pytest.mark.parametrize("I", [1, 2, 3])
+    def test_default_window_covers_fractional_double_side_lags(self, I):
+        # lags reach 2 * delay_span_samples, past the 120 samples SimConfig once allowed
+        cfg = SimConfig()
+        widest = 0
+        for s in range(20):
+            cs = generate_channel_set(cfg, s)
+            F = assemble_effective_channels(cs, I, cfg.rho_window, cfg.beta)
+            assert F.window == cfg.rho_window
+            plans = _plans(cs, I)
+            lags = triple_lags(cs.n, cs.n_max, [p.kappa for p in plans], [p.mu for p in plans])
+            widest = max(widest, int(np.max(np.abs(lags))))
+        assert widest <= 2 * cfg.delay_span_samples
+        if I == 2:
+            assert widest > 120  # draw 13 reaches 122
 
 
 class TestEigenBeamformDoubleside:
     def test_interference_free_closed_form(self):
         rng = np.random.default_rng(4)
         cs = make_channel_set(rng, 2, 4, [[3]])
-        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
+        F = assemble_effective_channels(cs, 1, WINDOW, BETA)
         P = 2.0
         bf, sinrs = eigen_beamform_doubleside(F, P, SIGMA2)
         smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
@@ -201,7 +196,7 @@ class TestEigenBeamformDoubleside:
     def test_zero_channel_gives_zero_sinr(self):
         rng = np.random.default_rng(5)
         cs = make_channel_set(rng, 2, 4, [[3]], scale=0.0)
-        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
+        F = assemble_effective_channels(cs, 1, WINDOW, BETA)
         _, sinrs = eigen_beamform_doubleside(F, 1.0, SIGMA2)
         assert sinrs[0] == 0.0
 
@@ -211,7 +206,7 @@ class TestEigenBeamformDoubleside:
             cs = random_delay_channel_set(rng, 2, 5, K=2, L=3, fractional=False)
             I = int(rng.integers(1, cs.L + 1))
             plans = _plans(cs, I)
-            F = assemble_effective_channels(cs, I, WINDOW, T, BETA)
+            F = assemble_effective_channels(cs, I, WINDOW, BETA)
             bf, sinrs = eigen_beamform_doubleside(F, 1.5, SIGMA2)
             for k in range(cs.K):
                 oracle = _literal_doubleside_sinr(cs, plans, bf.f_bar, bf.w_bar, SIGMA2, k)
@@ -220,7 +215,7 @@ class TestEigenBeamformDoubleside:
     def test_power_budget_binds(self):
         rng = np.random.default_rng(7)
         cs = random_delay_channel_set(rng, 2, 4, K=3, L=2, fractional=False)
-        F = assemble_effective_channels(cs, 1, WINDOW, T, BETA)
+        F = assemble_effective_channels(cs, 1, WINDOW, BETA)
         bf, _ = eigen_beamform_doubleside(F, 3.0, SIGMA2)
         assert np.linalg.norm(bf.f_bar) ** 2 == pytest.approx(3.0, rel=1e-9)
         for w in bf.w_bar:
@@ -231,8 +226,8 @@ class TestEigenBeamformDoubleside:
         cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=False)
         c = 3.7
         scaled = dataclasses.replace(cs, gains=c * cs.gains)
-        t1 = assemble_effective_channels(cs, 2, WINDOW, T, BETA)
-        t2 = assemble_effective_channels(scaled, 2, WINDOW, T, BETA)
+        t1 = assemble_effective_channels(cs, 2, WINDOW, BETA)
+        t2 = assemble_effective_channels(scaled, 2, WINDOW, BETA)
         _, s1 = eigen_beamform_doubleside(t1, 1.0, SIGMA2)
         _, s2 = eigen_beamform_doubleside(t2, 1.0, SIGMA2 * c**2)
         assert np.allclose(s1, s2, rtol=1e-12)
@@ -259,7 +254,7 @@ class TestBsSideAssembly:
     def test_integer_delays_collapse_to_zero_lag(self):
         rng = np.random.default_rng(9)
         cs = make_channel_set(rng, 2, 4, [[1, 4, 7]])
-        F = assemble_bs_side(cs, 20, T, BETA)
+        F = assemble_bs_side(cs, 20, BETA)
         center = F.window
         expected = np.concatenate(list(cs.gains[0]), axis=1)
         h_rho, h_hat = _own_lag_blocks(F, 0)
@@ -275,9 +270,9 @@ class TestBsSideAssembly:
         fracs = [[0.21, -0.37, 0.44]]
         cs_plus = make_channel_set(rng, 2, 3, delays, fracs)
         # identical gains with negated fractional delays
-        cs_minus = dataclasses.replace(cs_plus, tau_f=-cs_plus.tau_f)
-        Fp = assemble_bs_side(cs_plus, 25, T, BETA)
-        Fm = assemble_bs_side(cs_minus, 25, T, BETA)
+        cs_minus = dataclasses.replace(cs_plus, frac=-cs_plus.frac)
+        Fp = assemble_bs_side(cs_plus, 25, BETA)
+        Fm = assemble_bs_side(cs_minus, 25, BETA)
         h_rho_p, _ = _own_lag_blocks(Fp, 0)
         h_rho_m, _ = _own_lag_blocks(Fm, 0)
         assert np.allclose(h_rho_m, h_rho_p[::-1], atol=1e-12)
@@ -288,14 +283,14 @@ class TestPowerTerms:
     def test_integer_delays_kill_aligned_isi(self):
         rng = np.random.default_rng(11)
         cs = random_delay_channel_set(rng, 2, 6, K=2, L=3, fractional=False)
-        F = assemble_bs_side(cs, 40, T, BETA)
+        F = assemble_bs_side(cs, 40, BETA)
         bf, _ = eigen_beamform_bs_side(F, 1.0, SIGMA2)
         assert np.all(power_terms(F, bf.w_bar, bf.f_bar).isi_aligned == 0.0)
 
     def test_single_ue_single_path_has_no_cross_terms(self):
         rng = np.random.default_rng(12)
         cs = make_channel_set(rng, 2, 4, [[3]], [[0.3]])
-        F = assemble_bs_side(cs, 20, T, BETA)
+        F = assemble_bs_side(cs, 20, BETA)
         bf, _ = eigen_beamform_bs_side(F, 1.0, SIGMA2)
         t = power_terms(F, bf.w_bar, bf.f_bar)
         assert t.isi_cross[0] == 0.0
@@ -315,7 +310,7 @@ class TestPowerTerms:
         rng = np.random.default_rng(m_t)
         fracs = [rng.uniform(-0.5, 0.5, len(d)).tolist() for d in delays]
         cs = make_channel_set(rng, m_r, m_t, delays, fracs, full_rank=full_rank)
-        F = assemble_bs_side(cs, 30, T, BETA)
+        F = assemble_bs_side(cs, 30, BETA)
         w_list = rng.standard_normal((cs.K, m_r)) + 1j * rng.standard_normal((cs.K, m_r))
         shape = (cs.K, m_t * cs.L)
         f_list = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -342,7 +337,7 @@ class TestPowerTerms:
         # the per-lag block stacks this replaces peaked at 34.5 MB here
         cfg = SimConfig()
         cs = generate_channel_set(cfg, 0)
-        F = assemble_bs_side(cs, cfg.rho_window, cfg.T, cfg.beta)
+        F = assemble_bs_side(cs, cfg.rho_window, cfg.beta)
         tracemalloc.start()
         try:
             eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
@@ -356,7 +351,7 @@ class TestEigenBeamformBsSide:
     def test_closed_form_single_path(self):
         rng = np.random.default_rng(13)
         cs = make_channel_set(rng, 2, 4, [[3]])
-        F = assemble_bs_side(cs, 20, T, BETA)
+        F = assemble_bs_side(cs, 20, BETA)
         P = 1.7
         _, sinrs = eigen_beamform_bs_side(F, P, SIGMA2)
         smax = np.linalg.svd(cs.gains[0, 0], compute_uv=False)[0]
@@ -365,7 +360,7 @@ class TestEigenBeamformBsSide:
     def test_sinr_invariant_under_receive_phase(self):
         rng = np.random.default_rng(14)
         cs = random_delay_channel_set(rng, 2, 5, K=2, L=3)
-        F = assemble_bs_side(cs, 40, T, BETA)
+        F = assemble_bs_side(cs, 40, BETA)
         bf, sinrs = eigen_beamform_bs_side(F, 1.0, SIGMA2)
         rotated = np.exp(1j * rng.uniform(0, 2 * np.pi, (cs.K, 1))) * bf.w_bar
         terms = power_terms(F, rotated, bf.f_bar)
@@ -375,7 +370,7 @@ class TestEigenBeamformBsSide:
     def test_dominates_random_beamformers(self):
         rng = np.random.default_rng(15)
         cs = random_delay_channel_set(rng, 2, 16, K=1, L=3)
-        F = assemble_bs_side(cs, 40, T, BETA)
+        F = assemble_bs_side(cs, 40, BETA)
         P = 1.0
         _, sinrs = eigen_beamform_bs_side(F, P, SIGMA2)
         dim = 16 * 3
@@ -427,11 +422,11 @@ def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
 
 def _center_channels(cs, window=40):
     """Per-UE zero-lag projected channels [H_kl basis_kl rho_ll[0]]_l, (M_r, D)."""
-    mu = np.zeros((cs.K, 1), dtype=int)
-    tab = build_rho_table(cs, bs_side_kappa(cs), mu, window, T, BETA)[:, :, 0]
+    F = assemble_bs_side(cs, window, BETA)
+    tab = F.tables[:, :, 0]
     return [
         np.concatenate(
-            [cs.gains[k, l] @ null_space_projection(cs.gains, k, l) * tab[k, k, l, l, window]
+            [cs.gains[k, l] @ null_space_projection(cs.gains, k, l) * tab[k, k, l, l, F.window]
              for l in range(cs.L)],
             axis=1,
         )
@@ -440,7 +435,7 @@ def _center_channels(cs, window=40):
 
 
 def _grams(cs, window=40):
-    F = bs_side_channels(cs, T, BETA, window)
+    F = assemble_bs_side(cs, window, BETA)
     state, _ = isi_zf_alternating(F, 1.0, SIGMA2, max_iter=0)
     return state.grams
 
@@ -528,15 +523,16 @@ class TestIsiZfAlternating:
     def test_integer_delays_single_ue_interference_free(self):
         rng = np.random.default_rng(22)
         cs = random_delay_channel_set(rng, 2, 8, K=1, L=3, fractional=False)
-        state, sinrs = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+        F = assemble_bs_side(cs, 40, BETA)
+        state, sinrs = isi_zf_alternating(F, 1.0, SIGMA2)
         w, f = state.w[0], state.f[0]
         m_t = cs.M_t
-        tab = build_rho_table(cs, bs_side_kappa(cs), np.zeros((1, 1), dtype=int), 40, T, BETA)[0, 0, 0]
+        tab = F.tables[0, 0, 0]
         coup = sum(
             tab[l, l] * (w.conj() @ cs.gains[0, l] @ f[l * m_t : (l + 1) * m_t])
             for l in range(cs.L)
         )
-        center = 40
+        center = F.window
         desired = abs(coup[center]) ** 2
         residual = np.sum(np.abs(coup) ** 2) - desired
         assert residual <= 1e-20 * desired
@@ -546,7 +542,7 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(23)
         for _ in range(5):
             cs = _zf_setup(rng, fractional=True)
-            state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+            state, _ = isi_zf_alternating(assemble_bs_side(cs, 40, BETA), 1.0, SIGMA2)
             diffs = np.diff(state.trace)
             assert np.all(diffs >= -1e-9 * np.maximum(np.abs(state.trace[:-1]), 1.0))
 
@@ -554,7 +550,7 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(24)
         cs = _zf_setup(rng, fractional=True)
         state, sinrs = isi_zf_alternating(
-            bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2, max_iter=0
+            assemble_bs_side(cs, 40, BETA), 1.0, SIGMA2, max_iter=0
         )
         assert state.iterations == 0
         assert len(state.trace) == 1
@@ -565,7 +561,7 @@ class TestIsiZfAlternating:
     def test_max_iter_cutoff_reports_unconverged(self):
         rng = np.random.default_rng(23)
         cs = _zf_setup(rng, fractional=True)
-        F = bs_side_channels(cs, T, BETA, 40)
+        F = assemble_bs_side(cs, 40, BETA)
         # from the sphere-grid start this draw meets tol=1e-6 after one step
         full, _ = isi_zf_alternating(F, 1.0, SIGMA2, tol=1e-9)
         assert full.iterations > 1
@@ -576,7 +572,7 @@ class TestIsiZfAlternating:
     def test_pinv_fallbacks_are_counted(self, monkeypatch):
         rng = np.random.default_rng(27)
         cs = _zf_setup(rng, fractional=True)
-        F = bs_side_channels(cs, T, BETA, 40)
+        F = assemble_bs_side(cs, 40, BETA)
         ref, ref_sinrs = isi_zf_alternating(F, 1.0, SIGMA2)
         assert ref.fallbacks == 0
 
@@ -596,7 +592,7 @@ class TestIsiZfAlternating:
     def test_converged_integer_delay_solve(self):
         rng = np.random.default_rng(22)
         cs = _zf_setup(rng, fractional=False)
-        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
+        state, _ = isi_zf_alternating(assemble_bs_side(cs, 40, BETA), 1.0, SIGMA2)
         assert state.iterations < 200
         assert state.converged
 
@@ -604,7 +600,7 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(25)
         cs = _zf_setup(rng, fractional=True, m_t=16)
         P = 2.0
-        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
+        state, _ = isi_zf_alternating(assemble_bs_side(cs, 40, BETA), P, SIGMA2)
         f_bar = state.f
         m_t = cs.M_t
         scale = np.sqrt(P) * np.max(np.linalg.norm(cs.gains, axis=(2, 3)))
@@ -619,13 +615,13 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(26)
         cs = _zf_setup(rng, fractional=True)
         P = 3.0
-        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), P, SIGMA2)
+        state, _ = isi_zf_alternating(assemble_bs_side(cs, 40, BETA), P, SIGMA2)
         assert sum(np.linalg.norm(f) ** 2 for f in state.f) <= P * (1 + 1e-9)
 
     def test_single_receive_antenna_is_one_transmit_update(self):
         rng = np.random.default_rng(28)
         cs = _zf_setup(rng, fractional=True, m_t=12, m_r=1)
-        F = bs_side_channels(cs, T, BETA, 40)
+        F = assemble_bs_side(cs, 40, BETA)
         state, sinrs = isi_zf_alternating(F, 2.0, SIGMA2)
         w = np.ones((cs.K, 1), dtype=complex)
         _, y, _ = mmse_transmit_update(state.grams, w, 2.0, SIGMA2)
@@ -642,8 +638,8 @@ class TestIsiZfAlternating:
         # the null-space coordinates
         rng = np.random.default_rng(seed)
         cs = random_delay_channel_set(rng, 4, 16, K=2, L=2, fractional=True)
-        state, _ = isi_zf_alternating(bs_side_channels(cs, T, BETA, 40), 1.0, SIGMA2)
-        _, trace, _ = oracle_isi_zf(cs, 1.0, SIGMA2, T, BETA, 40, max_iter=5000)
+        state, _ = isi_zf_alternating(assemble_bs_side(cs, 40, BETA), 1.0, SIGMA2)
+        _, trace, _ = oracle_isi_zf(cs, 1.0, SIGMA2, BETA, 40, max_iter=5000)
         assert state.trace[-1] >= trace[-1] * (1.0 - 1e-6)
 
 
@@ -658,7 +654,7 @@ class TestIsiZfReferenceConfig:
     def test_fractional_grid_solves_converge(self, seed):
         for j in range(len(DEFAULT_POWER_GRID)):
             cs, cfg = _reference_draw(seed, j, 0)
-            F = bs_side_channels(cs, cfg.T, cfg.beta, cfg.rho_window)
+            F = assemble_bs_side(cs, cfg.rho_window, cfg.beta)
             state, _ = isi_zf_alternating(F, cfg.p_watts(), cfg.sigma2_watts())
             assert state.converged, (seed, DEFAULT_POWER_GRID[j], state.iterations)
 
@@ -670,13 +666,13 @@ class TestIsiZfReferenceConfig:
             z = rng.standard_normal((cs.M_t, cs.M_t)) + 1j * rng.standard_normal((cs.M_t, cs.M_t))
             q, r = np.linalg.qr(z)
             unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            rotated = ChannelSet(gains=cs.gains @ unitary, n=cs.n, tau_f=cs.tau_f)
+            rotated = ChannelSet(gains=cs.gains @ unitary, n=cs.n, frac=cs.frac)
             P, sigma2 = cfg.p_watts(), cfg.sigma2_watts()
             _, sinrs = isi_zf_alternating(
-                bs_side_channels(cs, cfg.T, cfg.beta, cfg.rho_window), P, sigma2
+                assemble_bs_side(cs, cfg.rho_window, cfg.beta), P, sigma2
             )
             _, again = isi_zf_alternating(
-                bs_side_channels(rotated, cfg.T, cfg.beta, cfg.rho_window), P, sigma2
+                assemble_bs_side(rotated, cfg.rho_window, cfg.beta), P, sigma2
             )
             assert np.allclose(again, sinrs, rtol=1e-9, atol=0.0), (t, np.max(np.abs(again / sinrs - 1)))
 

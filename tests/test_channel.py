@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import damlink.channel
 from conftest import assert_same_channels
 from damlink.channel import (
     ChannelSet,
@@ -97,8 +98,28 @@ class TestGenerateChannelSet:
 
     def test_integer_delay_option(self):
         cs = generate_channel_set(small_cfg(), 3, integer_delays=True)
-        assert np.all(cs.tau_f == 0.0)
+        assert np.all(cs.frac == 0.0)
         assert np.array_equal(cs.n, generate_channel_set(small_cfg(), 3).n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_fractions_are_split_delay_remainders_in_samples(self, monkeypatch, seed):
+        # every accepted draw of L delays is stored as split_delay(tau, T)[1] / T, bit for bit
+        cfg = SimConfig()
+        splits = []
+
+        def spy(tau, T):
+            splits.append(split_delay(tau, T))
+            return splits[-1]
+
+        monkeypatch.setattr(damlink.channel, "split_delay", spy)
+        cs = generate_channel_set(cfg, seed)
+        draws = [splits[i : i + cfg.L] for i in range(0, len(splits), cfg.L)]
+        accepted = [sorted(d) for d in draws if len({n for n, _ in d}) == cfg.L]
+        assert len(accepted) == cfg.K
+        for k, draw in enumerate(accepted):
+            assert cs.n[k].tolist() == [n for n, _ in draw]
+            assert np.array_equal(cs.frac[k], [rest / cfg.T for _, rest in draw])
+        assert np.all(np.abs(cs.frac) <= 0.5)
 
     def test_impossible_distinctness_rejected(self):
         with pytest.raises(ConfigError):
@@ -110,11 +131,11 @@ class TestChannelSet:
     def test_integer_delays_must_increase(self, n):
         K, L = np.shape(n)
         with pytest.raises(ConfigError, match="strictly increasing"):
-            ChannelSet(gains=np.zeros((K, L, 2, 4)), n=np.array(n), tau_f=np.zeros((K, L)))
+            ChannelSet(gains=np.zeros((K, L, 2, 4)), n=np.array(n), frac=np.zeros((K, L)))
 
     def test_delays_are_read_only(self):
         n = np.array([[0, 2, 5]])
-        cs = ChannelSet(gains=np.zeros((1, 3, 2, 4)), n=n, tau_f=np.zeros((1, 3)))
+        cs = ChannelSet(gains=np.zeros((1, 3, 2, 4)), n=n, frac=np.zeros((1, 3)))
         n[0, 1] = 7  # the caller's array is not the set's
         assert cs.n.tolist() == [[0, 2, 5]]
         with pytest.raises(ValueError, match="read-only"):
@@ -123,7 +144,7 @@ class TestChannelSet:
     def test_delay_shapes_must_match_gains(self):
         with pytest.raises(ValueError, match="gains must be"):
             ChannelSet(
-                gains=np.zeros((2, 3, 2, 4)), n=np.array([[0, 1], [0, 1]]), tau_f=np.zeros((2, 2))
+                gains=np.zeros((2, 3, 2, 4)), n=np.array([[0, 1], [0, 1]]), frac=np.zeros((2, 2))
             )
 
 
@@ -193,6 +214,17 @@ class TestConfigValidation:
     def test_cp_covers_delay_span(self):
         with pytest.raises(ConfigError):
             SimConfig(G_cp=10, delay_span_samples=100)
+
+    @pytest.mark.parametrize("T_ns", [0.0, -5.0])
+    def test_sample_interval_must_be_positive(self, T_ns):
+        with pytest.raises(ConfigError, match="T_ns must be positive"):
+            SimConfig(T_ns=T_ns)
+
+    def test_rho_window_covers_twice_the_delay_span(self):
+        # double-side lags q = mu + n - n_max + kappa reach 2 * delay_span_samples
+        with pytest.raises(ConfigError, match="rho_window"):
+            SimConfig(rho_window=120)
+        assert SimConfig(rho_window=200).rho_window == 200
 
     @pytest.mark.parametrize(
         "overrides,message",

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import bs_side_channels, random_delay_channel_set
-from damlink.beamforming import isi_zf_alternating
+from conftest import random_delay_channel_set
+from damlink.beamforming import assemble_bs_side, isi_zf_alternating
 from oracles import oracle_isi_zf
 
-T = 5e-9
 BETA = 0.25
 SIGMA2 = 1e-3
 WINDOW = 40
@@ -32,13 +31,13 @@ WINDOW = 40
 def test_matches_lag_stacked_oracle(seed, m_r, m_t, K, L, span, fractional, P, max_iter):
     rng = np.random.default_rng(seed)
     cs = random_delay_channel_set(rng, m_r, m_t, K=K, L=L, span=span, fractional=fractional)
-    F = bs_side_channels(cs, T, BETA, WINDOW)
+    F = assemble_bs_side(cs, WINDOW, BETA)
     # with an infinite tol the solver returns its start: the receive vectors
     # that the oracle's literal loop starts from
     start, _ = isi_zf_alternating(F, P, SIGMA2, max_iter=0)
     state, _ = isi_zf_alternating(F, P, SIGMA2, max_iter=max_iter)
     iterations, trace, f_bar = oracle_isi_zf(
-        cs, P, SIGMA2, T, BETA, WINDOW, start.w, max_iter=max_iter
+        cs, P, SIGMA2, BETA, WINDOW, start.w, max_iter=max_iter
     )
 
     assert state.iterations == iterations

@@ -72,8 +72,8 @@ class TestOfdmEigen:
         cs = random_delay_channel_set(rng, 2, 6, K=2, L=3, fractional=False, span=10)
         gains = cs.gains.copy()
         gains[1] = 0.0
-        silent = ChannelSet(gains=gains, n=cs.n, tau_f=cs.tau_f)
-        alone = ChannelSet(gains=gains[:1], n=cs.n[:1], tau_f=cs.tau_f[:1])
+        silent = ChannelSet(gains=gains, n=cs.n, frac=cs.frac)
+        alone = ChannelSet(gains=gains[:1], n=cs.n[:1], frac=cs.frac[:1])
         M, P = 8, 1.3
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -158,7 +158,7 @@ class TestOfdmZfWaterfill:
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(9)
         cs = random_delay_channel_set(rng, 2, 8, K=2, L=3, fractional=False, span=10)
-        swapped = ChannelSet(gains=cs.gains[::-1], n=cs.n[::-1], tau_f=cs.tau_f[::-1])
+        swapped = ChannelSet(gains=cs.gains[::-1], n=cs.n[::-1], frac=cs.frac[::-1])
         _, r1 = ofdm_zf_waterfill(cs, 8, 1.0, SIGMA2)
         _, r2 = ofdm_zf_waterfill(swapped, 8, 1.0, SIGMA2)
         assert r1 == pytest.approx(r2, rel=1e-9)

@@ -99,7 +99,7 @@ def _weak_direction_channel_set(rng, ratio):
     # |1 + 0.6 e^ja + 0.3 e^jb| >= 0.1, so no subcarrier cancels UE 1's paths
     gains1 = np.array([1.0, 0.6, 0.3])[:, None, None] * gain
     return ChannelSet(
-        gains=np.stack([gains0, gains1]), n=np.array([[0, 3, 7], [5, 6, 9]]), tau_f=np.zeros((2, 3))
+        gains=np.stack([gains0, gains1]), n=np.array([[0, 3, 7], [5, 6, 9]]), frac=np.zeros((2, 3))
     )
 
 
@@ -160,7 +160,7 @@ def _mixed_route_channel_set(rng, ratio):
     b = np.outer(left[:, 1], right[:, 1].conj())
     gains1 = np.stack([a, 2 * ratio * b, a])
     return ChannelSet(
-        gains=np.stack([gains0, gains1]), n=np.array([[0, 3, 7], [0, 5, M // 2]]), tau_f=np.zeros((2, 3))
+        gains=np.stack([gains0, gains1]), n=np.array([[0, 3, 7], [0, 5, M // 2]]), frac=np.zeros((2, 3))
     )
 
 

@@ -88,7 +88,7 @@ def _qam(rng, K, n_sym):
 
 
 def _dam_case(cfg, channels, rng, blocks, block_symbols):
-    F = assemble_bs_side(channels, cfg.rho_window, cfg.T, cfg.beta)
+    F = assemble_bs_side(channels, cfg.rho_window, cfg.beta)
     bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
     kappas = bs_side_kappa(channels)
     pad = 32 + int(kappas.max())

@@ -1,12 +1,17 @@
 """Tests for pulse shapes and correlation tables."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from damlink.beamforming import assemble_bs_side, assemble_effective_channels
+import damlink.pulse
+from conftest import random_delay_channel_set
+from damlink.beamforming import assemble_bs_side, assemble_effective_channels, bs_side_kappa
 from damlink.channel import ChannelSet, SimConfig, generate_channel_set
+from damlink.delay_design import solve_compensation_delays, triple_lags
 from damlink.pulse import build_rho_table, rho, rrc, rrc_taps
 
 T = 5e-9
@@ -97,36 +102,29 @@ def _two_ue_channels(seed, integer_delays=False, L=3):
     return cfg, generate_channel_set(cfg, seed, integer_delays=integer_delays)
 
 
-def _bs_side_kappa(cs):
-    return cs.n_max[:, None] - cs.n
+def _bs_side_lags(cs):
+    """(K, K, 1, L, L) triple lags under BS-side pre-delays, one branch without post-delay."""
+    return triple_lags(cs.n, cs.n_max, bs_side_kappa(cs), np.zeros((cs.K, 1), dtype=int))
 
 
-def _bs_side_table(cs, kappa, W, T, beta):
-    """``build_rho_table`` on one branch without post-delay, (K, K, L, I, 2W+1)."""
-    return build_rho_table(cs, kappa, np.zeros((cs.K, 1), dtype=int), W, T, beta)[:, :, 0]
+def _bs_side_table(cs, W, beta):
+    """``build_rho_table`` on the BS-side lags, (K, K, L, I, 2W+1)."""
+    return build_rho_table(_bs_side_lags(cs), cs.frac, W, beta)[:, :, 0]
 
 
-def _pulse_check_cases(bad_values, table_delays):
-    """(bad value, integer delays, builder(cs, T, beta)) for ``build_rho_table`` on
-    ``table_delays`` and for both assemblies on integer and fractional delays.
-
-    The ``build_rho_table`` cases keep the ids they had before the assemblies
-    joined them.
-    """
-    def table(cs, T, beta):
-        return _bs_side_table(cs, _bs_side_kappa(cs), 40, T, beta)
-
+def _beta_check_cases(bad_values):
+    """(bad value, integer delays, builder(cs, beta)) for ``build_rho_table`` on
+    fractional delays and for both assemblies on integer and fractional delays."""
     assemblies = {
-        "assemble_bs_side": lambda cs, T, beta: assemble_bs_side(cs, 40, T, beta),
+        "assemble_bs_side": lambda cs, beta: assemble_bs_side(cs, 40, beta),
         "assemble_effective_channels": (
-            lambda cs, T, beta: assemble_effective_channels(cs, 2, 40, T, beta)
+            lambda cs, beta: assemble_effective_channels(cs, 2, 40, beta)
         ),
     }
-    cases = []
-    for bad in bad_values:
-        for integer in table_delays:
-            case_id = f"{bad}-{integer}" if len(table_delays) > 1 else f"{bad}"
-            cases.append(pytest.param(bad, integer, table, id=case_id))
+    cases = [
+        pytest.param(bad, False, lambda cs, beta: _bs_side_table(cs, 40, beta), id=f"{bad}")
+        for bad in bad_values
+    ]
     for name, build in assemblies.items():
         for bad in bad_values:
             for integer in (False, True):
@@ -137,10 +135,11 @@ def _pulse_check_cases(bad_values, table_delays):
 class TestBuildRhoTable:
     def test_aligned_columns_are_delta(self):
         cfg, cs = _two_ue_channels(0, integer_delays=True)
-        table = _bs_side_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)
-        assert table.shape == (2, 2, 3, 3, 81)
-        delta = np.zeros(81)
-        delta[40] = 1.0
+        table = _bs_side_table(cs, 40, cfg.beta)
+        W = int(np.max(np.abs(_bs_side_lags(cs))))
+        assert table.shape == (2, 2, 3, 3, 2 * W + 1)
+        delta = np.zeros(2 * W + 1)
+        delta[W] = 1.0
         for k in range(cs.K):
             for l in range(cs.L):
                 assert np.array_equal(table[k, k, l, l], delta)
@@ -148,99 +147,126 @@ class TestBuildRhoTable:
 
     def test_off_diagonal_zero_for_integer_delays(self):
         cfg, cs = _two_ue_channels(1, integer_delays=True)
-        table = _bs_side_table(cs, _bs_side_kappa(cs), 40, cfg.T, cfg.beta)[0, 0]
+        table = _bs_side_table(cs, 40, cfg.beta)[0, 0]
+        W = (table.shape[-1] - 1) // 2
         n = cs.n[0]
         for l in range(cs.L):
             for i in range(cs.L):
                 if l != i:
                     # stream i peaks at lag n_l - n_i seen from path l
-                    peak = n[l] - n[i] + 40
+                    peak = n[l] - n[i] + W
                     col = table[l, i].copy()
                     assert col[peak] == 1.0
                     col[peak] = 0.0
                     assert np.all(col == 0.0)
 
+    @pytest.mark.parametrize("design", [1, 2, 3, "bs-side"])
+    def test_unit_taps_are_the_rho_tables(self, design):
+        # rho is exactly 1 at 0 and 0 at nonzero integers, so on integer delays
+        # the unit taps are rho(n - W - q) on the full window's common lags,
+        # and that full table holds exact zeros on every other lag
+        rng = np.random.default_rng(43)
+        cs = random_delay_channel_set(rng, 2, 4, K=3, L=3, fractional=False)
+        if design == "bs-side":
+            kappa, mu = bs_side_kappa(cs), np.zeros((cs.K, 1), dtype=int)
+        else:
+            plans = [solve_compensation_delays(n, design, cs.L + 1 - design) for n in cs.n]
+            kappa, mu = [plan.kappa for plan in plans], [plan.mu for plan in plans]
+        lags = triple_lags(cs.n, cs.n_max, kappa, mu)
+        window = 64
+        table = build_rho_table(lags, cs.frac, window, 0.25)
+        W = (table.shape[-1] - 1) // 2
+        assert W == np.max(np.abs(lags)) < window
+        full = rho(np.arange(-window, window + 1) - lags[..., None], 0.25)
+        assert np.array_equal(table, full[..., window - W : window + W + 1])
+        assert not np.any(full[..., : window - W]) and not np.any(full[..., window + W + 1 :])
+
     def test_every_pair_follows_the_formula(self):
-        # entry (k, k', l, i, n) = rho((n - W + n_k,max - kappa_k'i - n_kl) T - tau_f,kl)
+        # entry (k, k', l, i, n) = rho(n - W + n_k,max - kappa_k'i - n_kl - frac_kl)
         cfg, cs = _two_ue_channels(4)
-        kappa = _bs_side_kappa(cs)
+        kappa = bs_side_kappa(cs)
         W = 40
-        table = _bs_side_table(cs, kappa, W, cfg.T, cfg.beta)
+        table = _bs_side_table(cs, W, cfg.beta)
         for k in range(cs.K):
             for kp in range(cs.K):
                 for l in range(cs.L):
                     for i in range(cs.L):
                         offset = cs.n_max[k] - kappa[kp, i] - cs.n[k, l]
-                        t = (np.arange(-W, W + 1) + offset) * cfg.T - cs.tau_f[k, l]
+                        x = np.arange(-W, W + 1) + offset - cs.frac[k, l]
                         assert np.allclose(
-                            table[k, kp, l, i], rho(t / cfg.T, cfg.beta), rtol=0.0, atol=1e-12
+                            table[k, kp, l, i], rho(x, cfg.beta), rtol=0.0, atol=1e-12
                         )
 
     def test_negated_fractional_delays_time_reverse_diagonal(self):
         cfg, cs = _two_ue_channels(5)
-        flipped = dataclasses.replace(cs, tau_f=-cs.tau_f)
-        kappa = _bs_side_kappa(cs)
-        t_plus = _bs_side_table(cs, kappa, 40, cfg.T, cfg.beta)
-        t_minus = _bs_side_table(flipped, kappa, 40, cfg.T, cfg.beta)
+        flipped = dataclasses.replace(cs, frac=-cs.frac)
+        t_plus = _bs_side_table(cs, 40, cfg.beta)
+        t_minus = _bs_side_table(flipped, 40, cfg.beta)
         for k in range(cs.K):
             for l in range(cs.L):
                 assert np.allclose(t_minus[k, k, l, l], t_plus[k, k, l, l][::-1], atol=1e-12)
 
     def test_columns_match_oversampled_convolution(self):
         beta = 0.25  # faster tail decay keeps the truncation error below tolerance
-        T_s = T
         os = 64
-        dt = T_s / os
         rng = np.random.default_rng(9)
 
-        # fractional delays on the 64x grid so the oracle needs no interpolation
+        # fractional delays on the 1/64-sample grid so the oracle needs no interpolation
         n = np.array([[1, 5, 8]])
-        frac = np.array([[int(rng.integers(-os // 2 + 1, os // 2)) * dt for _ in range(3)]])
-        cs = ChannelSet(gains=np.ones((1, 3, 1, 1), dtype=complex), n=n, tau_f=frac)
-        kappa = _bs_side_kappa(cs)
+        frac = np.array([[int(rng.integers(-os // 2 + 1, os // 2)) / os for _ in range(3)]])
+        cs = ChannelSet(gains=np.ones((1, 3, 1, 1), dtype=complex), n=n, frac=frac)
+        kappa = bs_side_kappa(cs)
         W = 40
-        table = _bs_side_table(cs, kappa, W, T_s, beta)[0, 0]
+        table = _bs_side_table(cs, W, beta)[0, 0]
 
         span = 80
-        t = np.arange(-span * os, span * os + 1) * dt
-        phi = rrc(t / T_s, beta) / np.sqrt(T_s)
-        auto = np.convolve(phi, phi[::-1]) * dt
+        phi = rrc(np.arange(-span * os, span * os + 1) / os, beta)
+        auto = np.convolve(phi, phi[::-1]) / os
         center = len(phi) - 1
 
         for l in range(cs.L):
             for i in range(cs.L):
                 offset = cs.n_max[0] - kappa[0, i] - n[0, l]
-                args = (np.arange(-W, W + 1) + offset) * T_s - frac[0, l]
-                idx = np.round(args / dt).astype(int) + center
+                args = np.arange(-W, W + 1) + offset - frac[0, l]
+                idx = np.round(args * os).astype(int) + center
                 oracle = np.array([auto[j] if 0 <= j < len(auto) else 0.0 for j in idx])
                 col = table[l, i]
                 assert np.sum(col**2) == pytest.approx(
                     np.sum(oracle**2), abs=1e-4 * max(np.sum(col**2), 1e-3)
                 )
+                # sample by sample too, so a time-reversed column cannot pass
+                assert np.allclose(col, oracle, rtol=0.0, atol=1e-5)
 
-    @pytest.mark.parametrize("T_bad,integer_delays,build", _pulse_check_cases((0.0, -5e-9), (False, True)))
-    def test_nonpositive_T_raises(self, T_bad, integer_delays, build):
-        cfg, cs = _two_ue_channels(1, integer_delays=integer_delays)
-        with pytest.raises(ValueError, match="T must be positive"):
-            build(cs, T_bad, cfg.beta)
-
-    @pytest.mark.parametrize("beta,integer_delays,build", _pulse_check_cases((-0.1, 1.0), (False,)))
+    @pytest.mark.parametrize("beta,integer_delays,build", _beta_check_cases((-0.1, 1.0)))
     def test_beta_out_of_range_raises(self, beta, integer_delays, build):
-        cfg, cs = _two_ue_channels(1, integer_delays=integer_delays)
+        _, cs = _two_ue_channels(1, integer_delays=integer_delays)
         with pytest.raises(ValueError, match="beta"):
-            build(cs, cfg.T, beta)
+            build(cs, beta)
 
     def test_window_too_small_raises(self):
         cfg, cs = _two_ue_channels(2, L=3)
         span = int(np.max(cs.n_max - cs.n[:, 0]))
         if span > 1:
             with pytest.raises(ValueError):
-                _bs_side_table(cs, _bs_side_kappa(cs), span - 1, cfg.T, cfg.beta)
+                _bs_side_table(cs, span - 1, cfg.beta)
 
     def test_tail_energy_outside_default_window(self):
         cfg, cs = _two_ue_channels(3)
-        wide = _bs_side_table(cs, _bs_side_kappa(cs), 600, cfg.T, cfg.beta)
+        wide = _bs_side_table(cs, 600, cfg.beta)
         full = np.sum(wide**2, axis=-1)
         inner = np.sum(wide[..., 600 - 200 : 600 + 201] ** 2, axis=-1)
         tails = (full - inner) / np.maximum(full, 1e-300)
         assert np.all(tails < 1e-6)
+
+
+def test_pulse_imports_no_damlink_module():
+    # pulse is a leaf: the assemblies hand it lags and fractions, never channels or plans
+    tree = ast.parse(Path(damlink.pulse.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert imported, "no imports parsed"
+    assert not [m for m in imported if m.startswith((".", "damlink"))], imported

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bs_side_channels, random_delay_channel_set
-from damlink.beamforming import isi_zf_alternating
+from conftest import random_delay_channel_set
+from damlink.beamforming import assemble_bs_side, isi_zf_alternating
 from damlink.waveform import Waveform, papr_blocks
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -57,7 +57,7 @@ def test_observers_read_their_results():
     assert note == {"blocks": 4, "kept": 4 * 5 * 2 * 3}
 
     cs = random_delay_channel_set(np.random.default_rng(0), 2, 16, K=2, L=2)
-    F = bs_side_channels(cs, 5e-9, 0.25, 40)
+    F = assemble_bs_side(cs, 40, 0.25)
     result = isi_zf_alternating(F, 1.0, 1e-3, max_iter=1)
     note = tracing._isi_zf_note(isi_zf_alternating, (F, 1.0, 1e-3), {"max_iter": 1}, result)
     assert note == {"iterations": 1, "converged": bool(result[0].converged)}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import bs_side_channels, make_channel_set
+from conftest import make_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     assemble_effective_channels,
@@ -15,18 +15,17 @@ from damlink.beamforming import (
 from damlink.delay_design import solve_compensation_delays, triple_lags
 from oracles import bs_side_delays, oracle_power_terms
 
-T = 5e-9
 BETA = 0.25  # fast tail decay keeps truncation error well under the tolerance
 OS = 8
 
 
 def _grid_fraction_channels(rng, m_r, m_t, delay_lists):
-    # fractional delays on the T/8 grid so the oracle never interpolates
+    # fractional delays on the 1/8-sample grid so the oracle never interpolates
     frac_lists = [
         (rng.integers(-OS // 2 + 1, OS // 2, size=len(d)) / OS).tolist()
         for d in delay_lists
     ]
-    return make_channel_set(rng, m_r, m_t, delay_lists, frac_lists, T=T)
+    return make_channel_set(rng, m_r, m_t, delay_lists, frac_lists)
 
 
 @pytest.mark.parametrize(
@@ -41,12 +40,12 @@ def test_power_terms_match_convolution_oracle(m_t, m_r, delays):
     rng = np.random.default_rng(m_t * 100 + m_r)
     cs = _grid_fraction_channels(rng, m_r, m_t, delays)
     window = 48
-    F = assemble_bs_side(cs, window, T, BETA)
+    F = assemble_bs_side(cs, window, BETA)
     bf, _ = eigen_beamform_bs_side(F, 1.0, 1e-3)
 
     pipeline = power_terms(F, bf.w_bar, bf.f_bar)
     kappa, mu = bs_side_delays(cs)
-    oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, T, BETA, os=OS)
+    oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, BETA, os=OS)
 
     for k in range(cs.K):
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
@@ -74,14 +73,14 @@ def test_doubleside_power_terms_match_convolution_oracle(m_r, m_t, delays, I, fr
     if fractional:
         cs = _grid_fraction_channels(rng, m_r, m_t, delays)
     else:
-        cs = make_channel_set(rng, m_r, m_t, delays, T=T)
+        cs = make_channel_set(rng, m_r, m_t, delays)
     plans = [solve_compensation_delays(n, I, cs.L + 1 - I) for n in cs.n]
     kappa = np.array([plan.kappa for plan in plans])
     mu = np.array([plan.mu for plan in plans])
     # integer delays take one unit tap per triple at W = max |q|; the oracle
     # and fractional delays see 8 lags more on each side
     window = int(np.max(np.abs(triple_lags(cs.n, cs.n_max, kappa, mu)))) + 8
-    F = assemble_effective_channels(cs, I, window, T, BETA)
+    F = assemble_effective_channels(cs, I, window, BETA)
     sigma2 = 1e-3
     # random beamformers use every branch; eigen-beamforming leaves a branch
     # without aligned triples silent
@@ -90,7 +89,7 @@ def test_doubleside_power_terms_match_convolution_oracle(m_r, m_t, delays, I, fr
     bf, sinrs = eigen_beamform_doubleside(F, 1.0, sigma2)
     for w_bar, f_bar in ((w, f), (bf.w_bar, bf.f_bar)):
         pipeline = power_terms(F, w_bar, f_bar)
-        oracle = oracle_power_terms(cs, f_bar, w_bar, kappa, mu, window, T, BETA, os=OS)
+        oracle = oracle_power_terms(cs, f_bar, w_bar, kappa, mu, window, BETA, os=OS)
         for k in range(cs.K):
             o_ds, o_isi1, o_isi2, o_iui = oracle[k]
             scale = max(o_ds, 1e-12)
@@ -109,10 +108,10 @@ def test_sinr_matches_oracle_end_to_end():
     cs = _grid_fraction_channels(rng, 2, 6, [[1, 4, 9], [2, 6, 12]])
     window = 48
     sigma2 = 1e-3
-    F = assemble_bs_side(cs, window, T, BETA)
+    F = assemble_bs_side(cs, window, BETA)
     bf, sinrs = eigen_beamform_bs_side(F, 1.0, sigma2)
     kappa, mu = bs_side_delays(cs)
-    oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, T, BETA, os=OS)
+    oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, BETA, os=OS)
     for k in range(cs.K):
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
         oracle_sinr = o_ds / (o_isi1 + o_isi2 + o_iui + sigma2)
@@ -131,11 +130,11 @@ def test_isi_zf_sinrs_match_convolution_oracle(m_t, m_r, delays):
     cs = _grid_fraction_channels(rng, m_r, m_t, delays)
     window = 48
     sigma2 = 1e-3
-    F = bs_side_channels(cs, T, BETA, window)
+    F = assemble_bs_side(cs, window, BETA)
     state, sinrs = isi_zf_alternating(F, 1.0, sigma2)
     assert state.iterations > 0
     kappa, mu = bs_side_delays(cs)
-    oracle = oracle_power_terms(cs, state.f, state.w, kappa, mu, window, T, BETA, os=OS)
+    oracle = oracle_power_terms(cs, state.f, state.w, kappa, mu, window, BETA, os=OS)
     for k in range(cs.K):
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
         # zero forcing: no path carries another path's or another UE's stream
