@@ -9,7 +9,7 @@ from .delay_design import (
     enumerate_alignment_sets,
     solve_compensation_delays,
 )
-from .numerics import null_space_basis, rank, water_fill
+from .numerics import null_space_basis, water_fill
 
 __all__ = [
     "__version__",
@@ -20,7 +20,6 @@ __all__ = [
     "enumerate_alignment_sets",
     "generate_channel_set",
     "null_space_basis",
-    "rank",
     "solve_compensation_delays",
     "water_fill",
 ]

@@ -80,6 +80,20 @@ class SimConfig:
             raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
         if self.T_ns <= 0.0:
             raise ConfigError("T_ns must be positive")
+        # a finite dB value can still overflow or underflow in watts
+        for name, linear in (
+            ("P_dbm", self.p_watts), ("noise_psd_dbm_hz", self.sigma2_watts),
+            ("g_ls_db", lambda: self.g_ls),
+        ):
+            try:
+                with np.errstate(over="ignore", under="ignore"):
+                    value = linear()
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ConfigError(
+                    f"{name} must give a finite positive linear value, got {getattr(self, name)!r}"
+                )
         if self.G_cp < self.delay_span_samples:
             raise ConfigError("G_cp must cover the delay span")
         if self.rho_window < 2 * self.delay_span_samples:

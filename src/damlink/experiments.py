@@ -102,6 +102,11 @@ class ExperimentSpec:
         # samples are keyed by grid value, so a repeated one (-0.0 repeats 0.0) would lose trials
         if len(set(self.grid)) != len(self.grid):
             raise ParseError(f"experiment.grid: values must be distinct, got {grid!r}")
+        for value in self.grid:  # each grid value is a P_dbm
+            try:
+                dataclasses.replace(self.config, P_dbm=value)
+            except ConfigError as err:
+                raise ParseError(f"experiment.grid: {err}") from err
         for key, least in (("trials", 1), ("seed", 0)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

@@ -1,19 +1,16 @@
 """Dense complex linear algebra and power-allocation primitives.
 
 Everything here is pure and reentrant.  ``jacobi_eigh`` diagonalizes stacks
-of small Hermitian matrices (OFDM's K M per-subcarrier Grams) by cyclic
-Jacobi rotations vectorized across the stack, where LAPACK would pay its
-per-call overhead once per block.
+of small Hermitian matrices (OFDM's K M per-subcarrier Grams): a 2x2 stack by
+one exact Jacobi rotation vectorized across the stack, where LAPACK would pay
+its per-call overhead once per block, and any other size by ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "rank",
     "null_space_basis",
     "path_span",
     "other_groups",
@@ -22,7 +19,6 @@ __all__ = [
     "water_fill",
     "RANK_TOL",
     "GRAM_MIN_RATIO",
-    "JACOBI_MAX_SWEEPS",
 ]
 
 # Relative singular-value threshold used for rank decisions throughout.
@@ -34,35 +30,12 @@ RANK_TOL = 1e-10
 # complement through G_oo^-1 errs by about eps / ratio (README: measured).
 GRAM_MIN_RATIO = 1e-5
 
-# Cyclic Jacobi converges quadratically, in about 4-7 sweeps up to n = 6 (one
-# sweep, a single exact rotation, at n = 2); a stack still off-diagonal after
-# this many sweeps raises instead of returning unconverged eigenpairs.
-JACOBI_MAX_SWEEPS = 30
-
-
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def rank(a, tol: float = RANK_TOL) -> int:
-    """Number of singular values above tol * largest singular value."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        return 0
-    if not np.all(np.isfinite(a)):
-        raise ValueError("rank input has non-finite entries")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
 
 def null_space_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the kernel of ``a``, shape (cols, cols - rank)."""
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     n_cols = a.shape[1]
     if a.shape[0] == 0 or not np.any(a):
         return np.eye(n_cols, dtype=complex)
@@ -110,69 +83,39 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (..., n) and unitary eigenvectors (..., n, n) of a
     Hermitian stack (..., n, n), read from its lower triangle like ``np.linalg.eigh``.
 
-    The stack is held batch-last, as its real diagonal d (n, B) and its
-    off-diagonal part x (n, n, B), so each rotation updates whole contiguous
-    rows for every matrix at once.  Rotation (p, q) takes the phase e of
-    a_pq and the angle t = tan(theta) that zero it exactly, then updates
-    rows p and q; the columns are their conjugates.  A sweep visits every
-    pair, and sweeps stop once every |a_pq| <= eps sqrt(|a_pp a_qq|), the
-    relative rule under which Jacobi keeps the small eigenvalues of a
-    positive semidefinite Gram to high relative accuracy (Demmel and
-    Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).  A bubble-sort network
-    of compare-exchanges then orders the pairs.  Raises ValueError on
-    non-finite input and LinAlgError after JACOBI_MAX_SWEEPS sweeps.
+    At n = 2 one Jacobi rotation, vectorized over the stack, diagonalizes
+    every block exactly (Golub and Van Loan, Matrix Computations, sec. 8.5,
+    sym.schur2), where LAPACK would pay its per-call overhead once per block:
+    with e the phase of a_01 and t = tan(theta), the rotation J = [[c, s e],
+    [-(s e)^*, c]] zeroes a_01, shifts the diagonal by t |a_01|, and one
+    compare-exchange orders the pair.  Every other n takes ``np.linalg.eigh``.
+    Raises ValueError on non-finite input.
     """
-    a = np.asarray(a)
-    *lead, n, _ = a.shape
-    batch = math.prod(lead)
-    x = np.array(a.reshape(batch, n, n).transpose(1, 2, 0), dtype=complex, order="C")
-    for i in range(n):
-        for j in range(i + 1, n):
-            x[i, j] = x[j, i].conj()
-    if not np.all(np.isfinite(x)):
+    a = np.asarray(a, dtype=complex)
+    rows, cols = np.tril_indices(a.shape[-1])
+    if not np.all(np.isfinite(a[..., rows, cols])):
         raise ValueError("jacobi_eigh input has non-finite entries")
-    d = np.diagonal(x).real.T.copy()                                   # (n, B)
-    v = np.zeros_like(x)
-    for i in range(n):
-        x[i, i] = 0.0
-        v[i, i] = 1.0
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    rows = np.array([p for p, _ in pairs], dtype=np.intp)
-    cols = np.array([q for _, q in pairs], dtype=np.intp)
-    tol, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    for _ in range(JACOBI_MAX_SWEEPS):
-        for p, q in pairs:
-            apq = x[p, q]
-            b, diff = np.abs(apq), d[q] - d[p]
-            den = np.abs(diff) + np.hypot(diff, 2.0 * b)
-            # t = g b and s e = c t apq / b = c g apq; a pair below the normal
-            # range is dropped, not rotated, so g cannot overflow
-            g = np.divide(np.copysign(2.0, diff), den, out=np.zeros_like(den), where=den > tiny)
-            t = g * b
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            se = (c * g) * apq
-            shift = t * b
-            d[p] -= shift
-            d[q] += shift
-            row_p = x[p].copy()
-            x[p] = c * row_p - se * x[q]
-            x[q] = se.conj() * row_p + c * x[q]
-            x[:, p], x[:, q] = x[p].conj(), x[q].conj()
-            x[p, p], x[q, q], x[p, q], x[q, p] = 0.0, 0.0, 0.0, 0.0
-            col_p = v[:, p].copy()
-            v[:, p] = c * col_p - se.conj() * v[:, q]
-            v[:, q] = se * col_p + c * v[:, q]
-        root = np.sqrt(np.abs(d))
-        if np.all(np.abs(x[rows, cols]) <= tol * root[rows] * root[cols]):
-            break
-    else:
-        raise np.linalg.LinAlgError(f"jacobi_eigh did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    for end in range(n - 1, 0, -1):
-        for i in range(end):
-            swap = d[i] > d[i + 1]
-            d[i], d[i + 1] = np.where(swap, d[i + 1], d[i]), np.where(swap, d[i], d[i + 1])
-            v[:, i], v[:, i + 1] = np.where(swap, v[:, i + 1], v[:, i]), np.where(swap, v[:, i], v[:, i + 1])
-    return d.T.reshape(*lead, n), v.transpose(2, 0, 1).reshape(*lead, n, n)
+    if a.shape[-1] != 2:
+        return np.linalg.eigh(a)
+    d0, d1, apq = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0].conj()
+    b, diff = np.abs(apq), d1 - d0
+    den = np.abs(diff) + np.hypot(diff, 2.0 * b)
+    # t = g b and s e = c t apq / b = c g apq; a pair below the normal range
+    # is left unrotated, so g cannot overflow
+    tiny = np.finfo(float).tiny
+    g = np.divide(np.copysign(2.0, diff), den, out=np.zeros_like(den), where=den > tiny)
+    t = g * b
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    se = (c * g) * apq
+    shift = t * b
+    lo, hi = d0 - shift, d1 + shift
+    # J's off-diagonal entries as rotating the identity leaves them: a zero part is +0
+    se, minus_se = se + 0.0, 0.0 - se.conj()
+    swap = lo > hi
+    lam = np.stack([np.where(swap, hi, lo), np.where(swap, lo, hi)], axis=-1)
+    v = np.stack([np.where(swap, se, c), np.where(swap, c, se),
+                  np.where(swap, c, minus_se), np.where(swap, minus_se, c)], axis=-1)
+    return lam, v.reshape(*v.shape[:-1], 2, 2)
 
 
 def water_fill(gains, total_power: float) -> np.ndarray:

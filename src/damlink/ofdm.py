@@ -12,7 +12,8 @@ path gains' rows in <= K L M_r columns.  The rate's fast path is their
 Gram, S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross
 Grams; a subcarrier whose G_oo is too ill-conditioned for it takes the
 projection.  Every Hermitian eigenproblem here is one batched
-``numerics.jacobi_eigh`` call over all K M blocks; SINRs and rates read
+``numerics.jacobi_eigh`` call over all K M blocks (one exact rotation per
+2x2 block, ``np.linalg.eigh`` for any other size); SINRs and rates read
 eigenvalues, and eigenvectors only up to phase.  ``ofdm_eigen``'s
 beamformers, which the OFDM waveform needs with LAPACK's phases, come from
 the reduced SVD of the full responses.  Both beamformer functions return Q

@@ -80,11 +80,9 @@ class TestGenerateChannelSet:
             assert np.all(np.diff(cs.n, axis=1) > 0)
 
     def test_paths_are_rank_one(self):
-        from damlink.numerics import rank
-
         cs = generate_channel_set(small_cfg(M_t=6, M_r=3), 7)
         for gain in cs.gains.reshape(-1, 3, 6):
-            assert rank(gain) == 1
+            assert np.linalg.matrix_rank(gain) == 1
 
     def test_mean_power_matches_large_scale_gain(self):
         cfg = small_cfg(M_t=1, M_r=1, K=1, L=1)
@@ -255,6 +253,13 @@ class TestConfigValidation:
     )
     def test_real_values_must_be_finite(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
+            SimConfig(**{name: value})
+
+    # 10^400 overflows a float and 10^-400 underflows to zero watts
+    @pytest.mark.parametrize("value", [4000.0, -4000.0])
+    @pytest.mark.parametrize("name", ["P_dbm", "noise_psd_dbm_hz", "g_ls_db"])
+    def test_db_values_must_have_finite_positive_watts(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must give a finite positive linear value"):
             SimConfig(**{name: value})
 
 

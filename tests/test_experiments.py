@@ -183,6 +183,11 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=f"^experiment.{key}: "):
             small_spec(**{key: value})
 
+    @pytest.mark.parametrize("grid", [(20.0, 4000.0), (-4000.0,)])
+    def test_spec_grid_powers_must_have_finite_positive_watts(self, grid):
+        with pytest.raises(ParseError, match="^experiment.grid: P_dbm must give a finite positive"):
+            small_spec(grid=grid)
+
     def test_spec_config_must_be_a_simconfig(self):
         with pytest.raises(ParseError, match="^config: "):
             small_spec(config={"M_t": 8})
@@ -329,6 +334,42 @@ class TestCli:
         assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: system: ")
         assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_reports_a_grid_power_without_finite_watts(tmp_path):
+    # run as a program: the error is one line, with no traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": {"grid": [4000]}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "damlink.cli", "se_vs_power_doubleside", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: experiment.grid: P_dbm ")
+    assert "Traceback" not in done.stderr and not (tmp_path / "out.csv").exists()
+
+
+def test_reference_runs_reach_only_the_2x2_rotation(monkeypatch):
+    # at M_r = K = 2 every OFDM Hermitian stack is 2x2, so the default runs and
+    # the benchmark take jacobi_eigh's rotation, never its np.linalg.eigh route
+    from damlink import ofdm
+    from damlink.experiments import _eval_bsside, _eval_doubleside
+
+    kernel, shapes = ofdm.jacobi_eigh, []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return kernel(a)
+
+    monkeypatch.setattr(ofdm, "jacobi_eigh", spy)
+    cfg = SimConfig()
+    _eval_doubleside(generate_channel_set(cfg, trial_seed(1, 0, 0), integer_delays=True), cfg)
+    for integer_delays in (True, False):
+        _eval_bsside(generate_channel_set(cfg, trial_seed(1, 0, 0), integer_delays), cfg)
+    # doubleside: the own Grams; bsside: own Grams, interferer Grams, Schur complements
+    assert shapes == [(cfg.K, cfg.M, 2, 2)] * 7
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):

@@ -3,31 +3,16 @@
 import numpy as np
 import pytest
 
-from damlink import numerics
 from damlink.numerics import (
     jacobi_eigh,
     null_space_basis,
     project_off_others,
-    rank,
     water_fill,
 )
 
 
 def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-class TestRank:
-    def test_zero_matrix(self):
-        assert rank(np.zeros((4, 4))) == 0
-
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_identity(self, n):
-        assert rank(np.eye(n)) == n
-
-    def test_rank_deficient(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert rank(a) == 1
 
 
 class TestNullSpaceBasis:
@@ -63,7 +48,7 @@ class TestNullSpaceBasis:
             if rng.uniform() < 0.5 and rows > 1:
                 a[-1] = a[0] * (1.0 + 1.0j)  # force rank deficiency
             basis = null_space_basis(a)
-            r = rank(a)
+            r = np.linalg.matrix_rank(a)
             assert basis.shape == (cols, cols - r)
             if basis.shape[1]:
                 assert np.linalg.norm(a @ basis) <= 1e-9 * max(np.linalg.norm(a), 1.0)
@@ -192,44 +177,41 @@ class TestJacobiEigh:
         gram = v.conj().swapaxes(-1, -2) @ v
         assert np.all(np.linalg.norm(gram - np.eye(n), axis=(-2, -1)) <= 1e-13)
 
+    # every contract test below takes n = 2 (the rotation) and n = 3 (np.linalg.eigh)
     def test_reads_the_lower_triangle(self):
         rng = np.random.default_rng(3)
-        a = _hermitian(rng, (4, 3, 3))
-        upper = np.triu_indices(3, 1)
-        a[:, upper[0], upper[1]] = np.nan
-        lam, v = jacobi_eigh(a)
-        lam_ref, v_ref = np.linalg.eigh(a)
-        assert np.allclose(lam, lam_ref, rtol=0.0, atol=1e-13 * np.abs(lam_ref).max())
-        # the same eigenvectors up to phase (the spectrum is simple)
-        overlap = np.abs(np.sum(v.conj() * v_ref, axis=-2))
-        assert np.allclose(overlap, 1.0, rtol=0.0, atol=1e-12)
+        for n in (2, 3):
+            a = _hermitian(rng, (4, n, n))
+            upper = np.triu_indices(n, 1)
+            a[:, upper[0], upper[1]] = np.nan
+            lam, v = jacobi_eigh(a)
+            lam_ref, v_ref = np.linalg.eigh(a)
+            assert np.allclose(lam, lam_ref, rtol=0.0, atol=1e-13 * np.abs(lam_ref).max())
+            # the same eigenvectors up to phase (the spectrum is simple)
+            overlap = np.abs(np.sum(v.conj() * v_ref, axis=-2))
+            assert np.allclose(overlap, 1.0, rtol=0.0, atol=1e-12)
 
     def test_real_input(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        lam, v = jacobi_eigh(a)
-        assert np.allclose(lam, [1.0, 3.0], rtol=0.0, atol=1e-15)
-        assert np.allclose(a @ v, v * lam, rtol=0.0, atol=1e-15)
+        for n in (2, 3):
+            a = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+            lam, v = jacobi_eigh(a)
+            # tridiagonal Toeplitz: 2 + 2 cos(pi k / (n + 1)), k = n, ..., 1
+            expected = 2.0 + 2.0 * np.cos(np.pi * np.arange(n, 0, -1) / (n + 1))
+            assert np.allclose(lam, expected, rtol=0.0, atol=1e-15)
+            assert np.allclose(a @ v, v * lam, rtol=0.0, atol=1e-15)
 
     def test_empty_stack(self):
-        lam, v = jacobi_eigh(np.zeros((0, 3, 3), dtype=complex))
-        assert lam.shape == (0, 3) and v.shape == (0, 3, 3)
+        for n in (2, 3):
+            lam, v = jacobi_eigh(np.zeros((0, n, n), dtype=complex))
+            assert lam.shape == (0, n) and v.shape == (0, n, n)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
     def test_non_finite_raises(self, bad):
-        a = _hermitian(np.random.default_rng(4), (5, 3, 3))
-        a[2, 2, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            jacobi_eigh(a)
-
-    def test_sweep_cap_raises(self, monkeypatch):
-        a = _hermitian(np.random.default_rng(5), (8, 4, 4))
-        monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 2)
-        with pytest.raises(np.linalg.LinAlgError, match="2 sweeps"):
-            jacobi_eigh(a)
-        # one rotation is exact at n = 2, so a single sweep converges
-        monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 1)
-        lam, _ = jacobi_eigh(a[:, :2, :2])
-        assert np.allclose(lam, np.linalg.eigvalsh(a[:, :2, :2]), rtol=0.0, atol=1e-14)
+        for n in (2, 3):
+            a = _hermitian(np.random.default_rng(4), (5, n, n))
+            a[2, n - 1, n - 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                jacobi_eigh(a)
 
 
 class TestWaterFill:
