@@ -1,19 +1,19 @@
 """Effective channels, beamformers and SINRs for delay-aligned transmission.
 
-Both delay designs produce one assembly, ``DamChannels``: the path gains,
-a (2W+1)-lag scalar weight for every (branch, path, stream) triple of every
-UE pair, and a mask of each UE's aligned triples.  BS-side single-side DAM
-(one branch, stream l aligned through path l) is the I = L, R = 1 case of
-double-side DAM, so both designs run one body on their compensation delays:
-it derives every triple's integer lag once and hands the lags, with the
-fractional delays in samples, to ``pulse.build_rho_table``.  On this
-assembly run:
+Every DAM delay design is a plan of ``delay_design.solve_compensation_delays``
+and yields one assembly, ``DamChannels``: the path gains, a (2W+1)-lag scalar
+weight for every (branch, path, stream) triple of every UE pair, a mask of
+each UE's aligned triples and the pre-delays of its streams.  BS-side
+single-side DAM is the I = L, R = 1 plan: one branch, and each path l
+aligned through one stream, pre-delayed by n_max - n_l.  The assembly derives
+every triple's integer lag once and hands the lags, with the fractional
+delays in samples, to ``pulse.build_rho_table``.  On this assembly run:
 
 * eigen-beamforming on each UE's aligned block, with one power split
-  (desired / aligned ISI / cross-path ISI / IUI) for both designs;
-* ISI-zero-forcing transmission on the BS-side assembly, from a
-  sphere-grid start polished by alternating MMSE updates of the receive
-  and transmit vectors.
+  (desired / aligned ISI / cross-path ISI / IUI) for every plan;
+* ISI-zero-forcing transmission on the BS-side assembly, sending the stream
+  aligned through path l on that path alone, from a sphere-grid start
+  polished by alternating MMSE updates of the receive and transmit vectors.
 
 Each path gain is one matrix and the pulse couples paths only through a
 scalar weight per lag, so no per-lag block matrix is built: every SINR is a
@@ -39,7 +39,6 @@ __all__ = [
     "IsiZfState",
     "assemble_effective_channels",
     "eigen_beamform_doubleside",
-    "bs_side_kappa",
     "bs_side_rho_tables",
     "assemble_bs_side",
     "power_terms",
@@ -71,12 +70,14 @@ class DamChannels:
     Branch r of UE k hears stream i of UE k' through its path l at lag n - W
     with the weight ``tables[k, k', r, l, i, n]``.  ``aligned_mask[k, r, l, i]``
     marks UE k's aligned triples: its own streams that the delay design lines
-    up at lag 0.  Both delay designs produce this assembly.
+    up at lag 0.  ``kappa[k, i]`` is the pre-delay of UE k's stream i that
+    the assembly was built for.
     """
 
     gains: np.ndarray         # (K, L, M_r, M_t)
     tables: np.ndarray        # (K, K, R, L, I, 2W+1)
     aligned_mask: np.ndarray  # (K, R, L, I) bool
+    kappa: np.ndarray         # (K, I) integer pre-delays of the streams
 
     @property
     def window(self) -> int:
@@ -93,31 +94,19 @@ class DamChannels:
         return blk.reshape(K, R * m_r, I * m_t)
 
 
-def _assemble(channels: ChannelSet, kappa, mu, window: int, beta: float) -> DamChannels:
-    """The assembly under pre-delays kappa (K, I) and post-delays mu (K, R).
-
-    UE k's own triples at lag q = 0 (``delay_design.triple_lags``) are
-    aligned, and ``pulse.build_rho_table`` weighs every triple at its lag.
-    """
-    lags = triple_lags(channels.n, channels.n_max, kappa, mu)  # (K, K, R, L, I)
-    tables = build_rho_table(lags, channels.frac, window, beta)
-    own = np.arange(channels.K)
-    return DamChannels(gains=channels.gains, tables=tables, aligned_mask=lags[own, own] == 0)
-
-
 def assemble_effective_channels(
     channels: ChannelSet, I: int, window: int, beta: float
 ) -> DamChannels:
     """Double-side assembly with I streams per UE, under UE k's plan
     ``solve_compensation_delays(n_k, I, L + 1 - I)``, so 1 <= I <= L; on
-    fractional delays ``window`` must cover |q|, up to twice the delay span."""
+    fractional delays ``window`` must cover |q|, up to twice the delay span.
+    UE k's own triples at lag q = 0 (``delay_design.triple_lags``) are aligned."""
     plans = [solve_compensation_delays(n, I, channels.L + 1 - I) for n in channels.n]
-    return _assemble(channels, [p.kappa for p in plans], [p.mu for p in plans], window, beta)
-
-
-def bs_side_kappa(channels: ChannelSet) -> np.ndarray:
-    """(K, L) transmit-side delays aligning each path to its UE's latest path."""
-    return channels.n_max[:, None] - channels.n
+    kappa = np.array([p.kappa for p in plans])
+    lags = triple_lags(channels.n, channels.n_max, kappa, [p.mu for p in plans])
+    tables = build_rho_table(lags, channels.frac, window, beta)
+    own = np.arange(channels.K)
+    return DamChannels(channels.gains, tables, aligned_mask=lags[own, own] == 0, kappa=kappa)
 
 
 def bs_side_rho_tables(channels: ChannelSet, window: int, beta: float) -> np.ndarray:
@@ -126,9 +115,9 @@ def bs_side_rho_tables(channels: ChannelSet, window: int, beta: float) -> np.nda
 
 
 def assemble_bs_side(channels: ChannelSet, window: int, beta: float) -> DamChannels:
-    """BS-side assembly: one receive branch without post-delay, stream l aligning path l."""
-    mu = np.zeros((channels.K, 1), dtype=int)
-    return _assemble(channels, bs_side_kappa(channels), mu, window, beta)
+    """BS-side assembly: the I = L, R = 1 double-side plan, one branch without
+    post-delay and the stream aligned through path l pre-delayed by n_max - n_l."""
+    return assemble_effective_channels(channels, channels.L, window, beta)
 
 
 @dataclass(frozen=True)
@@ -172,7 +161,7 @@ def power_terms(F: DamChannels, w: np.ndarray, f: np.ndarray) -> PowerTerms:
 def eigen_beamform_bs_side(
     F: DamChannels, P: float, sigma2: float
 ) -> tuple[BeamformerSet, np.ndarray]:
-    """Eigen-beamforming on the aligned block of each UE, for either delay design.
+    """Eigen-beamforming on the aligned block of each UE, for every delay plan.
 
     The top singular pair of each UE's aligned block gives its transmit and
     receive vectors; transmit vectors share the budget equally (P/K each).
@@ -236,12 +225,13 @@ def null_space_projection(gains: np.ndarray, k: int, l: int) -> np.ndarray:
 class PathGrams:
     """Every UE's ISI-ZF channel in per-path Gram form.
 
-    Stream l of UE k is sent in the complement of every other path's row
-    space, P_kl = I - Q_o Q_o^H, so only its own path carries it: through the
-    projected path H_kl P_kl it reaches UE k's receiver as the output Y_kl,
-    and UE k hears its streams at lag n as Y_k r_k[n] with r_k[n] =
-    (rho_ll[n])_l.  So every lag sum reduces to r0 = r[0] and the L x L Gram
-    matrix s of the other lags.  The transmit update always sends f_kl along
+    The stream aligned through path l of UE k (stream i_l) is sent in the
+    complement of every other path's row space, P_kl = I - Q_o Q_o^H, so only
+    path l carries it: through the projected path H_kl P_kl it reaches UE k's
+    receiver as the output Y_kl, and UE k hears its streams at lag n as
+    Y_k r_k[n] with r_k[n] = (rho_{l i_l}[n])_l.  So every lag sum reduces to
+    r0 = r[0] and the L x L Gram matrix s of the other lags; all three fields
+    are indexed by path.  The transmit update always sends f_kl along
     P_kl H_kl^H w_k, so the loop sees the projector only through the
     M_r x M_r Gram matrices gram[k, l] = H_kl P_kl H_kl^H.
     """
@@ -262,7 +252,7 @@ class IsiZfState:
 
     grams: PathGrams
     w: np.ndarray                     # (K, M_r) unit receive vectors
-    f: np.ndarray                     # (K, L M_t) stacked transmit vectors [f_kl]_l
+    f: np.ndarray                     # (K, L M_t) stacked transmit vectors [f_ki]_i
     trace: list[float]                # objective value per iteration
     iterations: int
     converged: bool
@@ -385,9 +375,11 @@ def isi_zf_alternating(
 ) -> tuple[IsiZfState, np.ndarray]:
     """ISI-ZF beamforming: a sphere-grid start polished by alternating MMSE updates.
 
-    Reads the path gains and each UE's own-path correlations rho_ll (on its
-    one branch) from the same BS-side assembly that eigen-beamforming uses.
-    Stream l of UE k is sent in the complement of every other path's row
+    Reads the path gains, and for each path l of UE k the correlation of the
+    stream aligned through it (``aligned_mask[k, 0, l]``) on its one branch,
+    from the same BS-side assembly that eigen-beamforming uses; an assembly
+    with more than one branch raises ``ValueError``.  The stream aligned
+    through path l is sent in the complement of every other path's row
     space (projector P_kl = I - Q_o Q_o^H, from
     ``numerics.project_off_others`` on the path rows in their span
     ``numerics.path_span``), so no null-space basis is built and the result
@@ -398,13 +390,17 @@ def isi_zf_alternating(
     update; ``max_iter=0`` returns that start.  The receive/transmit updates
     then run on the path Grams of all UEs at once until the relative
     sum-rate increase drops below ``tol`` or after ``max_iter`` iterations;
-    the objective trace is non-decreasing.  The final transmit vectors are
-    f_kl = c_l P_kl H_kl^H w_k.
+    the objective trace is non-decreasing.  The final transmit vector of the
+    stream aligned through path l is c_l P_kl H_kl^H w_k, and ``state.f``
+    stacks them in the assembly's stream order, like ``BeamformerSet.f_bar``.
     """
+    if F.aligned_mask.shape[1] != 1:
+        raise ValueError("ISI-ZF needs a single-branch (I = L, R = 1) assembly")
     _require_zf_feasible(F.gains)
     K, L, M_r, M_t = F.gains.shape
-    own, path = np.arange(K), np.arange(L)
-    r = F.tables[own, own, 0][:, path, path]      # (K, L, 2W+1) rho_ll
+    own = np.arange(K)[:, None]
+    stream = np.argmax(F.aligned_mask[:, 0], axis=2)  # (K, L) stream aligned through path l
+    r = F.tables[own, own, 0, np.arange(L), stream]   # (K, L, 2W+1)
     off = np.delete(r, F.window, axis=2)
     q, rows = path_span(F.gains)                  # H_kl = rows Q^H
     # H_kl P_kl = projected Q^H, every path off every other path of every UE
@@ -435,7 +431,8 @@ def isi_zf_alternating(
     else:
         # cut off at max_iter while every step still rose by >= tol
         converged = max_iter == 0
-    f = weights[..., None] * (np.einsum("klmr,km->klr", projected.conj(), w) @ q.T)
+    f = np.empty((K, L, M_t), dtype=complex)
+    f[own, stream] = weights[..., None] * (np.einsum("klmr,km->klr", projected.conj(), w) @ q.T)
 
     state = IsiZfState(
         grams=grams, w=w, f=f.reshape(K, L * M_t), trace=trace, iterations=iterations,

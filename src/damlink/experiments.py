@@ -21,7 +21,6 @@ from . import __version__
 from .beamforming import (
     assemble_bs_side,
     assemble_effective_channels,
-    bs_side_kappa,
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
@@ -251,7 +250,7 @@ def _qam4(rng, *shape) -> np.ndarray:
 def _dam_papr_draw(channels, cfg, block_symbols):
     F = assemble_bs_side(channels, cfg.rho_window, cfg.beta)
     bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
-    kappas = bs_side_kappa(channels)
+    kappas = F.kappa  # the pre-delays the assembly was built for
     pad = 32 + int(kappas.max())
 
     def draw(rng, blocks):

@@ -53,3 +53,19 @@ def random_delay_channel_set(
     return make_channel_set(
         rng, m_r, m_t, delay_lists, frac_lists, scale=scale, full_rank=full_rank
     )
+
+
+def aligned_stream(F):
+    """(K, L) index of the stream aligned through path l of UE k, read from the
+    aligned mask of a one-branch assembly, where it is one stream per path."""
+    mask = F.aligned_mask[:, 0]
+    assert np.all(mask.sum(axis=2) == 1)
+    return np.argmax(mask, axis=2)
+
+
+def by_path(F, f):
+    """Stacked per-stream transmit vectors (K, L M_t) of a one-branch assembly,
+    reordered so block l holds the stream aligned through path l."""
+    K, L = f.shape[0], F.aligned_mask.shape[2]
+    blocks = f.reshape(K, L, -1)
+    return blocks[np.arange(K)[:, None], aligned_stream(F)].reshape(K, -1)

@@ -7,7 +7,7 @@ criterion.
 import numpy as np
 import pytest
 
-from conftest import make_channel_set, random_delay_channel_set
+from conftest import by_path, make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     eigen_beamform_bs_side,
@@ -104,8 +104,8 @@ def test_criterion_05_count_selection_equivalence():
 def test_criterion_06_zero_forcing_structure():
     beta, sigma2, P = 0.25, 1e-3, 2.0
 
-    def cross_term_check(cs, state):
-        f_bar = state.f
+    def cross_term_check(cs, F, state):
+        f_bar = by_path(F, state.f)  # block l: the stream aligned through path l
         m_t = cs.M_t
         desired_scale = max(
             abs(state.w[k].conj() @ cs.gains[k, l] @ f_bar[k][l * m_t : (l + 1) * m_t])
@@ -123,14 +123,15 @@ def test_criterion_06_zero_forcing_structure():
     # fractional-delay instance: cross terms vanish relative to the desired terms
     rng = np.random.default_rng(42)
     cs = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=True)
-    state, _ = isi_zf_alternating(assemble_bs_side(cs, 60, beta), P, sigma2)
-    rel = cross_term_check(cs, state)
+    F = assemble_bs_side(cs, 60, beta)
+    state, _ = isi_zf_alternating(F, P, sigma2)
+    rel = cross_term_check(cs, F, state)
 
     # integer delays: interference exactly zero, SINR = P_DS / sigma^2
     cs_int = random_delay_channel_set(rng, 2, 32, K=2, L=3, fractional=False)
     F = assemble_bs_side(cs_int, 60, beta)
     state_i, sinrs_i = isi_zf_alternating(F, P, sigma2)
-    cross_term_check(cs_int, state_i)
+    cross_term_check(cs_int, F, state_i)
     terms = power_terms(F, state_i.w, state_i.f)
     assert np.all(terms.interference <= 1e-12 * terms.desired)
     assert np.allclose(sinrs_i, terms.desired / sigma2, rtol=1e-9, atol=0.0)
@@ -168,8 +169,11 @@ def test_criterion_08_fractional_delay_waveform_oracle():
         F = assemble_bs_side(cs, window, beta)
         bf, _ = eigen_beamform_bs_side(F, 1.0, sigma2)
         pipeline = power_terms(F, bf.w_bar, bf.f_bar)
+        # the oracle pre-delays its stream l by n_max - n_l: the stream aligned through path l
         kappa, mu = bs_side_delays(cs)
-        oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, beta, os=os)
+        oracle = oracle_power_terms(
+            cs, by_path(F, bf.f_bar), bf.w_bar, kappa, mu, window, beta, os=os
+        )
         p = pipeline
         for k in range(cs.K):
             for got, want in zip(

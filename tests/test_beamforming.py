@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_channel_set, random_delay_channel_set
+from conftest import aligned_stream, by_path, make_channel_set, random_delay_channel_set
 from damlink.beamforming import (
     SPHERE_GRID,
+    DamChannels,
     assemble_bs_side,
     assemble_effective_channels,
     eigen_beamform_bs_side,
@@ -144,6 +145,30 @@ class TestAssembleEffectiveChannels:
         for k in range(cs.K):
             assert lags[k, k].min() == cs.n[k, 0] - cs.n_max[k]
 
+    def test_kappa_is_the_plan(self):
+        rng = np.random.default_rng(42)
+        cs = random_delay_channel_set(rng, 2, 4, K=3, L=4)
+        for I in range(1, cs.L + 1):
+            F = assemble_effective_channels(cs, I, WINDOW, BETA)
+            assert F.kappa.shape == (cs.K, I)
+            for k, plan in enumerate(_plans(cs, I)):
+                assert F.kappa[k].tolist() == list(plan.kappa)
+        # I = L: one branch, and each path aligned through exactly one stream
+        mask = F.aligned_mask
+        assert mask.shape == (cs.K, 1, cs.L, cs.L)
+        for k in range(cs.K):
+            assert np.array_equal(mask[k, 0].sum(axis=0), np.ones(cs.L))
+            assert np.array_equal(mask[k, 0].sum(axis=1), np.ones(cs.L))
+
+    def test_bs_side_is_the_full_stream_plan(self):
+        rng = np.random.default_rng(43)
+        for fractional in (False, True):
+            cs = random_delay_channel_set(rng, 2, 4, K=2, L=3, fractional=fractional)
+            bs = assemble_bs_side(cs, WINDOW, BETA)
+            full = assemble_effective_channels(cs, cs.L, WINDOW, BETA)
+            for field in dataclasses.fields(bs):
+                assert np.array_equal(getattr(bs, field.name), getattr(full, field.name))
+
     @pytest.mark.parametrize("I", [0, 4])
     def test_stream_count_must_fit_the_paths(self, I):
         # 1 <= I <= L, so that R = L + 1 - I >= 1 branch
@@ -242,12 +267,11 @@ def _lag_blocks(gains, weights):
 
 
 def _own_lag_blocks(F, k):
-    """(aligned, cross-path) per-lag blocks of UE k's own streams."""
+    """(aligned, cross-path) per-lag blocks of UE k's own streams on branch 0,
+    split by the (path, stream) pairs of ``aligned_mask[k, 0]``."""
     tab = F.tables[k, k, 0]
-    diag_only = np.zeros_like(tab)
-    idx = np.arange(tab.shape[0])
-    diag_only[idx, idx] = tab[idx, idx]
-    return _lag_blocks(F.gains[k], diag_only), _lag_blocks(F.gains[k], tab - diag_only)
+    aligned_only = np.where(F.aligned_mask[k, 0][..., None], tab, 0.0)
+    return _lag_blocks(F.gains[k], aligned_only), _lag_blocks(F.gains[k], tab - aligned_only)
 
 
 class TestBsSideAssembly:
@@ -256,7 +280,8 @@ class TestBsSideAssembly:
         cs = make_channel_set(rng, 2, 4, [[1, 4, 7]])
         F = assemble_bs_side(cs, 20, BETA)
         center = F.window
-        expected = np.concatenate(list(cs.gains[0]), axis=1)
+        paths = np.argsort(aligned_stream(F)[0])  # the path each stream is aligned through
+        expected = np.concatenate(list(cs.gains[0, paths]), axis=1)
         h_rho, h_hat = _own_lag_blocks(F, 0)
         assert np.array_equal(F.aligned_blocks()[0], expected)
         assert np.array_equal(h_rho[center], expected)
@@ -421,12 +446,14 @@ def _zf_setup(rng, fractional=True, m_t=16, K=2, L=3, m_r=2):
 
 
 def _center_channels(cs, window=40):
-    """Per-UE zero-lag projected channels [H_kl basis_kl rho_ll[0]]_l, (M_r, D)."""
+    """Per-UE zero-lag projected channels [H_kl basis_kl rho_l,i_l[0]]_l, (M_r, D),
+    with i_l the stream aligned through path l."""
     F = assemble_bs_side(cs, window, BETA)
-    tab = F.tables[:, :, 0]
+    tab, stream = F.tables[:, :, 0], aligned_stream(F)
     return [
         np.concatenate(
-            [cs.gains[k, l] @ null_space_projection(cs.gains, k, l) * tab[k, k, l, l, F.window]
+            [cs.gains[k, l] @ null_space_projection(cs.gains, k, l)
+             * tab[k, k, l, stream[k, l], F.window]
              for l in range(cs.L)],
             axis=1,
         )
@@ -463,6 +490,16 @@ def _reduced(projected, w, weights):
         np.concatenate([c * (g.conj().T @ wk) for g, c in zip(gs, ck)])
         for gs, wk, ck in zip(projected, w, weights)
     ]
+
+
+def _permute_streams(F, perm):
+    """``F`` with UE k's stream i taken from its stream perm[k, i]."""
+    tables, mask = F.tables.copy(), F.aligned_mask.copy()
+    for k, p in enumerate(perm):
+        tables[:, k] = F.tables[:, k][..., p, :]
+        mask[k] = F.aligned_mask[k][..., p]
+    kappa = np.take_along_axis(F.kappa, perm, axis=1)
+    return DamChannels(gains=F.gains, tables=tables, aligned_mask=mask, kappa=kappa)
 
 
 class TestMmseUpdates:
@@ -529,14 +566,42 @@ class TestIsiZfAlternating:
         m_t = cs.M_t
         tab = F.tables[0, 0, 0]
         coup = sum(
-            tab[l, l] * (w.conj() @ cs.gains[0, l] @ f[l * m_t : (l + 1) * m_t])
-            for l in range(cs.L)
+            tab[l, i] * (w.conj() @ cs.gains[0, l] @ f[i * m_t : (i + 1) * m_t])
+            for l, i in enumerate(aligned_stream(F)[0])
         )
         center = F.window
         desired = abs(coup[center]) ** 2
         residual = np.sum(np.abs(coup) ** 2) - desired
         assert residual <= 1e-20 * desired
         assert sinrs[0] == pytest.approx(desired / SIGMA2, rel=1e-9)
+
+    def test_full_stream_plan_is_the_bs_side_solve(self):
+        # the streams of the I = L plan are in plan order, not path order
+        cs = random_delay_channel_set(np.random.default_rng(0), 3, 32, K=2, L=3)
+        state, sinrs = isi_zf_alternating(assemble_effective_channels(cs, 3, 40, BETA), 1.0, SIGMA2)
+        ref, ref_sinrs = isi_zf_alternating(assemble_bs_side(cs, 40, BETA), 1.0, SIGMA2)
+        assert np.array_equal(sinrs, ref_sinrs)
+        assert np.array_equal(state.f, ref.f)
+        assert np.array_equal(state.w, ref.w)
+
+    def test_more_than_one_branch_raises(self):
+        cs = random_delay_channel_set(np.random.default_rng(0), 3, 32, K=2, L=3)
+        for I in (1, 2):
+            with pytest.raises(ValueError, match="single-branch"):
+                isi_zf_alternating(assemble_effective_channels(cs, I, 40, BETA), 1.0, SIGMA2)
+
+    def test_reads_the_aligned_mask_in_any_stream_order(self):
+        cs = random_delay_channel_set(np.random.default_rng(0), 3, 32, K=2, L=3)
+        F = assemble_bs_side(cs, 40, BETA)
+        state, sinrs = isi_zf_alternating(F, 1.0, SIGMA2)
+        # the SINRs the power split gives the returned beamformers, in stream order
+        terms = power_terms(F, state.w, state.f)
+        assert np.allclose(sinrs, terms.desired / (terms.interference + SIGMA2), rtol=1e-9)
+        perm = np.array([[1, 2, 0], [2, 1, 0]])
+        G = _permute_streams(F, perm)
+        again_state, again = isi_zf_alternating(G, 1.0, SIGMA2)
+        assert np.array_equal(again, sinrs)
+        assert np.array_equal(by_path(G, again_state.f), by_path(F, state.f))
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(23)
@@ -600,8 +665,9 @@ class TestIsiZfAlternating:
         rng = np.random.default_rng(25)
         cs = _zf_setup(rng, fractional=True, m_t=16)
         P = 2.0
-        state, _ = isi_zf_alternating(assemble_bs_side(cs, 40, BETA), P, SIGMA2)
-        f_bar = state.f
+        F = assemble_bs_side(cs, 40, BETA)
+        state, _ = isi_zf_alternating(F, P, SIGMA2)
+        f_bar = by_path(F, state.f)  # block l: the stream aligned through path l
         m_t = cs.M_t
         scale = np.sqrt(P) * np.max(np.linalg.norm(cs.gains, axis=(2, 3)))
         for k, l, kp, i in np.ndindex(cs.K, cs.L, cs.K, cs.L):

@@ -17,7 +17,6 @@ import pytest
 
 from damlink.beamforming import (
     assemble_bs_side,
-    bs_side_kappa,
     eigen_beamform_bs_side,
 )
 from damlink.channel import SimConfig, generate_channel_set
@@ -90,12 +89,11 @@ def _qam(rng, K, n_sym):
 def _dam_case(cfg, channels, rng, blocks, block_symbols):
     F = assemble_bs_side(channels, cfg.rho_window, cfg.beta)
     bf, _ = eigen_beamform_bs_side(F, cfg.p_watts(), cfg.sigma2_watts())
-    kappas = bs_side_kappa(channels)
-    pad = 32 + int(kappas.max())
+    pad = 32 + int(F.kappa.max())
     sym = _qam(rng, cfg.K, blocks * block_symbols + 2 * pad)
     return (
-        dam_streams(sym, bf, kappas, cfg),
-        synthesize_dam_waveform(sym, bf, kappas, cfg),
+        dam_streams(sym, bf, F.kappa, cfg),
+        synthesize_dam_waveform(sym, bf, F.kappa, cfg),
         pad,
     )
 

@@ -9,10 +9,11 @@ import pytest
 
 import damlink.pulse
 from conftest import random_delay_channel_set
-from damlink.beamforming import assemble_bs_side, assemble_effective_channels, bs_side_kappa
+from damlink.beamforming import assemble_bs_side, assemble_effective_channels
 from damlink.channel import ChannelSet, SimConfig, generate_channel_set
 from damlink.delay_design import solve_compensation_delays, triple_lags
 from damlink.pulse import build_rho_table, rho, rrc, rrc_taps
+from oracles import bs_side_delays
 
 T = 5e-9
 
@@ -103,8 +104,9 @@ def _two_ue_channels(seed, integer_delays=False, L=3):
 
 
 def _bs_side_lags(cs):
-    """(K, K, 1, L, L) triple lags under BS-side pre-delays, one branch without post-delay."""
-    return triple_lags(cs.n, cs.n_max, bs_side_kappa(cs), np.zeros((cs.K, 1), dtype=int))
+    """(K, K, 1, L, L) triple lags under BS-side pre-delays n_max - n_l on stream l,
+    one branch without post-delay."""
+    return triple_lags(cs.n, cs.n_max, *bs_side_delays(cs))
 
 
 def _bs_side_table(cs, W, beta):
@@ -168,7 +170,7 @@ class TestBuildRhoTable:
         rng = np.random.default_rng(43)
         cs = random_delay_channel_set(rng, 2, 4, K=3, L=3, fractional=False)
         if design == "bs-side":
-            kappa, mu = bs_side_kappa(cs), np.zeros((cs.K, 1), dtype=int)
+            kappa, mu = bs_side_delays(cs)
         else:
             plans = [solve_compensation_delays(n, design, cs.L + 1 - design) for n in cs.n]
             kappa, mu = [plan.kappa for plan in plans], [plan.mu for plan in plans]
@@ -184,7 +186,7 @@ class TestBuildRhoTable:
     def test_every_pair_follows_the_formula(self):
         # entry (k, k', l, i, n) = rho(n - W + n_k,max - kappa_k'i - n_kl - frac_kl)
         cfg, cs = _two_ue_channels(4)
-        kappa = bs_side_kappa(cs)
+        kappa, _ = bs_side_delays(cs)
         W = 40
         table = _bs_side_table(cs, W, cfg.beta)
         for k in range(cs.K):
@@ -215,7 +217,7 @@ class TestBuildRhoTable:
         n = np.array([[1, 5, 8]])
         frac = np.array([[int(rng.integers(-os // 2 + 1, os // 2)) / os for _ in range(3)]])
         cs = ChannelSet(gains=np.ones((1, 3, 1, 1), dtype=complex), n=n, frac=frac)
-        kappa = bs_side_kappa(cs)
+        kappa, _ = bs_side_delays(cs)
         W = 40
         table = _bs_side_table(cs, W, beta)[0, 0]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_channel_set
+from conftest import by_path, make_channel_set
 from damlink.beamforming import (
     assemble_bs_side,
     assemble_effective_channels,
@@ -44,8 +44,9 @@ def test_power_terms_match_convolution_oracle(m_t, m_r, delays):
     bf, _ = eigen_beamform_bs_side(F, 1.0, 1e-3)
 
     pipeline = power_terms(F, bf.w_bar, bf.f_bar)
+    # the oracle pre-delays its stream l by n_max - n_l: the stream aligned through path l
     kappa, mu = bs_side_delays(cs)
-    oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, BETA, os=OS)
+    oracle = oracle_power_terms(cs, by_path(F, bf.f_bar), bf.w_bar, kappa, mu, window, BETA, os=OS)
 
     for k in range(cs.K):
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
@@ -111,7 +112,7 @@ def test_sinr_matches_oracle_end_to_end():
     F = assemble_bs_side(cs, window, BETA)
     bf, sinrs = eigen_beamform_bs_side(F, 1.0, sigma2)
     kappa, mu = bs_side_delays(cs)
-    oracle = oracle_power_terms(cs, bf.f_bar, bf.w_bar, kappa, mu, window, BETA, os=OS)
+    oracle = oracle_power_terms(cs, by_path(F, bf.f_bar), bf.w_bar, kappa, mu, window, BETA, os=OS)
     for k in range(cs.K):
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
         oracle_sinr = o_ds / (o_isi1 + o_isi2 + o_iui + sigma2)
@@ -134,7 +135,7 @@ def test_isi_zf_sinrs_match_convolution_oracle(m_t, m_r, delays):
     state, sinrs = isi_zf_alternating(F, 1.0, sigma2)
     assert state.iterations > 0
     kappa, mu = bs_side_delays(cs)
-    oracle = oracle_power_terms(cs, state.f, state.w, kappa, mu, window, BETA, os=OS)
+    oracle = oracle_power_terms(cs, by_path(F, state.f), state.w, kappa, mu, window, BETA, os=OS)
     for k in range(cs.K):
         o_ds, o_isi1, o_isi2, o_iui = oracle[k]
         # zero forcing: no path carries another path's or another UE's stream
