@@ -281,7 +281,8 @@ def _strongest_papr_draw(channels, cfg, block_symbols):
 
 
 def _chunk_blocks(cfg, block_symbols) -> int:
-    """Blocks drawn per chunk: about 5e6 antenna samples."""
+    """Blocks per chunk, sized for 5e6 antenna samples though ``stream_paprs`` holds
+    only the streams and one tile; kept because another size moves every PAPR sample."""
     return max(1, 5_000_000 // (block_symbols * cfg.oversample * cfg.M_t))
 
 

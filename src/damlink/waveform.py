@@ -7,9 +7,9 @@ peak-to-average power ratio is measured on the oversampled post-filter
 waveform.
 
 Every scheme first builds a StreamSet (symbol-rate streams, their delays and
-the antenna weights that superpose them); antennas are then shaped and
-combined a group at a time, so ``stream_paprs`` never holds the whole
-M_t-antenna waveform that ``synthesize_*_waveform`` return.
+the antenna weights that superpose them).  ``stream_paprs`` reduces the shaped
+streams to PAPRs one cache-sized real tile at a time, so it never holds an
+antenna's complex waveform, as ``synthesize_*_waveform`` do for all M_t.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ __all__ = [
 # RRC truncation for synthesis; analysis windows are configured separately.
 SYNTH_SPAN_SYMBOLS = 16
 
-# Antennas shaped and combined together.  At the reference config groups of
-# 4-32 timed alike; all 128 antennas at once were 1.1x (OFDM) to 2x (strongest
-# path) slower per block and held the whole chunk waveform.
-ANTENNA_GROUP = 8
+# Antennas per PAPR tile.  ``stream_paprs`` ms on a reference chunk (DAM / OFDM /
+# strongest path; one BLAS thread, 2-vCPU Xeon, 2 MB L2 per core; median of 9):
+# 8: 18.7/32.1/15.0, 16: 18.4/33.6/14.1, 32: 21.1/33.6/14.3, 128: 25.6/36.2/21.6.
+ANTENNA_GROUP = 16
 
 
 @dataclass
@@ -185,33 +185,40 @@ def strongest_path_streams(symbols, channels: ChannelSet, P: float, cfg: SimConf
     return StreamSet(symbols, np.zeros(K, dtype=int), np.sqrt(P / K) * vh[:, 0].conj().T)
 
 
-def _antenna_groups(streams: StreamSet, cfg: SimConfig):
-    """Shaped samples of each run of ANTENNA_GROUP antennas, in antenna order."""
-    shaped = _shape_streams(streams.streams, streams.delays, cfg.oversample, cfg.beta)
-    for a in range(0, streams.n_antennas, ANTENNA_GROUP):
-        yield streams.weights[a : a + ANTENNA_GROUP] @ shaped
-
-
 def _synthesize(streams: StreamSet, cfg: SimConfig) -> Waveform:
-    return Waveform(np.concatenate(list(_antenna_groups(streams, cfg))), cfg.oversample)
+    shaped = _shape_streams(streams.streams, streams.delays, cfg.oversample, cfg.beta)
+    return Waveform(streams.weights @ shaped, cfg.oversample)
 
 
 def stream_paprs(streams: StreamSet, cfg: SimConfig, lead_symbols: int, n_blocks: int,
                  block_symbols: int) -> np.ndarray:
     """Per-(block, antenna) PAPRs of ``n_blocks`` blocks after ``lead_symbols``.
 
-    Equals ``papr_blocks`` on the synthesized waveform cut to those blocks,
-    but holds the oversampled samples of ANTENNA_GROUP antennas at a time.
+    Equals ``papr_blocks`` on the synthesized waveform cut to those blocks.
+    Per block, the shaped streams' rows [Re s; Im s] times [[Re W, -Im W],
+    [Im W, Re W]] give [Re x; Im x] for a tile of ANTENNA_GROUP antennas,
+    squared in place and added by halves to |x|^2, then reduced per antenna.
     """
+    block = block_symbols * cfg.oversample
     start = lead_symbols * cfg.oversample
-    stop = start + n_blocks * block_symbols * cfg.oversample
-    return np.concatenate(
-        [
-            papr_blocks(Waveform(x[:, start:stop], cfg.oversample), block_symbols)
-            for x in _antenna_groups(streams, cfg)
-        ],
-        axis=1,
-    )
+    shaped = _shape_streams(streams.streams, streams.delays, cfg.oversample, cfg.beta)
+    groups = [slice(a, a + ANTENNA_GROUP) for a in range(0, streams.n_antennas, ANTENNA_GROUP)]
+    weights = [streams.weights[s] for s in groups]
+    lifted = [np.block([[w.real, -w.imag], [w.imag, w.real]]) for w in weights]
+    peak, total = np.empty((2, n_blocks, streams.n_antennas))
+    stack = np.empty((2 * len(shaped), block))
+    tile = np.empty((2 * ANTENNA_GROUP, block))
+    for b in range(n_blocks):
+        x = shaped[:, start + b * block : start + (b + 1) * block]
+        np.concatenate([x.real, x.imag], out=stack)
+        for s, w in zip(groups, lifted):
+            power = np.matmul(w, stack, out=tile[: len(w)])
+            np.square(power, out=power)
+            re2, im2 = power.reshape(2, -1, block)
+            np.add(re2, im2, out=re2)
+            np.maximum.reduce(re2, axis=1, out=peak[b, s])
+            np.add.reduce(re2, axis=1, out=total[b, s])
+    return _peak_to_mean(peak, total / block)
 
 
 def synthesize_dam_waveform(symbols, beamformers, kappas, cfg: SimConfig) -> Waveform:
@@ -253,7 +260,14 @@ def papr_blocks(waveform: Waveform, block_symbols: int) -> np.ndarray:
     x = waveform.samples[:, : n_blocks * block]
     p = np.abs(x) ** 2
     p = p.reshape(p.shape[0], n_blocks, block)
-    return (p.max(axis=2) / p.mean(axis=2)).T  # (n_blocks, n_antennas)
+    return _peak_to_mean(p.max(axis=2).T, p.mean(axis=2).T)
+
+
+def _peak_to_mean(peak, mean) -> np.ndarray:
+    """(n_blocks, n_antennas) PAPRs; a block without power has none."""
+    if not mean.all():
+        raise ValueError("block %d, antenna %d carries no power" % tuple(np.argwhere(mean == 0)[0]))
+    return peak / mean
 
 
 def ccdf_from_paprs(paprs, thresholds_db) -> np.ndarray:

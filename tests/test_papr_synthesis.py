@@ -1,7 +1,7 @@
-"""Symbol-rate pulse shaping and antenna-group PAPR reduction.
+"""Symbol-rate pulse shaping and the tiled PAPR reduction.
 
 The shaper is checked against the literal zero-stuffed convolution, the
-group reduction against ``papr_blocks`` on the whole synthesized waveform,
+tiled reduction against ``papr_blocks`` on the whole synthesized waveform,
 and the span-coordinate OFDM waveform against the per-antenna transmitter.
 """
 
@@ -35,7 +35,6 @@ from damlink.ofdm import ofdm_eigen, ofdm_zf_beamformers
 from damlink.waveform import (
     ANTENNA_GROUP,
     Waveform,
-    _antenna_groups,
     _fast_len,
     _shape_streams,
     dam_streams,
@@ -136,6 +135,9 @@ REF = SimConfig()
     [
         pytest.param(SimConfig(M_t=5, **SMALL), 6, id="M_t=5"),
         pytest.param(SimConfig(M_t=13, **SMALL), 6, id="M_t=13"),
+        # a last tile shorter than ANTENNA_GROUP behind two full ones
+        pytest.param(SimConfig(M_t=2 * ANTENNA_GROUP + 5, **SMALL), 6, id="partial-tile"),
+        pytest.param(SimConfig(M_t=2 * ANTENNA_GROUP + 5, **SMALL), 1, id="one-block"),
         pytest.param(REF, _chunk_blocks(REF, REF.M + REF.G_cp), id="reference-chunk"),
     ],
 )
@@ -183,12 +185,44 @@ def test_ofdm_reference_chunk_matches_per_antenna_oracle():
     paprs = stream_paprs(streams, cfg, block_symbols, blocks, block_symbols)
     start = block_symbols * cfg.oversample
     stop = start + blocks * block_symbols * cfg.oversample
+    shaped = _shape_streams(streams.streams, streams.delays, cfg.oversample, cfg.beta)
     # the per-antenna transmitter is separable, so it runs a group at a time
-    for a, got in zip(range(0, cfg.M_t, ANTENNA_GROUP), _antenna_groups(streams, cfg)):
+    for a in range(0, cfg.M_t, ANTENNA_GROUP):
+        got = streams.weights[a : a + ANTENNA_GROUP] @ shaped
         ref = oracle_ofdm_waveform(sym, bf.v[:, :, a : a + ANTENNA_GROUP], cfg)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         ref_paprs = papr_blocks(Waveform(ref[:, start:stop], cfg.oversample), block_symbols)
         assert np.allclose(paprs[:, a : a + ANTENNA_GROUP], ref_paprs, rtol=1e-12, atol=0.0)
+
+
+def test_papr_blocks_reject_a_silent_block():
+    x = np.random.default_rng(7).standard_normal((3, 4 * 16 * 4)) + 0j
+    x[1, 2 * 64 : 3 * 64] = 0.0  # antenna 1 sends nothing in block 2
+    with pytest.raises(ValueError, match="block 2, antenna 1 "):
+        papr_blocks(Waveform(x, 4), 16)
+
+
+@pytest.mark.parametrize("case", CASES, ids=["dam", "ofdm", "strongest-path"])
+def test_stream_paprs_reject_a_silent_antenna(case):
+    cfg = SimConfig(M_t=2 * ANTENNA_GROUP + 5, **SMALL)
+    block_symbols = cfg.M + cfg.G_cp
+    channels = generate_channel_set(cfg, 3, integer_delays=False)
+    streams, _, lead = case(cfg, channels, np.random.default_rng(4), 2, block_symbols)
+    weights = streams.weights.copy()
+    weights[ANTENNA_GROUP + 3] = 0.0  # an antenna in the second tile
+    silent = dataclasses.replace(streams, weights=weights)
+    with pytest.raises(ValueError, match=f"block 0, antenna {ANTENNA_GROUP + 3} "):
+        stream_paprs(silent, cfg, lead, 2, block_symbols)
+
+
+def test_stream_paprs_reject_blocks_past_the_streams():
+    cfg = SimConfig(M_t=5, **SMALL)
+    block_symbols = cfg.M + cfg.G_cp
+    channels = generate_channel_set(cfg, 3, integer_delays=False)
+    streams, _, lead = _strongest_case(cfg, channels, np.random.default_rng(4), 2, block_symbols)
+    assert stream_paprs(streams, cfg, lead, 2, block_symbols).shape == (2, cfg.M_t)
+    with pytest.raises(ValueError):  # a third block would run past the shaped samples
+        stream_paprs(streams, cfg, lead, 3, block_symbols)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -214,8 +248,10 @@ def _traced_peak(func, *args):
     return result, peak
 
 
-# OFDM shapes r <= K L M_r = 12 streams instead of M_t = 128 (20.7 MB measured)
-CHUNK_PEAK_MB = {_ofdm_papr_draw: 24}
+# about 1.25x the measured peaks (6.0, 12.5 and 2.7 MB): a chunk holds its
+# shaped streams (OFDM: r <= K L M_r = 12 of them) and one real tile; the
+# complex waveform of a group of 8 antennas alone would take 4.7 MB more
+CHUNK_PEAK_MB = {_dam_papr_draw: 7.5, _ofdm_papr_draw: 15.5, _strongest_papr_draw: 3.5}
 
 
 @pytest.mark.parametrize("setup", [_dam_papr_draw, _ofdm_papr_draw, _strongest_papr_draw])
@@ -229,7 +265,7 @@ def test_reference_chunk_memory_peak(setup):
         _chunked_paprs, draw, np.random.default_rng(0), cfg, chunk, block_symbols
     )
     assert paprs.shape == (chunk, cfg.M_t)
-    assert peak < CHUNK_PEAK_MB.get(setup, 64) * 2**20
+    assert peak < CHUNK_PEAK_MB[setup] * 2**20
     # nothing of one chunk may stay alive while the next is drawn
     _, peak_two = _traced_peak(
         _chunked_paprs, draw, np.random.default_rng(0), cfg, 2 * chunk, block_symbols
