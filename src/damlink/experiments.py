@@ -439,7 +439,8 @@ def write_json_sidecar(table: ResultTable, path) -> None:
             f"{value}|{scheme}": vals for (value, scheme), vals in table.samples.items()
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False))
+    # no indent: any indent makes json fall back to its pure-Python encoder
+    Path(path).write_text(json.dumps(doc, allow_nan=False))
 
 
 def _strict_row(row: ResultRow) -> dict:

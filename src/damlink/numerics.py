@@ -49,10 +49,13 @@ def null_space_basis(a, tol: float = RANK_TOL) -> np.ndarray:
 def path_span(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal Q (n, r) spanning the rows of every matrix in ``gains`` (..., m, n).
 
-    Also returns the coordinates gains Q, so that gains = (gains Q) Q^H and
-    r is at most the total number of rows.
+    Q holds the left singular vectors of the stacked rows' conjugate
+    transpose with s_i > RANK_TOL * s_0, so r is the numerical rank at
+    RANK_TOL: K L for rank-1 path gains, not their K L M_r rows.  Also
+    returns the coordinates gains Q, so that gains = (gains Q) Q^H.
     """
-    q, _ = np.linalg.qr(gains.reshape(-1, gains.shape[-1]).conj().T)
+    u, s, _ = np.linalg.svd(gains.reshape(-1, gains.shape[-1]).conj().T, full_matrices=False)
+    q = u[:, : int(np.sum(s > RANK_TOL * s[:1]))]
     return q, gains @ q
 
 
@@ -67,7 +70,8 @@ def project_off_others(blocks: np.ndarray) -> np.ndarray:
 
     The row space of the other G - 1 blocks is spanned by the right singular
     vectors of their stacked rows with s_i > RANK_TOL * s_0, from one batched
-    reduced SVD.  Needs (G - 1) m <= n, which zero-forcing feasibility implies.
+    reduced SVD; n may be smaller than (G - 1) m, as in a ``path_span``
+    trimmed to the rank of the rows.
     """
     G, m, n = blocks.shape[-3:]
     if G == 1:

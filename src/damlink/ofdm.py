@@ -8,7 +8,8 @@ Both read a path's subcarrier weights c from
 cross Grams G_kj[m] = H_km H_jm^H = sum c_kl[m] c_jl'[m]^* H_kl H_jl'^H.
 The ZF beamformers take one route: ``numerics.project_off_others`` on the
 responses sum_l c_kl[m] H_kl Q, where Q (``numerics.path_span``) spans all
-path gains' rows in <= K L M_r columns.  The rate's fast path is their
+path gains' rows in as many columns as their numerical rank: K L for the
+rank-1 paths of the geometric channel.  The rate's fast path is their
 Gram, S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross
 Grams; a subcarrier whose G_oo is too ill-conditioned for it takes the
 projection.  Every Hermitian eigenproblem here is one batched

@@ -2,7 +2,8 @@
 
 Single-carrier delay-aligned transmission superposes one pulse-shaped,
 pre-delayed symbol stream per compensated path; OFDM superposes one
-serialized stream per column of its beamformers' basis.  The per-antenna
+serialized stream per column of its beamformers' basis, the path span of
+rank K L for rank-1 paths (not one per path row, K L M_r).  The per-antenna
 peak-to-average power ratio is measured on the oversampled post-filter
 waveform.
 
@@ -271,6 +272,12 @@ def _peak_to_mean(peak, mean) -> np.ndarray:
 
 
 def ccdf_from_paprs(paprs, thresholds_db) -> np.ndarray:
-    """Share of the linear PAPRs whose dB value exceeds each threshold."""
-    papr_db = 10.0 * np.log10(np.asarray(paprs, dtype=float).ravel())
-    return np.array([(papr_db > th).mean() for th in np.asarray(thresholds_db, dtype=float)])
+    """Share of the linear PAPRs whose dB value exceeds each threshold.
+
+    One sort: the values above a threshold are those past its right-side
+    ``searchsorted`` position in the sorted dB values.
+    """
+    papr_db = np.sort(10.0 * np.log10(np.asarray(paprs, dtype=float).ravel()))
+    n = papr_db.size
+    above = n - np.searchsorted(papr_db, np.asarray(thresholds_db, dtype=float), side="right")
+    return above / n

@@ -310,6 +310,25 @@ class TestCli:
             generate_channel_set(cfg, trial_seed(5, 0, 0)),
         )
 
+    def test_papr_sidecar_keys_and_nan_samples_rejected(self, tmp_path):
+        spec = ExperimentSpec(kind="papr_ccdf", config=small_cfg(M_t=4), grid=(30.0,),
+                              trials=2, seed=5)
+        table = run_experiment(spec)
+        path = tmp_path / "papr.json"
+        write_json_sidecar(table, path)
+        sidecar = json.loads(path.read_text())
+        assert sorted(sidecar) == [
+            "config", "kind", "meta", "rows", "samples", "schema_version", "seed",
+            "sweep", "version",
+        ]
+        assert sorted(sidecar["samples"]) == ["30.0|dam", "30.0|ofdm", "30.0|strongest-path"]
+        assert sidecar["samples"]["30.0|ofdm"] == table.samples[(30.0, "ofdm")]
+        assert [r["scheme"] for r in sidecar["rows"]] == ["dam", "ofdm", "strongest-path"]
+        # strict JSON: a NaN in a sample row raises instead of writing a bare NaN
+        table.samples[(30.0, "ofdm")][0] = math.nan
+        with pytest.raises(ValueError):
+            write_json_sidecar(table, tmp_path / "nan.json")
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"system": {"beta": 2.0}}))

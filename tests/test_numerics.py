@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import make_channel_set
 from damlink.numerics import (
     jacobi_eigh,
     null_space_basis,
+    path_span,
     project_off_others,
     water_fill,
 )
@@ -54,6 +56,36 @@ class TestNullSpaceBasis:
                 assert np.linalg.norm(a @ basis) <= 1e-9 * max(np.linalg.norm(a), 1.0)
                 gram = basis.conj().T @ basis
                 assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10)
+
+
+DELAYS = [[0, 3, 7], [1, 4, 9]]  # K = 2 UEs, L = 3 paths
+
+
+class TestPathSpan:
+    def _check(self, gains, rank):
+        q, coords = path_span(gains)
+        assert q.shape == (gains.shape[-1], rank)
+        assert coords.shape == gains.shape[:-1] + (rank,)
+        assert np.allclose(q.conj().T @ q, np.eye(rank), rtol=0.0, atol=1e-12)
+        scale = max(np.max(np.abs(gains)), 1.0)
+        assert np.max(np.abs(coords @ q.conj().T - gains)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m_r", [1, 2, 3])
+    def test_rank_one_paths_span_one_column_each(self, m_r):
+        cs = make_channel_set(np.random.default_rng(30 + m_r), m_r, 16, DELAYS)
+        self._check(cs.gains, 2 * 3)
+
+    def test_full_rank_paths_span_every_row(self):
+        cs = make_channel_set(np.random.default_rng(33), 2, 16, DELAYS, full_rank=True)
+        self._check(cs.gains, 2 * 3 * 2)
+
+    def test_zero_gains_span_nothing(self):
+        self._check(np.zeros((2, 3, 2, 16), dtype=complex), 0)
+
+    def test_rank_capped_by_the_antennas(self):
+        # 12 full-rank rows in 8 dimensions span all of them
+        cs = make_channel_set(np.random.default_rng(34), 2, 8, DELAYS, full_rank=True)
+        self._check(cs.gains, 8)
 
 
 def _others(blocks, idx):
@@ -112,6 +144,12 @@ class TestProjectOffOthers:
     def test_single_group_is_unchanged(self):
         blocks = _random_complex(np.random.default_rng(26), 2, 8)[None]
         assert np.array_equal(project_off_others(blocks), blocks)
+
+    def test_fewer_columns_than_other_rows(self):
+        # ISI-ZF in the rank-trimmed path span: 6 rank-1 paths in 6 columns,
+        # so the other paths stack 10 rows of rank 5
+        rng = np.random.default_rng(28)
+        self._check(np.stack([_rank1(rng, 2, 6) for _ in range(6)]))
 
     def test_leading_batch_axis(self):
         # (subcarriers, UEs, M_r, r), as OFDM ZF calls it; one subcarrier's

@@ -248,10 +248,21 @@ def _traced_peak(func, *args):
     return result, peak
 
 
-# about 1.25x the measured peaks (6.0, 12.5 and 2.7 MB): a chunk holds its
-# shaped streams (OFDM: r <= K L M_r = 12 of them) and one real tile; the
+def test_reference_ofdm_streams_one_per_path():
+    # rank-1 path gains span K L dimensions, so OFDM shapes K L streams,
+    # not one per path row (K L M_r)
+    cfg = REF
+    draw = _ofdm_papr_draw(generate_channel_set(cfg, 0, integer_delays=False), cfg,
+                           cfg.M + cfg.G_cp)
+    streams, _ = draw(np.random.default_rng(0), 1)
+    assert streams.streams.shape[0] == streams.weights.shape[1] == cfg.K * cfg.L == 6
+    assert streams.weights.shape[0] == cfg.M_t
+
+
+# about 1.25x the measured peaks (6.0, 6.6 and 2.7 MB): a chunk holds its
+# shaped streams (OFDM: one per path, K L = 6 of them) and one real tile; the
 # complex waveform of a group of 8 antennas alone would take 4.7 MB more
-CHUNK_PEAK_MB = {_dam_papr_draw: 7.5, _ofdm_papr_draw: 15.5, _strongest_papr_draw: 3.5}
+CHUNK_PEAK_MB = {_dam_papr_draw: 7.5, _ofdm_papr_draw: 8.2, _strongest_papr_draw: 3.5}
 
 
 @pytest.mark.parametrize("setup", [_dam_papr_draw, _ofdm_papr_draw, _strongest_papr_draw])

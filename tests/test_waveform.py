@@ -212,6 +212,15 @@ class TestPapr:
         p2 = papr_blocks(Waveform(17.3 * x[None, :], 4), 256)
         assert np.allclose(p1, p2, rtol=1e-12)
 
+    def test_ccdf_matches_comparison_definition(self):
+        rng = np.random.default_rng(11)
+        paprs = np.repeat(10 ** rng.uniform(0, 1.2, 300), rng.integers(1, 4, 300))
+        papr_db = 10.0 * np.log10(paprs)
+        # every fifth PAPR lies exactly on a threshold, some of them repeated
+        thresholds = np.concatenate([np.linspace(-1, 13, 141), papr_db[::5]])
+        ref = np.array([(papr_db > th).mean() for th in thresholds])
+        assert np.array_equal(ccdf_from_paprs(paprs, thresholds), ref)
+
     def test_ccdf_monotone_bounded(self):
         rng = np.random.default_rng(10)
         paprs = 10 ** (rng.uniform(0, 1.2, 500))
