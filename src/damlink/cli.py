@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ _KIND_HELP = {
 }
 
 
+@functools.cache  # built on first use, then shared: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="damlink",

@@ -31,9 +31,9 @@ from .ofdm import (
     dam_effective_rate,
     ofdm_effective_rate,
     ofdm_eigen,
+    ofdm_eigen_and_zf,
     ofdm_eigen_sinrs,
     ofdm_overhead_factor,
-    ofdm_zf_waterfill,
 )
 from .waveform import (
     ccdf_from_paprs,
@@ -176,13 +176,9 @@ def _eval_bsside(channels: ChannelSet, cfg: SimConfig) -> dict:
         out["dam-isizf"] = dam_effective_rate(zf_sinrs, cfg)
     except InfeasibleError:
         out["dam-isizf"] = None
-    eig_sinrs = ofdm_eigen_sinrs(channels, cfg.M, P, sigma2)
+    eig_sinrs, zf_rate = ofdm_eigen_and_zf(channels, cfg.M, P, sigma2)
     out["ofdm-eigen"] = ofdm_effective_rate(eig_sinrs, cfg)
-    try:
-        _, zf_rate = ofdm_zf_waterfill(channels, cfg.M, P, sigma2)
-        out["ofdm-zf-wf"] = ofdm_overhead_factor(cfg) * zf_rate
-    except InfeasibleError:
-        out["ofdm-zf-wf"] = None
+    out["ofdm-zf-wf"] = None if zf_rate is None else ofdm_overhead_factor(cfg) * zf_rate
     return out
 
 
@@ -432,7 +428,7 @@ def write_json_sidecar(table: ResultTable, path) -> None:
         "seed": table.seed,
         "sweep": "P_dbm",  # every SE kind sweeps the power budget
         "version": __version__,
-        "config": dataclasses.asdict(table.config),
+        "config": _fields(table.config),
         "meta": table.meta,
         "rows": [_strict_row(r) for r in table.rows],
         "samples": {
@@ -443,11 +439,16 @@ def write_json_sidecar(table: ResultTable, path) -> None:
     Path(path).write_text(json.dumps(doc, allow_nan=False))
 
 
+def _fields(obj) -> dict:
+    """A flat dataclass's fields by name, in order: ``dataclasses.asdict`` without its deep copy."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _strict_row(row: ResultRow) -> dict:
     """Row as a dict with non-finite values (infeasible rows) written as null."""
     return {
         key: None if isinstance(value, float) and not np.isfinite(value) else value
-        for key, value in dataclasses.asdict(row).items()
+        for key, value in _fields(row).items()
     }
 
 

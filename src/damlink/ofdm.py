@@ -9,12 +9,15 @@ cross Grams G_kj[m] = H_km H_jm^H = sum c_kl[m] c_jl'[m]^* H_kl H_jl'^H.
 The ZF beamformers take one route: ``numerics.project_off_others`` on the
 responses sum_l c_kl[m] H_kl Q, where Q (``numerics.path_span``) spans all
 path gains' rows in as many columns as their numerical rank: K L for the
-rank-1 paths of the geometric channel.  The rate's fast path is their
-Gram, S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross
-Grams; a subcarrier whose G_oo is too ill-conditioned for it takes the
-projection.  Every Hermitian eigenproblem here is one batched
-``numerics.jacobi_eigh`` call over all K M blocks (one exact rotation per
-2x2 block, ``np.linalg.eigh`` for any other size); SINRs and rates read
+rank-1 paths of the geometric channel.  The rate's fast path is their Gram,
+S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross Grams; a
+subcarrier whose G_oo is too ill-conditioned for it takes the projection.
+``ofdm_eigen_and_zf`` gives both schemes' SE from one pass of cross Grams
+and own-Gram eigenpairs; at K = 2 the ZF interferer Grams are the other
+UE's own Grams, so it decomposes no Gram twice.  Every Hermitian
+eigenproblem is one batched ``numerics.jacobi_eigh`` call over all K M
+blocks (one exact rotation per 2x2 block, ``np.linalg.eigh`` for any other
+size).  SINRs and rates read
 eigenvalues, and eigenvectors only up to phase.  ``ofdm_eigen``'s
 beamformers, which the OFDM waveform needs with LAPACK's phases, come from
 the reduced SVD of the full responses.  Both beamformer functions return Q
@@ -43,6 +46,7 @@ __all__ = [
     "ofdm_eigen",
     "ofdm_eigen_sinrs",
     "ofdm_zf_waterfill",
+    "ofdm_eigen_and_zf",
     "ofdm_zf_beamformers",
     "dam_overhead_factor",
     "ofdm_overhead_factor",
@@ -86,6 +90,30 @@ def _cross_grams(channels: ChannelSet, M: int) -> np.ndarray:
     return (coef @ pairs).reshape(K, K, M, M_r, M_r)
 
 
+def _gram_eigen(channels: ChannelSet, M: int):
+    """The cross Grams and the own Grams G_kk's ascending eigenpairs.
+
+    The one pass ``ofdm_eigen_sinrs`` and ``ofdm_eigen_and_zf`` read:
+    ``_cross_grams`` once, then one batched ``jacobi_eigh`` over the K M own
+    Grams.
+    """
+    gram = _cross_grams(channels, M)
+    idx = np.arange(channels.K)
+    return gram, jacobi_eigh(gram[idx, idx])
+
+
+def _eigen_sinrs(gram, own_eig, P: float, sigma2: float) -> np.ndarray:
+    """``ofdm_eigen_sinrs`` from ``_gram_eigen``'s cross Grams and own eigenpairs."""
+    K, _, M = gram.shape[:3]
+    idx = np.arange(K)
+    top, u = own_eig[0][..., -1], own_eig[1][..., -1]                # (K, M), (K, M, M_r)
+    coupling = np.einsum("kmr,kjmrs,jms->kjm", u.conj(), gram, u)
+    # UE j's power at UE k; a stream whose block is zero stays silent
+    leak = np.abs(coupling) ** 2 * np.divide(P / K, top, out=np.zeros_like(top), where=top > 0)
+    leak[idx, idx] = 0.0
+    return (P / K) * top / (np.sum(leak, axis=1) + sigma2 / M)
+
+
 def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> np.ndarray:
     """(K, M) SINRs of per-subcarrier eigen-beamforming at P/K per stream.
 
@@ -94,16 +122,7 @@ def ofdm_eigen_sinrs(channels: ChannelSet, M: int, P: float, sigma2: float) -> n
     top eigenpair of G_kk, v_j = H_j^H u_j / sigma_j, so UE j reaches UE k
     with the power (P/K) |u_k^H G_kj u_j|^2 / sigma_j^2.
     """
-    K = channels.K
-    gram = _cross_grams(channels, M)
-    idx = np.arange(K)
-    lam, vecs = jacobi_eigh(gram[idx, idx])
-    top, u = lam[..., -1], vecs[..., -1]                            # (K, M), (K, M, M_r)
-    coupling = np.einsum("kmr,kjmrs,jms->kjm", u.conj(), gram, u)
-    # UE j's power at UE k; a stream whose block is zero stays silent
-    leak = np.abs(coupling) ** 2 * np.divide(P / K, top, out=np.zeros_like(top), where=top > 0)
-    leak[idx, idx] = 0.0
-    return (P / K) * top / (np.sum(leak, axis=1) + sigma2 / M)
+    return _eigen_sinrs(*_gram_eigen(channels, M), P, sigma2)
 
 
 def ofdm_eigen(channels: ChannelSet, M: int, P: float) -> OfdmBeamformerSet:
@@ -144,24 +163,30 @@ def _zf_projected(channels: ChannelSet, M: int, subcarriers=slice(None)):
     return q, project_off_others(h.swapaxes(0, 1)).swapaxes(0, 1)
 
 
-def _zf_schur(channels: ChannelSet, M: int) -> np.ndarray:
+def _zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
     """(K, M, M_r, M_r) Gram of each UE's block projected off the other UEs' rows.
 
-    With G_oo = W diag(lam) W^H from one batched ``numerics.jacobi_eigh`` and
+    ``grams`` are the cross Grams and ``own_eig``, if given, the own Grams'
+    eigenpairs, both from ``_gram_eigen``.  With G_oo = W diag(lam) W^H and
     B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H.
-    Gram eigenvalues are accurate only to about eps * lam_max, so every
-    subcarrier where some UE's lam span more than GRAM_MIN_RATIO takes the
-    ``_zf_projected`` blocks' Grams instead.
+    At K = 2 UE k's G_oo is UE 1-k's own Gram, so given ``own_eig`` its
+    eigenpairs are ``own_eig`` reversed along K: the same bits, as
+    ``jacobi_eigh`` treats each block alone.  Otherwise one batched
+    ``jacobi_eigh`` decomposes the G_oo.  Gram eigenvalues are accurate only
+    to about eps * lam_max, so every subcarrier where some UE's lam span more
+    than GRAM_MIN_RATIO takes the ``_zf_projected`` blocks' Grams instead.
     """
     K, M_r = channels.K, channels.M_r
-    grams = _cross_grams(channels, M)
     own, idx = np.arange(K), other_groups(K)
     schur = grams[own, own]                                          # (K, M, M_r, M_r)
     if K == 1:
         return schur
     g_ko = grams[own[:, None], idx].transpose(0, 2, 3, 1, 4).reshape(K, M, M_r, -1)
-    g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
-    lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))     # ascending
+    if K == 2 and own_eig is not None:
+        lam, w = (part[::-1] for part in own_eig)                    # ascending
+    else:
+        g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
+        lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))
     to_svd = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]            # (K, M)
     b = g_ko @ w
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd[..., None])
@@ -195,9 +220,27 @@ def ofdm_zf_waterfill(
     discounts); no beamformer is built (``ofdm_zf_beamformers`` gives them).
     """
     _require_zf_feasible(channels)
-    top = jacobi_eigh(_zf_schur(channels, M))[0][..., -1]
+    top = jacobi_eigh(_zf_schur(channels, M, _cross_grams(channels, M)))[0][..., -1]
     snr, _, rate = _water_fill_streams(top, M, P, sigma2)
     return snr, rate
+
+
+def ofdm_eigen_and_zf(
+    channels: ChannelSet, M: int, P: float, sigma2: float
+) -> tuple[np.ndarray, float | None]:
+    """``ofdm_eigen_sinrs`` and ``ofdm_zf_waterfill``'s rate from one ``_gram_eigen`` pass.
+
+    The SE runner's one OFDM call per trial; the rate is None where
+    zero-forcing is infeasible.
+    """
+    grams, own_eig = _gram_eigen(channels, M)
+    sinrs = _eigen_sinrs(grams, own_eig, P, sigma2)
+    try:
+        _require_zf_feasible(channels)
+    except InfeasibleError:
+        return sinrs, None
+    top = jacobi_eigh(_zf_schur(channels, M, grams, own_eig))[0][..., -1]
+    return sinrs, _water_fill_streams(top, M, P, sigma2)[2]
 
 
 def ofdm_zf_beamformers(channels: ChannelSet, M: int, P: float, sigma2: float) -> OfdmBeamformerSet:

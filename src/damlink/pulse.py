@@ -11,6 +11,7 @@ read every delay in samples, so nothing here takes the sample interval T.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["rho", "rrc", "rrc_taps", "build_rho_table"]
 
@@ -100,7 +101,9 @@ def build_rho_table(lags, frac, window: int, beta: float) -> np.ndarray:
     ``frac`` is 0 each triple's table is one unit tap at its lag, with
     W = max |q|.  Otherwise W = ``window``, which must cover every |q|; at
     the default window of 200 samples the tail energy left outside is below
-    1e-6 of any column.
+    1e-6 of any column.  Each path's sequence rho(m - frac_kl) is evaluated
+    once, for |m| <= W + max |q|, and each triple reads its window at
+    m = n - W - q: the same float subtraction, so the same bits.
     """
     _check_beta(beta)
     lags, frac = np.asarray(lags), np.asarray(frac)
@@ -111,6 +114,8 @@ def build_rho_table(lags, frac, window: int, beta: float) -> np.ndarray:
         return table.reshape(lags.shape + (2 * max_lag + 1,))
     if max_lag > window:
         raise ValueError(f"window {window} too small for delay offsets up to {max_lag} samples")
-    n = np.arange(-window, window + 1)
     # integer lags stay exact; frac enters once, as the sampled offset
-    return rho((n - lags[..., None]) - frac[:, None, None, :, None, None], beta)
+    m = np.arange(-window - max_lag, window + max_lag + 1)
+    seqs = sliding_window_view(rho(m - frac[..., None], beta), 2 * window + 1, axis=-1)
+    K, L = frac.shape  # path l's window max_lag - q starts at m = -W - q
+    return seqs[np.arange(K)[:, None, None, None, None], np.arange(L)[:, None], max_lag - lags]

@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, config parsing and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -247,6 +248,38 @@ class TestCli:
         assert sidecar["config"]["M_t"] == 8
         assert sidecar["seed"] == 3
 
+    def test_successive_calls_share_no_argument_state(self, tmp_path):
+        # the parser is built once per process; each call parses afresh
+        cfg = dict(
+            system=dict(M_t=8, M_r=2, K=2, L=2, M=32, delay_span_samples=10,
+                        G_cp=10, rho_window=30, g_ls_db=0.0),
+            experiment=dict(grid=[30.0], trials=1),
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for name, extra, trials in (("first", ["--trials", "2"], 2), ("second", [], 1)):
+            out = tmp_path / name
+            code = main(["se_vs_power_bsside", "--config", str(cfg_path), "--out", str(out), *extra])
+            assert code == 0
+            sidecar = json.loads((tmp_path / f"{name}.json").read_text())
+            assert {row["trials"] for row in sidecar["rows"]} == {trials}
+
+    def test_sidecar_config_and_rows_are_asdict(self, tmp_path):
+        # M_t = 4 makes the BS-side ISI-ZF rows infeasible, written as null
+        spec = ExperimentSpec(kind="se_vs_power_bsside", config=small_cfg(M_t=4), grid=(30.0,),
+                              trials=1, seed=5)
+        table = run_experiment(spec)
+        assert any(row.infeasible for row in table.rows)
+        write_json_sidecar(table, tmp_path / "run.json")
+        sidecar = json.loads((tmp_path / "run.json").read_text())
+        assert list(sidecar["config"].items()) == list(dataclasses.asdict(table.config).items())
+        strict = [
+            {key: None if isinstance(value, float) and not math.isfinite(value) else value
+             for key, value in dataclasses.asdict(row).items()}
+            for row in table.rows
+        ]
+        assert [list(row.items()) for row in sidecar["rows"]] == [list(row.items()) for row in strict]
+
     def test_infeasible_rows_are_strict_json(self, tmp_path):
         cfg = dict(
             system=dict(M_t=8, M_r=2, K=2, L=3, M=32, delay_span_samples=10,
@@ -387,8 +420,24 @@ def test_reference_runs_reach_only_the_2x2_rotation(monkeypatch):
     _eval_doubleside(generate_channel_set(cfg, trial_seed(1, 0, 0), integer_delays=True), cfg)
     for integer_delays in (True, False):
         _eval_bsside(generate_channel_set(cfg, trial_seed(1, 0, 0), integer_delays), cfg)
-    # doubleside: the own Grams; bsside: own Grams, interferer Grams, Schur complements
-    assert shapes == [(cfg.K, cfg.M, 2, 2)] * 7
+    # doubleside: the own Grams; each bsside trial: the own Grams, whose
+    # eigenpairs at K = 2 are also the interferer Grams', and the Schur complements
+    assert shapes == [(cfg.K, cfg.M, 2, 2)] * 5
+
+
+def test_each_bsside_trial_builds_the_cross_grams_once(monkeypatch):
+    from damlink import ofdm
+
+    kernel, calls = ofdm._cross_grams, []
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ofdm, "_cross_grams", spy)
+    spec = small_spec(kind="se_vs_power_fractional", trials=2)
+    run_experiment(spec)
+    assert len(calls) == len(spec.grid) * spec.trials
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):

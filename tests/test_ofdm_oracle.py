@@ -242,6 +242,33 @@ def test_zf_handover_to_the_projection(cs, svd_subcarriers, monkeypatch):
                 assert np.all(leak <= 1e-10 * np.linalg.norm(h[k], axis=(1, 2)))
 
 
+@pytest.mark.parametrize(
+    "cs",
+    [
+        pytest.param(random_delay_channel_set(np.random.default_rng(70), 2, 8, K=1, L=3, span=12), id="K1"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(71), 2, 8, K=2, L=3, span=12), id="K2"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(72), 3, 8, K=2, L=3, span=12), id="K2-Mr3"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(73), 2, 8, K=3, L=3, span=12), id="K3"),
+        # K = 2 with every subcarrier, then every odd one, handed to the projection
+        pytest.param(_weak_direction_channel_set(np.random.default_rng(33), 1e-3), id="K2-projection"),
+        pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-2), id="K2-mixed"),
+    ],
+)
+def test_eigen_and_zf_is_both_schemes_bitwise(cs):
+    # at K = 2 its rate reads the own-Gram eigenpairs reversed along K, where
+    # ofdm_zf_waterfill decomposes the interferer Grams itself
+    sinrs, rate = ofdm.ofdm_eigen_and_zf(cs, M, P, SIGMA2)
+    assert np.array_equal(sinrs, ofdm_eigen_sinrs(cs, M, P, SIGMA2))
+    assert rate == ofdm_zf_waterfill(cs, M, P, SIGMA2)[1]
+
+
+def test_eigen_and_zf_keeps_the_eigen_sinrs_where_zf_is_infeasible():
+    cs = random_delay_channel_set(np.random.default_rng(74), 4, 4, K=2, L=2, span=12)
+    sinrs, rate = ofdm.ofdm_eigen_and_zf(cs, M, P, SIGMA2)
+    assert rate is None
+    assert np.array_equal(sinrs, ofdm_eigen_sinrs(cs, M, P, SIGMA2))
+
+
 @pytest.mark.parametrize("integer_delays", [True, False], ids=["int", "frac"])
 def test_zf_rate_builds_no_beamformer_on_reference_draws(integer_delays, monkeypatch):
     cfg = SimConfig()

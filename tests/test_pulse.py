@@ -183,6 +183,24 @@ class TestBuildRhoTable:
         assert np.array_equal(table, full[..., window - W : window + W + 1])
         assert not np.any(full[..., : window - W]) and not np.any(full[..., window + W + 1 :])
 
+    @pytest.mark.parametrize("design", [1, 2, "bs-side"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["window-at-max-lag", "wide-window"])
+    def test_shared_path_sequences_are_the_direct_formula(self, design, wide):
+        # every triple's window of its path's one sequence, bit for bit the
+        # direct rho((n - q) - frac); design 2 is R = 2 double-side lags
+        cs = random_delay_channel_set(np.random.default_rng(44), 2, 4, K=3, L=3)
+        if design == "bs-side":
+            kappa, mu = bs_side_delays(cs)
+        else:
+            plans = [solve_compensation_delays(n, design, cs.L + 1 - design) for n in cs.n]
+            kappa, mu = [plan.kappa for plan in plans], [plan.mu for plan in plans]
+        lags = triple_lags(cs.n, cs.n_max, kappa, mu)
+        assert lags.min() < 0 < lags.max()
+        window = int(np.max(np.abs(lags))) + (17 if wide else 0)
+        n = np.arange(-window, window + 1)
+        direct = rho((n - lags[..., None]) - cs.frac[:, None, None, :, None, None], 0.25)
+        assert np.array_equal(build_rho_table(lags, cs.frac, window, 0.25), direct)
+
     def test_every_pair_follows_the_formula(self):
         # entry (k, k', l, i, n) = rho(n - W + n_k,max - kappa_k'i - n_kl - frac_kl)
         cfg, cs = _two_ue_channels(4)
