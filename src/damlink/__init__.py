@@ -3,12 +3,7 @@
 __version__ = "0.1.0"
 
 from .channel import ChannelSet, SimConfig, generate_channel_set
-from .delay_design import (
-    DelayPlan,
-    choose_compensation_counts,
-    enumerate_alignment_sets,
-    solve_compensation_delays,
-)
+from .delay_design import DelayPlan, choose_compensation_counts, solve_compensation_delays
 from .numerics import null_space_basis, water_fill
 
 __all__ = [
@@ -17,7 +12,6 @@ __all__ = [
     "DelayPlan",
     "SimConfig",
     "choose_compensation_counts",
-    "enumerate_alignment_sets",
     "generate_channel_set",
     "null_space_basis",
     "solve_compensation_delays",

@@ -22,6 +22,7 @@ contraction of the scalar couplings w_r^H H_l f_i with the lag weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +197,9 @@ def eigen_beamform_doubleside(
 SPHERE_GRID = (25, 48)
 SPHERE_SAMPLES = 1200
 SPHERE_SEED = 0
+# Relative margin of the start's screen: it must exceed the screen's rounding
+# error, which grows with the objective's conditioning (about 10x per 10 dB).
+_SCREEN_TOL = 1e-6
 
 
 def _require_zf_feasible(gains: np.ndarray) -> None:
@@ -329,20 +333,50 @@ def isi_zf_sinrs(grams: PathGrams, w: np.ndarray, y: np.ndarray, sigma2: float) 
     return desired / (isi + sigma2 * (w * w.conj()).real.sum(axis=1))
 
 
+@functools.cache
 def _sphere_points(m_r: int) -> np.ndarray:
-    """(G, M_r) unit receive vectors the ISI-ZF start is chosen from."""
+    """(G, M_r) unit receive vectors the ISI-ZF start is chosen from (read-only)."""
     if m_r == 1:
-        return np.ones((1, 1), dtype=complex)
-    if m_r == 2:
+        points = np.ones((1, 1), dtype=complex)
+    elif m_r == 2:
         # w = (cos(theta/2), e^{j phi} sin(theta/2)) covers every w up to a phase
         n_theta, n_phi = SPHERE_GRID
         half = np.linspace(0.0, np.pi, n_theta)[:, None] / 2
         phase = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)
         first, second = np.broadcast_arrays(np.cos(half), phase * np.sin(half))
-        return np.stack([first, second], axis=-1).reshape(-1, 2)
-    rng = np.random.default_rng(SPHERE_SEED)
-    z = rng.standard_normal((SPHERE_SAMPLES, m_r, 2)) @ np.array([1.0, 1j])
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+        points = np.stack([first, second], axis=-1).reshape(-1, 2)
+    else:
+        rng = np.random.default_rng(SPHERE_SEED)
+        z = rng.standard_normal((SPHERE_SAMPLES, m_r, 2)) @ np.array([1.0, 1j])
+        points = z / np.linalg.norm(z, axis=1, keepdims=True)
+    points.flags.writeable = False
+    return points
+
+
+def _screen_values(grams: PathGrams, n: np.ndarray, reg: float) -> np.ndarray:
+    """(K, G) start objective y^T B^-1 y for the path gains n (K, G, L) of every point.
+
+    With y = sqrt(n) r0 and the SPD B = reg I + diag(sqrt(n)) s diag(sqrt(n)),
+    one elementwise Cholesky factor and forward solve, a (K, G) array per
+    entry, serve every point at once.  A pivot that rounding leaves
+    non-positive makes the value non-finite.
+    """
+    L = n.shape[2]
+    root = np.sqrt(np.maximum(n, 0.0).transpose(2, 0, 1))  # (L, K, G)
+    chol, z, value = {}, [], 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(L):
+            for j in range(i + 1):
+                v = grams.s[:, i, j, None] * root[i] * root[j] + (reg if i == j else 0.0)
+                for p in range(j):
+                    v = v - chol[i, p] * chol[j, p]
+                chol[i, j] = np.sqrt(v) if i == j else v / chol[j, j]
+            zi = root[i] * grams.r0[:, i, None]
+            for p in range(i):
+                zi = zi - chol[i, p] * z[p]
+            z.append(zi / chol[i, i])
+            value = value + z[i] * z[i]
+    return value
 
 
 def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, int]:
@@ -351,18 +385,28 @@ def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, 
     Under ZF a UE hears no other UE, so for a unit w its SINR with the best
     transmit weights is r0^T diag(n) c, where (reg I + s diag(n)) c = r0,
     n_l = w^H gram_l w and reg = K sigma2 / P: the ``mmse_transmit_update``
-    system.  Returns the (K, M_r) start and the number of ``pinv`` fallbacks.
+    system.  ``_screen_values`` evaluates it on every point; the points
+    within ``_SCREEN_TOL`` (relative) of their UE's best, and any whose
+    value is not finite, are solved in that system's form, and the first
+    best of those is the start: the point that solving every one would
+    pick, to the bit.  Returns the (K, M_r) start and the number of those
+    solves that took the ``pinv`` fallback.
     """
     K, L = grams.r0.shape
     points = _sphere_points(grams.gram.shape[-1])  # (G, M_r)
     G = points.shape[0]
     outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(G, -1)
     n = (outer @ grams.gram.reshape(K * L, -1).T).real.reshape(G, K, L).swapaxes(0, 1)
-    a = grams.s[:, None] * n[:, :, None, :]  # (K, G, L, L)
-    np.einsum("kgii->kgi", a)[:] += sigma2 * K / P
-    rhs = np.broadcast_to(grams.r0[:, None], (K, G, L)).reshape(K * G, L)
-    c, fallbacks = _solve(a.reshape(K * G, L, L), rhs)
-    sinrs = np.sum(grams.r0[:, None] * n * c.reshape(K, G, L), axis=2)  # (K, G)
+    reg = sigma2 * K / P
+    fast = _screen_values(grams, n, reg)
+    ok = np.isfinite(fast)
+    best = np.max(fast, axis=1, initial=0.0, where=ok)
+    k, g = np.nonzero(~ok | (fast >= (1.0 - _SCREEN_TOL) * best[:, None]))
+    a = grams.s[k] * n[k, g][:, None, :]
+    np.einsum("kii->ki", a)[:] += reg
+    c, fallbacks = _solve(a, grams.r0[k])
+    sinrs = np.full((K, G), -np.inf)
+    sinrs[k, g] = np.sum(grams.r0[k] * n[k, g] * c, axis=1)
     return points[np.argmax(sinrs, axis=1)], fallbacks
 
 

@@ -16,8 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "DelayPlan", "AlignmentSets", "CountChoice", "build_compensation_matrix",
-    "solve_compensation_delays", "triple_lags", "enumerate_alignment_sets",
+    "DelayPlan", "CountChoice", "solve_compensation_delays", "triple_lags",
     "stream_count_range", "choose_compensation_counts",
 ]
 
@@ -47,35 +46,11 @@ class DelayPlan:
             raise ValueError("compensation delays must be non-negative")
 
 
-@dataclass(frozen=True)
-class AlignmentSets:
-    """Classification of all (stream, branch, path) triples by total delay."""
-
-    desired: tuple[tuple[int, int, int], ...]  # 1-indexed (i, r, l) hitting n_max
-    isi: tuple[tuple[int, int, int], ...]
-    L_extra: int
-
-
 class CountChoice(NamedTuple):
     I: int
     R: int
     case: int
     side: str
-
-
-def build_compensation_matrix(I: int, R: int) -> np.ndarray:
-    """0/1 matrix mapping [kappa; mu] to all I*R combined delays kappa_i + mu_r.
-
-    Row (i-1)*R + (r-1) has ones at columns i-1 and I+r-1; its rank is
-    I + R - 1.
-    """
-    if I < 1 or R < 1:
-        raise ValueError("I and R must be >= 1")
-    q = np.zeros((I * R, I + R))
-    rows = np.arange(I * R)
-    q[rows, rows // R] = 1.0
-    q[rows, I + rows % R] = 1.0
-    return q
 
 
 def solve_compensation_delays(n_list: Sequence[int], I: int, R: int) -> DelayPlan:
@@ -111,17 +86,6 @@ def triple_lags(n, n_max, kappa, mu) -> np.ndarray:
         + (n - n_max[:, None])[:, None, None, :, None]
         + kappa[None, :, None, None, :]
     )
-
-
-def enumerate_alignment_sets(plan: DelayPlan, n_list: Sequence[int]) -> AlignmentSets:
-    """Split all I*R*L (stream, branch, path) triples into aligned and ISI sets."""
-    n = [int(v) for v in n_list]
-    lags = triple_lags([n], [plan.n_max], [plan.kappa], [plan.mu])[0, 0]  # (R, L, I)
-    aligned = lags.transpose(2, 0, 1) == 0  # (I, R, L)
-    desired, isi = (
-        tuple(map(tuple, (np.argwhere(m) + 1).tolist())) for m in (aligned, ~aligned)
-    )
-    return AlignmentSets(desired=desired, isi=isi, L_extra=len(desired) - len(n))
 
 
 def stream_count_range(M_t: int, M_r: int, L: int) -> range:

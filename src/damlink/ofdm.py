@@ -6,10 +6,10 @@ diagonalization) and water-fills power across all (UE, subcarrier) streams.
 Both read a path's subcarrier weights c from
 ``channel.subcarrier_coefficients``.  Their SINRs need only the M_r x M_r
 cross Grams G_kj[m] = H_km H_jm^H = sum c_kl[m] c_jl'[m]^* H_kl H_jl'^H.
-The ZF beamformers take one route: ``numerics.project_off_others`` on the
-responses sum_l c_kl[m] H_kl Q, where Q (``numerics.path_span``) spans all
-path gains' rows in as many columns as their numerical rank: K L for the
-rank-1 paths of the geometric channel.  The rate's fast path is their Gram,
+The ZF projection is ``numerics.project_off_others`` on the responses
+sum_l c_kl[m] H_kl Q, where Q (``numerics.path_span``) spans all path gains'
+rows in as many columns as their numerical rank: K L for the rank-1 paths of
+the geometric channel.  The rate's fast path is the projected blocks' Gram,
 S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross Grams; a
 subcarrier whose G_oo is too ill-conditioned for it takes the projection.
 ``ofdm_eigen_and_zf`` gives both schemes' SE from one pass of cross Grams
@@ -20,8 +20,8 @@ blocks (one exact rotation per 2x2 block, ``np.linalg.eigh`` for any other
 size).  SINRs and rates read
 eigenvalues, and eigenvectors only up to phase.  ``ofdm_eigen``'s
 beamformers, which the OFDM waveform needs with LAPACK's phases, come from
-the reduced SVD of the full responses.  Both beamformer functions return Q
-and each transmit vector's coordinates v~ = Q^H v.
+the reduced SVD of the full responses; it returns Q and each transmit
+vector's coordinates v~ = Q^H v.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "ofdm_eigen_sinrs",
     "ofdm_zf_waterfill",
     "ofdm_eigen_and_zf",
-    "ofdm_zf_beamformers",
     "dam_overhead_factor",
     "ofdm_overhead_factor",
     "dam_effective_rate",
@@ -168,7 +167,10 @@ def _zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
 
     ``grams`` are the cross Grams and ``own_eig``, if given, the own Grams'
     eigenpairs, both from ``_gram_eigen``.  With G_oo = W diag(lam) W^H and
-    B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H.
+    B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H,
+    formed by per-entry products over the (K, M) stack: B from the
+    (K-1) M_r columns of G_ko, then one rank-1 term per column of B, so no
+    tiny block pays a matmul dispatch.
     At K = 2 UE k's G_oo is UE 1-k's own Gram, so given ``own_eig`` its
     eigenpairs are ``own_eig`` reversed along K: the same bits, as
     ``jacobi_eigh`` treats each block alone.  Otherwise one batched
@@ -188,9 +190,12 @@ def _zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
         g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
         lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))
     to_svd = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]            # (K, M)
-    b = g_ko @ w
+    others = range(w.shape[-1])
+    b = sum(g_ko[..., :, p, None] * w[..., None, p, :] for p in others)
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd[..., None])
-    schur = schur - b @ (inv[..., :, None] * b.conj().swapaxes(-1, -2))
+    schur = schur - sum(
+        b[..., :, j, None] * (inv[..., j, None, None] * b[..., None, :, j].conj()) for j in others
+    )
     handed = np.flatnonzero(to_svd.any(axis=0))
     if handed.size:
         projected = _zf_projected(channels, M, handed)[1]
@@ -217,7 +222,7 @@ def ofdm_zf_waterfill(
     cross Grams, or the projection past GRAM_MIN_RATIO) over sigma2 / M, and
     water-filling spreads M P over all K M streams.  Returns the (K, M) SNRs
     and the subcarrier-averaged sum rate in bits/s/Hz (before overhead
-    discounts); no beamformer is built (``ofdm_zf_beamformers`` gives them).
+    discounts); no beamformer is built.
     """
     _require_zf_feasible(channels)
     top = jacobi_eigh(_zf_schur(channels, M, _cross_grams(channels, M)))[0][..., -1]
@@ -241,26 +246,6 @@ def ofdm_eigen_and_zf(
         return sinrs, None
     top = jacobi_eigh(_zf_schur(channels, M, grams, own_eig))[0][..., -1]
     return sinrs, _water_fill_streams(top, M, P, sigma2)[2]
-
-
-def ofdm_zf_beamformers(channels: ChannelSet, M: int, P: float, sigma2: float) -> OfdmBeamformerSet:
-    """The beamformers and powers behind ``ofdm_zf_waterfill``'s rate.
-
-    From each UE's block projected off the other UEs' rows
-    (``_zf_projected``, in the coordinates of Q = ``numerics.path_span``),
-    u is the top eigenvector of its Gram and, with X_k that projected block,
-    the transmit direction v~ is proportional to X_k^H u; v = Q v~.
-    """
-    _require_zf_feasible(channels)
-    q, projected = _zf_projected(channels, M)
-    lam, vecs = jacobi_eigh(projected @ projected.conj().swapaxes(-1, -2))
-    u = vecs[..., -1]                                                # (K, M, M_r)
-    uh = (u.conj()[..., None, :] @ projected)[..., 0, :]
-    norm = np.linalg.norm(uh, axis=-1)
-    # a block projected to zero gets a zero direction
-    v_dir = uh.conj() / np.maximum(norm, np.finfo(float).tiny)[..., None]
-    _, powers, _ = _water_fill_streams(lam[..., -1], M, P, sigma2)
-    return OfdmBeamformerSet(np.sqrt(powers)[..., None] * v_dir, u, powers, q)
 
 
 def dam_overhead_factor(cfg: SimConfig) -> float:

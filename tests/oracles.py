@@ -19,6 +19,15 @@ baseline: per-subcarrier responses summed path by path with einsum,
 full-matrices SVDs over all M_t transmit dimensions, and the three-operand
 coupling einsum.
 
+``oracle_grid_start`` is the exhaustive ISI-ZF start: one L x L solve per
+UE and sphere point.  ``oracle_zf_schur`` forms the OFDM ZF Schur
+complement with stacked matmuls.  ``ofdm_zf_beamformers`` builds the
+beamformers behind the OFDM ZF rate from the projected blocks.
+
+``build_compensation_matrix``, ``enumerate_alignment_sets`` and
+``AlignmentSets`` are the delay design's combinatorial bookkeeping: the
+matrix of all I*R delay sums and the aligned / ISI split of the triples.
+
 ``oracle_shape_streams`` is the literal pulse shaper: each stream is
 zero-stuffed by the oversampling factor at its delay and convolved with the
 RRC taps in the time domain.
@@ -29,12 +38,16 @@ samples go through ``oracle_shape_streams``.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from damlink.beamforming import null_space_projection
-from damlink.delay_design import triple_lags
-from damlink.numerics import water_fill
+from damlink.beamforming import PathGrams, _solve, _sphere_points, null_space_projection
+from damlink.channel import ChannelSet
+from damlink.delay_design import DelayPlan, triple_lags
+from damlink.numerics import GRAM_MIN_RATIO, jacobi_eigh, other_groups, water_fill
+from damlink.ofdm import OfdmBeamformerSet, _require_zf_feasible, _water_fill_streams, _zf_projected
 from damlink.pulse import build_rho_table, rrc, rrc_taps
 from damlink.waveform import SYNTH_SPAN_SYMBOLS
 
@@ -286,3 +299,114 @@ def oracle_ofdm_waveform(symbols, v, cfg):
     with_cp = np.concatenate([time[:, :, m - cfg.G_cp :], time], axis=2)
     serial = with_cp.reshape(v.shape[2], -1)
     return oracle_shape_streams(serial, np.zeros(serial.shape[0], dtype=int), cfg.oversample, cfg.beta)
+
+
+def oracle_grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, int]:
+    """Each UE's best sphere point w under the transmit weights optimal for it.
+
+    Under ZF a UE hears no other UE, so for a unit w its SINR with the best
+    transmit weights is r0^T diag(n) c, where (reg I + s diag(n)) c = r0,
+    n_l = w^H gram_l w and reg = K sigma2 / P: the ``mmse_transmit_update``
+    system.  Returns the (K, M_r) start and the number of ``pinv`` fallbacks.
+    """
+    K, L = grams.r0.shape
+    points = _sphere_points(grams.gram.shape[-1])  # (G, M_r)
+    G = points.shape[0]
+    outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(G, -1)
+    n = (outer @ grams.gram.reshape(K * L, -1).T).real.reshape(G, K, L).swapaxes(0, 1)
+    a = grams.s[:, None] * n[:, :, None, :]  # (K, G, L, L)
+    np.einsum("kgii->kgi", a)[:] += sigma2 * K / P
+    rhs = np.broadcast_to(grams.r0[:, None], (K, G, L)).reshape(K * G, L)
+    c, fallbacks = _solve(a.reshape(K * G, L, L), rhs)
+    sinrs = np.sum(grams.r0[:, None] * n * c.reshape(K, G, L), axis=2)  # (K, G)
+    return points[np.argmax(sinrs, axis=1)], fallbacks
+
+
+def oracle_zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
+    """(K, M, M_r, M_r) Gram of each UE's block projected off the other UEs' rows.
+
+    ``grams`` are the cross Grams and ``own_eig``, if given, the own Grams'
+    eigenpairs, both from ``_gram_eigen``.  With G_oo = W diag(lam) W^H and
+    B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H.
+    At K = 2 UE k's G_oo is UE 1-k's own Gram, so given ``own_eig`` its
+    eigenpairs are ``own_eig`` reversed along K: the same bits, as
+    ``jacobi_eigh`` treats each block alone.  Otherwise one batched
+    ``jacobi_eigh`` decomposes the G_oo.  Gram eigenvalues are accurate only
+    to about eps * lam_max, so every subcarrier where some UE's lam span more
+    than GRAM_MIN_RATIO takes the ``_zf_projected`` blocks' Grams instead.
+    """
+    K, M_r = channels.K, channels.M_r
+    own, idx = np.arange(K), other_groups(K)
+    schur = grams[own, own]                                          # (K, M, M_r, M_r)
+    if K == 1:
+        return schur
+    g_ko = grams[own[:, None], idx].transpose(0, 2, 3, 1, 4).reshape(K, M, M_r, -1)
+    if K == 2 and own_eig is not None:
+        lam, w = (part[::-1] for part in own_eig)                    # ascending
+    else:
+        g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
+        lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))
+    to_svd = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]            # (K, M)
+    b = g_ko @ w
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd[..., None])
+    schur = schur - b @ (inv[..., :, None] * b.conj().swapaxes(-1, -2))
+    handed = np.flatnonzero(to_svd.any(axis=0))
+    if handed.size:
+        projected = _zf_projected(channels, M, handed)[1]
+        schur[:, handed] = projected @ projected.conj().swapaxes(-1, -2)
+    return schur
+
+
+def ofdm_zf_beamformers(channels: ChannelSet, M: int, P: float, sigma2: float) -> OfdmBeamformerSet:
+    """The beamformers and powers behind ``ofdm_zf_waterfill``'s rate.
+
+    From each UE's block projected off the other UEs' rows
+    (``_zf_projected``, in the coordinates of Q = ``numerics.path_span``),
+    u is the top eigenvector of its Gram and, with X_k that projected block,
+    the transmit direction v~ is proportional to X_k^H u; v = Q v~.
+    """
+    _require_zf_feasible(channels)
+    q, projected = _zf_projected(channels, M)
+    lam, vecs = jacobi_eigh(projected @ projected.conj().swapaxes(-1, -2))
+    u = vecs[..., -1]                                                # (K, M, M_r)
+    uh = (u.conj()[..., None, :] @ projected)[..., 0, :]
+    norm = np.linalg.norm(uh, axis=-1)
+    # a block projected to zero gets a zero direction
+    v_dir = uh.conj() / np.maximum(norm, np.finfo(float).tiny)[..., None]
+    _, powers, _ = _water_fill_streams(lam[..., -1], M, P, sigma2)
+    return OfdmBeamformerSet(np.sqrt(powers)[..., None] * v_dir, u, powers, q)
+
+
+@dataclass(frozen=True)
+class AlignmentSets:
+    """Classification of all (stream, branch, path) triples by total delay."""
+
+    desired: tuple[tuple[int, int, int], ...]  # 1-indexed (i, r, l) hitting n_max
+    isi: tuple[tuple[int, int, int], ...]
+    L_extra: int
+
+
+def build_compensation_matrix(I: int, R: int) -> np.ndarray:
+    """0/1 matrix mapping [kappa; mu] to all I*R combined delays kappa_i + mu_r.
+
+    Row (i-1)*R + (r-1) has ones at columns i-1 and I+r-1; its rank is
+    I + R - 1.
+    """
+    if I < 1 or R < 1:
+        raise ValueError("I and R must be >= 1")
+    q = np.zeros((I * R, I + R))
+    rows = np.arange(I * R)
+    q[rows, rows // R] = 1.0
+    q[rows, I + rows % R] = 1.0
+    return q
+
+
+def enumerate_alignment_sets(plan: DelayPlan, n_list: Sequence[int]) -> AlignmentSets:
+    """Split all I*R*L (stream, branch, path) triples into aligned and ISI sets."""
+    n = [int(v) for v in n_list]
+    lags = triple_lags([n], [plan.n_max], [plan.kappa], [plan.mu])[0, 0]  # (R, L, I)
+    aligned = lags.transpose(2, 0, 1) == 0  # (I, R, L)
+    desired, isi = (
+        tuple(map(tuple, (np.argwhere(m) + 1).tolist())) for m in (aligned, ~aligned)
+    )
+    return AlignmentSets(desired=desired, isi=isi, L_extra=len(desired) - len(n))

@@ -15,12 +15,7 @@ from damlink.beamforming import (
     power_terms,
 )
 from damlink.channel import SimConfig
-from damlink.delay_design import (
-    build_compensation_matrix,
-    choose_compensation_counts,
-    enumerate_alignment_sets,
-    solve_compensation_delays,
-)
+from damlink.delay_design import choose_compensation_counts, solve_compensation_delays
 from damlink.experiments import (
     PAPR_THRESHOLDS_DB,
     ExperimentSpec,
@@ -28,8 +23,14 @@ from damlink.experiments import (
     run_experiment,
 )
 from damlink.numerics import water_fill
-from damlink.ofdm import dam_overhead_factor, ofdm_overhead_factor, ofdm_zf_beamformers
-from oracles import bs_side_delays, oracle_power_terms
+from damlink.ofdm import dam_overhead_factor, ofdm_overhead_factor
+from oracles import (
+    bs_side_delays,
+    build_compensation_matrix,
+    enumerate_alignment_sets,
+    ofdm_zf_beamformers,
+    oracle_power_terms,
+)
 
 
 def _report(num: int, text: str) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import aligned_stream, by_path, make_channel_set, random_delay_channel_set
+from damlink import beamforming
 from damlink.beamforming import (
     SPHERE_GRID,
     DamChannels,
@@ -22,15 +23,10 @@ from damlink.beamforming import (
     power_terms,
 )
 from damlink.channel import ChannelSet, SimConfig, generate_channel_set
-from damlink.delay_design import (
-    InfeasibleError,
-    enumerate_alignment_sets,
-    solve_compensation_delays,
-    triple_lags,
-)
+from damlink.delay_design import InfeasibleError, solve_compensation_delays, triple_lags
 from damlink.experiments import DEFAULT_POWER_GRID, trial_seed
 from damlink.pulse import build_rho_table
-from oracles import oracle_isi_zf
+from oracles import enumerate_alignment_sets, oracle_isi_zf
 
 BETA = 0.25
 SIGMA2 = 1e-3
@@ -644,14 +640,23 @@ class TestIsiZfAlternating:
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
+        sizes, solve = [], beamforming._solve
+
+        def spy(a, rhs):
+            sizes.append(a.shape[0])
+            return solve(a, rhs)
+
         monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(beamforming, "_solve", spy)
         state, sinrs = isi_zf_alternating(F, 1.0, SIGMA2)
         assert state.iterations == ref.iterations > 0
-        # every solve took pinv: one per UE and sphere point, one per UE for
-        # the start's transmit update, and a receive and a transmit solve per
-        # UE and iteration
-        grid = SPHERE_GRID[0] * SPHERE_GRID[1]
-        assert state.fallbacks == cs.K * grid + cs.K + 2 * cs.K * state.iterations
+        # every solve took pinv: one per sphere point the start's screen kept,
+        # one per UE for the start's transmit update, and a receive and a
+        # transmit solve per UE and iteration
+        candidates = sizes[0]
+        assert cs.K <= candidates < cs.K * SPHERE_GRID[0] * SPHERE_GRID[1]
+        assert sizes[1:] == [cs.K] * (1 + 2 * state.iterations)
+        assert state.fallbacks == candidates + cs.K + 2 * cs.K * state.iterations
         assert np.allclose(sinrs, ref_sinrs, rtol=1e-9, atol=0.0)
 
     def test_converged_integer_delay_solve(self):

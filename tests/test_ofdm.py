@@ -16,9 +16,9 @@ from damlink.ofdm import (
     ofdm_eigen,
     ofdm_eigen_sinrs,
     ofdm_overhead_factor,
-    ofdm_zf_beamformers,
     ofdm_zf_waterfill,
 )
+from oracles import ofdm_zf_beamformers
 
 SIGMA2 = 1e-3
 

@@ -9,8 +9,9 @@ from conftest import make_channel_set, random_delay_channel_set
 from damlink.channel import ChannelSet, SimConfig, frequency_response, generate_channel_set
 from damlink import ofdm
 from damlink.numerics import GRAM_MIN_RATIO
-from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_beamformers, ofdm_zf_waterfill
-from oracles import oracle_ofdm_eigen, oracle_ofdm_zf_waterfill
+from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
+import oracles
+from oracles import ofdm_zf_beamformers, oracle_ofdm_eigen, oracle_ofdm_zf_waterfill, oracle_zf_schur
 
 M = 16
 P = 1.0
@@ -295,6 +296,7 @@ def test_outputs_do_not_depend_on_eigenvector_phases(shape, monkeypatch):
         return lam, v * np.exp(2j * np.pi * rng.uniform(size=v.shape[:-2] + (1, v.shape[-1])))
 
     monkeypatch.setattr(ofdm, "jacobi_eigh", rephased)
+    monkeypatch.setattr(oracles, "jacobi_eigh", rephased)  # ofdm_zf_beamformers' module
     assert np.allclose(ofdm_eigen_sinrs(cs, M, P, SIGMA2), sinr, rtol=1e-12, atol=0.0)
     snr2, rate2 = ofdm_zf_waterfill(cs, M, P, SIGMA2)
     assert np.allclose(snr2, snr, rtol=1e-12, atol=0.0)
@@ -333,3 +335,26 @@ def test_reference_config_memory_peak(solve):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "cs",
+    [
+        pytest.param(random_delay_channel_set(np.random.default_rng(80), 2, 8, K=1, L=3, span=12), id="K1"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(81), 1, 8, K=2, L=3, span=12), id="K2-Mr1"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(82), 2, 8, K=2, L=3, span=12), id="K2-Mr2"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(83), 3, 12, K=2, L=3, span=12), id="K2-Mr3"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(84), 1, 8, K=3, L=3, span=12), id="K3-Mr1"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(85), 2, 24, K=3, L=3, span=12), id="K3-Mr2"),
+        pytest.param(random_delay_channel_set(np.random.default_rng(86), 3, 24, K=3, L=3, span=12), id="K3-Mr3"),
+        # every odd subcarrier handed to the projection
+        pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-2), id="K2-mixed"),
+    ],
+)
+def test_zf_schur_per_entry_products_match_matmuls(cs):
+    grams, own_eig = ofdm._gram_eigen(cs, M)
+    for eig in (own_eig, None):
+        schur = ofdm._zf_schur(cs, M, grams, eig)
+        ref = oracle_zf_schur(cs, M, grams, eig)
+        scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(schur - ref) <= 1e-13 * scale)

@@ -31,7 +31,7 @@ from damlink.experiments import (
     papr_at_exceedance,
     run_experiment,
 )
-from damlink.ofdm import ofdm_eigen, ofdm_zf_beamformers
+from damlink.ofdm import ofdm_eigen
 from damlink.waveform import (
     ANTENNA_GROUP,
     Waveform,
@@ -47,7 +47,7 @@ from damlink.waveform import (
     synthesize_ofdm_waveform,
     synthesize_strongest_path_waveform,
 )
-from oracles import oracle_ofdm_waveform, oracle_shape_streams
+from oracles import ofdm_zf_beamformers, oracle_ofdm_waveform, oracle_shape_streams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
