@@ -251,7 +251,10 @@ class IsiZfState:
 
     ``converged`` is False only when the loop stopped at ``max_iter`` with the
     objective still rising by at least ``tol`` relative in the last step.
-    ``fallbacks`` counts the linear solves that took the ``pinv`` fallback.
+    ``fallbacks`` counts the linear solves that took the ``pinv`` fallback:
+    the start's solves of the sphere points its screen keeps, the start's
+    transmit update, and each iteration's receive and transmit solves, one
+    per UE each.
     """
 
     grams: PathGrams
@@ -402,11 +405,12 @@ def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, 
     ok = np.isfinite(fast)
     best = np.max(fast, axis=1, initial=0.0, where=ok)
     k, g = np.nonzero(~ok | (fast >= (1.0 - _SCREEN_TOL) * best[:, None]))
-    a = grams.s[k] * n[k, g][:, None, :]
+    n_kept, r0_kept = n[k, g], grams.r0[k]
+    a = grams.s[k] * n_kept[:, None, :]
     np.einsum("kii->ki", a)[:] += reg
-    c, fallbacks = _solve(a, grams.r0[k])
+    c, fallbacks = _solve(a, r0_kept)
     sinrs = np.full((K, G), -np.inf)
-    sinrs[k, g] = np.sum(grams.r0[k] * n[k, g] * c, axis=1)
+    sinrs[k, g] = np.sum(r0_kept * n_kept * c, axis=1)
     return points[np.argmax(sinrs, axis=1)], fallbacks
 
 

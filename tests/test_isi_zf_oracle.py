@@ -83,7 +83,7 @@ def _same_solve(F, P, sigma2, monkeypatch):
 
 
 @pytest.mark.parametrize("fractional", [True, False], ids=["frac", "int"])
-@pytest.mark.parametrize("m_r,K,L", START_SHAPES, ids=lambda v: str(v))
+@pytest.mark.parametrize("m_r,K,L", START_SHAPES)
 def test_screened_start_is_the_exhaustive_start(m_r, K, L, fractional, monkeypatch):
     worst = 0.0
     for seed in range(4):
@@ -113,5 +113,8 @@ def test_screened_start_keeps_the_first_of_exact_ties(monkeypatch):
     _, exact = _exact_values(state.grams, P, sigma2)
     ties = exact == exact.max(axis=1, keepdims=True)
     assert np.array_equal(np.nonzero(ties)[1], np.tile(np.arange(SPHERE_GRID[1]), cs.K))
+    sizes, solve = [], beamforming._solve
+    monkeypatch.setattr(beamforming, "_solve", lambda a, rhs: sizes.append(len(a)) or solve(a, rhs))
     start = beamforming._grid_start(state.grams, P, sigma2)[0]
+    assert sizes == [ties.sum()]  # the screen keeps every tied point
     assert np.array_equal(start, np.tile(_sphere_points(2)[0], (cs.K, 1)))
