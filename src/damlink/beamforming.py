@@ -47,7 +47,6 @@ __all__ = [
     "null_space_projection",
     "mmse_receive_update",
     "mmse_transmit_update",
-    "isi_zf_sinrs",
     "isi_zf_alternating",
 ]
 
@@ -231,13 +230,12 @@ class PathGrams:
 
     The stream aligned through path l of UE k (stream i_l) is sent in the
     complement of every other path's row space, P_kl = I - Q_o Q_o^H, so only
-    path l carries it: through the projected path H_kl P_kl it reaches UE k's
-    receiver as the output Y_kl, and UE k hears its streams at lag n as
-    Y_k r_k[n] with r_k[n] = (rho_{l i_l}[n])_l.  So every lag sum reduces to
-    r0 = r[0] and the L x L Gram matrix s of the other lags; all three fields
-    are indexed by path.  The transmit update always sends f_kl along
-    P_kl H_kl^H w_k, so the loop sees the projector only through the
-    M_r x M_r Gram matrices gram[k, l] = H_kl P_kl H_kl^H.
+    path l carries it, and UE k hears its streams at lag n as Y_k r_k[n], with
+    Y_kl path l's output and r_k[n] = (rho_{l i_l}[n])_l.  So every lag sum
+    reduces to r0 = r[0] and the L x L Gram matrix s of the other lags.  The
+    transmit update sends f_kl along P_kl H_kl^H w_k, so the loop sees the
+    projector only through gram[k, l] = H_kl P_kl H_kl^H, and the SINR only
+    through n_l = w^H gram_l w in ``_transmit_solve``.
     """
 
     gram: np.ndarray   # (K, L, M_r, M_r)
@@ -249,8 +247,8 @@ class PathGrams:
 class IsiZfState:
     """Result of the alternating optimization over ZF-projected beamformers.
 
-    ``converged`` is False only when the loop stopped at ``max_iter`` with the
-    objective still rising by at least ``tol`` relative in the last step.
+    ``converged`` is False only when the loop stopped at ``max_iter`` with
+    the objective still rising by at least ``tol`` relative in the last step.
     ``fallbacks`` counts the linear solves that took the ``pinv`` fallback:
     the start's solves of the sphere points its screen keeps, the start's
     transmit update, and each iteration's receive and transmit solves, one
@@ -260,7 +258,7 @@ class IsiZfState:
     grams: PathGrams
     w: np.ndarray                     # (K, M_r) unit receive vectors
     f: np.ndarray                     # (K, L M_t) stacked transmit vectors [f_ki]_i
-    trace: list[float]                # objective value per iteration
+    trace: list[float]                # sum rate of each iterate's _transmit_solve SINRs
     iterations: int
     converged: bool
     fallbacks: int
@@ -304,36 +302,45 @@ def mmse_receive_update(grams: PathGrams, y: np.ndarray, sigma2: float) -> tuple
     return _unit_rows(x), fallbacks
 
 
+def _transmit_solve(
+    s: np.ndarray, r0: np.ndarray, n: np.ndarray, reg
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """c solving (reg I + s diag(n)) c = r0 per row, and the SINR r0^T diag(n) c.
+
+    Under ZF, weights on paths of gains n_l at power P/K give the SINR
+    (x^T r0)^2 / x^T (s + reg diag(1/n)) x with x_l = weight_l n_l, largest at
+    x = (s + reg diag(1/n))^-1 r0 = diag(n) c by the push-through identity
+    diag(n) (reg I + s diag(n))^-1 = (s + reg diag(1/n))^-1.  So the best weights
+    are proportional to c, and their SINR is r0^T diag(n) c, also where n_l = 0.
+    ``reg`` broadcasts against (N, L).  Also returns the count of ``pinv`` fallbacks.
+    """
+    a = s * n[:, None, :]
+    np.einsum("kii->ki", a)[:] += reg
+    c, fallbacks = _solve(a, r0)
+    return c, np.sum(r0 * n * c, axis=1), fallbacks
+
+
 def mmse_transmit_update(
     grams: PathGrams, w: np.ndarray, P: float, sigma2: float
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """SINR-optimal transmit weights (K, L) at fixed per-UE power P/K.
 
     Path l of UE k sends f_kl = weights_kl P_kl H_kl^H w_k and so produces
     the output Y_kl = weights_kl gram_kl w_k.  With n_l = w^H gram_l w =
-    ||P_l H_l^H w||^2 the push-through identity gives weights proportional
-    to c, where (reg I + s diag(n)) c = r0.  Returns the weights, the
-    outputs Y (K, M_r, L) and the number of solves that took the ``pinv``
-    fallback.
+    ||P_l H_l^H w||^2 and reg = K sigma2 ||w||^2 / P the weights are c of
+    ``_transmit_solve`` scaled to P/K.  Returns the weights, the outputs
+    Y (K, M_r, L), the (K,) SINRs they give and the number of solves that
+    took the ``pinv`` fallback.
     """
     K = grams.r0.shape[0]
     gw = grams.gram @ w[:, None, :, None]  # (K, L, M_r, 1)
     n = (w.conj()[:, None, None, :] @ gw)[..., 0, 0].real
-    a = grams.s * n[:, None, :]
-    np.einsum("kii->ki", a)[:] += sigma2 * (K / P) * (w * w.conj()).real.sum(axis=1)[:, None]
-    c, fallbacks = _solve(a, grams.r0)
+    reg = sigma2 * (K / P) * (w * w.conj()).real.sum(axis=1)[:, None]
+    c, sinrs, fallbacks = _transmit_solve(grams.s, grams.r0, n, reg)
     norm = np.sqrt((c * c * n).sum(axis=1))  # ||b_k||
     # a UE whose receive vector sees none of its paths transmits nothing
     weights = np.sqrt(P / K) * c / np.where(norm > 0.0, norm, np.inf)[:, None]
-    return weights, (gw[..., 0] * weights[..., None]).swapaxes(1, 2), fallbacks
-
-
-def isi_zf_sinrs(grams: PathGrams, w: np.ndarray, y: np.ndarray, sigma2: float) -> np.ndarray:
-    """Per-UE SINR; with x = w^H Y the coupling at lag n is x r[n]."""
-    x = w.conj()[:, None, :] @ y  # (K, 1, L)
-    desired = np.abs(x @ grams.r0[..., None])[:, 0, 0] ** 2
-    isi = (x @ grams.s @ x.conj().swapaxes(1, 2))[:, 0, 0].real
-    return desired / (isi + sigma2 * (w * w.conj()).real.sum(axis=1))
+    return weights, (gw[..., 0] * weights[..., None]).swapaxes(1, 2), sinrs, fallbacks
 
 
 @functools.cache
@@ -386,13 +393,12 @@ def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, 
     """Each UE's best sphere point w under the transmit weights optimal for it.
 
     Under ZF a UE hears no other UE, so for a unit w its SINR with the best
-    transmit weights is r0^T diag(n) c, where (reg I + s diag(n)) c = r0,
-    n_l = w^H gram_l w and reg = K sigma2 / P: the ``mmse_transmit_update``
-    system.  ``_screen_values`` evaluates it on every point; the points
-    within ``_SCREEN_TOL`` (relative) of their UE's best, and any whose
-    value is not finite, are solved in that system's form, and the first
-    best of those is the start: the point that solving every one would
-    pick, to the bit.  Returns the (K, M_r) start and the number of those
+    transmit weights is that of ``_transmit_solve`` at n_l = w^H gram_l w and
+    reg = K sigma2 / P.  ``_screen_values`` evaluates it on every point; the
+    points within ``_SCREEN_TOL`` (relative) of their UE's best, and any
+    whose value is not finite, go through ``_transmit_solve``, and the first
+    best of those is the start: the point that solving every one would pick,
+    to the bit.  Returns the (K, M_r) start and the number of those
     solves that took the ``pinv`` fallback.
     """
     K, L = grams.r0.shape
@@ -405,12 +411,8 @@ def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, 
     ok = np.isfinite(fast)
     best = np.max(fast, axis=1, initial=0.0, where=ok)
     k, g = np.nonzero(~ok | (fast >= (1.0 - _SCREEN_TOL) * best[:, None]))
-    n_kept, r0_kept = n[k, g], grams.r0[k]
-    a = grams.s[k] * n_kept[:, None, :]
-    np.einsum("kii->ki", a)[:] += reg
-    c, fallbacks = _solve(a, r0_kept)
     sinrs = np.full((K, G), -np.inf)
-    sinrs[k, g] = np.sum(r0_kept * n_kept * c, axis=1)
+    _, sinrs[k, g], fallbacks = _transmit_solve(grams.s[k], grams.r0[k], n[k, g], reg)
     return points[np.argmax(sinrs, axis=1)], fallbacks
 
 
@@ -433,14 +435,15 @@ def isi_zf_alternating(
     ``numerics.path_span``), so no null-space basis is built and the result
     does not depend on one.  For each UE the start is the receive vector on
     a fixed sample of the unit sphere (``SPHERE_GRID`` at M_r = 2,
-    ``SPHERE_SAMPLES`` points at M_r > 2, w = 1 at M_r = 1) whose SINR under
-    its optimal transmit weights is largest, followed by one transmit
-    update; ``max_iter=0`` returns that start.  The receive/transmit updates
-    then run on the path Grams of all UEs at once until the relative
-    sum-rate increase drops below ``tol`` or after ``max_iter`` iterations;
-    the objective trace is non-decreasing.  The final transmit vector of the
-    stream aligned through path l is c_l P_kl H_kl^H w_k, and ``state.f``
-    stacks them in the assembly's stream order, like ``BeamformerSet.f_bar``.
+    ``SPHERE_SAMPLES`` points at M_r > 2, w = 1 at M_r = 1) with the largest
+    ``_transmit_solve`` SINR, followed by one transmit update; ``max_iter=0``
+    returns that start.  The receive/transmit updates then run on the path
+    Grams of all UEs at once until the relative sum-rate increase drops
+    below ``tol`` or after ``max_iter`` iterations; the trace and the
+    returned SINRs are those of the transmit updates, and the trace is
+    non-decreasing.  The final transmit vector of the stream aligned through
+    path l is c_l P_kl H_kl^H w_k, and ``state.f`` stacks them in the
+    assembly's stream order, like ``BeamformerSet.f_bar``.
     """
     if F.aligned_mask.shape[1] != 1:
         raise ValueError("ISI-ZF needs a single-branch (I = L, R = 1) assembly")
@@ -459,20 +462,16 @@ def isi_zf_alternating(
         s=off @ off.swapaxes(1, 2),
     )
     w, fallbacks = _grid_start(grams, P, sigma2)
-    weights, y, start_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
+    weights, y, sinrs, start_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
     fallbacks += start_fallbacks
-    sinrs = isi_zf_sinrs(grams, w, y, sigma2)
     trace = [float(np.sum(np.log2(1.0 + sinrs)))]
-    iterations = 0
     for _ in range(max_iter):
         w, rx_fallbacks = mmse_receive_update(grams, y, sigma2)
-        weights, y, tx_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
+        weights, y, sinrs, tx_fallbacks = mmse_transmit_update(grams, w, P, sigma2)
         fallbacks += rx_fallbacks + tx_fallbacks
-        sinrs = isi_zf_sinrs(grams, w, y, sigma2)
         obj = float(np.sum(np.log2(1.0 + sinrs)))
         prev = trace[-1]
         trace.append(obj)
-        iterations += 1
         if obj - prev < tol * max(abs(prev), 1e-300):
             converged = True
             break
@@ -483,7 +482,7 @@ def isi_zf_alternating(
     f[own, stream] = weights[..., None] * (np.einsum("klmr,km->klr", projected.conj(), w) @ q.T)
 
     state = IsiZfState(
-        grams=grams, w=w, f=f.reshape(K, L * M_t), trace=trace, iterations=iterations,
+        grams=grams, w=w, f=f.reshape(K, L * M_t), trace=trace, iterations=len(trace) - 1,
         converged=converged, fallbacks=fallbacks,
     )
     return state, sinrs

@@ -11,7 +11,8 @@ without touching the closed-form raised cosine or any block-matrix assembly.
 
 ``oracle_isi_zf`` is a literal reference for the ISI-ZF alternating MMSE
 loop from a given start receive vector.  It keeps every lag explicit: per
-UE a (2W+1, M_r, D) stack of projected channels, and D x D transmit solves
+UE a (2W+1, M_r, D) stack of projected channels (``lag_stacked_channels``),
+its SINR summed lag by lag (``stacked_sinrs``), and D x D transmit solves
 over the null-space coordinates (D = total null-space dimension).
 
 ``oracle_ofdm_eigen`` and ``oracle_ofdm_zf_waterfill`` are the literal OFDM
@@ -147,7 +148,8 @@ def _unit_or_first_axis(v):
     return v / norm
 
 
-def _stacked_sinrs(h_tilde, w_list, b_list, sigma2):
+def stacked_sinrs(h_tilde, w_list, b_list, sigma2):
+    """Per-UE SINR of receive vectors and reduced transmit vectors, lag by lag."""
     sinrs = np.empty(len(h_tilde))
     for k, (h, w, b) in enumerate(zip(h_tilde, w_list, b_list)):
         center = (h.shape[0] - 1) // 2
@@ -182,6 +184,19 @@ def _stacked_transmit(h_tilde, w_list, P, sigma2):
     return out
 
 
+def lag_stacked_channels(channels, beta, window):
+    """Null-space bases [k][l] of the BS-side ZF solve and the per-UE lag stacks
+    ``_projected_channels`` of it, (2W+1, M_r, D), with stream l aligned through path l."""
+    bases = [
+        [null_space_projection(channels.gains, k, l) for l in range(channels.L)]
+        for k in range(channels.K)
+    ]
+    kappa, mu = bs_side_delays(channels)
+    lags = triple_lags(channels.n, channels.n_max, kappa, mu)
+    tables = build_rho_table(lags, channels.frac, window, beta)[:, :, 0]
+    return bases, _projected_channels(channels, bases, tables)
+
+
 def oracle_isi_zf(channels, P, sigma2, beta, window, w_start=None, tol=1e-6, max_iter=200):
     """Lag-stacked ISI-ZF loop: (iterations, objective trace, stacked f_bar).
 
@@ -192,15 +207,7 @@ def oracle_isi_zf(channels, P, sigma2, beta, window, w_start=None, tol=1e-6, max
     receive filter: a start that depends on the null-space bases.
     """
     K = channels.K
-    bases = [
-        [null_space_projection(channels.gains, k, l) for l in range(channels.L)]
-        for k in range(K)
-    ]
-    kappa = channels.n[:, -1:] - channels.n  # BS-side pre-delays
-    mu = np.zeros((K, 1), dtype=int)  # one branch
-    lags = triple_lags(channels.n, channels.n_max, kappa, mu)
-    tables = build_rho_table(lags, channels.frac, window, beta)[:, :, 0]
-    h_tilde = _projected_channels(channels, bases, tables)
+    bases, h_tilde = lag_stacked_channels(channels, beta, window)
     if w_start is None:
         b_list = [np.sqrt(P / K / h.shape[2]) * np.ones(h.shape[2], dtype=complex) for h in h_tilde]
         w_list = [_unit_or_first_axis(h[(h.shape[0] - 1) // 2] @ b) for h, b in zip(h_tilde, b_list)]
@@ -209,7 +216,7 @@ def oracle_isi_zf(channels, P, sigma2, beta, window, w_start=None, tol=1e-6, max
         b_list = _stacked_transmit(h_tilde, w_list, P, sigma2)
 
     def objective(w, b):
-        return float(np.sum(np.log2(1.0 + _stacked_sinrs(h_tilde, w, b, sigma2))))
+        return float(np.sum(np.log2(1.0 + stacked_sinrs(h_tilde, w, b, sigma2))))
 
     trace = [objective(w_list, b_list)]
     iterations = 0

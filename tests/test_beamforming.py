@@ -16,7 +16,6 @@ from damlink.beamforming import (
     eigen_beamform_bs_side,
     eigen_beamform_doubleside,
     isi_zf_alternating,
-    isi_zf_sinrs,
     mmse_receive_update,
     mmse_transmit_update,
     null_space_projection,
@@ -26,7 +25,7 @@ from damlink.channel import ChannelSet, SimConfig, generate_channel_set
 from damlink.delay_design import InfeasibleError, solve_compensation_delays, triple_lags
 from damlink.experiments import DEFAULT_POWER_GRID, trial_seed
 from damlink.pulse import build_rho_table
-from oracles import enumerate_alignment_sets, oracle_isi_zf
+from oracles import enumerate_alignment_sets, lag_stacked_channels, oracle_isi_zf, stacked_sinrs
 
 BETA = 0.25
 SIGMA2 = 1e-3
@@ -514,7 +513,7 @@ class TestMmseUpdates:
             assert abs(abs(np.vdot(mf, wk)) - 1.0) < 1e-10
             assert np.linalg.norm(wk) == pytest.approx(1.0, abs=1e-12)
 
-        weights, _, fallbacks = mmse_transmit_update(grams, w, P, SIGMA2)
+        weights, _, _, fallbacks = mmse_transmit_update(grams, w, P, SIGMA2)
         assert fallbacks == 0
         for h, wk, bk in zip(h0, w, _reduced(gs, w, weights)):
             mf = h.conj().T @ wk
@@ -528,6 +527,7 @@ class TestMmseUpdates:
         for _ in range(5):
             cs = _zf_setup(rng, fractional=True)
             grams, gs = _grams(cs), _projected(cs)
+            _, h_tilde = lag_stacked_channels(cs, BETA, 40)
             P = 1.0
             b = []
             for g in gs:
@@ -540,16 +540,40 @@ class TestMmseUpdates:
                 w.append(x / np.linalg.norm(x))
             w = np.array(w)
             y = _outputs(gs, b)
-            base = isi_zf_sinrs(grams, w, y, SIGMA2)
+            base = stacked_sinrs(h_tilde, w, b, SIGMA2)
             w2, _ = mmse_receive_update(grams, y, SIGMA2)
-            after_w = isi_zf_sinrs(grams, w2, y, SIGMA2)
+            after_w = stacked_sinrs(h_tilde, w2, b, SIGMA2)
             assert np.all(after_w >= base - 1e-9 * np.abs(base))
-            weights, y2, _ = mmse_transmit_update(grams, w2, P, SIGMA2)
+            weights, y2, _, _ = mmse_transmit_update(grams, w2, P, SIGMA2)
             # the returned outputs are those of the returned weights
-            y2_ref = _outputs(gs, _reduced(gs, w2, weights))
+            b2 = _reduced(gs, w2, weights)
+            y2_ref = _outputs(gs, b2)
             assert np.allclose(y2, y2_ref, rtol=0.0, atol=1e-12 * np.max(np.abs(y2_ref)))
-            after_b = isi_zf_sinrs(grams, w2, y2, SIGMA2)
+            after_b = stacked_sinrs(h_tilde, w2, b2, SIGMA2)
             assert np.all(after_b >= after_w - 1e-9 * np.abs(after_w))
+
+    @pytest.mark.parametrize("m_r", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2])
+    @pytest.mark.parametrize("fractional", [True, False], ids=["frac", "int"])
+    def test_returned_sinrs_are_those_of_the_returned_weights(self, fractional, K, m_r):
+        rng = np.random.default_rng(30 + 10 * K + m_r)
+        cs = _zf_setup(rng, fractional=fractional, K=K, L=2, m_r=m_r)
+        # receive vectors of any norm: the noise term scales with ||w||^2
+        w = rng.standard_normal((K, m_r)) + 1j * rng.standard_normal((K, m_r))
+        for deaf in (False, True):
+            if deaf:
+                # UE 0's paths all miss receive antenna 0, which is all w_0 hears
+                gains = cs.gains.copy()
+                gains[0, :, 0] = 0.0
+                cs = ChannelSet(gains=gains, n=cs.n, frac=cs.frac)
+                w[0] = np.eye(m_r)[0]
+            weights, _, sinrs, _ = mmse_transmit_update(_grams(cs), w, 2.0, SIGMA2)
+            _, h_tilde = lag_stacked_channels(cs, BETA, 40)
+            literal = stacked_sinrs(h_tilde, w, _reduced(_projected(cs), w, weights), SIGMA2)
+            assert np.allclose(sinrs, literal, rtol=1e-9, atol=0.0)
+            assert np.all(sinrs[int(deaf):] > 0.0)
+        assert sinrs[0] == 0.0
+        assert np.all(weights[0] == 0.0)
 
 
 class TestIsiZfAlternating:
@@ -695,9 +719,12 @@ class TestIsiZfAlternating:
         F = assemble_bs_side(cs, 40, BETA)
         state, sinrs = isi_zf_alternating(F, 2.0, SIGMA2)
         w = np.ones((cs.K, 1), dtype=complex)
-        _, y, _ = mmse_transmit_update(state.grams, w, 2.0, SIGMA2)
-        once = isi_zf_sinrs(state.grams, w, y, SIGMA2)
+        weights, _, once, _ = mmse_transmit_update(state.grams, w, 2.0, SIGMA2)
         assert np.allclose(sinrs, once, rtol=1e-12, atol=0.0)
+        # and they are the lag-stacked SINRs of the weights that update returns
+        _, h_tilde = lag_stacked_channels(cs, BETA, 40)
+        literal = stacked_sinrs(h_tilde, w, _reduced(_projected(cs), w, weights), SIGMA2)
+        assert np.allclose(once, literal, rtol=1e-9, atol=0.0)
         assert np.allclose(np.abs(state.w), 1.0, rtol=0.0, atol=1e-12)
         start, _ = isi_zf_alternating(F, 2.0, SIGMA2, max_iter=0)
         assert np.array_equal(start.w, w)
