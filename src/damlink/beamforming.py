@@ -344,8 +344,9 @@ def mmse_transmit_update(
 
 
 @functools.cache
-def _sphere_points(m_r: int) -> np.ndarray:
-    """(G, M_r) unit receive vectors the ISI-ZF start is chosen from (read-only)."""
+def _sphere_points(m_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, M_r) unit receive vectors the ISI-ZF start is chosen from, and their
+    (G, M_r^2) outer products w^* w^T (both read-only)."""
     if m_r == 1:
         points = np.ones((1, 1), dtype=complex)
     elif m_r == 2:
@@ -359,8 +360,9 @@ def _sphere_points(m_r: int) -> np.ndarray:
         rng = np.random.default_rng(SPHERE_SEED)
         z = rng.standard_normal((SPHERE_SAMPLES, m_r, 2)) @ np.array([1.0, 1j])
         points = z / np.linalg.norm(z, axis=1, keepdims=True)
-    points.flags.writeable = False
-    return points
+    outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(len(points), -1)
+    points.flags.writeable = outer.flags.writeable = False
+    return points, outer
 
 
 def _screen_values(grams: PathGrams, n: np.ndarray, reg: float) -> np.ndarray:
@@ -402,9 +404,8 @@ def _grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.ndarray, 
     solves that took the ``pinv`` fallback.
     """
     K, L = grams.r0.shape
-    points = _sphere_points(grams.gram.shape[-1])  # (G, M_r)
+    points, outer = _sphere_points(grams.gram.shape[-1])  # (G, M_r), (G, M_r^2)
     G = points.shape[0]
-    outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(G, -1)
     n = (outer @ grams.gram.reshape(K * L, -1).T).real.reshape(G, K, L).swapaxes(0, 1)
     reg = sigma2 * K / P
     fast = _screen_values(grams, n, reg)

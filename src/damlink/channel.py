@@ -8,6 +8,7 @@ holds its delays in samples only; the sample interval T stays in ``SimConfig``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -187,12 +188,12 @@ def split_delay(tau_s: float, T: float) -> tuple[int, float]:
     return n, tau_s - n * T
 
 
-def steering_vector(count: int, angle_rad: float) -> np.ndarray:
-    """Unit-norm half-wavelength ULA response for the given angle."""
+def steering_vector(count: int, angle_rad) -> np.ndarray:
+    """Unit-norm half-wavelength ULA responses (..., count) to angles (...); (count,) to one."""
     if count < 1:
         raise ValueError("antenna count must be >= 1")
     m = np.arange(count)
-    return np.exp(1j * np.pi * m * np.sin(angle_rad)) / np.sqrt(count)
+    return np.exp(1j * np.pi * m * np.sin(angle_rad)[..., None]) / np.sqrt(count)
 
 
 def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> ChannelSet:
@@ -202,7 +203,8 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
     integer parts are pairwise distinct; each remainder of ``split_delay`` is
     stored over T, in samples.  Each gain matrix is a rank-1 outer
     product of receive/transmit steering vectors scaled by a CN(0, g_ls / L)
-    coefficient.
+    coefficient.  The random numbers are drawn one at a time, path by path;
+    every steering vector and gain is then built at once.
     """
     if cfg.L > cfg.delay_span_samples + 1:
         raise ConfigError(
@@ -210,9 +212,9 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
         )
     rng = np.random.default_rng(seed)
     T = cfg.T
-    gains = np.empty((cfg.K, cfg.L, cfg.M_r, cfg.M_t), dtype=complex)
     n = np.empty((cfg.K, cfg.L), dtype=int)
     frac = np.empty((cfg.K, cfg.L))
+    draws = np.empty((4, cfg.K, cfg.L))  # AoD, AoA and two normals per path
     for k in range(cfg.K):
         while True:
             taus = rng.uniform(0.0, cfg.delay_span_samples * T, cfg.L)
@@ -222,19 +224,24 @@ def generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> 
         for l, idx in enumerate(np.argsort([d for d, _ in split])):
             n[k, l], rest = split[idx]
             frac[k, l] = rest / T
-            aod = rng.uniform(-np.pi / 2, np.pi / 2)
-            aoa = rng.uniform(-np.pi / 2, np.pi / 2)
-            alpha = np.sqrt(cfg.g_ls / (2.0 * cfg.L)) * (
-                rng.standard_normal() + 1j * rng.standard_normal()
-            )
-            gains[k, l] = (
-                np.sqrt(cfg.M_t * cfg.M_r)
-                * alpha
-                * np.outer(steering_vector(cfg.M_r, aoa), steering_vector(cfg.M_t, aod).conj())
-            )
+            aod, aoa = rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi / 2, np.pi / 2)
+            draws[:, k, l] = aod, aoa, rng.standard_normal(), rng.standard_normal()
+    aod, aoa, re, im = draws
+    alpha = np.sqrt(cfg.g_ls / (2.0 * cfg.L)) * (re + 1j * im)
+    a_r, a_t = steering_vector(cfg.M_r, aoa), steering_vector(cfg.M_t, aod)
+    outer = a_r[..., :, None] * a_t.conj()[..., None, :]
+    gains = (np.sqrt(cfg.M_t * cfg.M_r) * alpha)[..., None, None] * outer
     if integer_delays:
         frac[:] = 0.0
     return ChannelSet(gains=gains, n=n, frac=frac)
+
+
+@functools.cache
+def _phase_table(M: int) -> np.ndarray:
+    """(M,) subcarrier phases exp(2j pi i / M) / sqrt(M) (read-only)."""
+    table = np.exp(2j * np.pi * np.arange(M) / M) / np.sqrt(M)
+    table.flags.writeable = False
+    return table
 
 
 def subcarrier_coefficients(channels: ChannelSet, M: int) -> np.ndarray:
@@ -245,8 +252,7 @@ def subcarrier_coefficients(channels: ChannelSet, M: int) -> np.ndarray:
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    table = np.exp(2j * np.pi * np.arange(M) / M) / np.sqrt(M)
-    return table[(np.arange(M)[:, None] * channels.n[:, None, :]) % M]
+    return _phase_table(M)[(np.arange(M)[:, None] * channels.n[:, None, :]) % M]
 
 
 def frequency_response(channels: ChannelSet, M: int) -> np.ndarray:

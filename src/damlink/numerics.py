@@ -1,9 +1,10 @@
 """Dense complex linear algebra and power-allocation primitives.
 
 Everything here is pure and reentrant.  ``jacobi_eigh`` diagonalizes stacks
-of small Hermitian matrices (OFDM's K M per-subcarrier Grams): a 2x2 stack by
-one exact Jacobi rotation vectorized across the stack, where LAPACK would pay
-its per-call overhead once per block, and any other size by ``np.linalg.eigh``.
+of small Hermitian matrices (OFDM's K M per-subcarrier Grams) held as entry
+planes (n, n, ...): a 2x2 stack by one exact Jacobi rotation, elementwise
+over the contiguous planes, where LAPACK would pay its per-call overhead once
+per block, and any other size by ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -84,24 +85,25 @@ def project_off_others(blocks: np.ndarray) -> np.ndarray:
 
 
 def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (..., n) and unitary eigenvectors (..., n, n) of a
-    Hermitian stack (..., n, n), read from its lower triangle like ``np.linalg.eigh``.
+    """Ascending eigenvalues (n, ...) and unitary eigenvectors (columns of (n, n, ...))
+    of a Hermitian stack (n, n, ...) held as entry planes, read from its lower
+    triangle like ``np.linalg.eigh``.
 
-    At n = 2 one Jacobi rotation, vectorized over the stack, diagonalizes
+    At n = 2 one Jacobi rotation, elementwise over the planes, diagonalizes
     every block exactly (Golub and Van Loan, Matrix Computations, sec. 8.5,
     sym.schur2), where LAPACK would pay its per-call overhead once per block:
     with e the phase of a_01 and t = tan(theta), the rotation J = [[c, s e],
     [-(s e)^*, c]] zeroes a_01, shifts the diagonal by t |a_01|, and one
-    compare-exchange orders the pair.  Every other n takes ``np.linalg.eigh``.
-    Raises ValueError on non-finite input.
+    compare-exchange orders the pair.  Every other n takes ``np.linalg.eigh``
+    on moved axes.  Raises ValueError on non-finite input.
     """
     a = np.asarray(a, dtype=complex)
-    rows, cols = np.tril_indices(a.shape[-1])
-    if not np.all(np.isfinite(a[..., rows, cols])):
+    if not np.isfinite(a[np.tri(a.shape[0], dtype=bool)]).all():
         raise ValueError("jacobi_eigh input has non-finite entries")
-    if a.shape[-1] != 2:
-        return np.linalg.eigh(a)
-    d0, d1, apq = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0].conj()
+    if a.shape[0] != 2:
+        lam, v = np.linalg.eigh(np.moveaxis(a, (0, 1), (-2, -1)))
+        return np.moveaxis(lam, -1, 0), np.moveaxis(v, (-2, -1), (0, 1))
+    d0, d1, apq = a[0, 0].real, a[1, 1].real, a[1, 0].conj()
     b, diff = np.abs(apq), d1 - d0
     den = np.abs(diff) + np.hypot(diff, 2.0 * b)
     # t = g b and s e = c t apq / b = c g apq; a pair below the normal range
@@ -116,10 +118,10 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     # J's off-diagonal entries as rotating the identity leaves them: a zero part is +0
     se, minus_se = se + 0.0, 0.0 - se.conj()
     swap = lo > hi
-    lam = np.stack([np.where(swap, hi, lo), np.where(swap, lo, hi)], axis=-1)
+    lam = np.stack([np.where(swap, hi, lo), np.where(swap, lo, hi)])
     v = np.stack([np.where(swap, se, c), np.where(swap, c, se),
-                  np.where(swap, c, minus_se), np.where(swap, minus_se, c)], axis=-1)
-    return lam, v.reshape(*v.shape[:-1], 2, 2)
+                  np.where(swap, c, minus_se), np.where(swap, minus_se, c)])
+    return lam, v.reshape(2, 2, *v.shape[1:])
 
 
 def water_fill(gains, total_power: float) -> np.ndarray:

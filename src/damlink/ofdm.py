@@ -14,14 +14,16 @@ S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross Grams; a
 subcarrier whose G_oo is too ill-conditioned for it takes the projection.
 ``ofdm_eigen_and_zf`` gives both schemes' SE from one pass of cross Grams
 and own-Gram eigenpairs; at K = 2 the ZF interferer Grams are the other
-UE's own Grams, so it decomposes no Gram twice.  Every Hermitian
-eigenproblem is one batched ``numerics.jacobi_eigh`` call over all K M
+UE's own Grams, so it decomposes no Gram twice.  Every per-subcarrier
+quantity is held subcarrier-last: the cross Grams as (K, K, M_r, M_r, M)
+entry planes, built one UE pair at a time, and every eigenproblem, coupling
+and Schur complement as elementwise passes over (K, M) planes.  Every
+Hermitian eigenproblem is one ``numerics.jacobi_eigh`` call over all K M
 blocks (one exact rotation per 2x2 block, ``np.linalg.eigh`` for any other
-size).  SINRs and rates read
-eigenvalues, and eigenvectors only up to phase.  ``ofdm_eigen``'s
-beamformers, which the OFDM waveform needs with LAPACK's phases, come from
-the reduced SVD of the full responses; it returns Q and each transmit
-vector's coordinates v~ = Q^H v.
+size).  SINRs and rates read eigenvalues, and eigenvectors only up to phase.
+``ofdm_eigen``'s beamformers, which the OFDM waveform needs with LAPACK's
+phases, come from the reduced SVD of the full responses; it returns Q and
+each transmit vector's coordinates v~ = Q^H v.
 """
 
 from __future__ import annotations
@@ -74,39 +76,48 @@ class OfdmBeamformerSet:
 
 
 def _cross_grams(channels: ChannelSet, M: int) -> np.ndarray:
-    """(K, K, M, M_r, M_r) cross Grams G_kj[m] = H_km H_jm^H.
+    """(K, K, M_r, M_r, M) cross Grams G_kj[m] = H_km H_jm^H, each entry a plane over m.
 
     Sums over path pairs of c_kl[m] c_jl'[m]^* H_kl H_jl'^H, with c the
     subcarrier coefficients and every H_kl H_jl'^H from one Gram of the path
-    rows.
+    rows; one UE pair k <= j at a time, as (M_r^2, L^2) path-pair Grams times
+    the (L^2, M) coefficient products, and G_jk = G_kj^H.
     """
     K, L, M_r, M_t = channels.gains.shape
     rows = channels.gains.reshape(K * L * M_r, M_t)
-    pairs = (rows @ rows.conj().T).reshape(K, L, M_r, K, L, M_r)
-    pairs = pairs.transpose(0, 3, 1, 4, 2, 5).reshape(K, K, L * L, M_r * M_r)
-    c = subcarrier_coefficients(channels, M)                         # (K, M, L)
-    coef = (c[:, None, :, :, None] * c.conj()[None, :, :, None, :]).reshape(K, K, M, L * L)
-    return (coef @ pairs).reshape(K, K, M, M_r, M_r)
+    pairs = (rows @ rows.conj().T).reshape(K, L, M_r, K, L, M_r).transpose(0, 3, 2, 5, 1, 4)
+    c = np.ascontiguousarray(subcarrier_coefficients(channels, M).swapaxes(1, 2))  # (K, L, M)
+    c_conj = c.conj()
+    gram = np.empty((K, K, M_r, M_r, M), dtype=complex)
+    coef = np.empty((L, L, M), dtype=complex)
+    for k in range(K):
+        for j in range(k, K):
+            for l in range(L):  # row by row, so numpy allocates no broadcast buffer
+                np.multiply(c[k, l], c_conj[j], out=coef[l])
+            pair = pairs[k, j].reshape(M_r * M_r, L * L)
+            np.matmul(pair, coef.reshape(L * L, M), out=gram[k, j].reshape(-1, M))
+            if j > k:
+                gram[j, k] = gram[k, j].conj().swapaxes(0, 1)
+    return gram
 
 
 def _gram_eigen(channels: ChannelSet, M: int):
     """The cross Grams and the own Grams G_kk's ascending eigenpairs.
 
     The one pass ``ofdm_eigen_sinrs`` and ``ofdm_eigen_and_zf`` read:
-    ``_cross_grams`` once, then one batched ``jacobi_eigh`` over the K M own
-    Grams.
+    ``_cross_grams`` once, then one ``jacobi_eigh`` over the (M_r, M_r, K, M)
+    own-Gram planes.
     """
     gram = _cross_grams(channels, M)
-    idx = np.arange(channels.K)
-    return gram, jacobi_eigh(gram[idx, idx])
+    return gram, jacobi_eigh(np.einsum("kkrsm->rskm", gram))
 
 
 def _eigen_sinrs(gram, own_eig, P: float, sigma2: float) -> np.ndarray:
     """``ofdm_eigen_sinrs`` from ``_gram_eigen``'s cross Grams and own eigenpairs."""
-    K, _, M = gram.shape[:3]
+    K, M = gram.shape[0], gram.shape[-1]
     idx = np.arange(K)
-    top, u = own_eig[0][..., -1], own_eig[1][..., -1]                # (K, M), (K, M, M_r)
-    coupling = np.einsum("kmr,kjmrs,jms->kjm", u.conj(), gram, u)
+    top, u = own_eig[0][-1], own_eig[1][:, -1]                      # (K, M), (M_r, K, M)
+    coupling = np.einsum("rkm,kjrsm,sjm->kjm", u.conj(), gram, u)    # u_k^H G_kj u_j
     # UE j's power at UE k; a stream whose block is zero stays silent
     leak = np.abs(coupling) ** 2 * np.divide(P / K, top, out=np.zeros_like(top), where=top > 0)
     leak[idx, idx] = 0.0
@@ -163,43 +174,41 @@ def _zf_projected(channels: ChannelSet, M: int, subcarriers=slice(None)):
 
 
 def _zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
-    """(K, M, M_r, M_r) Gram of each UE's block projected off the other UEs' rows.
+    """(M_r, M_r, K, M) Gram planes of each UE's block projected off the other UEs' rows.
 
     ``grams`` are the cross Grams and ``own_eig``, if given, the own Grams'
     eigenpairs, both from ``_gram_eigen``.  With G_oo = W diag(lam) W^H and
     B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H,
-    formed by per-entry products over the (K, M) stack: B from the
-    (K-1) M_r columns of G_ko, then one rank-1 term per column of B, so no
-    tiny block pays a matmul dispatch.
+    formed entry by entry as elementwise products of (K, M) planes: B from
+    the (K-1) M_r columns of G_ko, then one rank-1 term per column of B.
     At K = 2 UE k's G_oo is UE 1-k's own Gram, so given ``own_eig`` its
     eigenpairs are ``own_eig`` reversed along K: the same bits, as
-    ``jacobi_eigh`` treats each block alone.  Otherwise one batched
-    ``jacobi_eigh`` decomposes the G_oo.  Gram eigenvalues are accurate only
-    to about eps * lam_max, so every subcarrier where some UE's lam span more
-    than GRAM_MIN_RATIO takes the ``_zf_projected`` blocks' Grams instead.
+    ``jacobi_eigh`` treats each block alone.  Otherwise one ``jacobi_eigh``
+    decomposes the G_oo.  Gram eigenvalues are accurate only to about
+    eps * lam_max, so every subcarrier where some UE's lam span more than
+    GRAM_MIN_RATIO takes the ``_zf_projected`` blocks' Grams instead.
     """
     K, M_r = channels.K, channels.M_r
     own, idx = np.arange(K), other_groups(K)
-    schur = grams[own, own]                                          # (K, M, M_r, M_r)
+    schur = np.einsum("kkrsm->rskm", grams)                          # (M_r, M_r, K, M)
     if K == 1:
         return schur
-    g_ko = grams[own[:, None], idx].transpose(0, 2, 3, 1, 4).reshape(K, M, M_r, -1)
+    # (M_r, (K-1) M_r, K, M): UE k's rows against the other UEs' rows
+    g_ko = grams[own[:, None], idx].transpose(2, 1, 3, 0, 4).reshape(M_r, -1, K, M)
     if K == 2 and own_eig is not None:
-        lam, w = (part[::-1] for part in own_eig)                    # ascending
+        lam, w = own_eig[0][:, ::-1], own_eig[1][:, :, ::-1]         # ascending
     else:
-        g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
-        lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))
-    to_svd = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]            # (K, M)
-    others = range(w.shape[-1])
-    b = sum(g_ko[..., :, p, None] * w[..., None, p, :] for p in others)
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd[..., None])
-    schur = schur - sum(
-        b[..., :, j, None] * (inv[..., j, None, None] * b[..., None, :, j].conj()) for j in others
-    )
+        g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(1, 3, 2, 4, 0, 5)
+        lam, w = jacobi_eigh(g_oo.reshape((K - 1) * M_r, (K - 1) * M_r, K, M))
+    to_svd = lam[0] <= GRAM_MIN_RATIO * lam[-1]                      # (K, M)
+    b = np.einsum("rqkm,qpkm->rpkm", g_ko, w)                        # (M_r, (K-1) M_r, K, M)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd)
+    schur = schur - sum(b[:, None, j] * (inv[j] * b[None, :, j].conj()) for j in range(len(w)))
     handed = np.flatnonzero(to_svd.any(axis=0))
     if handed.size:
         projected = _zf_projected(channels, M, handed)[1]
-        schur[:, handed] = projected @ projected.conj().swapaxes(-1, -2)
+        gram = projected @ projected.conj().swapaxes(-1, -2)          # (K, m, M_r, M_r)
+        schur[..., handed] = gram.transpose(2, 3, 0, 1)
     return schur
 
 
@@ -225,7 +234,7 @@ def ofdm_zf_waterfill(
     discounts); no beamformer is built.
     """
     _require_zf_feasible(channels)
-    top = jacobi_eigh(_zf_schur(channels, M, _cross_grams(channels, M)))[0][..., -1]
+    top = jacobi_eigh(_zf_schur(channels, M, _cross_grams(channels, M)))[0][-1]
     snr, _, rate = _water_fill_streams(top, M, P, sigma2)
     return snr, rate
 
@@ -244,7 +253,7 @@ def ofdm_eigen_and_zf(
         _require_zf_feasible(channels)
     except InfeasibleError:
         return sinrs, None
-    top = jacobi_eigh(_zf_schur(channels, M, grams, own_eig))[0][..., -1]
+    top = jacobi_eigh(_zf_schur(channels, M, grams, own_eig))[0][-1]
     return sinrs, _water_fill_streams(top, M, P, sigma2)[2]
 
 

@@ -33,6 +33,8 @@ BF = "src/damlink/beamforming.py"
 T_BF = "tests/test_beamforming.py"
 T_MMSE = T_BF + "::TestMmseUpdates::"
 T_ZF = T_BF + "::TestIsiZfAlternating::"
+OFDM = "src/damlink/ofdm.py"
+T_OFDM = "tests/test_ofdm_oracle.py::"
 
 
 class Mutant(NamedTuple):
@@ -109,6 +111,46 @@ MUTANTS = (
         "    z[own, own] = 0.0  # other UEs' streams only\n",
         "",
         ("tests/test_waveform_oracle.py::test_power_terms_match_convolution_oracle",),
+    ),
+    Mutant(
+        "OFDM coupling without its conj",
+        OFDM,
+        'np.einsum("rkm,kjrsm,sjm->kjm", u.conj(), gram, u)',
+        'np.einsum("rkm,kjrsm,sjm->kjm", u, gram, u)',
+        (
+            T_OFDM + "test_eigen_matches_full_svd_oracle",
+            "tests/test_ofdm.py::TestOfdmEigen::test_matches_literal_formula",
+        ),
+    ),
+    Mutant(
+        "OFDM leak keeps the own-UE terms",
+        OFDM,
+        "    leak[idx, idx] = 0.0\n",
+        "",
+        (
+            T_OFDM + "test_eigen_sinrs_follow_returned_beamformers",
+            "tests/test_ofdm.py::TestOfdmEigen::test_matches_literal_formula",
+        ),
+    ),
+    Mutant(
+        "OFDM Schur complement adds the interferer term",
+        OFDM,
+        "schur = schur - sum(",
+        "schur = schur + sum(",
+        (
+            T_OFDM + "test_zf_waterfill_matches_full_column_oracle",
+            T_OFDM + "test_zf_schur_per_entry_products_match_matmuls",
+        ),
+    ),
+    Mutant(
+        "OFDM handover comparison flipped",
+        OFDM,
+        "to_svd = lam[0] <= GRAM_MIN_RATIO * lam[-1]",
+        "to_svd = lam[0] > GRAM_MIN_RATIO * lam[-1]",
+        (
+            T_OFDM + "test_zf_handover_to_the_projection",
+            T_OFDM + "test_zf_rate_builds_no_beamformer_on_reference_draws",
+        ),
     ),
     Mutant(
         'CCDF counts ties with side="left"',

@@ -22,12 +22,19 @@ coupling einsum.
 
 ``oracle_grid_start`` is the exhaustive ISI-ZF start: one L x L solve per
 UE and sphere point.  ``oracle_zf_schur`` forms the OFDM ZF Schur
-complement with stacked matmuls.  ``ofdm_zf_beamformers`` builds the
-beamformers behind the OFDM ZF rate from the projected blocks.
+complement with stacked matmuls on (K, M, M_r, M_r) blocks, where the
+library holds subcarrier-last planes; ``block_eigh`` is ``jacobi_eigh`` on
+that block layout, and ``block_layout`` converts the library's cross Grams
+and eigenpairs to it.  ``ofdm_zf_beamformers`` builds the beamformers behind
+the OFDM ZF rate from the projected blocks.
 
 ``build_compensation_matrix``, ``enumerate_alignment_sets`` and
 ``AlignmentSets`` are the delay design's combinatorial bookkeeping: the
 matrix of all I*R delay sums and the aligned / ISI split of the triples.
+
+``oracle_generate_channel_set`` draws a channel path by path, one steering
+vector and one gain matrix at a time, with the same random numbers in the
+same order as ``generate_channel_set``.
 
 ``oracle_shape_streams`` is the literal pulse shaper: each stream is
 zero-stuffed by the oversampling factor at its delay and convolved with the
@@ -45,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from damlink.beamforming import PathGrams, _solve, _sphere_points, null_space_projection
-from damlink.channel import ChannelSet
+from damlink.channel import ChannelSet, ConfigError, SimConfig, split_delay
 from damlink.delay_design import DelayPlan, triple_lags
 from damlink.numerics import GRAM_MIN_RATIO, jacobi_eigh, other_groups, water_fill
 from damlink.ofdm import OfdmBeamformerSet, _require_zf_feasible, _water_fill_streams, _zf_projected
@@ -281,6 +288,47 @@ def oracle_ofdm_zf_waterfill(channels, M, P, sigma2, tol=1e-10):
     return snr, powers, float(np.sum(np.log2(1.0 + snr))) / M
 
 
+def _steering_vector(count: int, angle_rad: float) -> np.ndarray:
+    """Unit-norm half-wavelength ULA response for the given angle."""
+    m = np.arange(count)
+    return np.exp(1j * np.pi * m * np.sin(angle_rad)) / np.sqrt(count)
+
+
+def oracle_generate_channel_set(cfg: SimConfig, seed, integer_delays: bool = False) -> ChannelSet:
+    """``generate_channel_set`` built path by path."""
+    if cfg.L > cfg.delay_span_samples + 1:
+        raise ConfigError(
+            f"cannot place {cfg.L} paths on {cfg.delay_span_samples + 1} distinct sample delays"
+        )
+    rng = np.random.default_rng(seed)
+    T = cfg.T
+    gains = np.empty((cfg.K, cfg.L, cfg.M_r, cfg.M_t), dtype=complex)
+    n = np.empty((cfg.K, cfg.L), dtype=int)
+    frac = np.empty((cfg.K, cfg.L))
+    for k in range(cfg.K):
+        while True:
+            taus = rng.uniform(0.0, cfg.delay_span_samples * T, cfg.L)
+            split = [split_delay(t, T) for t in taus]
+            if len({d for d, _ in split}) == cfg.L:
+                break
+        for l, idx in enumerate(np.argsort([d for d, _ in split])):
+            n[k, l], rest = split[idx]
+            frac[k, l] = rest / T
+            aod = rng.uniform(-np.pi / 2, np.pi / 2)
+            aoa = rng.uniform(-np.pi / 2, np.pi / 2)
+            alpha = np.sqrt(cfg.g_ls / (2.0 * cfg.L)) * (
+                rng.standard_normal() + 1j * rng.standard_normal()
+            )
+            gains[k, l] = (
+                np.sqrt(cfg.M_t * cfg.M_r)
+                * alpha
+                * np.outer(_steering_vector(cfg.M_r, aoa), _steering_vector(cfg.M_t, aod).conj())
+            )
+    if integer_delays:
+        frac[:] = 0.0
+    return ChannelSet(gains=gains, n=n, frac=frac)
+
+
 def oracle_shape_streams(streams, delays, oversample, beta):
     """Zero-stuff, delay and RRC-filter each stream by direct convolution."""
     streams = np.atleast_2d(streams)
@@ -317,7 +365,7 @@ def oracle_grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.nda
     system.  Returns the (K, M_r) start and the number of ``pinv`` fallbacks.
     """
     K, L = grams.r0.shape
-    points = _sphere_points(grams.gram.shape[-1])  # (G, M_r)
+    points = _sphere_points(grams.gram.shape[-1])[0]  # (G, M_r)
     G = points.shape[0]
     outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(G, -1)
     n = (outer @ grams.gram.reshape(K * L, -1).T).real.reshape(G, K, L).swapaxes(0, 1)
@@ -329,11 +377,28 @@ def oracle_grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.nda
     return points[np.argmax(sinrs, axis=1)], fallbacks
 
 
+def block_eigh(a):
+    """``jacobi_eigh`` of a block-layout stack (..., n, n): eigenvalues (..., n)
+    and eigenvectors (..., n, n)."""
+    lam, v = jacobi_eigh(np.moveaxis(a, (-2, -1), (0, 1)))
+    return np.moveaxis(lam, 0, -1), np.moveaxis(v, (0, 1), (-2, -1))
+
+
+def block_layout(grams, own_eig=None):
+    """``_gram_eigen``'s (K, K, M_r, M_r, M) cross Grams and own eigenpairs
+    ((n, K, M), (n, n, K, M)) in block layout: (K, K, M, M_r, M_r), ((K, M, n),
+    (K, M, n, n))."""
+    grams = np.moveaxis(grams, -1, 2)
+    if own_eig is None:
+        return grams, None
+    return grams, (np.moveaxis(own_eig[0], 0, -1), np.moveaxis(own_eig[1], (0, 1), (-2, -1)))
+
+
 def oracle_zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
     """(K, M, M_r, M_r) Gram of each UE's block projected off the other UEs' rows.
 
     ``grams`` are the cross Grams and ``own_eig``, if given, the own Grams'
-    eigenpairs, both from ``_gram_eigen``.  With G_oo = W diag(lam) W^H and
+    eigenpairs, both from ``_gram_eigen`` through ``block_layout``.  With G_oo = W diag(lam) W^H and
     B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H.
     At K = 2 UE k's G_oo is UE 1-k's own Gram, so given ``own_eig`` its
     eigenpairs are ``own_eig`` reversed along K: the same bits, as
@@ -352,7 +417,7 @@ def oracle_zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.nda
         lam, w = (part[::-1] for part in own_eig)                    # ascending
     else:
         g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
-        lam, w = jacobi_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))
+        lam, w = block_eigh(g_oo.reshape(K, M, (K - 1) * M_r, -1))
     to_svd = lam[..., 0] <= GRAM_MIN_RATIO * lam[..., -1]            # (K, M)
     b = g_ko @ w
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~to_svd[..., None])
@@ -374,7 +439,7 @@ def ofdm_zf_beamformers(channels: ChannelSet, M: int, P: float, sigma2: float) -
     """
     _require_zf_feasible(channels)
     q, projected = _zf_projected(channels, M)
-    lam, vecs = jacobi_eigh(projected @ projected.conj().swapaxes(-1, -2))
+    lam, vecs = block_eigh(projected @ projected.conj().swapaxes(-1, -2))
     u = vecs[..., -1]                                                # (K, M, M_r)
     uh = (u.conj()[..., None, :] @ projected)[..., 0, :]
     norm = np.linalg.norm(uh, axis=-1)

@@ -10,6 +10,7 @@ import pytest
 
 import damlink.channel
 from conftest import assert_same_channels
+from oracles import oracle_generate_channel_set
 from damlink.channel import (
     ChannelSet,
     ConfigError,
@@ -60,6 +61,13 @@ class TestSteeringVector:
         for angle in rng.uniform(-np.pi / 2, np.pi / 2, 20):
             assert np.linalg.norm(steering_vector(7, angle)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_broadcasts_over_angles(self):
+        angles = np.random.default_rng(2).uniform(-np.pi / 2, np.pi / 2, (3, 4))
+        stacked = steering_vector(5, angles)
+        assert stacked.shape == (3, 4, 5) and steering_vector(5, 0.3).shape == (5,)
+        for index in np.ndindex(angles.shape):
+            assert np.array_equal(stacked[index], steering_vector(5, angles[index]))
+
     def test_dft_grid_orthogonality(self):
         # sin(angle) spaced by 2/count lands on the DFT grid
         a1 = steering_vector(8, np.arcsin(0.25))
@@ -71,6 +79,19 @@ class TestGenerateChannelSet:
     def test_deterministic_per_seed(self):
         cfg = small_cfg()
         assert_same_channels(generate_channel_set(cfg, 123), generate_channel_set(cfg, 123))
+
+    @pytest.mark.parametrize("integer_delays", [True, False], ids=["int", "frac"])
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(M_t=6, M_r=3, K=3, L=4), dict(M_t=1, M_r=1, K=1, L=1)],
+        ids=["reference", "6x3-K3-L4", "siso"],
+    )
+    def test_matches_path_by_path_draw_bitwise(self, overrides, integer_delays):
+        cfg = SimConfig(**overrides)
+        for seed in range(50):
+            assert_same_channels(
+                generate_channel_set(cfg, seed, integer_delays),
+                oracle_generate_channel_set(cfg, seed, integer_delays),
+            )
 
     def test_distinct_sorted_integer_delays(self):
         cfg = small_cfg(L=8)

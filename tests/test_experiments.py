@@ -422,7 +422,7 @@ def test_reference_runs_reach_only_the_2x2_rotation(monkeypatch):
         _eval_bsside(generate_channel_set(cfg, trial_seed(1, 0, 0), integer_delays), cfg)
     # doubleside: the own Grams; each bsside trial: the own Grams, whose
     # eigenpairs at K = 2 are also the interferer Grams', and the Schur complements
-    assert shapes == [(cfg.K, cfg.M, 2, 2)] * 5
+    assert shapes == [(2, 2, cfg.K, cfg.M)] * 5
 
 
 def test_each_bsside_trial_builds_the_cross_grams_once(monkeypatch):

@@ -59,7 +59,7 @@ def _exact_values(grams, P, sigma2):
     """Path gains n (K, G, L) and the start objective r0^T diag(n) c of every
     sphere point, from one L x L solve each, as the exhaustive start forms them."""
     K, L = grams.r0.shape
-    points = _sphere_points(grams.gram.shape[-1])
+    points = _sphere_points(grams.gram.shape[-1])[0]
     outer = (points.conj()[:, :, None] * points[:, None, :]).reshape(len(points), -1)
     n = (outer @ grams.gram.reshape(K * L, -1).T).real.reshape(-1, K, L).swapaxes(0, 1)
     a = grams.s[:, None] * n[:, :, None, :]
@@ -117,4 +117,4 @@ def test_screened_start_keeps_the_first_of_exact_ties(monkeypatch):
     monkeypatch.setattr(beamforming, "_solve", lambda a, rhs: sizes.append(len(a)) or solve(a, rhs))
     start = beamforming._grid_start(state.grams, P, sigma2)[0]
     assert sizes == [ties.sum()]  # the screen keeps every tied point
-    assert np.array_equal(start, np.tile(_sphere_points(2)[0], (cs.K, 1)))
+    assert np.array_equal(start, np.tile(_sphere_points(2)[0][0], (cs.K, 1)))

@@ -195,6 +195,15 @@ def _stack(kind, lead, n, rng):
     raise ValueError(kind)
 
 
+def _blocks_eigh(a):
+    """``jacobi_eigh`` of a (*lead, n, n) stack, handed over as the contiguous
+    entry planes (n, n, *lead) it reads; results back as (*lead, n), (*lead, n, n)."""
+    n = a.shape[-1]
+    lam, v = jacobi_eigh(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))))
+    assert lam.shape == (n, *a.shape[:-2]) and v.shape == (n, n, *a.shape[:-2])
+    return np.moveaxis(lam, 0, -1), np.moveaxis(v, (0, 1), (-2, -1))
+
+
 class TestJacobiEigh:
     KINDS = ["random", "rank-deficient", "zero", "diagonal", "repeated", "scaled"]
 
@@ -204,7 +213,7 @@ class TestJacobiEigh:
     def test_matches_lapack(self, n, kind, lead):
         rng = np.random.default_rng(1000 * n + 10 * self.KINDS.index(kind) + len(lead))
         a = _stack(kind, lead, n, rng)
-        lam, v = jacobi_eigh(a)
+        lam, v = _blocks_eigh(a)
         assert lam.shape == (*lead, n) and v.shape == (*lead, n, n)
         assert lam.dtype == float
         norm = np.linalg.norm(a, axis=(-2, -1))[..., None]
@@ -222,7 +231,7 @@ class TestJacobiEigh:
             a = _hermitian(rng, (4, n, n))
             upper = np.triu_indices(n, 1)
             a[:, upper[0], upper[1]] = np.nan
-            lam, v = jacobi_eigh(a)
+            lam, v = _blocks_eigh(a)
             lam_ref, v_ref = np.linalg.eigh(a)
             assert np.allclose(lam, lam_ref, rtol=0.0, atol=1e-13 * np.abs(lam_ref).max())
             # the same eigenvectors up to phase (the spectrum is simple)
@@ -240,8 +249,18 @@ class TestJacobiEigh:
 
     def test_empty_stack(self):
         for n in (2, 3):
-            lam, v = jacobi_eigh(np.zeros((0, n, n), dtype=complex))
-            assert lam.shape == (0, n) and v.shape == (0, n, n)
+            lam, v = jacobi_eigh(np.zeros((n, n, 0), dtype=complex))
+            assert lam.shape == (n, 0) and v.shape == (n, n, 0)
+
+    def test_entry_planes_of_a_strided_view(self):
+        # the OFDM callers hand over moved-axis views of (K, ..., M) Gram stacks
+        rng = np.random.default_rng(5)
+        for n in (2, 3):
+            blocks = _hermitian(rng, (3, 7, n, n))
+            planes = np.moveaxis(blocks, (-2, -1), (0, 1)).copy()       # (n, n, 3, 7)
+            view = np.moveaxis(planes.transpose(2, 0, 1, 3).copy(), 0, 2)
+            for got, want in zip(jacobi_eigh(view), jacobi_eigh(planes)):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
     def test_non_finite_raises(self, bad):
@@ -249,7 +268,7 @@ class TestJacobiEigh:
             a = _hermitian(np.random.default_rng(4), (5, n, n))
             a[2, n - 1, n - 2] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                jacobi_eigh(a)
+                _blocks_eigh(a)
 
 
 class TestWaterFill:

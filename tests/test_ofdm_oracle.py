@@ -11,7 +11,13 @@ from damlink import ofdm
 from damlink.numerics import GRAM_MIN_RATIO
 from damlink.ofdm import ofdm_eigen, ofdm_eigen_sinrs, ofdm_zf_waterfill
 import oracles
-from oracles import ofdm_zf_beamformers, oracle_ofdm_eigen, oracle_ofdm_zf_waterfill, oracle_zf_schur
+from oracles import (
+    block_layout,
+    ofdm_zf_beamformers,
+    oracle_ofdm_eigen,
+    oracle_ofdm_zf_waterfill,
+    oracle_zf_schur,
+)
 
 M = 16
 P = 1.0
@@ -293,7 +299,8 @@ def test_outputs_do_not_depend_on_eigenvector_phases(shape, monkeypatch):
     def rephased(a):
         lam, v = kernel(a)
         calls.append(a.shape)
-        return lam, v * np.exp(2j * np.pi * rng.uniform(size=v.shape[:-2] + (1, v.shape[-1])))
+        # eigenvector i is the column v[:, i] of every (n, n) block
+        return lam, v * np.exp(2j * np.pi * rng.uniform(size=(1,) + v.shape[1:]))
 
     monkeypatch.setattr(ofdm, "jacobi_eigh", rephased)
     monkeypatch.setattr(oracles, "jacobi_eigh", rephased)  # ofdm_zf_beamformers' module
@@ -311,8 +318,8 @@ def test_outputs_do_not_depend_on_eigenvector_phases(shape, monkeypatch):
                 assert np.all(leak <= 1e-10 * np.linalg.norm(h[k], axis=(1, 2)))
     # every route went through the rephased kernel: own Grams, then interferer
     # Grams and Schur complements for the rate, then the beamformers' projected Grams
-    interferer = (K, M, (K - 1) * m_r, (K - 1) * m_r)
-    assert calls == [(K, M, m_r, m_r), interferer, (K, M, m_r, m_r), (K, M, m_r, m_r)]
+    interferer = ((K - 1) * m_r, (K - 1) * m_r, K, M)
+    assert calls == [(m_r, m_r, K, M), interferer, (m_r, m_r, K, M), (m_r, m_r, K, M)]
 
 
 @pytest.mark.parametrize(
@@ -354,7 +361,7 @@ def test_reference_config_memory_peak(solve):
 def test_zf_schur_per_entry_products_match_matmuls(cs):
     grams, own_eig = ofdm._gram_eigen(cs, M)
     for eig in (own_eig, None):
-        schur = ofdm._zf_schur(cs, M, grams, eig)
-        ref = oracle_zf_schur(cs, M, grams, eig)
+        schur = np.moveaxis(ofdm._zf_schur(cs, M, grams, eig), (0, 1), (-2, -1))
+        ref = oracle_zf_schur(cs, M, *block_layout(grams, eig))
         scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(schur - ref) <= 1e-13 * scale)
