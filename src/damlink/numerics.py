@@ -86,8 +86,9 @@ def project_off_others(blocks: np.ndarray) -> np.ndarray:
 
 def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (n, ...) and unitary eigenvectors (columns of (n, n, ...))
-    of a Hermitian stack (n, n, ...) held as entry planes, read from its lower
-    triangle like ``np.linalg.eigh``.
+    of a Hermitian stack held entries first, as planes (n, n, ...), read from its
+    lower triangle.  Unlike ``np.linalg.eigh``, the matrix axes lead: a stack of
+    (..., n, n) blocks must be moved first, as (2, 2, 2) would be read as 2x2 planes.
 
     At n = 2 one Jacobi rotation, elementwise over the planes, diagonalizes
     every block exactly (Golub and Van Loan, Matrix Computations, sec. 8.5,

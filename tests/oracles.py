@@ -378,9 +378,12 @@ def oracle_grid_start(grams: PathGrams, P: float, sigma2: float) -> tuple[np.nda
 
 
 def block_eigh(a):
-    """``jacobi_eigh`` of a block-layout stack (..., n, n): eigenvalues (..., n)
-    and eigenvectors (..., n, n)."""
-    lam, v = jacobi_eigh(np.moveaxis(a, (-2, -1), (0, 1)))
+    """``jacobi_eigh`` of a block-layout stack (..., n, n), handed over as the
+    contiguous entry planes (n, n, ...) it reads: eigenvalues (..., n) and
+    eigenvectors (..., n, n)."""
+    n = a.shape[-1]
+    lam, v = jacobi_eigh(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))))
+    assert lam.shape == (n, *a.shape[:-2]) and v.shape == (n, n, *a.shape[:-2])
     return np.moveaxis(lam, 0, -1), np.moveaxis(v, (0, 1), (-2, -1))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_channel_set
+from oracles import block_eigh
 from damlink.numerics import (
     jacobi_eigh,
     null_space_basis,
@@ -195,15 +196,6 @@ def _stack(kind, lead, n, rng):
     raise ValueError(kind)
 
 
-def _blocks_eigh(a):
-    """``jacobi_eigh`` of a (*lead, n, n) stack, handed over as the contiguous
-    entry planes (n, n, *lead) it reads; results back as (*lead, n), (*lead, n, n)."""
-    n = a.shape[-1]
-    lam, v = jacobi_eigh(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))))
-    assert lam.shape == (n, *a.shape[:-2]) and v.shape == (n, n, *a.shape[:-2])
-    return np.moveaxis(lam, 0, -1), np.moveaxis(v, (0, 1), (-2, -1))
-
-
 class TestJacobiEigh:
     KINDS = ["random", "rank-deficient", "zero", "diagonal", "repeated", "scaled"]
 
@@ -213,7 +205,7 @@ class TestJacobiEigh:
     def test_matches_lapack(self, n, kind, lead):
         rng = np.random.default_rng(1000 * n + 10 * self.KINDS.index(kind) + len(lead))
         a = _stack(kind, lead, n, rng)
-        lam, v = _blocks_eigh(a)
+        lam, v = block_eigh(a)
         assert lam.shape == (*lead, n) and v.shape == (*lead, n, n)
         assert lam.dtype == float
         norm = np.linalg.norm(a, axis=(-2, -1))[..., None]
@@ -231,7 +223,7 @@ class TestJacobiEigh:
             a = _hermitian(rng, (4, n, n))
             upper = np.triu_indices(n, 1)
             a[:, upper[0], upper[1]] = np.nan
-            lam, v = _blocks_eigh(a)
+            lam, v = block_eigh(a)
             lam_ref, v_ref = np.linalg.eigh(a)
             assert np.allclose(lam, lam_ref, rtol=0.0, atol=1e-13 * np.abs(lam_ref).max())
             # the same eigenvectors up to phase (the spectrum is simple)
@@ -268,7 +260,7 @@ class TestJacobiEigh:
             a = _hermitian(np.random.default_rng(4), (5, n, n))
             a[2, n - 1, n - 2] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                _blocks_eigh(a)
+                block_eigh(a)
 
 
 class TestWaterFill:
