@@ -12,18 +12,18 @@ rows in as many columns as their numerical rank: K L for the rank-1 paths of
 the geometric channel.  The rate's fast path is the projected blocks' Gram,
 S_k = G_kk - G_ko G_oo^-1 G_ok, a Schur complement of the cross Grams; a
 subcarrier whose G_oo is too ill-conditioned for it takes the projection.
-``ofdm_eigen_and_zf`` gives both schemes' SE from one pass of cross Grams
-and own-Gram eigenpairs; at K = 2 the ZF interferer Grams are the other
-UE's own Grams, so it decomposes no Gram twice.  Every per-subcarrier
-quantity is held subcarrier-last: the cross Grams as (K, K, M_r, M_r, M)
-entry planes, built one UE pair at a time, and every eigenproblem, coupling
-and Schur complement as elementwise passes over (K, M) planes.  Every
-Hermitian eigenproblem is one ``numerics.jacobi_eigh`` call over all K M
-blocks (one exact rotation per 2x2 block, ``np.linalg.eigh`` for any other
-size).  SINRs and rates read eigenvalues, and eigenvectors only up to phase.
-``ofdm_eigen``'s beamformers, which the OFDM waveform needs with LAPACK's
-phases, come from the reduced SVD of the full responses; it returns Q and
-each transmit vector's coordinates v~ = Q^H v.
+Every SE function reads one ``_gram_eigen`` pass of cross Grams and own-Gram
+eigenpairs; at K = 2 the ZF interferer Grams are the other UE's own Grams,
+so no Gram is decomposed twice.  Every per-subcarrier quantity is held
+subcarrier-last: the cross Grams as (K, K, M_r, M_r, M) entry planes, built
+one UE pair at a time, and every eigenproblem, coupling and Schur complement
+as elementwise passes over (K, M) planes.  Every Hermitian eigenproblem is
+one ``numerics.jacobi_eigh`` call over all K M blocks (one exact rotation
+per 2x2 block, ``np.linalg.eigh`` for any other size).  SINRs and rates read
+eigenvalues, and eigenvectors only up to phase.  ``ofdm_eigen``'s
+beamformers, which the OFDM waveform needs with LAPACK's phases, come from
+the reduced SVD of the full responses; it returns Q and each transmit
+vector's coordinates v~ = Q^H v.
 """
 
 from __future__ import annotations
@@ -75,13 +75,16 @@ class OfdmBeamformerSet:
         return self.coords @ self.basis.T
 
 
-def _cross_grams(channels: ChannelSet, M: int) -> np.ndarray:
-    """(K, K, M_r, M_r, M) cross Grams G_kj[m] = H_km H_jm^H, each entry a plane over m.
+def _gram_eigen(channels: ChannelSet, M: int):
+    """The cross Grams (K, K, M_r, M_r, M), G_kj[m] = H_km H_jm^H as entry planes
+    over m, and the own Grams G_kk's ascending eigenpairs: the one per-trial pass
+    every OFDM SE function reads.
 
-    Sums over path pairs of c_kl[m] c_jl'[m]^* H_kl H_jl'^H, with c the
-    subcarrier coefficients and every H_kl H_jl'^H from one Gram of the path
-    rows; one UE pair k <= j at a time, as (M_r^2, L^2) path-pair Grams times
-    the (L^2, M) coefficient products, and G_jk = G_kj^H.
+    The Grams sum over path pairs of c_kl[m] c_jl'[m]^* H_kl H_jl'^H, with c
+    the subcarrier coefficients and every H_kl H_jl'^H from one Gram of the
+    path rows; one UE pair k <= j at a time, as (M_r^2, L^2) path-pair Grams
+    times the (L^2, M) coefficient products, and G_jk = G_kj^H.  Then one
+    ``jacobi_eigh`` decomposes the (M_r, M_r, K, M) own-Gram planes.
     """
     K, L, M_r, M_t = channels.gains.shape
     rows = channels.gains.reshape(K * L * M_r, M_t)
@@ -98,17 +101,6 @@ def _cross_grams(channels: ChannelSet, M: int) -> np.ndarray:
             np.matmul(pair, coef.reshape(L * L, M), out=gram[k, j].reshape(-1, M))
             if j > k:
                 gram[j, k] = gram[k, j].conj().swapaxes(0, 1)
-    return gram
-
-
-def _gram_eigen(channels: ChannelSet, M: int):
-    """The cross Grams and the own Grams G_kk's ascending eigenpairs.
-
-    The one pass ``ofdm_eigen_sinrs`` and ``ofdm_eigen_and_zf`` read:
-    ``_cross_grams`` once, then one ``jacobi_eigh`` over the (M_r, M_r, K, M)
-    own-Gram planes.
-    """
-    gram = _cross_grams(channels, M)
     return gram, jacobi_eigh(np.einsum("kkrsm->rskm", gram))
 
 
@@ -173,20 +165,20 @@ def _zf_projected(channels: ChannelSet, M: int, subcarriers=slice(None)):
     return q, project_off_others(h.swapaxes(0, 1)).swapaxes(0, 1)
 
 
-def _zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
+def _zf_schur(channels: ChannelSet, M: int, grams, own_eig) -> np.ndarray:
     """(M_r, M_r, K, M) Gram planes of each UE's block projected off the other UEs' rows.
 
-    ``grams`` are the cross Grams and ``own_eig``, if given, the own Grams'
-    eigenpairs, both from ``_gram_eigen``.  With G_oo = W diag(lam) W^H and
-    B = G_ko W, it is the Schur complement S_k = G_kk - B diag(1/lam) B^H,
-    formed entry by entry as elementwise products of (K, M) planes: B from
-    the (K-1) M_r columns of G_ko, then one rank-1 term per column of B.
-    At K = 2 UE k's G_oo is UE 1-k's own Gram, so given ``own_eig`` its
-    eigenpairs are ``own_eig`` reversed along K: the same bits, as
-    ``jacobi_eigh`` treats each block alone.  Otherwise one ``jacobi_eigh``
-    decomposes the G_oo.  Gram eigenvalues are accurate only to about
-    eps * lam_max, so every subcarrier where some UE's lam span more than
-    GRAM_MIN_RATIO takes the ``_zf_projected`` blocks' Grams instead.
+    ``grams`` and ``own_eig`` are ``_gram_eigen``'s cross Grams and own-Gram
+    eigenpairs.  With G_oo = W diag(lam) W^H and B = G_ko W, it is the Schur
+    complement S_k = G_kk - B diag(1/lam) B^H, formed entry by entry as
+    elementwise products of (K, M) planes: B from the (K-1) M_r columns of
+    G_ko, then one rank-1 term per column of B.  At K = 2 UE k's G_oo is UE
+    1-k's own Gram, so its eigenpairs are ``own_eig`` reversed along K: the
+    bits a fresh ``jacobi_eigh`` of those Grams gives, as it treats each
+    block alone.  At any other K one ``jacobi_eigh`` decomposes the G_oo.
+    Gram eigenvalues are accurate only to about eps * lam_max, so every
+    subcarrier where some UE's lam span more than GRAM_MIN_RATIO takes the
+    ``_zf_projected`` blocks' Grams instead.
     """
     K, M_r = channels.K, channels.M_r
     own, idx = np.arange(K), other_groups(K)
@@ -195,7 +187,7 @@ def _zf_schur(channels: ChannelSet, M: int, grams, own_eig=None) -> np.ndarray:
         return schur
     # (M_r, (K-1) M_r, K, M): UE k's rows against the other UEs' rows
     g_ko = grams[own[:, None], idx].transpose(2, 1, 3, 0, 4).reshape(M_r, -1, K, M)
-    if K == 2 and own_eig is not None:
+    if K == 2:
         lam, w = own_eig[0][:, ::-1], own_eig[1][:, :, ::-1]         # ascending
     else:
         g_oo = grams[idx[:, :, None], idx[:, None, :]].transpose(1, 3, 2, 4, 0, 5)
@@ -221,6 +213,14 @@ def _water_fill_streams(top: np.ndarray, M: int, P: float, sigma2: float):
     return snr, powers, float(np.sum(np.log2(1.0 + snr))) / M
 
 
+def _zf_waterfill(channels: ChannelSet, M: int, gram_eigen, P: float, sigma2: float):
+    """``_water_fill_streams`` over the top eigenvalues of ``_zf_schur`` on the
+    ``_gram_eigen`` pass; InfeasibleError where zero-forcing is infeasible."""
+    _require_zf_feasible(channels)
+    top = jacobi_eigh(_zf_schur(channels, M, *gram_eigen))[0][-1]
+    return _water_fill_streams(top, M, P, sigma2)
+
+
 def ofdm_zf_waterfill(
     channels: ChannelSet, M: int, P: float, sigma2: float
 ) -> tuple[np.ndarray, float]:
@@ -233,9 +233,7 @@ def ofdm_zf_waterfill(
     and the subcarrier-averaged sum rate in bits/s/Hz (before overhead
     discounts); no beamformer is built.
     """
-    _require_zf_feasible(channels)
-    top = jacobi_eigh(_zf_schur(channels, M, _cross_grams(channels, M)))[0][-1]
-    snr, _, rate = _water_fill_streams(top, M, P, sigma2)
+    snr, _, rate = _zf_waterfill(channels, M, _gram_eigen(channels, M), P, sigma2)
     return snr, rate
 
 
@@ -247,14 +245,12 @@ def ofdm_eigen_and_zf(
     The SE runner's one OFDM call per trial; the rate is None where
     zero-forcing is infeasible.
     """
-    grams, own_eig = _gram_eigen(channels, M)
-    sinrs = _eigen_sinrs(grams, own_eig, P, sigma2)
+    gram_eigen = _gram_eigen(channels, M)
+    sinrs = _eigen_sinrs(*gram_eigen, P, sigma2)
     try:
-        _require_zf_feasible(channels)
+        return sinrs, _zf_waterfill(channels, M, gram_eigen, P, sigma2)[2]
     except InfeasibleError:
         return sinrs, None
-    top = jacobi_eigh(_zf_schur(channels, M, grams, own_eig))[0][-1]
-    return sinrs, _water_fill_streams(top, M, P, sigma2)[2]
 
 
 def dam_overhead_factor(cfg: SimConfig) -> float:

@@ -35,6 +35,7 @@ T_MMSE = T_BF + "::TestMmseUpdates::"
 T_ZF = T_BF + "::TestIsiZfAlternating::"
 OFDM = "src/damlink/ofdm.py"
 T_OFDM = "tests/test_ofdm_oracle.py::"
+T_PAPR = "tests/test_papr_synthesis.py::"
 
 
 class Mutant(NamedTuple):
@@ -120,6 +121,7 @@ MUTANTS = (
         (
             T_OFDM + "test_eigen_matches_full_svd_oracle",
             "tests/test_ofdm.py::TestOfdmEigen::test_matches_literal_formula",
+            T_OFDM + "test_eigen_sinrs_match_the_link",
         ),
     ),
     Mutant(
@@ -150,6 +152,88 @@ MUTANTS = (
         (
             T_OFDM + "test_zf_handover_to_the_projection",
             T_OFDM + "test_zf_rate_builds_no_beamformer_on_reference_draws",
+        ),
+    ),
+    Mutant(
+        "K = 2 Schur complement reads the own eigenvalues unreversed",
+        OFDM,
+        "lam, w = own_eig[0][:, ::-1], own_eig[1][:, :, ::-1]",
+        "lam, w = own_eig[0], own_eig[1][:, :, ::-1]",
+        (
+            T_OFDM + "test_zf_schur_per_entry_products_match_matmuls",
+            T_OFDM + "test_zf_waterfill_matches_full_column_oracle",
+            T_OFDM + "test_zf_snrs_match_the_link",
+        ),
+    ),
+    Mutant(
+        "K = 2 Schur complement reads the own eigenvectors unreversed",
+        OFDM,
+        "lam, w = own_eig[0][:, ::-1], own_eig[1][:, :, ::-1]",
+        "lam, w = own_eig[0][:, ::-1], own_eig[1]",
+        (
+            T_OFDM + "test_zf_schur_per_entry_products_match_matmuls",
+            T_OFDM + "test_zf_waterfill_matches_full_column_oracle",
+            T_OFDM + "test_zf_snrs_match_the_link",
+        ),
+    ),
+    # the ZF beamformers' power and zero leak hold for these two; only the
+    # time-domain link sees that they do not deliver the rate's SNRs
+    Mutant(
+        "OFDM ZF combines with the weakest eigenvector",
+        "tests/oracles.py",
+        "u = vecs[..., -1]  ",
+        "u = vecs[..., 0]  ",
+        (T_OFDM + "test_zf_snrs_match_the_link",),
+    ),
+    Mutant(
+        "OFDM ZF transmit direction not of unit norm",
+        "tests/oracles.py",
+        "v_dir = uh.conj() / np.maximum(norm, np.finfo(float).tiny)",
+        "v_dir = uh.conj() / np.maximum(norm ** 2, np.finfo(float).tiny)",
+        (T_OFDM + "test_zf_snrs_match_the_link",),
+    ),
+    Mutant(
+        "subcarrier phases of the opposite sign",
+        "src/damlink/channel.py",
+        "table = np.exp(2j * np.pi",
+        "table = np.exp(-2j * np.pi",
+        (
+            T_OFDM + "test_link_delivers_the_frequency_response",
+            T_OFDM + "test_eigen_sinrs_match_the_link",
+            T_OFDM + "test_zf_snrs_match_the_link",
+        ),
+    ),
+    # a delay common to every path leaves every SINR unchanged, so only the
+    # phase-sensitive checks see it
+    Mutant(
+        "subcarrier weights one sample late",
+        "src/damlink/channel.py",
+        "(np.arange(M)[:, None] * channels.n[:, None, :]) % M",
+        "(np.arange(M)[:, None] * (channels.n[:, None, :] + 1)) % M",
+        (
+            T_OFDM + "test_link_delivers_the_frequency_response",
+            "tests/test_channel.py::TestFrequencyResponse::test_coefficients_match_the_direct_phase",
+            T_OFDM + "test_eigen_matches_full_svd_oracle",
+        ),
+    ),
+    Mutant(
+        "lifted PAPR weights with the wrong sign",
+        "src/damlink/waveform.py",
+        "np.block([[w.real, -w.imag], [w.imag, w.real]])",
+        "np.block([[w.real, w.imag], [w.imag, w.real]])",
+        (
+            T_PAPR + "test_group_paprs_match_synthesized_waveform",
+            T_PAPR + "test_ofdm_reference_chunk_matches_per_antenna_oracle",
+        ),
+    ),
+    Mutant(
+        "stream PAPRs skip the last block",
+        "src/damlink/waveform.py",
+        "    for b in range(n_blocks):\n",
+        "    for b in range(n_blocks - 1):\n",
+        (
+            T_PAPR + "test_group_paprs_match_synthesized_waveform",
+            T_PAPR + "test_stream_paprs_reject_blocks_past_the_streams",
         ),
     ),
     Mutant(

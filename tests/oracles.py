@@ -28,6 +28,11 @@ that block layout, and ``block_layout`` converts the library's cross Grams
 and eigenpairs to it.  ``ofdm_zf_beamformers`` builds the beamformers behind
 the OFDM ZF rate from the projected blocks.
 
+``oracle_cp_ofdm_couplings`` is a time-domain CP-OFDM link on integer
+delays: IDFT, cyclic prefix, each path as a sample shift, prefix removal,
+DFT and combining, one unit symbol per (UE, subcarrier), from the path
+gains and delays alone.
+
 ``build_compensation_matrix``, ``enumerate_alignment_sets`` and
 ``AlignmentSets`` are the delay design's combinatorial bookkeeping: the
 matrix of all I*R delay sums and the aligned / ISI split of the triples.
@@ -450,6 +455,45 @@ def ofdm_zf_beamformers(channels: ChannelSet, M: int, P: float, sigma2: float) -
     v_dir = uh.conj() / np.maximum(norm, np.finfo(float).tiny)[..., None]
     _, powers, _ = _water_fill_streams(lam[..., -1], M, P, sigma2)
     return OfdmBeamformerSet(np.sqrt(powers)[..., None] * v_dir, u, powers, q)
+
+
+def oracle_cp_ofdm_couplings(channels: ChannelSet, u, v, cp: int) -> np.ndarray:
+    """(K, M, K, M) couplings c[k, m, j, m'] of a time-domain CP-OFDM link:
+    UE k's output on subcarrier m, combined with u_k[m], from UE j's unit
+    symbol on subcarrier m' precoded with v_j[m'].
+
+    Reads only ``channels.gains`` and ``channels.n``; u is (K, M, M_r) and v
+    (K, M, M_t).  Each unit symbol's spectrum goes through the IDFT x[t] =
+    M^-1/2 sum_b X[b] exp(+2j pi b t / M) (``np.fft.ifft``, the transmitter
+    of ``waveform.ofdm_streams``), then a cyclic prefix of ``cp`` >= max n
+    samples, each path l as a shift by n_kl samples times H_kl, prefix
+    removal and the DFT Y[b] = M^-1/2 sum_t y[t] exp(-2j pi b t / M).  Under
+    this pair a path of delay n reaches bin b as exp(-2j pi b n / M), which
+    is sqrt(M) times ``subcarrier_coefficients``' weight of subcarrier
+    (-b) mod M.  So the model's subcarrier m is sent and read on bin (-m)
+    mod M, and c is indexed by the model's subcarriers.  At integer delays
+    the sampled raised cosine is a unit tap, so the link is exact, and white
+    noise of variance sigma2 per sample is sigma2 per bin.
+    """
+    gains, n = channels.gains, channels.n
+    K, L, M_r, M_t = gains.shape
+    M = v.shape[1]
+    if cp < n.max():
+        raise ValueError(f"cyclic prefix {cp} shorter than the largest delay {n.max()}")
+    bins = -np.arange(M) % M
+    out = np.empty((K, M, K, M), dtype=complex)
+    for j in range(K):
+        spectra = np.zeros((M, M, M_t), dtype=complex)            # (symbol m', bin, antenna)
+        spectra[np.arange(M), bins] = v[j]
+        x = np.fft.ifft(spectra, axis=1, norm="ortho")
+        x = x[:, np.arange(-cp, M) % M]                            # prefix: the last cp samples, cyclically
+        for k in range(K):
+            y = np.zeros((M, cp + M, M_r), dtype=complex)
+            for l in range(L):
+                y[:, n[k, l]:] += x[:, : cp + M - n[k, l]] @ gains[k, l].T
+            spectrum = np.fft.fft(y[:, cp:], axis=1, norm="ortho")[:, bins]  # (m', m, M_r)
+            out[k, :, j, :] = np.einsum("mr,pmr->mp", u[k].conj(), spectrum)
+    return out
 
 
 @dataclass(frozen=True)

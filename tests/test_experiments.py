@@ -428,13 +428,13 @@ def test_reference_runs_reach_only_the_2x2_rotation(monkeypatch):
 def test_each_bsside_trial_builds_the_cross_grams_once(monkeypatch):
     from damlink import ofdm
 
-    kernel, calls = ofdm._cross_grams, []
+    kernel, calls = ofdm._gram_eigen, []
 
     def spy(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(ofdm, "_cross_grams", spy)
+    monkeypatch.setattr(ofdm, "_gram_eigen", spy)
     spec = small_spec(kind="se_vs_power_fractional", trials=2)
     run_experiment(spec)
     assert len(calls) == len(spec.grid) * spec.trials

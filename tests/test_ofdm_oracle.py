@@ -1,4 +1,5 @@
-"""Reduced-SVD / path-subspace OFDM baseline vs the literal full-M_t reference."""
+"""Reduced-SVD / path-subspace OFDM baseline vs the literal full-M_t reference
+and a time-domain CP-OFDM link."""
 
 import tracemalloc
 
@@ -14,6 +15,7 @@ import oracles
 from oracles import (
     block_layout,
     ofdm_zf_beamformers,
+    oracle_cp_ofdm_couplings,
     oracle_ofdm_eigen,
     oracle_ofdm_zf_waterfill,
     oracle_zf_schur,
@@ -249,21 +251,21 @@ def test_zf_handover_to_the_projection(cs, svd_subcarriers, monkeypatch):
                 assert np.all(leak <= 1e-10 * np.linalg.norm(h[k], axis=(1, 2)))
 
 
-@pytest.mark.parametrize(
-    "cs",
-    [
-        pytest.param(random_delay_channel_set(np.random.default_rng(70), 2, 8, K=1, L=3, span=12), id="K1"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(71), 2, 8, K=2, L=3, span=12), id="K2"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(72), 3, 8, K=2, L=3, span=12), id="K2-Mr3"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(73), 2, 8, K=3, L=3, span=12), id="K3"),
-        # K = 2 with every subcarrier, then every odd one, handed to the projection
-        pytest.param(_weak_direction_channel_set(np.random.default_rng(33), 1e-3), id="K2-projection"),
-        pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-2), id="K2-mixed"),
-    ],
-)
+BITWISE_CASES = [
+    pytest.param(random_delay_channel_set(np.random.default_rng(70), 2, 8, K=1, L=3, span=12), id="K1"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(71), 2, 8, K=2, L=3, span=12), id="K2"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(72), 3, 8, K=2, L=3, span=12), id="K2-Mr3"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(73), 2, 8, K=3, L=3, span=12), id="K3"),
+    # K = 2 with every subcarrier, then every odd one, handed to the projection
+    pytest.param(_weak_direction_channel_set(np.random.default_rng(33), 1e-3), id="K2-projection"),
+    pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-2), id="K2-mixed"),
+]
+
+
+@pytest.mark.parametrize("cs", BITWISE_CASES)
 def test_eigen_and_zf_is_both_schemes_bitwise(cs):
-    # at K = 2 its rate reads the own-Gram eigenpairs reversed along K, where
-    # ofdm_zf_waterfill decomposes the interferer Grams itself
+    # one _gram_eigen pass and one ZF tail serve all three functions, so this
+    # pins that ofdm_eigen_and_zf reads them as the other two do
     sinrs, rate = ofdm.ofdm_eigen_and_zf(cs, M, P, SIGMA2)
     assert np.array_equal(sinrs, ofdm_eigen_sinrs(cs, M, P, SIGMA2))
     assert rate == ofdm_zf_waterfill(cs, M, P, SIGMA2)[1]
@@ -316,10 +318,11 @@ def test_outputs_do_not_depend_on_eigenvector_phases(shape, monkeypatch):
             if kp != k:
                 leak = np.abs(np.einsum("mr,mrt,mt->m", bf.u[k].conj(), h[k], bf.v[kp]))
                 assert np.all(leak <= 1e-10 * np.linalg.norm(h[k], axis=(1, 2)))
-    # every route went through the rephased kernel: own Grams, then interferer
-    # Grams and Schur complements for the rate, then the beamformers' projected Grams
-    interferer = ((K - 1) * m_r, (K - 1) * m_r, K, M)
-    assert calls == [(m_r, m_r, K, M), interferer, (m_r, m_r, K, M), (m_r, m_r, K, M)]
+    # every route went through the rephased kernel: the SINRs' own Grams; the
+    # rate's own Grams, interferer Grams (at K = 2 the rephased own eigenpairs,
+    # reversed) and Schur complements; then the beamformers' projected Grams
+    own, interferer = (m_r, m_r, K, M), ((K - 1) * m_r, (K - 1) * m_r, K, M)
+    assert calls == [own, own] + [interferer] * (K != 2) + [own, own]
 
 
 @pytest.mark.parametrize(
@@ -344,24 +347,111 @@ def test_reference_config_memory_peak(solve):
     assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize(
-    "cs",
-    [
-        pytest.param(random_delay_channel_set(np.random.default_rng(80), 2, 8, K=1, L=3, span=12), id="K1"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(81), 1, 8, K=2, L=3, span=12), id="K2-Mr1"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(82), 2, 8, K=2, L=3, span=12), id="K2-Mr2"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(83), 3, 12, K=2, L=3, span=12), id="K2-Mr3"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(84), 1, 8, K=3, L=3, span=12), id="K3-Mr1"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(85), 2, 24, K=3, L=3, span=12), id="K3-Mr2"),
-        pytest.param(random_delay_channel_set(np.random.default_rng(86), 3, 24, K=3, L=3, span=12), id="K3-Mr3"),
-        # every odd subcarrier handed to the projection
-        pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-2), id="K2-mixed"),
-    ],
-)
+SCHUR_CASES = [
+    pytest.param(random_delay_channel_set(np.random.default_rng(80), 2, 8, K=1, L=3, span=12), id="K1"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(81), 1, 8, K=2, L=3, span=12), id="K2-Mr1"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(82), 2, 8, K=2, L=3, span=12), id="K2-Mr2"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(83), 3, 12, K=2, L=3, span=12), id="K2-Mr3"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(84), 1, 8, K=3, L=3, span=12), id="K3-Mr1"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(85), 2, 24, K=3, L=3, span=12), id="K3-Mr2"),
+    pytest.param(random_delay_channel_set(np.random.default_rng(86), 3, 24, K=3, L=3, span=12), id="K3-Mr3"),
+    # every odd subcarrier handed to the projection
+    pytest.param(_mixed_route_channel_set(np.random.default_rng(34), 1e-2), id="K2-mixed"),
+]
+
+
+@pytest.mark.parametrize("cs", SCHUR_CASES)
 def test_zf_schur_per_entry_products_match_matmuls(cs):
     grams, own_eig = ofdm._gram_eigen(cs, M)
+    schur = np.moveaxis(ofdm._zf_schur(cs, M, grams, own_eig), (0, 1), (-2, -1))
+    # the oracle on the same eigenpairs, and on a fresh decomposition of the G_oo
     for eig in (own_eig, None):
-        schur = np.moveaxis(ofdm._zf_schur(cs, M, grams, eig), (0, 1), (-2, -1))
         ref = oracle_zf_schur(cs, M, *block_layout(grams, eig))
         scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(schur - ref) <= 1e-13 * scale)
+
+
+def _cp_cases():
+    """(channels, cyclic prefix): two K = 2 shapes, one with delays past M, and K = 3."""
+    past_m = random_delay_channel_set(np.random.default_rng(91), 2, 16, K=2, L=3, span=30, fractional=False)
+    assert past_m.n.max() >= M
+    return [
+        pytest.param(
+            random_delay_channel_set(np.random.default_rng(90), 2, 8, K=2, L=3, span=12, fractional=False),
+            12, id="8x2-K2-L3",
+        ),
+        # every (m n) mod M phase index wraps, and the prefix is longer than M
+        pytest.param(past_m, 32, id="16x2-K2-L3-delays-past-M"),
+        pytest.param(
+            random_delay_channel_set(np.random.default_rng(92), 2, 24, K=3, L=2, span=12, fractional=False),
+            16, id="24x2-K3-L2",
+        ),
+    ]
+
+
+def _powers(c):
+    """(K, M) desired, inter-carrier and inter-user powers of (K, M, K, M) couplings."""
+    power = np.abs(c) ** 2
+    desired = np.einsum("kmkm->km", power)
+    own = np.einsum("kmkp->km", power)
+    return desired, own - desired, power.sum(axis=(2, 3)) - own
+
+
+@pytest.mark.parametrize("cs,cp", _cp_cases())
+def test_link_delivers_the_frequency_response(cs, cp):
+    # on the model's subcarrier m every beamformer pair couples through
+    # sqrt(M) H_k[m], in phase, and no other subcarrier leaks in
+    rng = np.random.default_rng(93)
+    u = rng.standard_normal((cs.K, M, cs.M_r)) + 1j * rng.standard_normal((cs.K, M, cs.M_r))
+    v = rng.standard_normal((cs.K, M, cs.M_t)) + 1j * rng.standard_normal((cs.K, M, cs.M_t))
+    c = oracle_cp_ofdm_couplings(cs, u, v, cp)
+    h = frequency_response(cs, M)
+    expected = np.sqrt(M) * np.einsum("kmr,kmrt,jmt->kmj", u.conj(), h, v)
+    on_bin = np.einsum("kmjm->kmj", c)
+    assert np.max(np.abs(on_bin - expected)) <= 1e-12 * np.max(np.abs(expected))
+    off_bin = c.copy()
+    np.einsum("kmjm->kmj", off_bin)[:] = 0.0
+    assert np.max(np.abs(off_bin)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("cs,cp", _cp_cases())
+def test_eigen_sinrs_match_the_link(cs, cp):
+    bf = ofdm_eigen(cs, M, P)
+    desired, ici, iui = _powers(oracle_cp_ofdm_couplings(cs, bf.u, bf.v, cp))
+    assert np.all(ici <= 1e-12 * desired)
+    # white noise of variance SIGMA2 per sample is SIGMA2 per bin
+    sinr = desired / (iui + ici + SIGMA2)
+    assert np.allclose(ofdm_eigen_sinrs(cs, M, P, SIGMA2), sinr, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("cs,cp", _cp_cases())
+def test_zf_snrs_match_the_link(cs, cp):
+    bf = ofdm_zf_beamformers(cs, M, P, SIGMA2)
+    desired, ici, iui = _powers(oracle_cp_ofdm_couplings(cs, bf.u, bf.v, cp))
+    assert np.all(ici <= 1e-12 * desired)
+    assert np.all(iui <= 1e-10 * desired)
+    snr, _ = ofdm_zf_waterfill(cs, M, P, SIGMA2)
+    assert np.allclose(snr, desired / SIGMA2, rtol=1e-9, atol=0.0)
+
+
+def _k2_cases():
+    """Every K = 2 channel set of this file's tests."""
+    lists = {
+        "sets": _channel_sets(), "rank": _rank_cases(), "handover": _handover_cases(),
+        "bitwise": BITWISE_CASES, "schur": SCHUR_CASES, "cp": _cp_cases(),
+    }
+    return [
+        pytest.param(case.values[0], id=f"{name}-{case.id}")
+        for name, cases in lists.items() for case in cases if case.values[0].K == 2
+    ]
+
+
+@pytest.mark.parametrize("cs", _k2_cases())
+def test_k2_interferer_eigenpairs_are_the_own_eigenpairs_reversed(cs):
+    # _zf_schur's K = 2 route reads the own eigenpairs reversed along K in
+    # place of a jacobi_eigh of the interferer Grams: the same bits
+    grams, (lam, w) = ofdm._gram_eigen(cs, M)
+    interferer = np.stack([grams[1, 1], grams[0, 0]], axis=2)      # UE k's G_oo at K index k
+    lam_oo, w_oo = ofdm.jacobi_eigh(interferer)
+    assert np.array_equal(lam_oo, lam[:, ::-1])
+    assert np.array_equal(w_oo, w[:, :, ::-1])
